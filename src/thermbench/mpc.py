@@ -13,20 +13,32 @@ the recorded history, lags inside the horizon read the rollout's own
 predictions.  The forecast arrays hold the scheduled future exogenous signals
 (offsets 1..N relative to the decision sample; the decision sample itself
 travels in ``HorizonForecast.now``).
+
+One rollout kernel serves every plan.  It evaluates the compiled water and
+zone layouts over a row axis of plans and walks the plan-prefix tree: every
+regressor lag is at least one sample, so the horizon steps of period p depend
+on the choices of periods 0..p only.  At each period boundary the rows are
+repeated once per option, and the period is rolled out once per prefix (4,
+16, 64, 256 and 1024 rows under the default config, instead of 1024 rows for
+every step).  The tree still reaches every admissible plan, so the search
+stays exhaustive; each leaf is costed with the same arithmetic, in the same
+order, as a rollout of that plan alone, and ``predict_horizon`` is the
+one-row case.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, HistoryUnderflowError
 from .identify import oe_predict
-from .regressors import (LaggedHistory, RegressorSpec, Structure, layout,
-                         measured_columns, warmup)
+from .regressors import (CompiledLayout, LaggedHistory, RegressorSpec,
+                         Structure, compile_layout, layout, measured_columns,
+                         sum_entries, warmup)
 from .simulator import (ControlInput, Disturbance, PlantState, SimConfig,
                         ZoneParams, heating_curve, hysteresis_control, step,
                         synthesize_scenario)
@@ -138,6 +150,146 @@ def _rh_spec(spec: RegressorSpec) -> RegressorSpec:
     return RegressorSpec(Structure.NRM_FI_RH, spec.n_neighbors)
 
 
+# ---------------------------------------------------------------------------
+# rollout kernel
+# ---------------------------------------------------------------------------
+
+# plan-dependent rollout buffers: inside the horizon the layouts' output
+# channels read the rollout's own predictions, and the controls follow the plan
+_PLAN_BUFFERS = {"yhat_r": 0, "T_r": 0, "yhat_w": 1, "T_w": 1, "Tw_in": 2, "Vw": 3}
+
+
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """The water and zone predictors of one zone spec as a single compiled
+    table (water entries first), with the source of each value-table row:
+    a plan buffer, or a plan-independent signal shared by every plan (the
+    table's constant 1.0 row is the shared signal past the last channel)."""
+
+    lay: CompiledLayout
+    n_water: int
+    shared: tuple[str, ...]
+    plan_rows: np.ndarray
+    plan_buffer: np.ndarray
+    plan_lag: np.ndarray
+    shared_rows: np.ndarray
+    shared_channel: np.ndarray
+    shared_lag: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(spec: RegressorSpec) -> _Kernel:
+    rh = _rh_spec(spec)
+    lay = compile_layout(rh, spec)
+    shared = tuple(f"T_rj_{j}" for j in range(1, spec.n_neighbors + 1)) + \
+        ("Ta_in", "Va", "Qext")
+    plan, other = [], []
+    for row, (channel, lag) in enumerate(lay.columns):
+        if channel in _PLAN_BUFFERS:
+            plan.append((row, _PLAN_BUFFERS[channel], lag))
+        else:
+            other.append((row, shared.index(channel), lag))
+    other.append((len(lay.columns), len(shared), 0))
+    p = np.array(plan, dtype=np.intp).reshape(-1, 3).T
+    o = np.array(other, dtype=np.intp).T
+    p.flags.writeable = o.flags.writeable = False
+    return _Kernel(lay, len(layout(rh)), shared, p[0], p[1], p[2], o[0], o[1], o[2])
+
+
+def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
+             hist: LaggedHistory, forecast: HorizonForecast, cfg: MpcConfig,
+             choices) -> tuple[np.ndarray, int]:
+    """Roll the water and zone predictors out over a tree of plan prefixes.
+
+    ``choices[p]`` holds period p's candidate (inlet, flow) values as two
+    arrays.  Every lag is at least one sample, so the horizon steps of
+    period p read controls of periods 0..p only: at each period boundary
+    every row is repeated once per option, and the period is rolled out
+    once per plan prefix.  Each row's arithmetic does not depend on how many
+    rows there are.  Returns ``(buffers, w)``: ``buffers`` has shape
+    ``(4, w + 1 + n_hor, plans)`` and holds the zone prediction, water
+    prediction, inlet and flow by position (0..w-1 the recorded past, w the
+    decision sample, w+1.. the horizon); the plans are in enumeration order,
+    earliest period most significant.
+    """
+    n = cfg.n_hor
+    s = cfg.samples_per_period
+    w = max(warmup(spec), 1)
+    t = len(hist)
+    if t < w:
+        raise HistoryUnderflowError(f"controller history has {t} samples, "
+                                    f"needs {w} for the rollout")
+    total = w + 1 + n
+    kern = _kernel(spec)
+
+    # plan-independent signals by position: recorded, measured at the
+    # decision sample, then forecast; the last row is the constant 1.0
+    now = {"Ta_in": forecast.now.ta_in, "Va": forecast.now.va,
+           "Qext": forecast.now.qext}
+    future = {"Ta_in": forecast.ta_in, "Va": forecast.va, "Qext": forecast.qext}
+    for j, (v, a) in enumerate(zip(forecast.now.t_neighbors, forecast.t_neighbors),
+                               start=1):
+        now[f"T_rj_{j}"] = v
+        future[f"T_rj_{j}"] = a
+    shared = np.empty((len(kern.shared) + 1, total))
+    for i, c in enumerate(kern.shared):
+        shared[i, :w] = [hist.get(c, k) for k in range(t - w, t)]
+        shared[i, w] = now[c]
+        shared[i, w + 1:] = future[c]
+    shared[-1] = 1.0
+    # the shared rows of the value table at each horizon step
+    shared_at = shared[kern.shared_channel,
+                       np.arange(w + 1, total)[:, None] - kern.shared_lag]
+
+    buffers = np.zeros((4, total, 1))
+    for c in ("yhat_r", "yhat_w", "Tw_in", "Vw"):
+        buffers[_PLAN_BUFFERS[c], :w, 0] = [hist.get(c, k) for k in range(t - w, t)]
+    buffers[0, w] = forecast.now.t_r
+    buffers[1, w] = oe_predict(theta_w, _rh_spec(spec), hist, t)
+
+    coef = np.concatenate((theta_w, theta_r))[:, None]
+    nw = kern.n_water
+    for p, (inlet, flow) in enumerate(choices):
+        if len(inlet) > 1:
+            buffers = np.repeat(buffers, len(inlet), axis=2)
+        rows = buffers.shape[2]
+        period = slice(w + p * s, w + (p + 1) * s)
+        buffers[2, period] = np.tile(inlet, rows // len(inlet))
+        buffers[3, period] = np.tile(flow, rows // len(inlet))
+        values = np.empty((len(kern.lay.columns) + 1, rows))
+        for idx in range(w + p * s + 1, w + (p + 1) * s + 1):
+            values[kern.plan_rows] = buffers[kern.plan_buffer, idx - kern.plan_lag]
+            values[kern.shared_rows] = shared_at[idx - w - 1, :, None]
+            terms = kern.lay.terms(values, coef)
+            buffers[1, idx] = sum_entries(terms[:nw])
+            buffers[0, idx] = sum_entries(terms[nw:])
+    if not np.all(np.isfinite(buffers[:2, w:])):
+        raise DivergenceError("plan rollout produced non-finite predictions")
+    return buffers, w
+
+
+def _costs(t_r: np.ndarray, t_w: np.ndarray, inlet: np.ndarray,
+           flow: np.ndarray, forecast: HorizonForecast, cfg: MpcConfig):
+    """Comfort, heating and pump cost of each row (one plan per row).
+
+    ``t_r`` covers horizon positions 0..n_hor, the others 0..n_hor-1.  The
+    comfort sum is averaged by n_hor; the heating term is
+    beta * t_sam * (inlet - predicted outlet), optionally multiplied by an
+    indicator that the flow is nonzero.  Every row sum runs over a C-ordered
+    row, whatever the layout of the inputs, so a plan costs the same bits
+    alone or among others.
+    """
+    n = cfg.n_hor
+    occ_path = np.concatenate(([forecast.now.occ], forecast.occ))
+    comfort = cfg.alpha * np.sum(
+        occ_path * np.subtract(t_r, cfg.t_set, order="C") ** 2, axis=1) / n
+    gate = (flow > 0.0).astype(float) if cfg.heating_cost_gated_by_flow else 1.0
+    heating = cfg.beta * cfg.t_sam * np.sum(
+        np.multiply(inlet - t_w, gate, order="C"), axis=1)
+    pump = cfg.gamma * cfg.t_sam * np.sum(np.ascontiguousarray(flow), axis=1)
+    return comfort, heating, pump
+
+
 def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
                     spec: RegressorSpec, hist: LaggedHistory,
                     plan: ControlPlan, forecast: HorizonForecast,
@@ -145,53 +297,20 @@ def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
     """Multi-step rollout of the zone and water predictors under one plan.
 
     Returns the zone trace (length n_hor+1, position 0 is the current
-    measurement) and the water-outlet trace (length n_hor).  The caller's
-    history is not modified.
+    measurement) and the water-outlet trace (length n_hor).  This is the
+    one-row case of the rollout ``solve`` ranks plans with, bit for bit.
     """
     n = cfg.n_hor
     if n == 0:
         return np.empty(0), np.empty(0)
     forecast.check_length(n)
-    rh = _rh_spec(spec)
-    inlet_seq, flow_seq = plan.expand(cfg)
-    work = hist.copy()
-    t = len(work)
-
-    t_r_trace = np.empty(n + 1)
-    t_w_trace = np.empty(n)
-    t_r_trace[0] = forecast.now.t_r
-
-    # current water estimate from the recorded history (plan independent)
-    yhat_w = oe_predict(theta_w, rh, work, t) if t >= 1 else forecast.now.t_r
-    t_w_trace[0] = yhat_w
-    _push_rollout_row(work, t_r=forecast.now.t_r, t_w=yhat_w,
-                      t_neighbors=forecast.now.t_neighbors,
-                      ta_in=forecast.now.ta_in, va=forecast.now.va,
-                      qext=forecast.now.qext, occ=forecast.now.occ,
-                      tw_in=inlet_seq[0], vw=flow_seq[0])
-    work.record_prediction("yhat_w", t, yhat_w)
-
-    for kappa in range(1, n + 1):
-        idx = t + kappa
-        yhat_w = oe_predict(theta_w, rh, work, idx)
-        yhat_r = oe_predict(theta_r, spec, work, idx)
-        if not (math.isfinite(yhat_r) and math.isfinite(yhat_w)):
-            raise DivergenceError(f"rollout diverged at horizon step {kappa}")
-        t_r_trace[kappa] = yhat_r
-        if kappa < n:
-            t_w_trace[kappa] = yhat_w
-        s = min(kappa, n - 1)
-        _push_rollout_row(work, t_r=yhat_r, t_w=yhat_w,
-                          t_neighbors=tuple(float(a[kappa - 1])
-                                            for a in forecast.t_neighbors),
-                          ta_in=float(forecast.ta_in[kappa - 1]),
-                          va=float(forecast.va[kappa - 1]),
-                          qext=float(forecast.qext[kappa - 1]),
-                          occ=float(forecast.occ[kappa - 1]),
-                          tw_in=inlet_seq[s], vw=flow_seq[s])
-        work.record_prediction("yhat_r", idx, yhat_r)
-        work.record_prediction("yhat_w", idx, yhat_w)
-    return t_r_trace, t_w_trace
+    if len(plan.periods) != cfg.n_periods:
+        raise ConfigError(f"plan has {len(plan.periods)} periods, "
+                          f"config expects {cfg.n_periods}")
+    choices = [(np.array([i], dtype=float), np.array([f], dtype=float))
+               for i, f in plan.periods]
+    buffers, w = _rollout(theta_r, theta_w, spec, hist, forecast, cfg, choices)
+    return buffers[0, w:w + n + 1, 0].copy(), buffers[1, w:w + n, 0].copy()
 
 
 def _push_rollout_row(work: LaggedHistory, *, t_r, t_w,
@@ -213,141 +332,49 @@ class CostBreakdown:
 
 def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
               forecast: HorizonForecast, cfg: MpcConfig) -> CostBreakdown:
-    """Comfort, heating and pump cost of one rolled-out plan.
-
-    The comfort sum runs over horizon positions 0..n_hor and is averaged by
-    n_hor; heating and pump sum positions 0..n_hor-1.  The heating term is
-    beta * t_sam * (inlet - predicted outlet), optionally multiplied by an
-    indicator that the flow is nonzero.
-    """
+    """Comfort, heating and pump cost of one rolled-out plan, by the cost
+    function ``solve`` ranks plans with."""
     t_r_trace, t_w_trace = traces
-    n = cfg.n_hor
-    if n == 0 or len(t_r_trace) == 0:
+    if cfg.n_hor == 0 or len(t_r_trace) == 0:
         return CostBreakdown(0.0, 0.0, 0.0, 0.0)
     inlet_seq, flow_seq = plan.expand(cfg)
-
-    comfort = forecast.now.occ * (t_r_trace[0] - cfg.t_set) ** 2
-    for kappa in range(1, n + 1):
-        comfort += float(forecast.occ[kappa - 1]) * (t_r_trace[kappa] - cfg.t_set) ** 2
-    comfort = cfg.alpha * comfort / n
-
-    heating = 0.0
-    pump = 0.0
-    for k in range(n):
-        gate = (1.0 if flow_seq[k] > 0.0 else 0.0) \
-            if cfg.heating_cost_gated_by_flow else 1.0
-        heating += cfg.beta * cfg.t_sam * (inlet_seq[k] - t_w_trace[k]) * gate
-        pump += cfg.gamma * cfg.t_sam * flow_seq[k]
+    comfort, heating, pump = (float(c[0]) for c in _costs(
+        t_r_trace[None, :], t_w_trace[None, :], inlet_seq[None, :],
+        flow_seq[None, :], forecast, cfg))
     return CostBreakdown(total=comfort + heating + pump, comfort=comfort,
                          heating=heating, pump=pump)
 
 
 # ---------------------------------------------------------------------------
-# vectorized plan enumeration
+# exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-def _tail_arrays(hist: LaggedHistory, channels, depth: int, t: int) -> dict[str, np.ndarray]:
-    out = {}
-    for c in channels:
-        out[c] = np.asarray([hist.get(c, k) for k in range(t - depth, t)], dtype=float)
-    return out
+@functools.lru_cache(maxsize=8)
+def _plan_table(cfg: MpcConfig) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Every admissible plan in tie-break order, and one period's options as
+    inlet and flow arrays in the same order; built once per config."""
+    options = cfg.options()
+    n_plans = len(options) ** cfg.n_periods
+    if n_plans > cfg.plan_budget:
+        raise ConfigError(f"enumeration of {n_plans} plans exceeds the budget "
+                          f"of {cfg.plan_budget}")
+    plans = tuple(itertools.product(options, repeat=cfg.n_periods))
+    inlet = np.array([i for i, _ in options], dtype=float)
+    flow = np.array([f for _, f in options], dtype=float)
+    inlet.flags.writeable = flow.flags.writeable = False
+    return plans, inlet, flow
 
 
-def _evaluate_all_plans(theta_r, theta_w, spec, hist, forecast, cfg,
-                        plans) -> np.ndarray:
-    """Total cost of every plan, rolled out in parallel across a plan axis."""
+def _plan_costs(theta_r, theta_w, spec, hist, forecast, cfg) -> np.ndarray:
+    """Total cost of every plan, in enumeration order."""
     n = cfg.n_hor
-    p = len(plans)
-    rh = _rh_spec(spec)
-    w = max(warmup(spec), 1)
-    t = len(hist)
-    if t < w:
-        raise HistoryUnderflowError(f"controller history has {t} samples, "
-                                    f"needs {w} for the rollout")
-    total = w + 1 + n  # positions: 0..w-1 past, w = decision sample, w+1..w+n horizon
-
-    shared_names = [f"T_rj_{j}" for j in range(1, spec.n_neighbors + 1)] + \
-        ["Ta_in", "Va", "Qext"]
-    past = _tail_arrays(hist, shared_names + ["Vw", "Tw_in", "yhat_r", "yhat_w"], w, t)
-
-    now_map = {"Ta_in": forecast.now.ta_in, "Va": forecast.now.va,
-               "Qext": forecast.now.qext}
-    for j, v in enumerate(forecast.now.t_neighbors, start=1):
-        now_map[f"T_rj_{j}"] = v
-    fut_map = {"Ta_in": forecast.ta_in, "Va": forecast.va,
-               "Qext": forecast.qext}
-    for j, a in enumerate(forecast.t_neighbors, start=1):
-        fut_map[f"T_rj_{j}"] = a
-
-    shared = {}
-    for c in shared_names:
-        buf = np.empty(total)
-        buf[:w] = past[c]
-        buf[w] = now_map[c]
-        buf[w + 1:] = fut_map[c]
-        shared[c] = buf
-
-    # plan-dependent control buffers
-    inlet = np.empty((p, total))
-    flow = np.empty((p, total))
-    inlet[:, :w] = past["Tw_in"]
-    flow[:, :w] = past["Vw"]
-    for i, periods in enumerate(plans):
-        seq_i, seq_f = ControlPlan(periods).expand(cfg)
-        inlet[i, w:w + n] = seq_i
-        flow[i, w:w + n] = seq_f
-    inlet[:, w + n] = inlet[:, w + n - 1]
-    flow[:, w + n] = flow[:, w + n - 1]
-
-    yhat_r = np.empty((p, total))
-    yhat_w = np.empty((p, total))
-    yhat_r[:, :w] = past["yhat_r"]
-    yhat_w[:, :w] = past["yhat_w"]
-    yhat_r[:, w] = forecast.now.t_r
-    yhat_w[:, w] = oe_predict(theta_w, rh, hist, t) if t >= 1 else forecast.now.t_r
-
-    def channel(c):
-        if c in ("yhat_r", "T_r"):
-            return yhat_r
-        if c in ("yhat_w", "T_w"):
-            return yhat_w
-        if c == "Tw_in":
-            return inlet
-        if c == "Vw":
-            return flow
-        return shared[c]
-
-    lay_r = layout(spec)
-    lay_w = layout(rh)
-
-    def predict(lay, theta, idx):
-        acc = np.zeros(p)
-        for coef, entry in zip(theta, lay):
-            term = np.full(p, coef)
-            for c, lag in entry:
-                buf = channel(c)
-                col = buf[:, idx - lag] if buf.ndim == 2 else buf[idx - lag]
-                term = term * col
-            acc += term
-        return acc
-
-    for kappa in range(1, n + 1):
-        idx = w + kappa
-        yhat_w[:, idx] = predict(lay_w, theta_w, idx)
-        yhat_r[:, idx] = predict(lay_r, theta_r, idx)
-    if not (np.all(np.isfinite(yhat_r[:, w:])) and np.all(np.isfinite(yhat_w[:, w:]))):
-        raise DivergenceError("plan rollout produced non-finite predictions")
-
-    # costs
-    t_r_tr = yhat_r[:, w:w + n + 1]
-    t_w_tr = yhat_w[:, w:w + n]
-    occ_path = np.concatenate(([forecast.now.occ], forecast.occ))
-    comfort = cfg.alpha * np.sum(occ_path * (t_r_tr - cfg.t_set) ** 2, axis=1) / n
-    inlet_seq = inlet[:, w:w + n]
-    flow_seq = flow[:, w:w + n]
-    gate = (flow_seq > 0.0).astype(float) if cfg.heating_cost_gated_by_flow else 1.0
-    heating = cfg.beta * cfg.t_sam * np.sum((inlet_seq - t_w_tr) * gate, axis=1)
-    pump = cfg.gamma * cfg.t_sam * np.sum(flow_seq, axis=1)
+    _, inlet, flow = _plan_table(cfg)
+    buffers, w = _rollout(theta_r, theta_w, spec, hist, forecast, cfg,
+                          [(inlet, flow)] * cfg.n_periods)
+    # (plans, positions) views of the leaves
+    t_r, t_w, inlet_seq, flow_seq = (buffers[b, w:w + n + (b == 0)].T
+                                     for b in range(4))
+    comfort, heating, pump = _costs(t_r, t_w, inlet_seq, flow_seq, forecast, cfg)
     return comfort + heating + pump
 
 
@@ -356,14 +383,9 @@ def solve(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
           cfg: MpcConfig) -> ControlPlan:
     """Exhaustively enumerate all admissible plans and return the cheapest
     (first minimum in tie-break order)."""
-    options = cfg.options()
-    n_plans = len(options) ** cfg.n_periods
-    if n_plans > cfg.plan_budget:
-        raise ConfigError(f"enumeration of {n_plans} plans exceeds the budget "
-                          f"of {cfg.plan_budget}")
+    plans, _, _ = _plan_table(cfg)
     forecast.check_length(cfg.n_hor)
-    plans = list(itertools.product(options, repeat=cfg.n_periods))
-    costs = _evaluate_all_plans(theta_r, theta_w, spec, hist, forecast, cfg, plans)
+    costs = _plan_costs(theta_r, theta_w, spec, hist, forecast, cfg)
     return ControlPlan(periods=plans[int(np.argmin(costs))])
 
 

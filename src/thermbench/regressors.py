@@ -3,9 +3,10 @@ algebra used to check their derivation identities.
 
 Every model structure is encoded declaratively as a lag-table layout: one
 entry per regressor component, each entry a product of lagged channels.
-``build_regressor`` evaluates a layout against a ``LaggedHistory``; the
-multi-step rollout in :mod:`thermbench.mpc` evaluates the same tables against
-plan-indexed arrays, so the block layout has a single source of truth.
+``build_regressor`` evaluates a layout against a ``LaggedHistory`` and is the
+readable reference; ``compile_layout`` turns the same table into index arrays
+that the multi-step rollout in :mod:`thermbench.mpc` evaluates over a row
+axis of plans, so the block layout has a single source of truth.
 
 Output-error discipline: past outputs enter the regressor through the
 ``yhat_*`` prediction channels, never through the measured output.  Below the
@@ -15,6 +16,7 @@ deepest lag the prediction channels fall back to the measured values
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,6 +68,7 @@ def prediction_channel(spec: RegressorSpec) -> str:
     return "yhat_w" if spec.structure is Structure.NRM_FI_RH else "yhat_r"
 
 
+@functools.lru_cache(maxsize=None)
 def layout(spec: RegressorSpec) -> tuple[Entry, ...]:
     """Fully expanded lag table of the regressor vector, in block order."""
     n = spec.n_neighbors
@@ -145,6 +148,57 @@ def entry_shapes(spec: RegressorSpec) -> list[int]:
     return [len(entry) for entry in layout(spec)]
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledLayout:
+    """Index form of a lag table, evaluated against a table of factor values.
+
+    ``columns`` lists the distinct (channel, lag) factors the entries read,
+    in first-use order.  A value table holds one row per column plus a last
+    row of exactly 1.0; factor position ``f`` of entry ``i`` reads row
+    ``factors[f, i]``, and an entry with fewer factors than the widest one
+    reads the 1.0 row in its spare positions.
+    """
+
+    entries: tuple[Entry, ...]
+    columns: tuple[tuple[str, int], ...]
+    factors: np.ndarray  # (factor positions, entries) value-table rows
+
+    def terms(self, values: np.ndarray, coef=1.0) -> np.ndarray:
+        """Per-entry products ``coef * f_0 * f_1 * ...``, multiplied left to
+        right as ``build_regressor`` does; the entry axis replaces the first
+        axis of ``values``."""
+        out = coef * values[self.factors[0]]
+        for rows in self.factors[1:]:
+            out *= values[rows]
+        return out
+
+
+def sum_entries(terms: np.ndarray) -> np.ndarray:
+    """Left-to-right sum of a C-ordered ``(entries, n)`` array over its
+    entries, for each of the ``n`` columns."""
+    if terms.shape[1] == 1:
+        # numpy sums one contiguous axis pairwise; accumulate runs in order
+        return np.add.accumulate(terms, axis=0)[-1]
+    # across rows numpy adds row after row
+    return np.add.reduce(terms, axis=0)
+
+
+@functools.lru_cache(maxsize=None)
+def compile_layout(*specs: RegressorSpec) -> CompiledLayout:
+    """Compiled form of ``layout(spec)``, built once per spec; given several
+    specs, one table holding their entries back to back."""
+    entries = tuple(entry for spec in specs for entry in layout(spec))
+    columns = tuple(dict.fromkeys(factor for entry in entries for factor in entry))
+    row = {c: i for i, c in enumerate(columns)}
+    width = max(len(entry) for entry in entries)
+    factors = np.full((width, len(entries)), len(columns), dtype=np.intp)
+    for i, entry in enumerate(entries):
+        for f, factor in enumerate(entry):
+            factors[f, i] = row[factor]
+    factors.flags.writeable = False
+    return CompiledLayout(entries=entries, columns=columns, factors=factors)
+
+
 class LaggedHistory:
     """Append-only per-channel sample store with prediction channels.
 
@@ -209,8 +263,9 @@ class LaggedHistory:
 def build_regressor(spec: RegressorSpec, hist: LaggedHistory, k: int) -> np.ndarray:
     """Evaluate the regressor vector at sample ``k`` (lags reach into
     ``k-1`` and deeper, so the history must hold samples ``0..k-1``)."""
-    out = np.empty(regressor_length(spec))
-    for i, entry in enumerate(layout(spec)):
+    lay = layout(spec)
+    out = np.empty(len(lay))
+    for i, entry in enumerate(lay):
         v = 1.0
         for channel, lag in entry:
             v *= hist.get(channel, k - lag)

@@ -217,12 +217,20 @@ class TimeSeriesDataset:
 
     @classmethod
     def from_csv(cls, path, epsilon: float | None = None) -> "TimeSeriesDataset":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                header = fh.readline().strip().split(",")
+                rows = [line.strip().split(",") for line in fh if line.strip()]
+        except OSError as e:
+            raise ConfigError(f"cannot read dataset {path}: {e.strerror}") from None
         if not rows:
             raise ConfigError(f"dataset {path} is empty")
-        data = np.asarray(rows, dtype=float)
+        try:
+            data = np.asarray(rows, dtype=float)
+        except ValueError:
+            raise ConfigError(_table_error(path, header)) from None
+        if data.shape[1] != len(header):
+            raise ConfigError(_table_error(path, header))
         columns = {name: data[:, i].copy() for i, name in enumerate(header) if name != "k"}
         n_neighbors = sum(1 for name in header if name.startswith("T_rj_"))
         if n_neighbors == 0:
@@ -231,6 +239,27 @@ class TimeSeriesDataset:
             t = columns["t_hours"]
             epsilon = float(t[1] - t[0]) if len(t) > 1 else 1.0 / 12.0
         return cls(epsilon=epsilon, n_neighbors=n_neighbors, columns=columns)
+
+
+def _table_error(path, header: list[str]) -> str:
+    """Where a dataset file stops being a numeric table of the header's
+    width: the first ragged row or non-numeric cell, by file line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cells = line.strip().split(",")
+            if len(cells) != len(header):
+                return (f"dataset {path}, line {lineno}: {len(cells)} fields, "
+                        f"the header has {len(header)}")
+            for name, cell in zip(header, cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    return (f"dataset {path}, line {lineno}, column {name!r}: "
+                            f"{cell!r} is not a number")
+    return f"dataset {path} is not a numeric table"
 
 
 def _fmt(v: float) -> str:

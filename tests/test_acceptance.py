@@ -23,9 +23,10 @@ from thermbench.simulator import (OccupancySchedule, run_experiment,
                                   run_probe_experiment, step)
 
 from conftest import random_point
+from mpc_oracle import scalar_costs
 from test_identify import generate_self_consistent, stable_theta
-from test_mpc import (scalar_costs, stable_toy_theta, toy_cfg, toy_forecast,
-                      toy_theta_w, warm_history)
+from test_mpc import (stable_toy_theta, toy_cfg, toy_forecast, toy_theta_w,
+                      warm_history)
 
 SPEC_MI = RegressorSpec(Structure.NRM_MI, 1)
 SPEC_LRM = RegressorSpec(Structure.LRM, 1)

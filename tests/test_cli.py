@@ -99,6 +99,57 @@ def test_identify_accepts_dataset_file(tmp_path, small_config):
     assert np.loadtxt(out / "theta_LRM.txt").shape == (21,)
 
 
+def test_missing_dataset_file_exits_2(tmp_path, small_config, capsys):
+    missing = tmp_path / "nope.csv"
+    assert main(["excite-check", "--config", str(small_config),
+                 "--out-dir", str(tmp_path / "out"),
+                 "--dataset", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def _damaged_dataset(tmp_path, small_config, line, edit):
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(small_config), "--out-dir", str(out)])
+    path = out / "dataset.csv"
+    lines = path.read_text().splitlines()
+    lines[line - 1] = edit(lines[line - 1])
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_ragged_dataset_row_exits_2(tmp_path, small_config, capsys):
+    path = _damaged_dataset(tmp_path, small_config, 7,
+                            lambda row: row.rsplit(",", 1)[0])
+    assert main(["identify", "--config", str(small_config), "--out-dir",
+                 str(tmp_path / "out"), "--dataset", str(path),
+                 "--spec", "LRM"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "line 7" in err
+    # every row one field short of the header
+    short = tmp_path / "short.csv"
+    short.write_text("k,t_hours,T_r,T_rj_1\n0,0,21\n1,0.25,21\n")
+    assert main(["excite-check", "--config", str(small_config), "--out-dir",
+                 str(tmp_path / "out"), "--dataset", str(short)]) == 2
+    err = capsys.readouterr().err
+    assert str(short) in err and "line 2" in err
+
+
+def test_non_numeric_dataset_cell_exits_2(tmp_path, small_config, capsys):
+    header = column_names(1)
+    col = header.index("Tw_in")
+
+    def edit(row):
+        cells = row.split(",")
+        cells[col] = "warm"
+        return ",".join(cells)
+
+    path = _damaged_dataset(tmp_path, small_config, 12, edit)
+    assert main(["excite-check", "--config", str(small_config), "--out-dir",
+                 str(tmp_path / "out"), "--dataset", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "line 12" in err and "'Tw_in'" in err
+
+
 def test_excite_check_reports(tmp_path, small_config, capsys):
     out = tmp_path / "out"
     assert main(["excite-check", "--config", str(small_config),

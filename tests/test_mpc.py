@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermbench.errors import ConfigError
 from thermbench.identify import train
@@ -14,6 +16,9 @@ from thermbench.regressors import LaggedHistory, RegressorSpec, Structure
 from thermbench.simulator import (OccupancySchedule, step,
                                   run_probe_experiment)
 from thermbench.thermal_core import ControlInput, Disturbance, PlantState
+
+import mpc_oracle
+from mpc_oracle import scalar_costs
 
 SPEC = RegressorSpec(Structure.NRM_MI, 1)
 
@@ -64,15 +69,6 @@ def toy_forecast(cfg, seed=2):
         t_neighbors=[np.full(n, 5.0) + 0.2 * rng.normal(size=n)],
         now=CurrentSample(t_r=20.5, occ=1.0, t_neighbors=(5.0,), ta_in=19.0,
                           va=0.03, qext=200.0))
-
-
-def scalar_costs(theta, theta_w, spec, hist, forecast, cfg, plans):
-    out = []
-    for periods in plans:
-        plan = ControlPlan(periods)
-        traces = predict_horizon(theta, theta_w, spec, hist, plan, forecast, cfg)
-        out.append(plan_cost(traces, plan, forecast, cfg).total)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +263,91 @@ def test_alpha_zero_minimizes_energy_only():
 
 
 def test_vectorized_equals_scalar_path():
-    from thermbench.mpc import _evaluate_all_plans
+    from thermbench.mpc import _plan_costs
     cfg = toy_cfg(t_hor=3.0)
     theta, theta_w = stable_toy_theta(SPEC), toy_theta_w()
     hist = warm_history(SPEC)
     fc = toy_forecast(cfg)
     plans = list(itertools.product(cfg.options(), repeat=cfg.n_periods))
-    vec = _evaluate_all_plans(theta, theta_w, SPEC, hist, fc, cfg, plans)
+    vec = _plan_costs(theta, theta_w, SPEC, hist, fc, cfg)
     rng = np.random.default_rng(5)
     for i in rng.choice(len(plans), size=10, replace=False):
         plan = ControlPlan(plans[i])
-        tr = predict_horizon(theta, theta_w, SPEC, hist, plan, fc, cfg)
-        sc = plan_cost(tr, plan, fc, cfg).total
+        tr = mpc_oracle.predict_horizon(theta, theta_w, SPEC, hist, plan, fc, cfg)
+        sc = mpc_oracle.plan_cost(tr, plan, fc, cfg).total
         assert vec[i] == pytest.approx(sc, rel=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# rollout kernel against the scalar oracle
+# ---------------------------------------------------------------------------
+
+def _random_history(spec, rng, n):
+    hist = LaggedHistory(runtime_channels(spec), extra_predictions=("yhat_w",))
+    for k in range(n):
+        row = {"T_r": 20.5 + 0.1 * rng.normal(), "Ta_in": 19.0 + rng.normal(),
+               "Va": 0.03, "Qext": 200.0 + 10.0 * rng.normal(),
+               "Vw": 0.0787 * rng.integers(2), "Tw_in": 40.0 + 5.0 * rng.integers(2),
+               "T_w": 30.0 + rng.normal()}
+        for j in range(1, spec.n_neighbors + 1):
+            row[f"T_rj_{j}"] = 5.0 + rng.normal()
+        hist.push({c: row[c] for c in hist.channels if c in row})
+        hist.record_prediction("yhat_w", k, 30.0 + rng.normal())
+    return hist
+
+
+def _random_forecast(cfg, n_neighbors, rng):
+    n = cfg.n_hor
+    return HorizonForecast(
+        occ=rng.integers(2, size=n).astype(float),
+        ta_in=19.0 + 0.1 * rng.normal(size=n), va=np.full(n, 0.03),
+        qext=200.0 + rng.normal(size=n),
+        t_neighbors=[5.0 + 0.2 * rng.normal(size=n) for _ in range(n_neighbors)],
+        now=CurrentSample(t_r=20.5 + 0.1 * rng.normal(), occ=float(rng.integers(2)),
+                          t_neighbors=tuple(5.0 + rng.normal(size=n_neighbors)),
+                          ta_in=19.0, va=0.03, qext=200.0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(structure=st.sampled_from([Structure.LRM, Structure.NRM_MI,
+                                  Structure.NRM_LI, Structure.NRM_FI_ZONE]),
+       n_neighbors=st.integers(1, 3), n_periods=st.integers(1, 3),
+       samples=st.integers(1, 4), inlet_set=st.sampled_from([(40.0,), (40.0, 45.0)]),
+       flow_set=st.sampled_from([(0.0,), (0.0, 0.0787)]), gated=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(structure=Structure.NRM_MI, n_neighbors=2, n_periods=2, samples=3,
+         inlet_set=(40.0, 45.0), flow_set=(0.0, 0.0787), gated=False, seed=0)
+def test_tree_rollout_matches_scalar_oracle(structure, n_neighbors, n_periods,
+                                            samples, inlet_set, flow_set,
+                                            gated, seed):
+    from thermbench.mpc import _plan_costs
+    from thermbench.regressors import warmup
+    spec = RegressorSpec(structure, n_neighbors)
+    cfg = MpcConfig(t_opt=samples / 12.0, t_hor=n_periods * samples / 12.0,
+                    inlet_set=inlet_set, flow_set=flow_set,
+                    heating_cost_gated_by_flow=gated)
+    rng = np.random.default_rng(seed)
+    theta, theta_w = stable_toy_theta(spec, seed=seed % 1000), toy_theta_w()
+    hist = _random_history(spec, rng, warmup(spec) + 3)
+    fc = _random_forecast(cfg, n_neighbors, rng)
+    plans = list(itertools.product(cfg.options(), repeat=cfg.n_periods))
+
+    costs = _plan_costs(theta, theta_w, spec, hist, fc, cfg)
+    oracle = scalar_costs(theta, theta_w, spec, hist, fc, cfg, plans)
+    assert costs == pytest.approx(oracle, rel=1e-11)
+
+    # solve takes the kernel's first minimum; that is the oracle's first
+    # minimum unless the two sit within the paths' rounding distance
+    chosen = plans.index(solve(theta, theta_w, spec, hist, fc, cfg).periods)
+    assert chosen == int(np.argmin(costs))
+    best = min(range(len(plans)), key=lambda i: (oracle[i], i))
+    assert chosen == best or oracle[chosen] == pytest.approx(oracle[best], rel=1e-11)
+
+    # a one-plan rollout is a row of the tree, bit for bit
+    for i, periods in enumerate(plans):
+        plan = ControlPlan(periods)
+        traces = predict_horizon(theta, theta_w, spec, hist, plan, fc, cfg)
+        assert plan_cost(traces, plan, fc, cfg).total == costs[i]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermbench.errors import ConfigError, HistoryUnderflowError
 from thermbench.regressors import (DelayPolynomialOp, LaggedHistory,
                                    RegressorSpec, Structure, apply_op,
-                                   build_regressor, compose, entry_shapes,
-                                   identity_op, layout, measured_columns,
-                                   property2_correction, q_separator,
-                                   q_varying, regressor_length,
-                                   verify_property_1, verify_property_2,
-                                   verify_property_3, warmup)
+                                   build_regressor, compile_layout, compose,
+                                   entry_shapes, identity_op, layout,
+                                   measured_columns, property2_correction,
+                                   q_separator, q_varying, regressor_length,
+                                   sum_entries, verify_property_1,
+                                   verify_property_2, verify_property_3,
+                                   warmup)
 
 ALL_STRUCTURES = list(Structure)
 
@@ -316,3 +319,40 @@ def test_predictions_overwrite_mirror():
     hist.record_prediction("yhat_r", 1, 22.5)
     assert hist.get("yhat_r", 1) == 22.5
     assert hist.get("T_r", 1) == 21.0
+
+
+# ---------------------------------------------------------------------------
+# compiled layouts
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(structure=st.sampled_from(ALL_STRUCTURES), n=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), width=st.integers(1, 5))
+def test_compiled_layout_matches_build_regressor(structure, n, seed, width):
+    spec = RegressorSpec(structure, n)
+    rng = np.random.default_rng(seed)
+    hist = _history_from_arrays(_random_columns(rng, n), 32)
+    for k in range(32):  # predictions that differ from their mirrors
+        hist.record_prediction("yhat_r", k, rng.normal())
+        hist.record_prediction("yhat_w", k, rng.normal())
+    lay = compile_layout(spec)
+    assert lay is compile_layout(spec)
+    assert lay.entries == layout(spec)
+    # one value-table column per evaluation sample
+    ks = rng.integers(warmup(spec), 32, size=width)
+    values = np.array([[hist.get(c, k - lag) for k in ks] for c, lag in lay.columns]
+                      + [[1.0] * width])
+    terms = lay.terms(values)
+    for j, k in enumerate(ks):
+        assert np.array_equal(terms[:, j], build_regressor(spec, hist, k))
+    # coefficient first, factors left to right, entries summed in order
+    theta = rng.normal(size=len(lay.entries))
+    got = sum_entries(lay.terms(values, theta[:, None]))
+    for j, k in enumerate(ks):
+        acc = 0.0
+        for coef, entry in zip(theta, lay.entries):
+            term = coef
+            for channel, lag in entry:
+                term *= hist.get(channel, k - lag)
+            acc += term
+        assert got[j] == acc
