@@ -1,9 +1,19 @@
 """Output-error prediction and regularized recursive least-squares training.
 
 Training runs sequentially over the dataset (optionally several passes, with
-the estimate and covariance carried across passes and the lag history reset),
+the estimate and covariance carried across passes and the predictions reset),
 feeding the predictor its own past outputs.  The report keeps the per-step
 one-step-ahead errors and a rolling RMSE over a configurable window.
+
+Training and ``predict_series`` share one output-error pass, ``_oe_pass``.
+Every regressor entry is a static product of measured, lagged columns times
+at most one trailing prediction factor (see :mod:`thermbench.regressors`).
+The static products for the whole dataset are evaluated once per ``train``
+call, by the spec's ``compile_layout`` with an exact 1.0 in place of each
+prediction factor.  Each step then copies its row, multiplies the prediction
+entries by the lagged predictions and takes one dot product: the same
+arithmetic as ``build_regressor`` over a ``LaggedHistory``, which stays as
+the readable per-sample reference (``oe_predict``).
 """
 
 from __future__ import annotations
@@ -13,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .regressors import (LaggedHistory, RegressorSpec, Structure,
-                         build_regressor, measured_columns, prediction_channel,
+from .regressors import (PREDICTION_MIRRORS, LaggedHistory, RegressorSpec,
+                         Structure, build_regressor, compile_layout,
+                         measured_columns, prediction_channel,
                          regressor_length, target_column, warmup)
 from .simulator import TimeSeriesDataset
 
@@ -61,9 +72,11 @@ def rls_update(s: RlsState, phi: np.ndarray, y: float) -> RlsState:
     p_phi = s.p_matrix @ phi
     gain = p_phi / (lam + phi @ p_phi)
     theta = s.theta + gain * (y - phi @ s.theta)
-    p = (s.p_matrix - np.outer(gain, p_phi)) / lam
-    p = 0.5 * (p + p.T)
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(p))):
+    p = s.p_matrix - np.multiply.outer(gain, p_phi)
+    p /= lam
+    p += p.T
+    p *= 0.5
+    if not (np.isfinite(theta).all() and np.isfinite(p).all()):
         raise NumericalError(f"RLS update produced non-finite values at step {s.k}")
     return RlsState(theta=theta, p_matrix=p, forgetting=lam, k=s.k + 1)
 
@@ -108,10 +121,6 @@ def _history_channels(spec: RegressorSpec, dataset: TimeSeriesDataset) -> list[s
     return cols
 
 
-def _row(dataset: TimeSeriesDataset, cols: list[str], k: int) -> dict[str, float]:
-    return {c: float(dataset.columns[c][k]) for c in cols}
-
-
 def oe_predict(theta: np.ndarray, spec: RegressorSpec, hist: LaggedHistory,
                k: int) -> float:
     """One-step prediction phi(k)^T theta with output feedback from the
@@ -123,62 +132,142 @@ def _needs_rh_feed(spec: RegressorSpec) -> bool:
     return spec.structure is Structure.NRM_FI_ZONE
 
 
+def _rh_spec(spec: RegressorSpec) -> RegressorSpec:
+    return RegressorSpec(Structure.NRM_FI_RH, spec.n_neighbors)
+
+
+@dataclass(frozen=True, eq=False)
+class _StaticTable:
+    """Static regressor products of one spec for samples ``start..n-1``, one
+    C-ordered row per sample, and the entries that still take their trailing
+    prediction factor: ``feeds`` holds (prediction channel, entry indices,
+    lags)."""
+
+    start: int
+    rows: np.ndarray
+    feeds: tuple[tuple[str, np.ndarray, np.ndarray], ...]
+
+
+_TABLE_CHUNK = 512  # samples per value table while a static table is built
+
+
+def _static_table(spec: RegressorSpec, dataset: TimeSeriesDataset,
+                  start: int) -> _StaticTable:
+    lay = compile_layout(spec)
+    m = max(len(dataset) - start, 0)
+    rows = np.empty((m, len(lay.entries)))
+    # value-table rows: measured columns by lag, an exact 1.0 for every
+    # prediction factor and for the padding row; built in chunks of samples
+    # so the transient tables stay small next to the result
+    for lo in range(0, m, _TABLE_CHUNK):
+        hi = min(lo + _TABLE_CHUNK, m)
+        values = np.ones((len(lay.columns) + 1, hi - lo))
+        for row, (channel, lag) in enumerate(lay.columns):
+            if channel not in PREDICTION_MIRRORS:
+                values[row] = dataset.columns[channel][start - lag + lo:start - lag + hi]
+        rows[lo:hi] = lay.terms(values).T
+    feeds: dict[str, list[tuple[int, int]]] = {}
+    for i, entry in enumerate(lay.entries):
+        channel, lag = entry[-1]
+        if channel in PREDICTION_MIRRORS:
+            feeds.setdefault(channel, []).append((i, lag))
+    return _StaticTable(start=start, rows=rows,
+                        feeds=tuple((channel, *np.array(f, dtype=np.intp).T)
+                                    for channel, f in feeds.items()))
+
+
+def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
+             table: _StaticTable, feed: tuple[_StaticTable, np.ndarray] | None,
+             theta: np.ndarray | None = None, state: RlsState | None = None,
+             pass_no: int = 1) -> tuple[np.ndarray, RlsState | None]:
+    """One output-error pass over samples ``table.start..n-1``.
+
+    ``feed`` is the static table and parameters of the RH predictor whose
+    outputs fill ``yhat_w`` for the FI zone structure.  With an RLS ``state``
+    the estimate is updated after every sample (training) and ``theta`` is
+    not used; otherwise the fixed ``theta`` predicts.  Prediction buffers
+    hold the mirrored measurement until a sample is predicted.  Returns the
+    predictions of samples ``table.start..n-1`` and the final state.
+    """
+    tables = (table,) if feed is None else (feed[0], table)
+    buffers = {channel: np.array(dataset.columns[PREDICTION_MIRRORS[channel]],
+                                 dtype=float)
+               for t in tables for channel, _, _ in t.feeds}
+
+    def bound(t):
+        return t.rows, tuple((buffers[c], idx, lags) for c, idx, lags in t.feeds)
+
+    def regressor(t, i, k):
+        rows, feeds = t
+        phi = rows[i].copy()
+        for buf, idx, lags in feeds:
+            phi[idx] *= buf[k - lags]
+        return phi
+
+    main = bound(table)
+    rh = None if feed is None else bound(feed[0])
+    y = dataset.columns[target_column(spec)]
+    yhat_buf = buffers[prediction_channel(spec)]
+    start, n = table.start, len(dataset)
+    out = np.empty(max(n - start, 0))
+    for k in range(start, n):
+        i = k - start
+        if rh is not None:
+            yhat_w = float(regressor(rh, i, k) @ feed[1])
+        phi = regressor(main, i, k)
+        yhat = float(phi @ (theta if state is None else state.theta))
+        yhat_buf[k] = out[i] = yhat
+        if rh is not None:
+            buffers["yhat_w"][k] = yhat_w
+        if state is not None:
+            try:
+                state = rls_update(state, phi, float(y[k]))
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"training {spec.structure.value} (n_neighbors="
+                    f"{spec.n_neighbors}) diverged in pass {pass_no} at dataset "
+                    f"sample {k}: {exc}") from exc
+    return out, state
+
+
 def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,
           rls_cfg: RlsConfig | None = None, theta_w: np.ndarray | None = None,
           window: int = DEFAULT_RMSE_WINDOW) -> TrainReport:
     """Sequential RLS over the dataset, repeated ``passes`` times.
 
-    The estimate and covariance carry across passes; the lag history is
-    rebuilt each pass.  The first ``warmup`` samples of each pass use measured
+    The estimate and covariance carry across passes; the prediction buffers
+    are reset each pass.  The first ``warmup`` samples of each pass use measured
     values in place of unavailable predictions and are excluded from the loss.
     The FI zone structure needs the RH predictor for its water channel; it is
     trained first on the same data unless ``theta_w`` is given.
     """
     if passes < 0:
         raise ConfigError("passes must be non-negative")
-    cols = _history_channels(spec, dataset)
+    _history_channels(spec, dataset)
     dim = regressor_length(spec)
     state = rls_init(dim, rls_cfg)
     if passes == 0:
         return TrainReport(spec=spec, theta=state.theta, errors=np.empty(0),
                            rolling_rmse=np.empty(0), window=window, pass_rmse=[])
 
-    rh_spec = None
-    if _needs_rh_feed(spec):
-        rh_spec = RegressorSpec(Structure.NRM_FI_RH, spec.n_neighbors)
-        if theta_w is None:
-            theta_w = train(dataset, rh_spec, passes, rls_cfg, window=window).theta
-
-    y = dataset.columns[target_column(spec)]
-    pred_chan = prediction_channel(spec)
     wu = warmup(spec)
-    n = len(dataset)
+    feed = None
+    if _needs_rh_feed(spec):
+        if theta_w is None:
+            theta_w = train(dataset, _rh_spec(spec), passes, rls_cfg,
+                            window=window).theta
+        feed = (_static_table(_rh_spec(spec), dataset, wu), theta_w)
+    table = _static_table(spec, dataset, wu)
+    y = dataset.columns[target_column(spec)][wu:]
     errors = []
     pass_rmse = []
-
-    for _ in range(passes):
-        hist = LaggedHistory(cols)
-        pass_errors = []
-        for k in range(n):
-            yhat = None
-            yhat_w = None
-            if k >= wu:
-                if rh_spec is not None:
-                    yhat_w = oe_predict(theta_w, rh_spec, hist, k)
-                phi = build_regressor(spec, hist, k)
-                yhat = float(phi @ state.theta)
-            hist.push(_row(dataset, cols, k))
-            if yhat is not None:
-                hist.record_prediction(pred_chan, k, yhat)
-                if yhat_w is not None:
-                    hist.record_prediction("yhat_w", k, yhat_w)
-                e = float(y[k]) - yhat
-                pass_errors.append(e)
-                state = rls_update(state, phi, float(y[k]))
-        errors.extend(pass_errors)
+    for p in range(1, passes + 1):
+        yhat, state = _oe_pass(spec, dataset, table, feed, state=state, pass_no=p)
+        pass_errors = y - yhat
+        errors.append(pass_errors)
         pass_rmse.append(float(np.sqrt(np.mean(np.square(pass_errors)))))
 
-    errors = np.asarray(errors)
+    errors = np.concatenate(errors)
     return TrainReport(spec=spec, theta=state.theta, errors=errors,
                        rolling_rmse=rolling_rmse(errors, window), window=window,
                        pass_rmse=pass_rmse, theta_w=theta_w)
@@ -189,28 +278,16 @@ def predict_series(theta: np.ndarray, spec: RegressorSpec,
                    theta_w: np.ndarray | None = None) -> np.ndarray:
     """One-step OE predictions over a dataset with a fixed parameter vector;
     NaN during warm-up."""
-    cols = _history_channels(spec, dataset)
-    rh_spec = None
+    _history_channels(spec, dataset)
+    wu = warmup(spec)
+    feed = None
     if _needs_rh_feed(spec):
         if theta_w is None:
             raise ConfigError("the FI zone structure needs theta_w for prediction")
-        rh_spec = RegressorSpec(Structure.NRM_FI_RH, spec.n_neighbors)
-    pred_chan = prediction_channel(spec)
-    wu = warmup(spec)
-    n = len(dataset)
-    hist = LaggedHistory(cols)
-    out = np.full(n, np.nan)
-    for k in range(n):
-        yhat_w = None
-        if k >= wu:
-            if rh_spec is not None:
-                yhat_w = oe_predict(theta_w, rh_spec, hist, k)
-            out[k] = oe_predict(theta, spec, hist, k)
-        hist.push(_row(dataset, cols, k))
-        if k >= wu:
-            hist.record_prediction(pred_chan, k, out[k])
-            if yhat_w is not None:
-                hist.record_prediction("yhat_w", k, yhat_w)
+        feed = (_static_table(_rh_spec(spec), dataset, wu), theta_w)
+    out = np.full(len(dataset), np.nan)
+    out[wu:], _ = _oe_pass(spec, dataset, _static_table(spec, dataset, wu),
+                           feed, theta)
     return out
 
 

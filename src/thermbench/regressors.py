@@ -4,14 +4,19 @@ algebra used to check their derivation identities.
 Every model structure is encoded declaratively as a lag-table layout: one
 entry per regressor component, each entry a product of lagged channels.
 ``build_regressor`` evaluates a layout against a ``LaggedHistory`` and is the
-readable reference; ``compile_layout`` turns the same table into index arrays
-that the multi-step rollout in :mod:`thermbench.mpc` evaluates over a row
-axis of plans, so the block layout has a single source of truth.
+readable reference; ``compile_layout`` turns the same table into index arrays,
+so the block layout has a single source of truth.  The compiled form serves
+both fast paths: the multi-step rollout in :mod:`thermbench.mpc` evaluates it
+over a row axis of plans, and training in :mod:`thermbench.identify`
+evaluates it over a whole dataset at once.
 
 Output-error discipline: past outputs enter the regressor through the
-``yhat_*`` prediction channels, never through the measured output.  Below the
-deepest lag the prediction channels fall back to the measured values
-(warm-up), and training discards those samples from the loss.
+``yhat_*`` prediction channels, never through the measured output.  A
+prediction factor is always the last factor of its entry, so every entry is
+a *static* product of measured, lagged channels times at most one trailing
+prediction factor; ``compile_layout`` checks this.  Below the deepest lag the
+prediction channels fall back to the measured values (warm-up), and training
+discards those samples from the loss.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from .errors import ConfigError, HistoryUnderflowError
 
 # one regressor component: product over (channel, lag) factors
 Entry = tuple[tuple[str, int], ...]
+
+#: prediction channels and the measured channel each one mirrors in warm-up
+PREDICTION_MIRRORS = {"yhat_r": "T_r", "yhat_w": "T_w"}
 
 
 class Structure(str, Enum):
@@ -186,8 +194,16 @@ def sum_entries(terms: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def compile_layout(*specs: RegressorSpec) -> CompiledLayout:
     """Compiled form of ``layout(spec)``, built once per spec; given several
-    specs, one table holding their entries back to back."""
+    specs, one table holding their entries back to back.
+
+    A prediction factor must be the last factor of its entry: the static
+    part of an entry is then the product of the factors before it.
+    """
     entries = tuple(entry for spec in specs for entry in layout(spec))
+    for entry in entries:
+        if any(channel in PREDICTION_MIRRORS for channel, _ in entry[:-1]):
+            raise ConfigError(f"layout entry {entry} has a prediction factor "
+                              f"before its last position")
     columns = tuple(dict.fromkeys(factor for entry in entries for factor in entry))
     row = {c: i for i, c in enumerate(columns)}
     width = max(len(entry) for entry in entries)
@@ -209,7 +225,7 @@ class LaggedHistory:
     virtual channel ``one`` is the constant 1.
     """
 
-    _MIRRORS = {"yhat_r": "T_r", "yhat_w": "T_w"}
+    _MIRRORS = PREDICTION_MIRRORS
 
     def __init__(self, channels, extra_predictions=()):
         self._data: dict[str, list[float]] = {c: [] for c in channels}

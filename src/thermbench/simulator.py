@@ -229,7 +229,7 @@ class TimeSeriesDataset:
             data = np.asarray(rows, dtype=float)
         except ValueError:
             raise ConfigError(_table_error(path, header)) from None
-        if data.shape[1] != len(header):
+        if data.shape[1] != len(header) or not np.isfinite(data).all():
             raise ConfigError(_table_error(path, header))
         columns = {name: data[:, i].copy() for i, name in enumerate(header) if name != "k"}
         n_neighbors = sum(1 for name in header if name.startswith("T_rj_"))
@@ -242,8 +242,9 @@ class TimeSeriesDataset:
 
 
 def _table_error(path, header: list[str]) -> str:
-    """Where a dataset file stops being a numeric table of the header's
-    width: the first ragged row or non-numeric cell, by file line."""
+    """Where a dataset file stops being a finite numeric table of the
+    header's width: the first ragged row, non-numeric or non-finite cell, by
+    file line."""
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
@@ -255,10 +256,13 @@ def _table_error(path, header: list[str]) -> str:
                         f"the header has {len(header)}")
             for name, cell in zip(header, cells):
                 try:
-                    float(cell)
+                    value = float(cell)
                 except ValueError:
                     return (f"dataset {path}, line {lineno}, column {name!r}: "
                             f"{cell!r} is not a number")
+                if not math.isfinite(value):
+                    return (f"dataset {path}, line {lineno}, column {name!r}: "
+                            f"{cell!r} is not finite")
     return f"dataset {path} is not a numeric table"
 
 

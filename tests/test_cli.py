@@ -150,6 +150,25 @@ def test_non_numeric_dataset_cell_exits_2(tmp_path, small_config, capsys):
     assert str(path) in err and "line 12" in err and "'Tw_in'" in err
 
 
+@pytest.mark.parametrize("cell", ["nan", "-inf"])
+def test_non_finite_dataset_cell_exits_2(tmp_path, small_config, capsys, cell):
+    header = column_names(1)
+    col = header.index("Qext")
+
+    def edit(row):
+        cells = row.split(",")
+        cells[col] = cell
+        return ",".join(cells)
+
+    path = _damaged_dataset(tmp_path, small_config, 9, edit)
+    common = ["--config", str(small_config), "--out-dir", str(tmp_path / "out"),
+              "--dataset", str(path)]
+    for argv in (["identify", *common, "--spec", "LRM"], ["excite-check", *common]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "line 9" in err and "'Qext'" in err
+
+
 def test_excite_check_reports(tmp_path, small_config, capsys):
     out = tmp_path / "out"
     assert main(["excite-check", "--config", str(small_config),

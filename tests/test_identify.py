@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thermbench.errors import ConfigError
+import identify_oracle as oracle
+from thermbench.errors import ConfigError, NumericalError
 from thermbench.identify import (RlsConfig, oe_predict,
                                  predict_series, rls_init, rls_update,
                                  rolling_rmse, theta_from_file, theta_to_file,
@@ -298,3 +303,59 @@ def test_two_neighbor_end_to_end(cfg):
     assert rep.theta.shape == (regressor_length(spec),)
     assert np.all(np.isfinite(rep.theta))
     assert np.isfinite(rep.final_rmse)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_divergence_names_spec_pass_and_sample():
+    # an infinite cell in an in-memory dataset (no CSV boundary check): the
+    # first regressor reading it is at sample 151, Qext's shallowest lag is 1
+    spec = RegressorSpec(Structure.NRM_MI, 1)
+    ds = generate_self_consistent(spec, stable_theta(spec), 200)
+    cols = {c: v.copy() for c, v in ds.columns.items()}
+    cols["Qext"][150] = np.inf
+    bad = TimeSeriesDataset(epsilon=ds.epsilon, n_neighbors=1, columns=cols)
+    with pytest.raises(NumericalError) as exc:
+        train(bad, spec, passes=2)
+    msg = str(exc.value)
+    assert "NRM_MI" in msg and "pass 1" in msg and "sample 151" in msg
+
+
+# ---------------------------------------------------------------------------
+# compiled OE pass against the per-sample oracle
+# ---------------------------------------------------------------------------
+
+def _random_dataset(rng, n_neighbors, n):
+    names = measured_columns(Structure.NRM_FI_ZONE, n_neighbors)
+    cols = {c: rng.normal(size=n) for c in names}
+    cols["t_hours"] = np.arange(n) / 12.0
+    return TimeSeriesDataset(epsilon=1.0 / 12.0, n_neighbors=n_neighbors,
+                             columns=cols)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(structure=st.sampled_from(list(Structure)), n_neighbors=st.integers(1, 3),
+       passes=st.integers(1, 3), n=st.integers(1, 30),
+       forgetting=st.sampled_from([1.0, 0.999, 0.9]),
+       seed=st.integers(0, 2**32 - 1))
+def test_oe_pass_matches_oracle_bit_for_bit(structure, n_neighbors, passes, n,
+                                            forgetting, seed):
+    spec = RegressorSpec(structure, n_neighbors)
+    ds = _random_dataset(np.random.default_rng(seed), n_neighbors, n)
+    cfg = RlsConfig(forgetting=forgetting)
+    with warnings.catch_warnings():
+        # a dataset no longer than the warm-up has an empty loss: NaN RMSE
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = train(ds, spec, passes, cfg, window=8)
+        ref = oracle.train(ds, spec, passes, cfg, window=8)
+    assert np.array_equal(got.theta, ref.theta)
+    assert np.array_equal(got.errors, ref.errors)
+    assert np.array_equal(got.rolling_rmse, ref.rolling_rmse)
+    assert np.array_equal(got.pass_rmse, ref.pass_rmse, equal_nan=True)
+    if ref.theta_w is None:
+        assert got.theta_w is None
+    else:
+        assert np.array_equal(got.theta_w, ref.theta_w)
+    pred = predict_series(got.theta, spec, ds, got.theta_w)
+    assert np.array_equal(pred, oracle.predict_series(ref.theta, spec, ds, ref.theta_w),
+                          equal_nan=True)
+    assert np.all(np.isnan(pred[:warmup(spec)]))

@@ -356,3 +356,13 @@ def test_compiled_layout_matches_build_regressor(structure, n, seed, width):
                 term *= hist.get(channel, k - lag)
             acc += term
         assert got[j] == acc
+
+
+def test_compile_layout_rejects_a_prediction_factor_before_the_last(monkeypatch):
+    # the static/prediction split of an entry relies on this order
+    import thermbench.regressors as regressors
+    monkeypatch.setattr(regressors, "layout",
+                        lambda spec: ((("Va", 1), ("yhat_r", 1)),
+                                      (("yhat_r", 1), ("Va", 1))))
+    with pytest.raises(ConfigError, match="prediction factor"):
+        compile_layout.__wrapped__(RegressorSpec(Structure.LRM, 1))
