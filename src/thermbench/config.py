@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -187,13 +188,19 @@ class _Section:
             raise ConfigError(f"missing key '{key}' in section '{self._name}'")
         return self._sec[key]
 
-    def float(self, key: str) -> float:
-        raw = self._raw(key)
+    def _number(self, key: str, raw: str) -> float:
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"key '{key}' in '{self._name}': "
                               f"not a number: {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"key '{key}' in '{self._name}': "
+                              f"must be finite, got {raw.strip()!r}")
+        return value
+
+    def float(self, key: str) -> float:
+        return self._number(key, self._raw(key))
 
     def int(self, key: str) -> int:
         raw = self._raw(key)
@@ -213,13 +220,7 @@ class _Section:
 
     def floats(self, key: str) -> tuple[float, ...]:
         raw = self._raw(key).strip()
-        if not raw:
-            return ()
-        try:
-            return tuple(float(x) for x in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"key '{key}' in '{self._name}': "
-                              f"not a number list: {raw!r}") from None
+        return tuple(self._number(key, x) for x in raw.split(",")) if raw else ()
 
     def str(self, key: str) -> str:
         return self._raw(key).strip()
@@ -310,7 +311,7 @@ def load_config(path) -> ExperimentConfig:
         rmse_window=model_sec.int("rmse_window"))
 
     mpc_sec = _Section(cp, "mpc")
-    mpc = MpcConfig(
+    mpc_values = dict(
         alpha=mpc_sec.float("alpha"), beta=mpc_sec.float("beta"),
         gamma=mpc_sec.float("gamma"), t_sam=mpc_sec.float("t_sam"),
         t_opt=mpc_sec.float("t_opt"), t_hor=mpc_sec.float("t_hor"),
@@ -318,6 +319,10 @@ def load_config(path) -> ExperimentConfig:
         t_set=mpc_sec.float("t_set"),
         heating_cost_gated_by_flow=mpc_sec.bool("heating_cost_gated_by_flow"),
         plan_budget=mpc_sec.int("plan_budget"))
+    try:
+        mpc = MpcConfig(**mpc_values)
+    except ConfigError as e:
+        raise ConfigError(f"section 'mpc': {e}") from None
 
     cfg = ExperimentConfig(plant=plant, sim=sim, model=model, mpc=mpc,
                            eval_seed=mpc_sec.int("eval_seed"),

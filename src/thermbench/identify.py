@@ -251,6 +251,11 @@ def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,
                            rolling_rmse=np.empty(0), window=window, pass_rmse=[])
 
     wu = warmup(spec)
+    if len(dataset) <= wu:
+        raise ConfigError(
+            f"{spec.structure.value} (n_neighbors={spec.n_neighbors}) has a "
+            f"{wu}-sample warm-up; a dataset of {len(dataset)} samples leaves "
+            "nothing to train on")
     feed = None
     if _needs_rh_feed(spec):
         if theta_w is None:

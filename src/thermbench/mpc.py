@@ -39,9 +39,9 @@ from .identify import oe_predict
 from .regressors import (CompiledLayout, LaggedHistory, RegressorSpec,
                          Structure, compile_layout, layout, measured_columns,
                          sum_entries, warmup)
-from .simulator import (ControlInput, Disturbance, PlantState, SimConfig,
-                        ZoneParams, heating_curve, hysteresis_control, step,
-                        synthesize_scenario)
+from .simulator import (SimConfig, ZoneParams, check_control_set, heating_curve,
+                        hysteresis_control, simulate, synthesize_scenario)
+from .simulator import step  # noqa: F401  (perfbench's self-test patches mpc.step)
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ class MpcConfig:
     plan_budget: int = 100_000
 
     def __post_init__(self):
-        if not self.inlet_set or not self.flow_set:
-            raise ConfigError("inlet_set and flow_set must be non-empty")
+        check_control_set(self.inlet_set, self.flow_set)
         if self.t_sam <= 0 or self.t_opt <= 0 or self.t_hor <= 0:
             raise ConfigError("t_sam, t_opt and t_hor must be positive")
         for whole, part, names in ((self.t_hor, self.t_opt, "t_hor/t_opt"),
@@ -457,13 +456,13 @@ def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
     (measured) history and applies the first period of the chosen plan; the
     exogenous forecast is read from the scenario schedule (exact).  Until the
     history covers the deepest regressor lag, the hysteresis law bootstraps
-    the flow with the scheduled heating-curve inlet.
+    the flow with the scheduled heating-curve inlet.  The controller runs as
+    the ``control`` of the plant loop ``simulator.simulate``.
     """
     if abs(sim_cfg.epsilon - cfg.t_sam) > 1e-9:
         raise ConfigError("simulator sampling period and t_sam must agree")
     n = sim_cfg.n_samples
     n_hor = cfg.n_hor
-    nn = params.n_neighbors
     rng = np.random.default_rng(sim_cfg.seed)
     scen = synthesize_scenario(sim_cfg.disturbance_spec, sim_cfg.epsilon,
                                n + n_hor + 1, rng)
@@ -473,36 +472,27 @@ def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
     rh = _rh_spec(spec)
 
     hist = LaggedHistory(runtime_channels(spec), extra_predictions=("yhat_w",))
-    x = PlantState(t_r=sim_cfg.initial.t_r, t_s=list(sim_cfg.initial.t_s),
-                   t_w=sim_cfg.initial.t_w)
     warm = max(warmup(spec), 1)
-
-    t_r_plant = np.empty(n)
-    t_w_plant = np.empty(n)
-    inlet_log = np.empty(n)
-    flow_log = np.empty(n)
     t_r_prev_meas = None
     current = None  # (inlet, flow) applied during the current period
 
-    for k in range(n):
-        t_r_plant[k] = x.t_r
-        t_w_plant[k] = x.t_w
-        t_r_meas = x.t_r + noise[k]
-        occupied = scen.occ[k] > 0
+    def control(k, t_r_true):
+        nonlocal t_r_prev_meas, current
+        t_r_meas = t_r_true + noise[k]
+        now = CurrentSample(t_r=float(t_r_meas), occ=float(scen.occ[k]),
+                            t_neighbors=tuple(float(nb[k]) for nb in scen.neighbors),
+                            ta_in=float(scen.ta_in[k]), va=float(scen.va[k]),
+                            qext=float(q_ext[k]))
 
         if k < warm or (current is None and k % cfg.samples_per_period != 0):
             # bootstrap: hysteresis with the heating-curve inlet
             prev = t_r_meas if t_r_prev_meas is None else t_r_prev_meas
-            flow_k = hysteresis_control(t_r_meas, prev, occupied, sim_cfg.hysteresis)
+            flow_k = hysteresis_control(t_r_meas, prev, scen.occ[k] > 0,
+                                        sim_cfg.hysteresis)
             inlet_k = heating_curve(sim_cfg.hysteresis.t_set, scen.neighbors[0][k],
                                     sim_cfg.heating_curve)
         else:
             if k % cfg.samples_per_period == 0 or current is None:
-                now = CurrentSample(
-                    t_r=float(t_r_meas), occ=float(scen.occ[k]),
-                    t_neighbors=tuple(float(nb[k]) for nb in scen.neighbors),
-                    ta_in=float(scen.ta_in[k]), va=float(scen.va[k]),
-                    qext=float(q_ext[k]))
                 forecast = HorizonForecast(
                     occ=scen.occ[k + 1:k + 1 + n_hor],
                     ta_in=scen.ta_in[k + 1:k + 1 + n_hor],
@@ -514,25 +504,17 @@ def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
                 current = plan.periods[0]
             inlet_k, flow_k = current
 
-        inlet_log[k] = inlet_k
-        flow_log[k] = flow_k
-
         # controller-side water estimate, then record the sample
-        yhat_w_k = oe_predict(theta_w, rh, hist, k) if k >= 1 else float(t_r_meas)
-        _push_rollout_row(hist, t_r=float(t_r_meas), t_w=yhat_w_k,
-                          t_neighbors=tuple(float(nb[k]) for nb in scen.neighbors),
-                          ta_in=float(scen.ta_in[k]), va=float(scen.va[k]),
-                          qext=float(q_ext[k]), occ=float(scen.occ[k]),
+        yhat_w_k = oe_predict(theta_w, rh, hist, k) if k >= 1 else now.t_r
+        _push_rollout_row(hist, t_r=now.t_r, t_w=yhat_w_k, t_neighbors=now.t_neighbors,
+                          ta_in=now.ta_in, va=now.va, qext=now.qext, occ=now.occ,
                           tw_in=inlet_k, vw=flow_k)
         hist.record_prediction("yhat_w", k, yhat_w_k)
         t_r_prev_meas = t_r_meas
+        return inlet_k, flow_k
 
-        u = ControlInput(vdot_w=float(flow_k), vdot_a=float(scen.va[k]))
-        d = Disturbance(t_w_in=float(inlet_k), t_a_in=float(scen.ta_in[k]),
-                        t_neighbors=tuple(float(nb[k]) for nb in scen.neighbors),
-                        q_ext=float(q_ext[k]))
-        x = step(params, x, u, d, sim_cfg.epsilon)
-
+    t_r_plant, t_w_plant, inlet_log, flow_log = simulate(params, sim_cfg, scen, n,
+                                                         control)
     comfort, heating, pump = realized_costs(t_r_plant, t_w_plant, scen.occ[:n],
                                             inlet_log, flow_log, cfg)
     return EpisodeReport(t_hours=scen.t_hours[:n], t_r_plant=t_r_plant,

@@ -2,6 +2,13 @@
 water-flow controller, an outdoor-compensated inlet-temperature curve and
 synthesized disturbances, logged as a sampled dataset.
 
+One plant loop, :func:`simulate`, integrates a pre-sampled :class:`Scenario`
+on flat floats (``thermal_core.rate`` is the one heat-balance function) and
+asks a ``control(k, t_r_true)`` callable for each sample's water-loop input:
+the hysteresis run, the probe run and ``mpc.closed_loop_run`` are its three
+controllers.  Its inputs are checked once, before the loop; :func:`step` is
+the typed, checked single-step entry point.
+
 Time bookkeeping: sampling period and durations are in hours at this layer;
 the integrator converts to seconds internally.  Disturbance signals are sums
 of sinusoids plus an offset so that their spectral line count is explicit.
@@ -16,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ShapeError
 from .thermal_core import (ControlInput, Disturbance, PlantState, ZoneParams,
-                           air_conductance, water_conductance)
+                           rate)
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -130,6 +137,8 @@ class HysteresisSettings:
     vdot_max: float = 0.0787  # kg/s
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t_set, self.delta_t, self.vdot_max))):
+            raise ConfigError("hysteresis t_set, delta_t and vdot_max must be finite")
         if self.delta_t <= 0 or self.vdot_max <= 0:
             raise ConfigError("delta_t and vdot_max must be positive")
 
@@ -141,8 +150,8 @@ class HeatingCurveParams:
     zeta: float = 0.97
 
     def __post_init__(self):
-        if self.rho0 <= 0 or self.rho1 <= 0 or self.zeta <= 0:
-            raise ConfigError("heating curve constants must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.rho0, self.rho1, self.zeta)):
+            raise ConfigError("heating curve constants must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -196,9 +205,6 @@ class TimeSeriesDataset:
     @property
     def t_hours(self) -> np.ndarray:
         return self.columns["t_hours"]
-
-    def neighbor_columns(self) -> list[str]:
-        return [f"T_rj_{j}" for j in range(1, self.n_neighbors + 1)]
 
     def view(self, structure) -> dict[str, np.ndarray]:
         """Measured columns available under an information structure; the
@@ -274,52 +280,38 @@ def _fmt(v: float) -> str:
 # plant integration
 # ---------------------------------------------------------------------------
 
-def _rate(params: ZoneParams, xv: list[float], u: ControlInput,
-          d: Disturbance) -> list[float]:
-    # same balances as thermal_core.derivative, on a flat state list
-    n = params.n_neighbors
-    t_r, t_s, t_w = xv[0], xv[1:1 + n], xv[1 + n]
-    seps = [params.separators[j] for j in params.neighbor_ids]
+def _rk4(params: ZoneParams, x: list[float], inputs: tuple, h: float) -> list[float]:
+    """One classical RK4 step of ``h`` seconds on the flat state ``x``;
+    ``inputs`` are the arguments of :func:`thermal_core.rate` after the state,
+    held constant over the step."""
+    k1 = rate(params, x, *inputs)
+    k2 = rate(params, [a + 0.5 * h * b for a, b in zip(x, k1)], *inputs)
+    k3 = rate(params, [a + 0.5 * h * b for a, b in zip(x, k2)], *inputs)
+    k4 = rate(params, [a + h * b for a, b in zip(x, k3)], *inputs)
+    out = [a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+           for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
 
-    q_s_plus = [(ts - t_r) / s.r_plus for ts, s in zip(t_s, seps)]
-    dt_s = [((tj - ts) / s.r_minus - qp) / s.c_s
-            for tj, ts, qp, s in zip(d.t_neighbors, t_s, q_s_plus, seps)]
-
-    g_w = water_conductance(params.rh, u.vdot_w)
-    q_w = (t_w - t_r) / params.rh.r_c
-    dt_w = (g_w * (d.t_w_in - t_w) - q_w) / params.rh.c_w
-
-    g_a = air_conductance(params.hvac, u.vdot_a)
-    dt_r = (sum(q_s_plus) + q_w + g_a * (d.t_a_in - t_r) + d.q_ext) / params.c_r
-    return [dt_r, *dt_s, dt_w]
-
-
-_STATE_LABELS = ("T_r", "T_s", "T_w")
+    if not all(map(math.isfinite, out)):
+        n = params.n_neighbors
+        i, v = next((i, v) for i, v in enumerate(out) if not math.isfinite(v))
+        name = "T_r" if i == 0 else ("T_w" if i == n + 1 else f"T_s[{i - 1}]")
+        raise DivergenceError(f"integration diverged: state {name} is {v!r}")
+    return out
 
 
 def step(params: ZoneParams, x: PlantState, u: ControlInput, d: Disturbance,
          epsilon: float) -> PlantState:
     """One classical RK4 step of length ``epsilon`` hours with u, d held
-    constant over the interval."""
+    constant over the interval: the typed, checked form of the stepper that
+    :func:`simulate` runs on flat floats."""
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
     n = params.n_neighbors
     if len(x.t_s) != n or len(d.t_neighbors) != n:
         raise ShapeError("state/disturbance dimensions disagree with neighbor count")
-
-    h = epsilon * SECONDS_PER_HOUR
-    xv = x.as_list()
-    k1 = _rate(params, xv, u, d)
-    k2 = _rate(params, [a + 0.5 * h * b for a, b in zip(xv, k1)], u, d)
-    k3 = _rate(params, [a + 0.5 * h * b for a, b in zip(xv, k2)], u, d)
-    k4 = _rate(params, [a + h * b for a, b in zip(xv, k3)], u, d)
-    out = [a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-           for a, b1, b2, b3, b4 in zip(xv, k1, k2, k3, k4)]
-
-    for i, v in enumerate(out):
-        if not math.isfinite(v):
-            name = "T_r" if i == 0 else ("T_w" if i == n + 1 else f"T_s[{i - 1}]")
-            raise DivergenceError(f"integration diverged: state {name} is {v!r}")
+    out = _rk4(params, x.as_list(),
+               (u.vdot_w, u.vdot_a, d.t_w_in, d.t_a_in, d.t_neighbors, d.q_ext),
+               epsilon * SECONDS_PER_HOUR)
     return PlantState(t_r=out[0], t_s=out[1:1 + n], t_w=out[1 + n])
 
 
@@ -377,64 +369,99 @@ def synthesize_scenario(spec: DisturbanceSpec, epsilon: float, n_samples: int,
     )
 
 
+def check_control_set(inlet_set, flow_set) -> None:
+    """A discrete control set the plant can apply: non-empty, finite, and
+    with non-negative water flows."""
+    if not inlet_set or not flow_set:
+        raise ConfigError("inlet_set and flow_set must be non-empty")
+    if not all(map(math.isfinite, (*inlet_set, *flow_set))):
+        raise ConfigError(f"inlet_set {inlet_set} and flow_set {flow_set} must be finite")
+    if min(flow_set) < 0.0:
+        raise ConfigError(f"flow_set entry {min(flow_set)!r} is negative; water "
+                          "flows must be non-negative")
+
+
+def _check_scenario(params: ZoneParams, initial: PlantState, scen: Scenario) -> None:
+    """The plant loop's checks, made once before it starts.  A bad signal is
+    named by its dataset column and its first bad sample."""
+    nn = params.n_neighbors
+    if len(scen.neighbors) != nn:
+        raise ConfigError(f"disturbance spec has {len(scen.neighbors)} neighbor "
+                          f"recipes, plant has {nn} neighbors")
+    if len(initial.t_s) != nn:
+        raise ShapeError("initial state dimension disagrees with neighbor count")
+    signals = {**{f"T_rj_{j}": nb for j, nb in enumerate(scen.neighbors, start=1)},
+               "Ta_in": scen.ta_in, "Va": scen.va, "Qext": scen.q_ext}
+    for name, values in signals.items():
+        bad = ~np.isfinite(values) | (values < 0.0 if name == "Va" else False)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ConfigError(f"scenario signal {name} is {float(values[k])!r} at "
+                              f"sample {k}: signals must be finite, flows non-negative")
+
+
+def simulate(params: ZoneParams, sim_cfg: SimConfig, scenario: Scenario, n: int,
+             control) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate ``n`` samples of ``scenario`` from ``sim_cfg.initial``.
+
+    ``control(k, t_r_true)`` gets the true zone temperature at the start of
+    sample k and returns the ``(inlet, flow)`` held over it (a finite inlet,
+    a finite non-negative flow).  Returns the true ``T_r`` and ``T_w`` at the
+    start of every sample and the applied inlet and flow.
+    """
+    _check_scenario(params, sim_cfg.initial, scenario)
+    h = sim_cfg.epsilon * SECONDS_PER_HOUR
+    signals = np.column_stack([scenario.va, scenario.ta_in, scenario.q_ext,
+                               *scenario.neighbors])
+    t_r, t_w, inlet, flow = (np.empty(n) for _ in range(4))
+    x = [float(v) for v in sim_cfg.initial.as_list()]
+    for k in range(n):
+        t_r[k], t_w[k] = x[0], x[-1]
+        inlet[k], flow[k] = control(k, x[0])
+        va, ta_in, q_ext, *t_neighbors = signals[k].tolist()
+        x = _rk4(params, x, (float(flow[k]), va, float(inlet[k]), ta_in,
+                             t_neighbors, q_ext), h)
+    return t_r, t_w, inlet, flow
+
+
+def _noise(rng: np.random.Generator, std: float, n: int) -> np.ndarray:
+    """Measurement noise on the logged T_r and T_w, drawn after the scenario."""
+    return rng.normal(0.0, std, size=(n, 2)) if std > 0 else np.zeros((n, 2))
+
+
+def _dataset(cfg: SimConfig, scen: Scenario, noise: np.ndarray, run: tuple,
+             **meta) -> TimeSeriesDataset:
+    """Log a plant run: noisy measured columns, true states in the metadata."""
+    t_r, t_w, inlet, flow = run
+    columns = {"t_hours": scen.t_hours, "T_r": t_r + noise[:, 0],
+               "T_w": t_w + noise[:, 1], "Tw_in": inlet, "Ta_in": scen.ta_in,
+               "Vw": flow, "Va": scen.va, "Qext": scen.q_ext, "occ": scen.occ,
+               **{f"T_rj_{j}": nb for j, nb in enumerate(scen.neighbors, start=1)}}
+    meta = {"seed": cfg.seed, "noise_std": cfg.noise_std, **meta,
+            "t_r_true": t_r, "t_w_true": t_w}
+    return TimeSeriesDataset(epsilon=cfg.epsilon, n_neighbors=len(scen.neighbors),
+                             columns=columns, metadata=meta)
+
+
 def run_experiment(params: ZoneParams, cfg: SimConfig) -> TimeSeriesDataset:
     """Closed-loop simulation under the hysteresis controller and heating
     curve.  The plant state evolves noise-free; the logged zone and water
     temperatures carry additive Gaussian measurement noise.  Bit-reproducible
     from the seed."""
     n = cfg.n_samples
-    nn = params.n_neighbors
-    if len(cfg.disturbance_spec.neighbor_recipes) != nn:
-        raise ConfigError(
-            f"disturbance spec has {len(cfg.disturbance_spec.neighbor_recipes)} "
-            f"neighbor recipes, plant has {nn} neighbors")
-
     rng = np.random.default_rng(cfg.seed)
     scen = synthesize_scenario(cfg.disturbance_spec, cfg.epsilon, n, rng)
-    noise = (rng.normal(0.0, cfg.noise_std, size=(n, 2)) if cfg.noise_std > 0
-             else np.zeros((n, 2)))
-    q_ext = scen.q_ext
+    noise = _noise(rng, cfg.noise_std, n)
+    t_r_prev = cfg.initial.t_r
 
-    t_r = np.empty(n)
-    t_w = np.empty(n)
-    vw = np.empty(n)
-    x = PlantState(t_r=cfg.initial.t_r, t_s=list(cfg.initial.t_s), t_w=cfg.initial.t_w)
-    if len(x.t_s) != nn:
-        raise ShapeError("initial state dimension disagrees with neighbor count")
-    t_r_prev = x.t_r
+    def control(k, t_r):
+        nonlocal t_r_prev
+        flow = hysteresis_control(t_r, t_r_prev, scen.occ[k] > 0, cfg.hysteresis)
+        t_r_prev = t_r
+        return heating_curve(cfg.hysteresis.t_set, scen.neighbors[0][k],
+                             cfg.heating_curve), flow
 
-    tw_in = np.array([heating_curve(cfg.hysteresis.t_set, scen.neighbors[0][k],
-                                    cfg.heating_curve) for k in range(n)])
-
-    for k in range(n):
-        occupied = scen.occ[k] > 0
-        vw[k] = hysteresis_control(x.t_r, t_r_prev, occupied, cfg.hysteresis)
-        t_r[k] = x.t_r
-        t_w[k] = x.t_w
-        u = ControlInput(vdot_w=vw[k], vdot_a=float(scen.va[k]))
-        d = Disturbance(t_w_in=float(tw_in[k]), t_a_in=float(scen.ta_in[k]),
-                        t_neighbors=tuple(float(nb[k]) for nb in scen.neighbors),
-                        q_ext=float(q_ext[k]))
-        t_r_prev = x.t_r
-        x = step(params, x, u, d, cfg.epsilon)
-
-    columns = {
-        "t_hours": scen.t_hours,
-        "T_r": t_r + noise[:, 0],
-        "T_w": t_w + noise[:, 1],
-        "Tw_in": tw_in,
-        "Ta_in": scen.ta_in,
-        "Vw": vw,
-        "Va": scen.va,
-        "Qext": q_ext,
-        "occ": scen.occ,
-    }
-    for j, nb in enumerate(scen.neighbors, start=1):
-        columns[f"T_rj_{j}"] = nb
-    meta = {"seed": cfg.seed, "noise_std": cfg.noise_std,
-            "t_r_true": t_r, "t_w_true": t_w}
-    return TimeSeriesDataset(epsilon=cfg.epsilon, n_neighbors=nn,
-                             columns=columns, metadata=meta)
+    return _dataset(cfg, scen, noise, simulate(params, cfg, scen, n, control))
 
 
 def run_probe_experiment(params: ZoneParams, cfg: SimConfig,
@@ -450,46 +477,16 @@ def run_probe_experiment(params: ZoneParams, cfg: SimConfig,
     that a predictive controller will actually use removes that degeneracy.
     Same logging and noise conventions as :func:`run_experiment`.
     """
+    check_control_set(inlet_set, flow_set)
     n = cfg.n_samples
-    nn = params.n_neighbors
     per = max(1, int(round(period_h / cfg.epsilon)))
     rng = np.random.default_rng(cfg.seed)
     scen = synthesize_scenario(cfg.disturbance_spec, cfg.epsilon, n, rng)
-    noise = (rng.normal(0.0, cfg.noise_std, size=(n, 2)) if cfg.noise_std > 0
-             else np.zeros((n, 2)))
+    noise = _noise(rng, cfg.noise_std, n)
     n_periods = (n + per - 1) // per
     inlets = rng.choice(np.asarray(inlet_set, dtype=float), size=n_periods)
     flows = rng.choice(np.asarray(flow_set, dtype=float), size=n_periods)
-    q_ext = scen.q_ext
-
-    t_r = np.empty(n)
-    t_w = np.empty(n)
-    x = PlantState(t_r=cfg.initial.t_r, t_s=list(cfg.initial.t_s), t_w=cfg.initial.t_w)
-    tw_in = inlets[np.arange(n) // per]
-    vw = flows[np.arange(n) // per]
-    for k in range(n):
-        t_r[k] = x.t_r
-        t_w[k] = x.t_w
-        u = ControlInput(vdot_w=float(vw[k]), vdot_a=float(scen.va[k]))
-        d = Disturbance(t_w_in=float(tw_in[k]), t_a_in=float(scen.ta_in[k]),
-                        t_neighbors=tuple(float(nb[k]) for nb in scen.neighbors),
-                        q_ext=float(q_ext[k]))
-        x = step(params, x, u, d, cfg.epsilon)
-
-    columns = {
-        "t_hours": scen.t_hours,
-        "T_r": t_r + noise[:, 0],
-        "T_w": t_w + noise[:, 1],
-        "Tw_in": tw_in,
-        "Ta_in": scen.ta_in,
-        "Vw": vw,
-        "Va": scen.va,
-        "Qext": q_ext,
-        "occ": scen.occ,
-    }
-    for j, nb in enumerate(scen.neighbors, start=1):
-        columns[f"T_rj_{j}"] = nb
-    meta = {"seed": cfg.seed, "noise_std": cfg.noise_std, "probe_period_h": period_h,
-            "t_r_true": t_r, "t_w_true": t_w}
-    return TimeSeriesDataset(epsilon=cfg.epsilon, n_neighbors=nn,
-                             columns=columns, metadata=meta)
+    held = np.arange(n) // per
+    tw_in, vw = inlets[held].tolist(), flows[held].tolist()
+    run = simulate(params, cfg, scen, n, lambda k, _t_r: (tw_in[k], vw[k]))
+    return _dataset(cfg, scen, noise, run, probe_period_h=period_h)

@@ -11,14 +11,21 @@ Flow conventions: the water flow is a mass flow in kg/s, so the water-side
 conductance is ``c_w * vdot_w``; the air flow is volumetric in m^3/s, so the
 air-side conductance is ``rho_a * c_a * vdot_a``.  Both conductances are
 exactly zero at zero flow.
+
+``rate`` is the one heat-balance function, on flat floats; the RK4 stepper in
+``simulator`` integrates it.  The checked records ``PlantState``,
+``ControlInput`` and ``Disturbance`` serve the typed ``simulator.step``.
+``coefficients`` (the bilinear form) is an independent reference that the
+tests assemble into dense matrices and pin ``rate`` to.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 
 
 def _require_positive(**values: float) -> None:
@@ -147,18 +154,6 @@ class Disturbance:
 
 
 @dataclass(frozen=True)
-class StateRate:
-    """Time derivative of a PlantState, in K/s."""
-
-    t_r: float
-    t_s: tuple[float, ...]
-    t_w: float
-
-    def as_list(self) -> list[float]:
-        return [self.t_r, *self.t_s, self.t_w]
-
-
-@dataclass(frozen=True)
 class CoefficientSet:
     """Rate coefficients (1/s, except q_ext gain in K/(J)) of the generalized
     bilinear form of the zone dynamics, for one (params, input) pair.
@@ -219,33 +214,30 @@ def coefficients(params: ZoneParams, u: ControlInput) -> CoefficientSet:
     )
 
 
-def derivative(params: ZoneParams, x: PlantState, u: ControlInput,
-               d: Disturbance) -> StateRate:
+def rate(params: ZoneParams, x: Sequence[float], vdot_w: float, vdot_a: float,
+         t_w_in: float, t_a_in: float, t_neighbors: Sequence[float],
+         q_ext: float) -> list[float]:
     """Componentwise heat balances of the zone, separators and water node.
 
-    Linear in (x, d) for a fixed input u.
+    ``x`` is the flat state ``[T_r, T_s_1..T_s_n, T_w]`` and the result its
+    derivative in K/s; the inputs are the fields of ``ControlInput`` and
+    ``Disturbance``, unchecked.  Linear in (x, disturbance) for fixed flows.
     """
     n = params.n_neighbors
-    if len(x.t_s) != n:
-        raise ShapeError(f"state has {len(x.t_s)} separator temps, expected {n}")
-    if len(d.t_neighbors) != n:
-        raise ShapeError(f"disturbance has {len(d.t_neighbors)} neighbor temps, expected {n}")
-
+    t_r, t_s, t_w = x[0], x[1:1 + n], x[1 + n]
     seps = [params.separators[j] for j in params.neighbor_ids]
 
     # Separator balances: heat in from the neighbor side, out to the zone side.
-    q_s_plus = [(ts - x.t_r) / s.r_plus for ts, s in zip(x.t_s, seps)]
-    q_s_minus = [(tj - ts) / s.r_minus for tj, ts, s in zip(d.t_neighbors, x.t_s, seps)]
-    dt_s = tuple((qm - qp) / s.c_s for qm, qp, s in zip(q_s_minus, q_s_plus, seps))
+    q_s_plus = [(ts - t_r) / s.r_plus for ts, s in zip(t_s, seps)]
+    dt_s = [((tj - ts) / s.r_minus - qp) / s.c_s
+            for tj, ts, qp, s in zip(t_neighbors, t_s, q_s_plus, seps)]
 
     # Radiator water node: inlet advection against convection to the zone.
-    g_w = water_conductance(params.rh, u.vdot_w)
-    q_w = (x.t_w - x.t_r) / params.rh.r_c
-    dt_w = (g_w * (d.t_w_in - x.t_w) - q_w) / params.rh.c_w
+    g_w = water_conductance(params.rh, vdot_w)
+    q_w = (t_w - t_r) / params.rh.r_c
+    dt_w = (g_w * (t_w_in - t_w) - q_w) / params.rh.c_w
 
     # Zone balance: separators, radiator, air loop, external sources.
-    g_a = air_conductance(params.hvac, u.vdot_a)
-    q_hvac = g_a * (d.t_a_in - x.t_r)
-    dt_r = (sum(q_s_plus) + q_w + q_hvac + d.q_ext) / params.c_r
-
-    return StateRate(t_r=dt_r, t_s=dt_s, t_w=dt_w)
+    g_a = air_conductance(params.hvac, vdot_a)
+    dt_r = (sum(q_s_plus) + q_w + g_a * (t_a_in - t_r) + q_ext) / params.c_r
+    return [dt_r, *dt_s, dt_w]

@@ -1,4 +1,5 @@
 import configparser
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,46 @@ def test_missing_key_names_it(tmp_path, small_config, capsys):
     code = main(["simulate", "--config", str(broken), "--out-dir", str(tmp_path)])
     assert code == 2
     assert "c_r" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("mpc", "flow_set", "-0.01, 0.0787"),
+    ("disturbance.air_inlet", "offset", "nan"),
+    ("hysteresis", "vdot_max", "nan"),
+    ("heating_curve", "rho0", "nan"),
+    ("occupancy", "occupant_gain_w", "inf"),
+])
+def test_bad_config_value_names_section_and_key(tmp_path, small_config, capsys,
+                                                section, key, value):
+    cp = configparser.ConfigParser()
+    cp.read(small_config)
+    cp[section][key] = value
+    broken = tmp_path / "broken.ini"
+    with open(broken, "w") as fh:
+        cp.write(fh)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--config", str(broken), "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"'{section}'" in err and key in err
+    assert not caught and "Warning" not in err
+
+
+def test_dataset_within_warmup_exits_2(tmp_path, small_config, capsys):
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(small_config), "--out-dir", str(out)])
+    short = out / "short.csv"
+    short.write_text("\n".join((out / "dataset.csv").read_text().splitlines()[:4]) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["identify", "--config", str(small_config), "--out-dir", str(out),
+                     "--dataset", str(short), "--spec", "NRM_MI"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "NRM_MI" in captured.err and "3-sample warm-up" in captured.err
+    assert "3 samples" in captured.err
+    assert not caught and "nan" not in captured.out
 
 
 def test_unknown_structure_rejected(tmp_path, small_config, capsys):

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -342,11 +340,13 @@ def test_oe_pass_matches_oracle_bit_for_bit(structure, n_neighbors, passes, n,
     spec = RegressorSpec(structure, n_neighbors)
     ds = _random_dataset(np.random.default_rng(seed), n_neighbors, n)
     cfg = RlsConfig(forgetting=forgetting)
-    with warnings.catch_warnings():
-        # a dataset no longer than the warm-up has an empty loss: NaN RMSE
-        warnings.simplefilter("ignore", RuntimeWarning)
-        got = train(ds, spec, passes, cfg, window=8)
-        ref = oracle.train(ds, spec, passes, cfg, window=8)
+    if n <= warmup(spec):
+        # nothing to train on: refused, where the oracle returns a NaN loss
+        with pytest.raises(ConfigError, match="warm-up"):
+            train(ds, spec, passes, cfg, window=8)
+        return
+    got = train(ds, spec, passes, cfg, window=8)
+    ref = oracle.train(ds, spec, passes, cfg, window=8)
     assert np.array_equal(got.theta, ref.theta)
     assert np.array_equal(got.errors, ref.errors)
     assert np.array_equal(got.rolling_rmse, ref.rolling_rmse)

@@ -4,14 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from thermbench.errors import DivergenceError
-from thermbench.regressors import Structure
+from thermbench.errors import ConfigError, DivergenceError, ShapeError
+from thermbench.identify import train
+from thermbench.mpc import MpcConfig, closed_loop_run
+from thermbench.regressors import RegressorSpec, Structure
 from thermbench.simulator import (DisturbanceSpec, HeatingCurveParams,
                                   HysteresisSettings, OccupancySchedule,
                                   SimConfig, SinusoidRecipe, column_names,
                                   heating_curve, hysteresis_control,
-                                  run_experiment, run_probe_experiment, step)
-from thermbench.thermal_core import ControlInput, Disturbance, PlantState
+                                  run_experiment, run_probe_experiment, step,
+                                  synthesize_scenario)
+from thermbench.thermal_core import (ControlInput, Disturbance, PlantState,
+                                     SeparatorParams, ZoneParams)
 
 from conftest import random_point, random_zone_params
 
@@ -264,3 +268,95 @@ def test_csv_round_trip(tmp_path, cfg):
         out = back.columns[name]
         scale = np.maximum(np.abs(col), 1e-12)
         assert np.all(np.abs(out - col) / scale < 1e-8), name
+
+
+def test_plant_loop_checks_its_inputs_before_the_first_step(cfg):
+    sim = dataclasses.replace(cfg.sim, duration=6.0)
+    sd = cfg.sim.disturbance_spec
+    # a non-finite signal and a negative air flow, named by column and sample
+    bad_solar = dataclasses.replace(sd, solar=SinusoidRecipe(math.inf))
+    bad_air = dataclasses.replace(sd, air_flow=SinusoidRecipe(0.0, (0.01,), (24.0,),
+                                                              (math.pi,)))
+    for spec, where in ((bad_solar, "Qext is inf at sample 0"),
+                        (bad_air, "Va is -")):
+        for run in (run_experiment, run_probe_experiment):
+            with pytest.raises(ConfigError, match=where):
+                run(cfg.plant, dataclasses.replace(sim, disturbance_spec=spec))
+    with pytest.raises(ConfigError, match="at sample 1"):
+        run_experiment(cfg.plant, dataclasses.replace(sim, disturbance_spec=bad_air))
+    # neighbor counts: recipes and initial state against the plant
+    two = dataclasses.replace(cfg.plant, separators={1: cfg.plant.separators[1],
+                                                     2: cfg.plant.separators[1]})
+    two_sd = dataclasses.replace(sd, neighbor_recipes=sd.neighbor_recipes * 2)
+    for run in (run_experiment, run_probe_experiment):
+        with pytest.raises(ConfigError, match="neighbor recipes"):
+            run(two, sim)
+        with pytest.raises(ShapeError):
+            run(two, dataclasses.replace(sim, disturbance_spec=two_sd))
+
+
+def test_control_sets_rejected_at_construction(cfg):
+    sim = dataclasses.replace(cfg.sim, duration=6.0)
+    for inlets, flows in (((40.0,), (0.0, -0.01)), ((math.nan,), (0.0,)),
+                          ((40.0,), (math.inf,)), ((), (0.0,))):
+        with pytest.raises(ConfigError):
+            run_probe_experiment(cfg.plant, sim, inlet_set=inlets, flow_set=flows)
+        with pytest.raises(ConfigError):
+            MpcConfig(inlet_set=inlets, flow_set=flows)
+    for bad in (dict(vdot_max=math.nan), dict(t_set=math.inf)):
+        with pytest.raises(ConfigError):
+            HysteresisSettings(**bad)
+    with pytest.raises(ConfigError):
+        HeatingCurveParams(rho0=math.nan)
+
+
+def _restep(plant, sim, inlet, flow, va, ta_in, neighbors, q_ext):
+    """True T_r/T_w from the public typed ``step`` over logged inputs."""
+    x = sim.initial
+    t_r, t_w = np.empty(len(inlet)), np.empty(len(inlet))
+    for k in range(len(inlet)):
+        t_r[k], t_w[k] = x.t_r, x.t_w
+        u = ControlInput(vdot_w=float(flow[k]), vdot_a=float(va[k]))
+        d = Disturbance(t_w_in=float(inlet[k]), t_a_in=float(ta_in[k]),
+                        t_neighbors=tuple(float(nb[k]) for nb in neighbors),
+                        q_ext=float(q_ext[k]))
+        x = step(plant, x, u, d, sim.epsilon)
+    return t_r, t_w
+
+
+def test_plant_loop_two_neighbors_matches_public_step(cfg):
+    # the hysteresis, probe and MPC runs all go through the one plant loop;
+    # each must agree bit for bit with the checked single-step entry point
+    plant = ZoneParams(
+        c_r=cfg.plant.c_r,
+        separators={1: cfg.plant.separators[1],
+                    2: SeparatorParams(r_plus=0.006, r_minus=0.009, c_s=8e6)},
+        rh=cfg.plant.rh, hvac=cfg.plant.hvac)
+    sd = dataclasses.replace(cfg.sim.disturbance_spec, neighbor_recipes=(
+        cfg.sim.disturbance_spec.neighbor_recipes[0],
+        SinusoidRecipe(19.0, (1.0, 0.5, 0.3), (24.0, 11.0, 4.2), (0.3, 1.4, 2.6))))
+    sim = dataclasses.replace(cfg.sim, disturbance_spec=sd, duration=24.0,
+                              initial=PlantState(t_r=20.0, t_s=[14.0, 18.0], t_w=20.0))
+
+    probe = run_probe_experiment(plant, sim)
+    for ds in (run_experiment(plant, sim), probe):
+        c = ds.columns
+        t_r, t_w = _restep(plant, sim, c["Tw_in"], c["Vw"], c["Va"], c["Ta_in"],
+                           [c["T_rj_1"], c["T_rj_2"]], c["Qext"])
+        assert np.array_equal(t_r, ds.metadata["t_r_true"])
+        assert np.array_equal(t_w, ds.metadata["t_w_true"])
+
+    mcfg = MpcConfig()
+    theta_w = train(probe, RegressorSpec(Structure.NRM_FI_RH, 2), passes=1).theta
+    spec = RegressorSpec(Structure.NRM_MI, 2)
+    theta = train(probe, spec, passes=1, theta_w=theta_w).theta
+    ev = dataclasses.replace(sim, seed=777, duration=6.0)
+    ep = closed_loop_run(plant, ev, mcfg, spec, theta, theta_w)
+    assert set(np.unique(ep.inlet[12:])) <= set(mcfg.inlet_set)
+    scen = synthesize_scenario(ev.disturbance_spec, ev.epsilon,
+                               ev.n_samples + mcfg.n_hor + 1,
+                               np.random.default_rng(ev.seed))
+    t_r, t_w = _restep(plant, ev, ep.inlet, ep.flow, scen.va, scen.ta_in,
+                       scen.neighbors, scen.q_ext)
+    assert np.array_equal(t_r, ep.t_r_plant)
+    assert np.array_equal(t_w, ep.t_w_plant)

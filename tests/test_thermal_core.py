@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from thermbench.errors import ParameterError, ShapeError
+from thermbench.simulator import step
 from thermbench.thermal_core import (ControlInput, Disturbance, PlantState,
                                      RhParams, SeparatorParams, ZoneParams,
-                                     air_conductance, coefficients, derivative,
+                                     air_conductance, coefficients, rate,
                                      water_conductance)
 
 from conftest import random_point, random_zone_params
+
+
+def rate_of(params, x, u, d):
+    """``rate`` (the function RK4 integrates) on the typed records' fields."""
+    return rate(params, x.as_list(), u.vdot_w, u.vdot_a, d.t_w_in, d.t_a_in,
+                d.t_neighbors, d.q_ext)
 
 
 def test_zero_flow_conductances_vanish(cfg):
@@ -52,8 +59,8 @@ def test_equilibrium_derivative_zero():
         x = PlantState(t_r=t, t_s=[t, t], t_w=t)
         d = Disturbance(t_w_in=t, t_a_in=t, t_neighbors=(t, t), q_ext=0.0)
         u = ControlInput(rng.uniform(0, 0.1), rng.uniform(0, 0.1))
-        rate = derivative(params, x, u, d)
-        assert max(abs(v) for v in rate.as_list()) < 1e-12
+        dx = rate_of(params, x, u, d)
+        assert max(abs(v) for v in dx) < 1e-12
 
 
 def test_linearity_in_state_and_disturbance():
@@ -70,9 +77,9 @@ def test_linearity_in_state_and_disturbance():
                          t_neighbors=tuple(a + b for a, b in
                                            zip(d1.t_neighbors, d2.t_neighbors)),
                          q_ext=d1.q_ext + d2.q_ext)
-        lhs = derivative(params, xs, u, ds).as_list()
-        rhs = [a + b for a, b in zip(derivative(params, x1, u, d1).as_list(),
-                                     derivative(params, x2, u, d2).as_list())]
+        lhs = rate_of(params, xs, u, ds)
+        rhs = [a + b for a, b in zip(rate_of(params, x1, u, d1),
+                                     rate_of(params, x2, u, d2))]
         for a, b in zip(lhs, rhs):
             assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
 
@@ -81,12 +88,12 @@ def test_doubling_doubles_rate():
     rng = np.random.default_rng(7)
     params = random_zone_params(rng)
     x, u, d = random_point(rng)
-    r1 = derivative(params, x, u, d).as_list()
+    r1 = rate_of(params, x, u, d)
     x2 = PlantState(t_r=2 * x.t_r, t_s=[2 * v for v in x.t_s], t_w=2 * x.t_w)
     d2 = Disturbance(t_w_in=2 * d.t_w_in, t_a_in=2 * d.t_a_in,
                      t_neighbors=tuple(2 * v for v in d.t_neighbors),
                      q_ext=2 * d.q_ext)
-    r2 = derivative(params, x2, u, d2).as_list()
+    r2 = rate_of(params, x2, u, d2)
     for a, b in zip(r2, r1):
         assert a == pytest.approx(2 * b, rel=1e-12)
 
@@ -125,7 +132,7 @@ def test_derivative_matches_dense_matrix_oracle():
             xv = np.array(x.as_list())
             dv = np.array([d.t_w_in, d.t_a_in, *d.t_neighbors, d.q_ext])
             expected = A @ xv + E @ dv
-            got = np.array(derivative(params, x, u, d).as_list())
+            got = np.array(rate_of(params, x, u, d))
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-18)
 
 
@@ -146,7 +153,7 @@ def test_dimension_mismatch_rejected():
     params = random_zone_params(rng, n_neighbors=2)
     x, u, d = random_point(rng, n_neighbors=1)
     with pytest.raises(ShapeError):
-        derivative(params, x, u, d)
+        step(params, x, u, d, 1.0 / 12.0)
 
 
 def test_conductance_continuity_at_zero_flow():
