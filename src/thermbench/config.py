@@ -262,10 +262,15 @@ def load_config(path) -> ExperimentConfig:
         for part in raw_windows.split(";"):
             a, _, b = part.strip().partition("-")
             try:
-                windows.append((float(a), float(b)))
+                lo, hi = float(a), float(b)
             except ValueError:
-                raise ConfigError(f"bad absence window {part.strip()!r} in 'occupancy'") \
-                    from None
+                lo = hi = math.nan
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ConfigError(
+                    f"key 'absent_windows' in 'occupancy': bad absence window "
+                    f"{part.strip()!r} (want 'start-end' hours, finite, "
+                    "start < end)")
+            windows.append((lo, hi))
     neighbor_recipes = tuple(_recipe(_Section(cp, f"disturbance.neighbor_{j}"))
                              for j in range(1, n + 1))
     disturbances = DisturbanceSpec(

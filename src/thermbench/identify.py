@@ -14,10 +14,19 @@ prediction factor.  Each step then copies its row, multiplies the prediction
 entries by the lagged predictions and takes one dot product: the same
 arithmetic as ``build_regressor`` over a ``LaggedHistory``, which stays as
 the readable per-sample reference (``oe_predict``).
+
+Recursive least squares has one step, ``_Rls.step``, which training calls
+directly and ``rls_update`` runs on copies of its state.  It updates the
+estimate and covariance in place, in one contiguous buffer, with the work
+vectors and the scratch matrix allocated once; it reuses the prediction the
+pass has already taken.  After each step one dot of that buffer with a ones
+vector screens it for non-finite values, and only when the dot is not finite
+are the elements checked one by one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,20 +74,60 @@ def rls_init(dim: int, cfg: RlsConfig | None = None) -> RlsState:
 
 
 def rls_update(s: RlsState, phi: np.ndarray, y: float) -> RlsState:
-    """Exponentially weighted RLS step; the covariance is re-symmetrized."""
+    """Exponentially weighted RLS step; the covariance is re-symmetrized.
+
+    Runs one in-place ``_Rls`` step on copies of ``s``, which is left as it is.
+    """
     if phi.shape != s.theta.shape:
         raise ConfigError(f"phi has shape {phi.shape}, theta {s.theta.shape}")
-    lam = s.forgetting
-    p_phi = s.p_matrix @ phi
-    gain = p_phi / (lam + phi @ p_phi)
-    theta = s.theta + gain * (y - phi @ s.theta)
-    p = s.p_matrix - np.multiply.outer(gain, p_phi)
-    p /= lam
-    p += p.T
-    p *= 0.5
-    if not (np.isfinite(theta).all() and np.isfinite(p).all()):
-        raise NumericalError(f"RLS update produced non-finite values at step {s.k}")
-    return RlsState(theta=theta, p_matrix=p, forgetting=lam, k=s.k + 1)
+    rls = _Rls(s)
+    rls.step(phi, y, phi @ rls.theta)
+    return RlsState(theta=rls.theta, p_matrix=rls.p, forgetting=rls.lam, k=rls.k)
+
+
+class _Rls:
+    """An RLS estimate updated in place: the one RLS step of the package.
+
+    ``theta`` and ``p`` are views of one contiguous buffer, so one dot with a
+    ones vector screens both for non-finite values: the dot is non-finite
+    whenever an element is.  A finite state can overflow the sum, so the
+    elements are checked one by one before a step is reported as diverged.
+    """
+
+    def __init__(self, s: RlsState):
+        dim = len(s.theta)
+        self._buf = np.empty(dim * (dim + 1))
+        self._ones = np.ones(len(self._buf))
+        self.theta = self._buf[:dim]
+        self.p = self._buf[dim:].reshape(dim, dim)
+        self.theta[:] = s.theta
+        self.p[:] = s.p_matrix
+        self.lam = s.forgetting
+        self.k = s.k
+        self._p_phi = np.empty(dim)
+        self._gain = np.empty(dim)
+        self._gain_col = self._gain[:, np.newaxis]
+        self._m = np.empty((dim, dim))
+
+    def step(self, phi: np.ndarray, y: float, yhat: float) -> None:
+        """Update with regressor ``phi`` and measurement ``y``; ``yhat`` must
+        be ``phi @ theta`` taken before the step."""
+        p, p_phi, gain, m, lam = self.p, self._p_phi, self._gain, self._m, self.lam
+        np.matmul(p, phi, out=p_phi)
+        np.divide(p_phi, lam + phi @ p_phi, out=gain)
+        np.multiply(self._gain_col, p_phi, out=m)  # outer product
+        gain *= y - yhat
+        self.theta += gain
+        np.subtract(p, m, out=m)
+        m /= lam
+        np.add(m, m.T, out=p)
+        p *= 0.5
+        # vdot, unlike dot and matmul, raises no numpy warning when the sum
+        # of a finite state overflows
+        if not math.isfinite(np.vdot(self._buf, self._ones)) \
+                and not np.isfinite(self._buf).all():
+            raise NumericalError(f"RLS update produced non-finite values at step {self.k}")
+        self.k += 1
 
 
 @dataclass
@@ -178,17 +227,22 @@ def _static_table(spec: RegressorSpec, dataset: TimeSeriesDataset,
 
 def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
              table: _StaticTable, feed: tuple[_StaticTable, np.ndarray] | None,
-             theta: np.ndarray | None = None, state: RlsState | None = None,
-             pass_no: int = 1) -> tuple[np.ndarray, RlsState | None]:
+             theta: np.ndarray | None = None, rls: _Rls | None = None,
+             pass_no: int = 1) -> np.ndarray:
     """One output-error pass over samples ``table.start..n-1``.
 
     ``feed`` is the static table and parameters of the RH predictor whose
-    outputs fill ``yhat_w`` for the FI zone structure.  With an RLS ``state``
-    the estimate is updated after every sample (training) and ``theta`` is
-    not used; otherwise the fixed ``theta`` predicts.  Prediction buffers
-    hold the mirrored measurement until a sample is predicted.  Returns the
-    predictions of samples ``table.start..n-1`` and the final state.
+    outputs fill ``yhat_w`` for the FI zone structure.  With an ``rls``
+    estimate it is updated in place after every sample (training) and
+    ``theta`` is not used; otherwise the fixed ``theta`` predicts.  Prediction
+    buffers hold the mirrored measurement until a sample is predicted.
+    Returns the predictions of samples ``table.start..n-1``.
     """
+    if rls is not None:
+        theta = rls.theta
+    if table.rows.shape[1:] != np.shape(theta):
+        raise ConfigError(f"phi has shape {table.rows.shape[1:]}, theta "
+                          f"{np.shape(theta)}")
     tables = (table,) if feed is None else (feed[0], table)
     buffers = {channel: np.array(dataset.columns[PREDICTION_MIRRORS[channel]],
                                  dtype=float)
@@ -206,28 +260,26 @@ def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
 
     main = bound(table)
     rh = None if feed is None else bound(feed[0])
-    y = dataset.columns[target_column(spec)]
+    y = dataset.columns[target_column(spec)].tolist()
     yhat_buf = buffers[prediction_channel(spec)]
     start, n = table.start, len(dataset)
-    out = np.empty(max(n - start, 0))
     for k in range(start, n):
         i = k - start
         if rh is not None:
             yhat_w = float(regressor(rh, i, k) @ feed[1])
         phi = regressor(main, i, k)
-        yhat = float(phi @ (theta if state is None else state.theta))
-        yhat_buf[k] = out[i] = yhat
+        yhat = yhat_buf[k] = float(phi @ theta)
         if rh is not None:
             buffers["yhat_w"][k] = yhat_w
-        if state is not None:
+        if rls is not None:
             try:
-                state = rls_update(state, phi, float(y[k]))
+                rls.step(phi, y[k], yhat)
             except NumericalError as exc:
                 raise NumericalError(
                     f"training {spec.structure.value} (n_neighbors="
                     f"{spec.n_neighbors}) diverged in pass {pass_no} at dataset "
                     f"sample {k}: {exc}") from exc
-    return out, state
+    return yhat_buf[start:]
 
 
 def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,
@@ -264,16 +316,17 @@ def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,
         feed = (_static_table(_rh_spec(spec), dataset, wu), theta_w)
     table = _static_table(spec, dataset, wu)
     y = dataset.columns[target_column(spec)][wu:]
+    rls = _Rls(state)
     errors = []
     pass_rmse = []
     for p in range(1, passes + 1):
-        yhat, state = _oe_pass(spec, dataset, table, feed, state=state, pass_no=p)
+        yhat = _oe_pass(spec, dataset, table, feed, rls=rls, pass_no=p)
         pass_errors = y - yhat
         errors.append(pass_errors)
         pass_rmse.append(float(np.sqrt(np.mean(np.square(pass_errors)))))
 
     errors = np.concatenate(errors)
-    return TrainReport(spec=spec, theta=state.theta, errors=errors,
+    return TrainReport(spec=spec, theta=rls.theta.copy(), errors=errors,
                        rolling_rmse=rolling_rmse(errors, window), window=window,
                        pass_rmse=pass_rmse, theta_w=theta_w)
 
@@ -291,8 +344,8 @@ def predict_series(theta: np.ndarray, spec: RegressorSpec,
             raise ConfigError("the FI zone structure needs theta_w for prediction")
         feed = (_static_table(_rh_spec(spec), dataset, wu), theta_w)
     out = np.full(len(dataset), np.nan)
-    out[wu:], _ = _oe_pass(spec, dataset, _static_table(spec, dataset, wu),
-                           feed, theta)
+    out[wu:] = _oe_pass(spec, dataset, _static_table(spec, dataset, wu),
+                        feed, theta)
     return out
 
 

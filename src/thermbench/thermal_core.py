@@ -13,8 +13,11 @@ air-side conductance is ``rho_a * c_a * vdot_a``.  Both conductances are
 exactly zero at zero flow.
 
 ``rate`` is the one heat-balance function, on flat floats; the RK4 stepper in
-``simulator`` integrates it.  The checked records ``PlantState``,
-``ControlInput`` and ``Disturbance`` serve the typed ``simulator.step``.
+``simulator`` integrates it.  The per-plant constants it reads (neighbor
+order, ordered separators, water capacitance) are cached properties of the
+frozen parameter records, computed on first use.  The checked records
+``PlantState``, ``ControlInput`` and ``Disturbance`` serve the typed
+``simulator.step``.
 ``coefficients`` (the bilinear form) is an independent reference that the
 tests assemble into dense matrices and pin ``rate`` to.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParameterError
 
@@ -66,7 +70,7 @@ class RhParams:
         _require_positive(c_w_medium=self.c_w_medium, rho_w=self.rho_w,
                           v_w_volume=self.v_w_volume, r_c=self.r_c)
 
-    @property
+    @cached_property
     def c_w(self) -> float:
         """Thermal capacitance of the water volume, J/K."""
         return self.c_w_medium * self.rho_w * self.v_w_volume
@@ -85,7 +89,8 @@ class HvacParams:
 
 @dataclass(frozen=True)
 class ZoneParams:
-    """Full parameter set of one zone and its boundary."""
+    """Full parameter set of one zone and its boundary.  ``separators`` is
+    not mutated after construction: the neighbor order is cached."""
 
     c_r: float                              # J/K, zone capacitance
     separators: dict[int, SeparatorParams]  # neighbor id -> wall parameters
@@ -97,9 +102,14 @@ class ZoneParams:
         if not self.separators:
             raise ParameterError("a zone needs at least one neighbor separator")
 
-    @property
-    def neighbor_ids(self) -> list[int]:
-        return sorted(self.separators)
+    @cached_property
+    def neighbor_ids(self) -> tuple[int, ...]:
+        return tuple(sorted(self.separators))
+
+    @cached_property
+    def ordered_separators(self) -> tuple[SeparatorParams, ...]:
+        """The separators ordered by neighbor id."""
+        return tuple(self.separators[j] for j in self.neighbor_ids)
 
     @property
     def n_neighbors(self) -> int:
@@ -225,7 +235,7 @@ def rate(params: ZoneParams, x: Sequence[float], vdot_w: float, vdot_a: float,
     """
     n = params.n_neighbors
     t_r, t_s, t_w = x[0], x[1:1 + n], x[1 + n]
-    seps = [params.separators[j] for j in params.neighbor_ids]
+    seps = params.ordered_separators
 
     # Separator balances: heat in from the neighbor side, out to the zone side.
     q_s_plus = [(ts - t_r) / s.r_plus for ts, s in zip(t_s, seps)]

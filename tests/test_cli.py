@@ -98,6 +98,27 @@ def test_bad_config_value_names_section_and_key(tmp_path, small_config, capsys,
     assert not caught and "Warning" not in err
 
 
+@pytest.mark.parametrize("value,part", [
+    ("nan-3.0; 5.0-inf", "nan-3.0"),
+    ("8.0-16.0; 5.0-inf", "5.0-inf"),
+    ("5.0-3.0", "5.0-3.0"),
+    ("8.0-16.0; 4.0-4.0", "4.0-4.0"),
+])
+def test_bad_absence_window_names_key_and_part(tmp_path, small_config, capsys,
+                                               value, part):
+    cp = configparser.ConfigParser()
+    cp.read(small_config)
+    cp["occupancy"]["absent_windows"] = value
+    broken = tmp_path / "broken.ini"
+    with open(broken, "w") as fh:
+        cp.write(fh)
+    code = main(["simulate", "--config", str(broken), "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'occupancy'" in err and "absent_windows" in err and repr(part) in err
+    assert not (tmp_path / "dataset.csv").exists()
+
+
 def test_dataset_within_warmup_exits_2(tmp_path, small_config, capsys):
     out = tmp_path / "out"
     main(["simulate", "--config", str(small_config), "--out-dir", str(out)])

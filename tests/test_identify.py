@@ -87,6 +87,14 @@ def test_zero_theta_predicts_zero():
     assert np.all(pred[warmup(spec):] == 0.0)
 
 
+def test_predict_series_rejects_a_theta_of_the_wrong_length():
+    spec = RegressorSpec(Structure.NRM_MI, 1)
+    ds = generate_self_consistent(spec, stable_theta(spec), 64)
+    dim = regressor_length(spec)
+    with pytest.raises(ConfigError, match=rf"phi has shape \({dim},\), theta \({dim - 1},\)"):
+        predict_series(np.zeros(dim - 1), spec, ds)
+
+
 def test_unit_persistence_theta():
     # theta selecting the first lagged prediction freezes the trajectory at
     # the last warm-up value
@@ -168,6 +176,41 @@ def test_rls_covariance_stays_spd():
             assert np.allclose(s.p_matrix, s.p_matrix.T, atol=1e-10)
             assert np.linalg.eigvalsh(s.p_matrix).min() > 0.0
     assert np.linalg.eigvalsh(s.p_matrix).min() > 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 30), steps=st.integers(1, 50),
+       forgetting=st.sampled_from([1.0, 0.999, 0.9]),
+       seed=st.integers(0, 2**32 - 1))
+def test_rls_update_matches_oracle_bit_for_bit(dim, steps, forgetting, seed):
+    # the in-place step runs on copies: the input state is never written
+    rng = np.random.default_rng(seed)
+    s = rls_init(dim, RlsConfig(forgetting=forgetting))
+    for _ in range(steps):
+        phi, y = rng.normal(size=dim), float(rng.normal())
+        theta, p = s.theta.copy(), s.p_matrix.copy()
+        got = rls_update(s, phi, y)
+        ref = oracle.rls_update(s, phi, y)
+        assert np.array_equal(s.theta, theta) and np.array_equal(s.p_matrix, p)
+        assert np.array_equal(got.theta, ref.theta)
+        assert np.array_equal(got.p_matrix, ref.p_matrix)
+        assert got.k == ref.k == s.k + 1
+        s = got
+
+
+def test_finite_state_whose_sum_overflows_is_not_a_divergence():
+    # 4 x 5e307 on the diagonal of P overflows the sum that screens a step
+    # for non-finite values; every element, and P + P^T, stays finite
+    cfg = RlsConfig(forgetting=1.0, reg_init=5e307)
+    s = rls_init(4, cfg)
+    s2 = rls_update(s, np.zeros(4), 0.0)
+    assert np.array_equal(s2.p_matrix, s.p_matrix)
+    spec = RegressorSpec(Structure.NRM_FI_RH, 1)
+    zeros = {c: np.zeros(40) for c in measured_columns(spec.structure, 1)}
+    ds = TimeSeriesDataset(epsilon=1.0 / 12.0, n_neighbors=1, columns=zeros)
+    rep = train(ds, spec, passes=2, rls_cfg=cfg, window=8)
+    assert np.array_equal(rep.theta, np.zeros(4))
+    assert rep.pass_rmse == [0.0, 0.0]
 
 
 def test_rls_dim_mismatch():
