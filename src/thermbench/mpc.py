@@ -17,28 +17,44 @@ travels in ``HorizonForecast.now``).
 One rollout kernel serves every plan.  It evaluates the compiled water and
 zone layouts over a row axis of plans and walks the plan-prefix tree: every
 regressor lag is at least one sample, so the horizon steps of period p depend
-on the choices of periods 0..p only.  At each period boundary the rows are
-repeated once per option, and the period is rolled out once per prefix (4,
-16, 64, 256 and 1024 rows under the default config, instead of 1024 rows for
-every step).  The tree still reaches every admissible plan, so the search
-stays exhaustive; each leaf is costed with the same arithmetic, in the same
-order, as a rollout of that plan alone, and ``predict_horizon`` is the
-one-row case.
+on the choices of periods 0..p only, and period p is rolled out once per
+prefix (4, 16, 64, 256 and 1024 rows under the default config).  Every
+kernel entry is ``coef * f0 * f1 * ... * pred``: the trailing prediction
+factor reads a zone or water prediction, the factors before it read only the
+controls and the plan-independent signals.  The kernel works in two stages:
+
+1. Once per period, the prefix ``coef * f0 * f1 * ...`` of every entry is
+   computed for all the period's steps in one call, over the distinct
+   combinations of options of the periods the control lags reach (16 under
+   the default config, whatever the number of rows).
+2. Once per horizon step, one gather reads each entry's trailing prediction
+   factor (an exact 1.0 where an entry has none), one multiply applies the
+   prefixes, and the water and zone entries are summed.
+
+The products are those of a single multiplication chain, in the same order,
+and ``* 1.0`` is exact, so a plan costs the same bits alone or among others;
+``predict_horizon`` is the one-row case.  Internally the newest period's
+option is the most significant digit of a row (each period boundary tiles
+the rows so far once per option), so the rows of one combination form a
+contiguous block that one prefix broadcasts over.  The costs are permuted
+back to enumeration order once per decision, with a fixed per-config
+permutation, so the first-minimum tie-break is unchanged.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, HistoryUnderflowError
-from .identify import oe_predict
+from .identify import _rh_spec, oe_predict
 from .regressors import (CompiledLayout, LaggedHistory, RegressorSpec,
-                         Structure, compile_layout, layout, measured_columns,
-                         sum_entries, warmup)
+                         compile_layout, layout, measured_columns, sum_entries,
+                         warmup)
 from .simulator import (SimConfig, ZoneParams, check_control_set, heating_curve,
                         hysteresis_control, simulate, synthesize_scenario)
 from .simulator import step  # noqa: F401  (perfbench's self-test patches mpc.step)
@@ -129,7 +145,15 @@ class HorizonForecast:
     t_neighbors: list[np.ndarray]
     now: CurrentSample
 
-    def check_length(self, n_hor: int) -> None:
+    def check(self, n_hor: int, n_neighbors: int) -> None:
+        """Raise ``ConfigError`` unless every array covers ``n_hor`` samples
+        and the forecast and the decision sample both carry ``n_neighbors``
+        neighbor temperatures."""
+        for name, count in (("forecast", len(self.t_neighbors)),
+                            ("decision sample", len(self.now.t_neighbors))):
+            if count != n_neighbors:
+                raise ConfigError(f"the {name} has {count} neighbor "
+                                  f"temperature(s), the spec expects {n_neighbors}")
         arrays = [self.occ, self.ta_in, self.va, self.qext, *self.t_neighbors]
         if any(len(a) != n_hor for a in arrays):
             raise ConfigError(f"forecast arrays must have length {n_hor}")
@@ -145,35 +169,57 @@ def runtime_channels(spec: RegressorSpec) -> list[str]:
     return sorted(cols)
 
 
-def _rh_spec(spec: RegressorSpec) -> RegressorSpec:
-    return RegressorSpec(Structure.NRM_FI_RH, spec.n_neighbors)
-
-
 # ---------------------------------------------------------------------------
 # rollout kernel
 # ---------------------------------------------------------------------------
 
-# plan-dependent rollout buffers: inside the horizon the layouts' output
-# channels read the rollout's own predictions, and the controls follow the plan
-_PLAN_BUFFERS = {"yhat_r": 0, "T_r": 0, "yhat_w": 1, "T_w": 1, "Tw_in": 2, "Vw": 3}
+# inside the horizon the layouts' output channels read the rollout's own
+# predictions (planes of the prediction buffers), and the controls follow the
+# plan (planes of a period's control table)
+_PREDICTIONS = {"yhat_r": 0, "T_r": 0, "yhat_w": 1, "T_w": 1}
+_CONTROLS = {"Tw_in": 0, "Vw": 1}
+
+
+def _index(triples) -> tuple[np.ndarray, ...]:
+    """Three read-only index arrays from a list of triples."""
+    a = np.array(triples, dtype=np.intp).reshape(-1, 3).T
+    a.flags.writeable = False
+    return tuple(a)
 
 
 @dataclass(frozen=True, eq=False)
 class _Kernel:
     """The water and zone predictors of one zone spec as a single compiled
-    table (water entries first), with the source of each value-table row:
-    a plan buffer, or a plan-independent signal shared by every plan (the
-    table's constant 1.0 row is the shared signal past the last channel)."""
+    table (water entries first), split at each entry's trailing prediction
+    factor.
+
+    Stage 1 fills the value-table rows that read a control (``control_*``:
+    row, control plane, lag) or a plan-independent signal (``shared_*``:
+    row, index into ``shared``, lag) and leaves an exact 1.0 in the rows of
+    the prediction factors.  Stage 2 reads each entry's trailing prediction
+    factor from prediction plane ``pred_plane`` at lag ``pred_lag``, or an
+    exact 1.0 where ``has_pred`` is 0.
+    """
 
     lay: CompiledLayout
     n_water: int
     shared: tuple[str, ...]
-    plan_rows: np.ndarray
-    plan_buffer: np.ndarray
-    plan_lag: np.ndarray
     shared_rows: np.ndarray
     shared_channel: np.ndarray
     shared_lag: np.ndarray
+    control_rows: np.ndarray
+    control_plane: np.ndarray
+    control_lag: np.ndarray
+    pred_plane: np.ndarray
+    pred_lag: np.ndarray
+    has_pred: np.ndarray
+
+    def depth(self, s: int) -> int:
+        """How many periods before its own a period's steps read controls
+        of, at ``s`` samples per period.  Step ``j`` (1..s) of period p is
+        horizon position ``p*s + j`` and reads the controls of position
+        ``p*s + j - lag``, which belong to period ``(p*s + j - lag) // s``."""
+        return (int(self.control_lag.max(initial=1)) - 2 + s) // s
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,17 +228,69 @@ def _kernel(spec: RegressorSpec) -> _Kernel:
     lay = compile_layout(rh, spec)
     shared = tuple(f"T_rj_{j}" for j in range(1, spec.n_neighbors + 1)) + \
         ("Ta_in", "Va", "Qext")
-    plan, other = [], []
+    control, other = [], []
     for row, (channel, lag) in enumerate(lay.columns):
-        if channel in _PLAN_BUFFERS:
-            plan.append((row, _PLAN_BUFFERS[channel], lag))
-        else:
+        if channel in _CONTROLS:
+            control.append((row, _CONTROLS[channel], lag))
+        elif channel not in _PREDICTIONS:
             other.append((row, shared.index(channel), lag))
-    other.append((len(lay.columns), len(shared), 0))
-    p = np.array(plan, dtype=np.intp).reshape(-1, 3).T
-    o = np.array(other, dtype=np.intp).T
-    p.flags.writeable = o.flags.writeable = False
-    return _Kernel(lay, len(layout(rh)), shared, p[0], p[1], p[2], o[0], o[1], o[2])
+    trailing = []
+    for entry in lay.entries:
+        if any(channel in _PREDICTIONS for channel, _ in entry[:-1]):
+            raise ConfigError(f"kernel entry {entry} has a prediction factor "
+                              f"before its last position")
+        channel, lag = entry[-1]
+        trailing.append((_PREDICTIONS[channel], lag, 1) if channel in _PREDICTIONS
+                        else (0, 0, 0))
+    return _Kernel(lay, len(layout(rh)), shared, *_index(other), *_index(control),
+                   *_index(trailing))
+
+
+def _period_prefixes(kern: _Kernel, coef: np.ndarray, controls: np.ndarray,
+                     shared_at: np.ndarray, choices, p: int, s: int,
+                     w: int) -> np.ndarray:
+    """Stage 1: ``coef * f0 * f1 * ...`` of every entry, up to its trailing
+    prediction factor, at the ``s`` steps of period p.
+
+    Returns shape ``(entries, s, combinations)``: one column per combination
+    of options of the periods ``lo..p`` that the steps' control lags reach,
+    period ``lo``'s option the least significant digit, as in the rollout
+    rows.  ``controls`` holds the recorded controls of positions ``0..w-1``;
+    ``shared_at`` the shared value-table rows at every horizon step.
+    """
+    lo = max(p - kern.depth(s), 0)
+    sizes = [len(inlet) for inlet, _ in choices[lo:p + 1]]
+    n_comb = math.prod(sizes)
+    ctrl = np.empty((2, w + (p + 1) * s, n_comb))
+    ctrl[:, :w] = controls[:, :, None]
+    stride = 1
+    for q, m in enumerate(sizes, start=lo):
+        option = np.arange(n_comb) // stride % m
+        for plane, values in enumerate(choices[q]):
+            ctrl[plane, w + q * s:w + (q + 1) * s] = values[option]
+        stride *= m
+    values = np.ones((len(kern.lay.columns) + 1, s, n_comb))
+    steps = np.arange(w + 1 + p * s, w + 1 + (p + 1) * s)
+    values[kern.control_rows] = ctrl[kern.control_plane[:, None],
+                                     steps - kern.control_lag[:, None]]
+    values[kern.shared_rows] = shared_at[:, p * s:(p + 1) * s, None]
+    return kern.lay.terms(values, coef[:, None, None])
+
+
+@functools.lru_cache(maxsize=1)
+def _workspace(n_entries: int, width: int,
+               n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch memory of the rollouts of one shape: room for the prediction
+    buffers of every row, and for one step's terms.
+
+    Every such rollout reuses it and writes it before reading it.  Memory
+    of this size allocated afresh per decision is page-faulted in anew
+    whenever the allocator has returned it to the system in between (with
+    glibc's malloc, about 550 minor faults per decision under the default
+    config).  A rollout's buffers are valid until the next rollout, so
+    rollouts must not run concurrently.
+    """
+    return np.empty(2 * width * n_rows), np.empty(n_entries * n_rows)
 
 
 def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
@@ -203,13 +301,15 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
     ``choices[p]`` holds period p's candidate (inlet, flow) values as two
     arrays.  Every lag is at least one sample, so the horizon steps of
     period p read controls of periods 0..p only: at each period boundary
-    every row is repeated once per option, and the period is rolled out
-    once per plan prefix.  Each row's arithmetic does not depend on how many
-    rows there are.  Returns ``(buffers, w)``: ``buffers`` has shape
-    ``(4, w + 1 + n_hor, plans)`` and holds the zone prediction, water
-    prediction, inlet and flow by position (0..w-1 the recorded past, w the
-    decision sample, w+1.. the horizon); the plans are in enumeration order,
-    earliest period most significant.
+    the rows are tiled once per option, and the period is rolled out once
+    per plan prefix (stage 1 computes its prefixes, stage 2 steps it; see
+    the module docstring).  Each row's arithmetic does not depend on how
+    many rows there are.  Returns ``(buffers, w)``: ``buffers`` has shape
+    ``(2, w + 1 + n_hor, rows)`` and holds the zone and water predictions by
+    position (0..w-1 the recorded past, w the decision sample, w+1.. the
+    horizon).  Row ``sum_p o_p * (m_0 * ... * m_{p-1})`` is the plan of
+    option ``o_p`` of ``m_p`` in period p: the newest period is the most
+    significant digit.
     """
     n = cfg.n_hor
     s = cfg.samples_per_period
@@ -220,9 +320,10 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
                                     f"needs {w} for the rollout")
     total = w + 1 + n
     kern = _kernel(spec)
+    coef = np.concatenate((theta_w, theta_r))
 
     # plan-independent signals by position: recorded, measured at the
-    # decision sample, then forecast; the last row is the constant 1.0
+    # decision sample, then forecast
     now = {"Ta_in": forecast.now.ta_in, "Va": forecast.now.va,
            "Qext": forecast.now.qext}
     future = {"Ta_in": forecast.ta_in, "Va": forecast.va, "Qext": forecast.qext}
@@ -230,63 +331,91 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
                                start=1):
         now[f"T_rj_{j}"] = v
         future[f"T_rj_{j}"] = a
-    shared = np.empty((len(kern.shared) + 1, total))
+    shared = np.empty((len(kern.shared), total))
     for i, c in enumerate(kern.shared):
         shared[i, :w] = [hist.get(c, k) for k in range(t - w, t)]
         shared[i, w] = now[c]
         shared[i, w + 1:] = future[c]
-    shared[-1] = 1.0
+    steps = np.arange(w + 1, total)
     # the shared rows of the value table at each horizon step
-    shared_at = shared[kern.shared_channel,
-                       np.arange(w + 1, total)[:, None] - kern.shared_lag]
+    shared_at = shared[kern.shared_channel[:, None], steps - kern.shared_lag[:, None]]
+    controls = np.array([[hist.get(c, k) for k in range(t - w, t)]
+                         for c in _CONTROLS])
 
-    buffers = np.zeros((4, total, 1))
-    for c in ("yhat_r", "yhat_w", "Tw_in", "Vw"):
-        buffers[_PLAN_BUFFERS[c], :w, 0] = [hist.get(c, k) for k in range(t - w, t)]
+    # prediction buffers by position, and one position of exact 1.0s that
+    # the entries without a prediction factor read in stage 2; every period's
+    # rows live at the front of the workspace
+    width = total + 1
+    region, scratch = _workspace(len(coef), width,
+                                 math.prod(len(inlet) for inlet, _ in choices))
+    buffers = region[:2 * width].reshape(2, width, 1)
+    for c in ("yhat_r", "yhat_w"):
+        buffers[_PREDICTIONS[c], :w, 0] = [hist.get(c, k) for k in range(t - w, t)]
     buffers[0, w] = forecast.now.t_r
     buffers[1, w] = oe_predict(theta_w, _rh_spec(spec), hist, t)
+    buffers[:, total] = 1.0
+    # the row of the flattened buffers each entry reads at each horizon step
+    gather = np.where(kern.has_pred, kern.pred_plane * width - kern.pred_lag
+                      + steps[:, None], total)
 
-    coef = np.concatenate((theta_w, theta_r))[:, None]
     nw = kern.n_water
-    for p, (inlet, flow) in enumerate(choices):
+    for p, (inlet, _) in enumerate(choices):
+        rows = buffers.shape[2] * len(inlet)
         if len(inlet) > 1:
-            buffers = np.repeat(buffers, len(inlet), axis=2)
-        rows = buffers.shape[2]
-        period = slice(w + p * s, w + (p + 1) * s)
-        buffers[2, period] = np.tile(inlet, rows // len(inlet))
-        buffers[3, period] = np.tile(flow, rows // len(inlet))
-        values = np.empty((len(kern.lay.columns) + 1, rows))
-        for idx in range(w + p * s + 1, w + (p + 1) * s + 1):
-            values[kern.plan_rows] = buffers[kern.plan_buffer, idx - kern.plan_lag]
-            values[kern.shared_rows] = shared_at[idx - w - 1, :, None]
-            terms = kern.lay.terms(values, coef)
-            buffers[1, idx] = sum_entries(terms[:nw])
-            buffers[0, idx] = sum_entries(terms[nw:])
-    if not np.all(np.isfinite(buffers[:2, w:])):
+            # tile: one block of the rows so far per option of period p
+            done = w + p * s + 1  # positions rolled out
+            tiled = region[:2 * width * rows].reshape(2, width, rows)
+            tiled.reshape(2, width, len(inlet), -1)[:, :done] = \
+                buffers[:, :done, None, :]
+            tiled[:, total] = 1.0
+            buffers = tiled
+        flat = buffers.reshape(2 * width, rows)
+        prefix = _period_prefixes(kern, coef, controls, shared_at, choices, p, s, w)
+        terms = scratch[:len(coef) * rows].reshape(len(coef), rows)
+        # the rows of one combination of options are a contiguous block
+        blocks = terms.reshape(len(coef), prefix.shape[2], -1)
+        for j in range(s):
+            k = p * s + j
+            np.take(flat, gather[k], axis=0, out=terms, mode="clip")
+            blocks *= prefix[:, j, :, None]
+            buffers[1, w + 1 + k] = sum_entries(terms[:nw])
+            buffers[0, w + 1 + k] = sum_entries(terms[nw:])
+    buffers = buffers[:, :total]
+    if not np.all(np.isfinite(buffers[:, w:])):
         raise DivergenceError("plan rollout produced non-finite predictions")
     return buffers, w
 
 
 def _costs(t_r: np.ndarray, t_w: np.ndarray, inlet: np.ndarray,
            flow: np.ndarray, forecast: HorizonForecast, cfg: MpcConfig):
-    """Comfort, heating and pump cost of each row (one plan per row).
+    """Comfort and heating cost of each row (one plan per row).
 
-    ``t_r`` covers horizon positions 0..n_hor, the others 0..n_hor-1.  The
-    comfort sum is averaged by n_hor; the heating term is
-    beta * t_sam * (inlet - predicted outlet), optionally multiplied by an
-    indicator that the flow is nonzero.  Every row sum runs over a C-ordered
-    row, whatever the layout of the inputs, so a plan costs the same bits
-    alone or among others.
+    ``t_r`` holds horizon positions 0..n_hor and ``t_w`` 0..n_hor-1 of each
+    row as ``(positions, rows)`` arrays; ``inlet`` and ``flow`` hold each
+    row's option as ``(periods, rows)`` arrays.  The comfort sum is averaged
+    by n_hor; the heating term is beta * t_sam * (inlet - predicted outlet),
+    optionally multiplied by an indicator that the flow is nonzero.  Every
+    row sum runs over a C-ordered row, so a plan costs the same bits alone
+    or among others.
     """
     n = cfg.n_hor
     occ_path = np.concatenate(([forecast.now.occ], forecast.occ))
-    comfort = cfg.alpha * np.sum(
-        occ_path * np.subtract(t_r, cfg.t_set, order="C") ** 2, axis=1) / n
-    gate = (flow > 0.0).astype(float) if cfg.heating_cost_gated_by_flow else 1.0
-    heating = cfg.beta * cfg.t_sam * np.sum(
-        np.multiply(inlet - t_w, gate, order="C"), axis=1)
-    pump = cfg.gamma * cfg.t_sam * np.sum(np.ascontiguousarray(flow), axis=1)
-    return comfort, heating, pump
+    comfort = np.subtract(t_r, cfg.t_set)
+    np.square(comfort, out=comfort)
+    comfort *= occ_path[:, None]
+    # the samples of each period against that period's option
+    heating = np.subtract(inlet[:, None], t_w.reshape(len(inlet), -1, t_w.shape[1]))
+    if cfg.heating_cost_gated_by_flow:
+        heating *= (flow > 0.0)[:, None]
+    return (cfg.alpha * np.sum(np.ascontiguousarray(comfort.T), axis=1) / n,
+            cfg.beta * cfg.t_sam * np.sum(
+                np.ascontiguousarray(heating.reshape(n, -1).T), axis=1))
+
+
+def _pump_cost(flow: np.ndarray, cfg: MpcConfig) -> np.ndarray:
+    """Pump cost of each row of per-sample flows (it depends on the plan
+    alone)."""
+    return cfg.gamma * cfg.t_sam * np.sum(np.ascontiguousarray(flow), axis=1)
 
 
 def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
@@ -302,12 +431,12 @@ def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
     n = cfg.n_hor
     if n == 0:
         return np.empty(0), np.empty(0)
-    forecast.check_length(n)
+    forecast.check(n, spec.n_neighbors)
     if len(plan.periods) != cfg.n_periods:
         raise ConfigError(f"plan has {len(plan.periods)} periods, "
                           f"config expects {cfg.n_periods}")
-    choices = [(np.array([i], dtype=float), np.array([f], dtype=float))
-               for i, f in plan.periods]
+    choices = [(option[:1], option[1:])
+               for option in np.array(plan.periods, dtype=float)]
     buffers, w = _rollout(theta_r, theta_w, spec, hist, forecast, cfg, choices)
     return buffers[0, w:w + n + 1, 0].copy(), buffers[1, w:w + n, 0].copy()
 
@@ -336,10 +465,12 @@ def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
     t_r_trace, t_w_trace = traces
     if cfg.n_hor == 0 or len(t_r_trace) == 0:
         return CostBreakdown(0.0, 0.0, 0.0, 0.0)
-    inlet_seq, flow_seq = plan.expand(cfg)
-    comfort, heating, pump = (float(c[0]) for c in _costs(
-        t_r_trace[None, :], t_w_trace[None, :], inlet_seq[None, :],
-        flow_seq[None, :], forecast, cfg))
+    _, flow_seq = plan.expand(cfg)
+    options = np.array(plan.periods, dtype=float)
+    comfort, heating = (float(c[0]) for c in _costs(
+        t_r_trace[:, None], t_w_trace[:, None], options[:, :1], options[:, 1:],
+        forecast, cfg))
+    pump = float(_pump_cost(flow_seq[None, :], cfg)[0])
     return CostBreakdown(total=comfort + heating + pump, comfort=comfort,
                          heating=heating, pump=pump)
 
@@ -348,33 +479,59 @@ def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
 # exhaustive enumeration
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class _PlanTable:
+    """What ``solve`` needs of a config's plans that no forecast changes.
+
+    ``plans`` lists every admissible plan in tie-break order, with its pump
+    cost in ``pump``; ``inlet`` and ``flow`` hold one period's options in
+    the same order.  ``inlet_rows`` and ``flow_rows`` hold the option of
+    each period in each rollout row, and ``order`` the rollout row of each
+    plan: ``costs[order]`` puts costs by row into enumeration order.
+    """
+
+    plans: tuple
+    pump: np.ndarray
+    inlet: np.ndarray
+    flow: np.ndarray
+    inlet_rows: np.ndarray
+    flow_rows: np.ndarray
+    order: np.ndarray
+
+
 @functools.lru_cache(maxsize=8)
-def _plan_table(cfg: MpcConfig) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Every admissible plan in tie-break order, and one period's options as
-    inlet and flow arrays in the same order; built once per config."""
+def _plan_table(cfg: MpcConfig) -> _PlanTable:
+    """Built once per config."""
     options = cfg.options()
-    n_plans = len(options) ** cfg.n_periods
+    m, n_periods = len(options), cfg.n_periods
+    n_plans = m ** n_periods
     if n_plans > cfg.plan_budget:
         raise ConfigError(f"enumeration of {n_plans} plans exceeds the budget "
                           f"of {cfg.plan_budget}")
-    plans = tuple(itertools.product(options, repeat=cfg.n_periods))
+    plans = tuple(itertools.product(options, repeat=n_periods))
+    pump = _pump_cost(np.repeat([[f for _, f in plan] for plan in plans],
+                                cfg.samples_per_period, axis=1), cfg)
     inlet = np.array([i for i, _ in options], dtype=float)
     flow = np.array([f for _, f in options], dtype=float)
-    inlet.flags.writeable = flow.flags.writeable = False
-    return plans, inlet, flow
+    # period p's option is the digit of weight m**p of the rollout row:
+    # the reverse digit order of the enumeration
+    digits = np.arange(n_plans) // m ** np.arange(n_periods)[:, None] % m
+    order = np.arange(n_plans).reshape((m,) * n_periods).T.ravel()
+    table = _PlanTable(plans, pump, inlet, flow, inlet[digits], flow[digits], order)
+    for a in (pump, inlet, flow, table.inlet_rows, table.flow_rows, order):
+        a.flags.writeable = False
+    return table
 
 
 def _plan_costs(theta_r, theta_w, spec, hist, forecast, cfg) -> np.ndarray:
     """Total cost of every plan, in enumeration order."""
     n = cfg.n_hor
-    _, inlet, flow = _plan_table(cfg)
+    table = _plan_table(cfg)
     buffers, w = _rollout(theta_r, theta_w, spec, hist, forecast, cfg,
-                          [(inlet, flow)] * cfg.n_periods)
-    # (plans, positions) views of the leaves
-    t_r, t_w, inlet_seq, flow_seq = (buffers[b, w:w + n + (b == 0)].T
-                                     for b in range(4))
-    comfort, heating, pump = _costs(t_r, t_w, inlet_seq, flow_seq, forecast, cfg)
-    return comfort + heating + pump
+                          [(table.inlet, table.flow)] * cfg.n_periods)
+    comfort, heating = _costs(buffers[0, w:w + n + 1], buffers[1, w:w + n],
+                              table.inlet_rows, table.flow_rows, forecast, cfg)
+    return (comfort + heating)[table.order] + table.pump
 
 
 def solve(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
@@ -382,8 +539,8 @@ def solve(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
           cfg: MpcConfig) -> ControlPlan:
     """Exhaustively enumerate all admissible plans and return the cheapest
     (first minimum in tie-break order)."""
-    plans, _, _ = _plan_table(cfg)
-    forecast.check_length(cfg.n_hor)
+    plans = _plan_table(cfg).plans
+    forecast.check(cfg.n_hor, spec.n_neighbors)
     costs = _plan_costs(theta_r, theta_w, spec, hist, forecast, cfg)
     return ControlPlan(periods=plans[int(np.argmin(costs))])
 

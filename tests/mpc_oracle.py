@@ -1,23 +1,32 @@
-"""Scalar reference rollout of the MPC predictors, kept as a test oracle.
+"""Reference rollouts of the MPC predictors, kept as test oracles.
 
 ``predict_horizon`` steps one plan through a copy of the controller's
 ``LaggedHistory`` with ``oe_predict`` (a BLAS dot per step) and ``plan_cost``
 sums the costs in Python loops.  It shares no rollout or cost arithmetic with
 ``thermbench.mpc``, so the controller's tree rollout is checked against
 separate code; the two agree to about 1e-11 relative, not bit for bit.
+
+``tree_plan_costs`` is the earlier one-stage tree kernel: at every horizon
+step it fills a value table with the plan buffers and the shared signals and
+multiplies every factor of every entry over all rows, with the plans in
+enumeration order.  The two-stage kernel of ``thermbench.mpc`` must
+reproduce its cost vectors bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from thermbench.errors import DivergenceError
+from thermbench.errors import DivergenceError, HistoryUnderflowError
 from thermbench.identify import oe_predict
 from thermbench.mpc import (ControlPlan, CostBreakdown, HorizonForecast,
                             MpcConfig, _push_rollout_row, _rh_spec)
-from thermbench.regressors import LaggedHistory, RegressorSpec
+from thermbench.regressors import (CompiledLayout, LaggedHistory, RegressorSpec,
+                                   compile_layout, layout, sum_entries, warmup)
 
 
 def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
@@ -33,7 +42,7 @@ def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
     n = cfg.n_hor
     if n == 0:
         return np.empty(0), np.empty(0)
-    forecast.check_length(n)
+    forecast.check(n, spec.n_neighbors)
     rh = _rh_spec(spec)
     inlet_seq, flow_seq = plan.expand(cfg)
     work = hist.copy()
@@ -115,3 +124,158 @@ def scalar_costs(theta, theta_w, spec, hist, forecast, cfg, plans):
         traces = predict_horizon(theta, theta_w, spec, hist, plan, forecast, cfg)
         out.append(plan_cost(traces, plan, forecast, cfg).total)
     return out
+
+
+# ---------------------------------------------------------------------------
+# one-stage tree kernel
+# ---------------------------------------------------------------------------
+
+# plan-dependent rollout buffers: inside the horizon the layouts' output
+# channels read the rollout's own predictions, and the controls follow the plan
+_PLAN_BUFFERS = {"yhat_r": 0, "T_r": 0, "yhat_w": 1, "T_w": 1, "Tw_in": 2, "Vw": 3}
+
+
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """The water and zone predictors of one zone spec as a single compiled
+    table (water entries first), with the source of each value-table row:
+    a plan buffer, or a plan-independent signal shared by every plan (the
+    table's constant 1.0 row is the shared signal past the last channel)."""
+
+    lay: CompiledLayout
+    n_water: int
+    shared: tuple[str, ...]
+    plan_rows: np.ndarray
+    plan_buffer: np.ndarray
+    plan_lag: np.ndarray
+    shared_rows: np.ndarray
+    shared_channel: np.ndarray
+    shared_lag: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(spec: RegressorSpec) -> _Kernel:
+    rh = _rh_spec(spec)
+    lay = compile_layout(rh, spec)
+    shared = tuple(f"T_rj_{j}" for j in range(1, spec.n_neighbors + 1)) + \
+        ("Ta_in", "Va", "Qext")
+    plan, other = [], []
+    for row, (channel, lag) in enumerate(lay.columns):
+        if channel in _PLAN_BUFFERS:
+            plan.append((row, _PLAN_BUFFERS[channel], lag))
+        else:
+            other.append((row, shared.index(channel), lag))
+    other.append((len(lay.columns), len(shared), 0))
+    p = np.array(plan, dtype=np.intp).reshape(-1, 3).T
+    o = np.array(other, dtype=np.intp).T
+    p.flags.writeable = o.flags.writeable = False
+    return _Kernel(lay, len(layout(rh)), shared, p[0], p[1], p[2], o[0], o[1], o[2])
+
+
+def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
+             hist: LaggedHistory, forecast: HorizonForecast, cfg: MpcConfig,
+             choices) -> tuple[np.ndarray, int]:
+    """Roll the water and zone predictors out over a tree of plan prefixes.
+
+    ``choices[p]`` holds period p's candidate (inlet, flow) values as two
+    arrays.  Every lag is at least one sample, so the horizon steps of
+    period p read controls of periods 0..p only: at each period boundary
+    every row is repeated once per option, and the period is rolled out
+    once per plan prefix.  Each row's arithmetic does not depend on how many
+    rows there are.  Returns ``(buffers, w)``: ``buffers`` has shape
+    ``(4, w + 1 + n_hor, plans)`` and holds the zone prediction, water
+    prediction, inlet and flow by position (0..w-1 the recorded past, w the
+    decision sample, w+1.. the horizon); the plans are in enumeration order,
+    earliest period most significant.
+    """
+    n = cfg.n_hor
+    s = cfg.samples_per_period
+    w = max(warmup(spec), 1)
+    t = len(hist)
+    if t < w:
+        raise HistoryUnderflowError(f"controller history has {t} samples, "
+                                    f"needs {w} for the rollout")
+    total = w + 1 + n
+    kern = _kernel(spec)
+
+    # plan-independent signals by position: recorded, measured at the
+    # decision sample, then forecast; the last row is the constant 1.0
+    now = {"Ta_in": forecast.now.ta_in, "Va": forecast.now.va,
+           "Qext": forecast.now.qext}
+    future = {"Ta_in": forecast.ta_in, "Va": forecast.va, "Qext": forecast.qext}
+    for j, (v, a) in enumerate(zip(forecast.now.t_neighbors, forecast.t_neighbors),
+                               start=1):
+        now[f"T_rj_{j}"] = v
+        future[f"T_rj_{j}"] = a
+    shared = np.empty((len(kern.shared) + 1, total))
+    for i, c in enumerate(kern.shared):
+        shared[i, :w] = [hist.get(c, k) for k in range(t - w, t)]
+        shared[i, w] = now[c]
+        shared[i, w + 1:] = future[c]
+    shared[-1] = 1.0
+    # the shared rows of the value table at each horizon step
+    shared_at = shared[kern.shared_channel,
+                       np.arange(w + 1, total)[:, None] - kern.shared_lag]
+
+    buffers = np.zeros((4, total, 1))
+    for c in ("yhat_r", "yhat_w", "Tw_in", "Vw"):
+        buffers[_PLAN_BUFFERS[c], :w, 0] = [hist.get(c, k) for k in range(t - w, t)]
+    buffers[0, w] = forecast.now.t_r
+    buffers[1, w] = oe_predict(theta_w, _rh_spec(spec), hist, t)
+
+    coef = np.concatenate((theta_w, theta_r))[:, None]
+    nw = kern.n_water
+    for p, (inlet, flow) in enumerate(choices):
+        if len(inlet) > 1:
+            buffers = np.repeat(buffers, len(inlet), axis=2)
+        rows = buffers.shape[2]
+        period = slice(w + p * s, w + (p + 1) * s)
+        buffers[2, period] = np.tile(inlet, rows // len(inlet))
+        buffers[3, period] = np.tile(flow, rows // len(inlet))
+        values = np.empty((len(kern.lay.columns) + 1, rows))
+        for idx in range(w + p * s + 1, w + (p + 1) * s + 1):
+            values[kern.plan_rows] = buffers[kern.plan_buffer, idx - kern.plan_lag]
+            values[kern.shared_rows] = shared_at[idx - w - 1, :, None]
+            terms = kern.lay.terms(values, coef)
+            buffers[1, idx] = sum_entries(terms[:nw])
+            buffers[0, idx] = sum_entries(terms[nw:])
+    if not np.all(np.isfinite(buffers[:2, w:])):
+        raise DivergenceError("plan rollout produced non-finite predictions")
+    return buffers, w
+
+
+def _costs(t_r: np.ndarray, t_w: np.ndarray, inlet: np.ndarray,
+           flow: np.ndarray, forecast: HorizonForecast, cfg: MpcConfig):
+    """Comfort, heating and pump cost of each row (one plan per row).
+
+    ``t_r`` covers horizon positions 0..n_hor, the others 0..n_hor-1.  The
+    comfort sum is averaged by n_hor; the heating term is
+    beta * t_sam * (inlet - predicted outlet), optionally multiplied by an
+    indicator that the flow is nonzero.  Every row sum runs over a C-ordered
+    row, whatever the layout of the inputs, so a plan costs the same bits
+    alone or among others.
+    """
+    n = cfg.n_hor
+    occ_path = np.concatenate(([forecast.now.occ], forecast.occ))
+    comfort = cfg.alpha * np.sum(
+        occ_path * np.subtract(t_r, cfg.t_set, order="C") ** 2, axis=1) / n
+    gate = (flow > 0.0).astype(float) if cfg.heating_cost_gated_by_flow else 1.0
+    heating = cfg.beta * cfg.t_sam * np.sum(
+        np.multiply(inlet - t_w, gate, order="C"), axis=1)
+    pump = cfg.gamma * cfg.t_sam * np.sum(np.ascontiguousarray(flow), axis=1)
+    return comfort, heating, pump
+
+
+def tree_plan_costs(theta_r, theta_w, spec, hist, forecast, cfg) -> np.ndarray:
+    """Total cost of every plan, in enumeration order."""
+    n = cfg.n_hor
+    options = cfg.options()
+    inlet = np.array([i for i, _ in options], dtype=float)
+    flow = np.array([f for _, f in options], dtype=float)
+    buffers, w = _rollout(theta_r, theta_w, spec, hist, forecast, cfg,
+                          [(inlet, flow)] * cfg.n_periods)
+    # (plans, positions) views of the leaves
+    t_r, t_w, inlet_seq, flow_seq = (buffers[b, w:w + n + (b == 0)].T
+                                     for b in range(4))
+    comfort, heating, pump = _costs(t_r, t_w, inlet_seq, flow_seq, forecast, cfg)
+    return comfort + heating + pump

@@ -350,6 +350,90 @@ def test_tree_rollout_matches_scalar_oracle(structure, n_neighbors, n_periods,
         assert plan_cost(traces, plan, fc, cfg).total == costs[i]
 
 
+_OPTION_SETS = st.lists(st.sampled_from([40.0, 42.5, 45.0]), min_size=1,
+                        max_size=3, unique=True)
+_FLOW_SETS = st.lists(st.sampled_from([0.0, 0.04, 0.0787]), min_size=1,
+                      max_size=3, unique=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(structure=st.sampled_from([Structure.LRM, Structure.NRM_MI,
+                                  Structure.NRM_LI, Structure.NRM_FI_ZONE]),
+       n_neighbors=st.integers(1, 3), n_periods=st.integers(1, 3),
+       samples=st.integers(1, 4), inlet_set=_OPTION_SETS, flow_set=_FLOW_SETS,
+       gated=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(structure=Structure.NRM_MI, n_neighbors=1, n_periods=5, samples=12,
+         inlet_set=[40.0, 45.0], flow_set=[0.0, 0.0787], gated=False, seed=0)
+def test_two_stage_kernel_matches_tree_kernel_bit_for_bit(
+        structure, n_neighbors, n_periods, samples, inlet_set, flow_set, gated,
+        seed):
+    # 1-4 samples per period put the deepest control lag 1-3 periods back;
+    # the explicit example is the default config (1024 plans)
+    from thermbench.mpc import _plan_costs, _rollout
+    from thermbench.regressors import warmup
+    spec = RegressorSpec(structure, n_neighbors)
+    cfg = MpcConfig(t_opt=samples / 12.0, t_hor=n_periods * samples / 12.0,
+                    inlet_set=tuple(inlet_set), flow_set=tuple(flow_set),
+                    heating_cost_gated_by_flow=gated)
+    rng = np.random.default_rng(seed)
+    theta, theta_w = stable_toy_theta(spec, seed=seed % 1000), toy_theta_w()
+    hist = _random_history(spec, rng, warmup(spec) + 3)
+    fc = _random_forecast(cfg, n_neighbors, rng)
+    assert np.array_equal(_plan_costs(theta, theta_w, spec, hist, fc, cfg),
+                          mpc_oracle.tree_plan_costs(theta, theta_w, spec, hist,
+                                                     fc, cfg))
+
+    # a mixed-radix tree: each period a different subset of the options
+    options = cfg.options()
+    choices = []
+    for _ in range(cfg.n_periods):
+        pick = np.sort(rng.choice(len(options), size=rng.integers(1, len(options) + 1),
+                                  replace=False))
+        choices.append(tuple(np.array([options[i][c] for i in pick])
+                             for c in (0, 1)))
+    got, w = _rollout(theta, theta_w, spec, hist, fc, cfg, choices)
+    want, w_tree = mpc_oracle._rollout(theta, theta_w, spec, hist, fc, cfg, choices)
+    # the newest period's option is the most significant digit of a rollout
+    # row, the earliest period's of a tree row
+    sizes = [len(inlet) for inlet, _ in choices]
+    order = np.arange(got.shape[2]).reshape(sizes[::-1]).T.ravel()
+    assert w == w_tree
+    assert np.array_equal(got[:, w:, order], want[:2, w:])
+
+
+def test_pump_cost_table_matches_plan_cost_for_every_plan():
+    from thermbench.mpc import _plan_table
+    for cfg in (MpcConfig(), toy_cfg(flow_set=(0.0, 0.04, 0.0787))):
+        table = _plan_table(cfg)
+        traces = (np.full(cfg.n_hor + 1, 21.0), np.full(cfg.n_hor, 35.0))
+        fc = toy_forecast(cfg)
+        for periods, pump in zip(table.plans, table.pump):
+            assert pump == plan_cost(traces, ControlPlan(periods), fc, cfg).pump
+
+
+@pytest.mark.parametrize("forecast_neighbors,now_neighbors",
+                         [(1, 1), (1, 2), (2, 1), (2, 3)])
+def test_forecast_with_the_wrong_neighbor_count_is_a_config_error(
+        forecast_neighbors, now_neighbors):
+    # too few neighbor arrays used to surface as a raw KeyError from the
+    # rollout, and a decision sample with more neighbors than the forecast
+    # arrays was truncated silently
+    spec = RegressorSpec(Structure.NRM_MI, 2)
+    cfg = toy_cfg()
+    theta, theta_w = stable_toy_theta(spec), toy_theta_w()
+    rng = np.random.default_rng(0)
+    hist = _random_history(spec, rng, 10)
+    fc = _random_forecast(cfg, forecast_neighbors, rng)
+    fc = dataclasses.replace(fc, now=dataclasses.replace(
+        fc.now, t_neighbors=(5.0,) * now_neighbors))
+    bad = forecast_neighbors if forecast_neighbors != 2 else now_neighbors
+    plan = ControlPlan(((40.0, 0.0), (45.0, 0.0787)))
+    for call in (lambda: solve(theta, theta_w, spec, hist, fc, cfg),
+                 lambda: predict_horizon(theta, theta_w, spec, hist, plan, fc, cfg)):
+        with pytest.raises(ConfigError, match=f"has {bad} neighbor.*expects 2"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # closed loop
 # ---------------------------------------------------------------------------
