@@ -18,7 +18,8 @@ One rollout kernel serves every plan.  It evaluates the compiled water and
 zone layouts over a row axis of plans and walks the plan-prefix tree: every
 regressor lag is at least one sample, so the horizon steps of period p depend
 on the choices of periods 0..p only, and period p is rolled out once per
-prefix (4, 16, 64, 256 and 1024 rows under the default config).  Every
+prefix (4, 16, 64, 256 and 1024 rows under the default config).  The tree
+still reaches every admissible plan, so the search stays exhaustive.  Every
 kernel entry is ``coef * f0 * f1 * ... * pred``: the trailing prediction
 factor reads a zone or water prediction, the factors before it read only the
 controls and the plan-independent signals.  The kernel works in two stages:
@@ -287,7 +288,8 @@ def _workspace(n_entries: int, width: int,
     of this size allocated afresh per decision is page-faulted in anew
     whenever the allocator has returned it to the system in between (with
     glibc's malloc, about 550 minor faults per decision under the default
-    config).  A rollout's buffers are valid until the next rollout, so
+    config).  The memory is held until a rollout of another shape needs
+    its own.  A rollout's buffers are valid until the next rollout, so
     rollouts must not run concurrently.
     """
     return np.empty(2 * width * n_rows), np.empty(n_entries * n_rows)
@@ -374,12 +376,13 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
         terms = scratch[:len(coef) * rows].reshape(len(coef), rows)
         # the rows of one combination of options are a contiguous block
         blocks = terms.reshape(len(coef), prefix.shape[2], -1)
-        for j in range(s):
-            k = p * s + j
-            np.take(flat, gather[k], axis=0, out=terms, mode="clip")
-            blocks *= prefix[:, j, :, None]
-            buffers[1, w + 1 + k] = sum_entries(terms[:nw])
-            buffers[0, w + 1 + k] = sum_entries(terms[nw:])
+        water, zone = terms[:nw], terms[nw:]
+        for k, step_prefix in enumerate(prefix.transpose(1, 0, 2)[..., None],
+                                        start=p * s):
+            flat.take(gather[k], axis=0, out=terms, mode="clip")
+            blocks *= step_prefix
+            sum_entries(water, out=buffers[1, w + 1 + k])
+            sum_entries(zone, out=buffers[0, w + 1 + k])
     buffers = buffers[:, :total]
     if not np.all(np.isfinite(buffers[:, w:])):
         raise DivergenceError("plan rollout produced non-finite predictions")

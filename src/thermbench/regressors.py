@@ -181,14 +181,18 @@ class CompiledLayout:
         return out
 
 
-def sum_entries(terms: np.ndarray) -> np.ndarray:
+def sum_entries(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Left-to-right sum of a C-ordered ``(entries, n)`` array over its
-    entries, for each of the ``n`` columns."""
+    entries, for each of the ``n`` columns (into ``out`` if given)."""
     if terms.shape[1] == 1:
         # numpy sums one contiguous axis pairwise; accumulate runs in order
-        return np.add.accumulate(terms, axis=0)[-1]
+        total = np.add.accumulate(terms, axis=0)[-1]
+        if out is None:
+            return total
+        out[...] = total
+        return out
     # across rows numpy adds row after row
-    return np.add.reduce(terms, axis=0)
+    return np.add.reduce(terms, axis=0, out=out)
 
 
 @functools.lru_cache(maxsize=None)
