@@ -146,8 +146,7 @@ def cmd_excite_check(args) -> int:
     out = _out_dir(args)
     ds = _dataset(args, cfg)
     report = excitation.informativity_check(ds, cfg.model.spec)
-    for col in excitation.excitation_columns(ds.n_neighbors):
-        rep = excitation.spectrum(ds.columns[col])
+    for col, rep in report.spectra.items():
         rep.to_csv(out / f"spectrum_{col}.csv", epsilon_hours=ds.epsilon)
     print(report.summary())
     return EXIT_OK

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .regressors import RegressorSpec
-from .simulator import TimeSeriesDataset
+from .simulator import TimeSeriesDataset, write_rows
 
 DEFAULT_THRESHOLD = 1.0e-4  # fraction of peak power that counts as a line
 
@@ -44,12 +44,10 @@ class SpectrumReport:
         with open(path, "w", encoding="utf-8") as fh:
             if epsilon_hours:
                 fh.write("freq_cycles_per_sample,freq_per_hour,power\n")
-                for f, p in zip(self.freq, self.power):
-                    fh.write(f"{f:.9g},{f / epsilon_hours:.9g},{p:.9g}\n")
+                write_rows(fh, [self.freq, self.freq / epsilon_hours, self.power])
             else:
                 fh.write("freq_cycles_per_sample,power\n")
-                for f, p in zip(self.freq, self.power):
-                    fh.write(f"{f:.9g},{p:.9g}\n")
+                write_rows(fh, [self.freq, self.power])
 
 
 def spectrum(signal, threshold: float = DEFAULT_THRESHOLD) -> SpectrumReport:
@@ -132,6 +130,7 @@ class ColumnExcitation:
 class InformativityReport:
     required_order: int
     entries: list[ColumnExcitation]
+    spectra: dict[str, SpectrumReport]  # column -> its spectrum, entry order
 
     @property
     def all_pass(self) -> bool:
@@ -151,12 +150,15 @@ class InformativityReport:
 def informativity_check(dataset: TimeSeriesDataset, spec: RegressorSpec,
                         threshold: float = DEFAULT_THRESHOLD) -> InformativityReport:
     """Check that every input/disturbance column is persistently exciting of
-    order 2*(n_neighbors + 2), or one less when its spectrum has a DC line."""
+    order 2*(n_neighbors + 2), or one less when its spectrum has a DC line.
+    The report keeps each column's spectrum; a missing column is a
+    ConfigError."""
     required = 2 * (spec.n_neighbors + 2)
-    entries = []
-    for col in excitation_columns(dataset.n_neighbors):
-        rep = spectrum(dataset.columns[col], threshold)
-        entries.append(ColumnExcitation(column=col, order=pe_order(rep),
-                                        required=required,
-                                        dc_present=rep.dc_present))
-    return InformativityReport(required_order=required, entries=entries)
+    columns = excitation_columns(dataset.n_neighbors)
+    dataset.require(columns, "the excitation check")
+    spectra = {col: spectrum(dataset.columns[col], threshold) for col in columns}
+    entries = [ColumnExcitation(column=col, order=pe_order(rep), required=required,
+                                dc_present=rep.dc_present)
+               for col, rep in spectra.items()]
+    return InformativityReport(required_order=required, entries=entries,
+                               spectra=spectra)

@@ -163,10 +163,7 @@ def rolling_rmse(errors: np.ndarray, window: int) -> np.ndarray:
 
 def _history_channels(spec: RegressorSpec, dataset: TimeSeriesDataset) -> list[str]:
     cols = measured_columns(spec.structure, spec.n_neighbors)
-    missing = [c for c in cols if c not in dataset.columns]
-    if missing:
-        raise ConfigError(f"dataset lacks columns {missing} required by "
-                          f"{spec.structure.value}")
+    dataset.require(cols, spec.structure.value)
     return cols
 
 

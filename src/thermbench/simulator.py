@@ -3,11 +3,19 @@ water-flow controller, an outdoor-compensated inlet-temperature curve and
 synthesized disturbances, logged as a sampled dataset.
 
 One plant loop, :func:`simulate`, integrates a pre-sampled :class:`Scenario`
-on flat floats (``thermal_core.rate`` is the one heat-balance function) and
-asks a ``control(k, t_r_true)`` callable for each sample's water-loop input:
-the hysteresis run, the probe run and ``mpc.closed_loop_run`` are its three
-controllers.  Its inputs are checked once, before the loop; :func:`step` is
-the typed, checked single-step entry point.
+on flat floats and asks a ``control(k, t_r_true)`` callable for each sample's
+water-loop input: the hysteresis run, the probe run and
+``mpc.closed_loop_run`` are its three controllers.  Its inputs are checked
+once, before the loop.  There is one RK4: ``_stepper`` compiles it per plant
+over the cached heat balance ``ZoneParams.balance``, holds the state as
+``(t_r, t_s, t_w)`` and takes the flow conductances once per step; both
+:func:`simulate` and the typed, checked single-step entry point :func:`step`
+run it.
+
+Dataset I/O: :func:`write_rows` formats blocks of rows with one ``%`` on a
+repeated ``%.9g`` row template (the text of ``f"{v:.9g}"``), and
+:meth:`TimeSeriesDataset.from_csv` parses the body with numpy's C parser,
+falling back to a line-by-line scan only to name the first bad cell.
 
 Time bookkeeping: sampling period and durations are in hours at this layer;
 the integrator converts to seconds internally.  Disturbance signals are sums
@@ -16,6 +24,7 @@ of sinusoids plus an offset so that their spectral line count is explicit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ShapeError
 from .thermal_core import (ControlInput, Disturbance, PlantState, ZoneParams,
-                           rate)
+                           air_conductance, water_conductance)
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -216,35 +225,65 @@ class TimeSeriesDataset:
         names = column_names(self.n_neighbors)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(names) + "\n")
-            cols = [self.columns[c] if c != "k" else np.arange(len(self))
-                    for c in names]
-            for row in zip(*cols):
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            write_rows(fh, [self.columns[c] if c != "k" else np.arange(len(self))
+                            for c in names])
 
     @classmethod
     def from_csv(cls, path, epsilon: float | None = None) -> "TimeSeriesDataset":
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 header = fh.readline().strip().split(",")
-                rows = [line.strip().split(",") for line in fh if line.strip()]
+                rows = (line for line in fh if line.strip())
+                first = next(rows, None)
+                if first is None:
+                    raise ConfigError(f"dataset {path} is empty")
+                try:
+                    data = np.loadtxt(itertools.chain((first,), rows), delimiter=",",
+                                      comments=None, ndmin=2)
+                except ValueError:
+                    raise ConfigError(_table_error(path, header)) from None
         except OSError as e:
             raise ConfigError(f"cannot read dataset {path}: {e.strerror}") from None
-        if not rows:
-            raise ConfigError(f"dataset {path} is empty")
-        try:
-            data = np.asarray(rows, dtype=float)
-        except ValueError:
-            raise ConfigError(_table_error(path, header)) from None
         if data.shape[1] != len(header) or not np.isfinite(data).all():
             raise ConfigError(_table_error(path, header))
+        missing = [c for c in ("t_hours", "T_r") if c not in header]
+        if missing:
+            raise ConfigError(f"dataset {path} lacks columns {missing} required by "
+                              "every dataset")
         columns = {name: data[:, i].copy() for i, name in enumerate(header) if name != "k"}
         n_neighbors = sum(1 for name in header if name.startswith("T_rj_"))
         if n_neighbors == 0:
             raise ConfigError(f"dataset {path} has no neighbor temperature columns")
+        t = columns["t_hours"]
+        back = np.flatnonzero(np.diff(t) <= 0.0)
+        if back.size:
+            i = int(back[0]) + 1
+            raise ConfigError(f"dataset {path}, line {_data_line(path, i)}: time index "
+                              f"must be strictly increasing, t_hours {float(t[i])!r} "
+                              f"follows {float(t[i - 1])!r}")
         if epsilon is None:
-            t = columns["t_hours"]
             epsilon = float(t[1] - t[0]) if len(t) > 1 else 1.0 / 12.0
-        return cls(epsilon=epsilon, n_neighbors=n_neighbors, columns=columns)
+        return cls(epsilon=epsilon, n_neighbors=n_neighbors, columns=columns,
+                   metadata={"source": str(path)})
+
+    def require(self, names, user: str) -> None:
+        """Raise ConfigError naming every column of ``names`` the dataset
+        lacks, the ``user`` that needs them and the dataset's file, when it
+        was read from one."""
+        missing = [c for c in names if c not in self.columns]
+        if missing:
+            source = self.metadata.get("source")
+            raise ConfigError(f"dataset {source + ' ' if source else ''}lacks columns "
+                              f"{missing} required by {user}")
+
+
+def _data_line(path, row: int) -> int:
+    """File line of the dataset's data row ``row`` (0-based; blank lines
+    are not rows)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        rows = (lineno for lineno, line in enumerate(fh, start=2) if line.strip())
+        return next(itertools.islice(rows, row, None))
 
 
 def _table_error(path, header: list[str]) -> str:
@@ -272,31 +311,71 @@ def _table_error(path, header: list[str]) -> str:
     return f"dataset {path} is not a numeric table"
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.9g}"
+#: rows formatted per ``%`` by :func:`write_rows`
+CSV_BLOCK_ROWS = 256
+
+
+def write_rows(fh, columns) -> None:
+    """Write equal-length numeric columns as CSV rows of ``%.9g`` values
+    (the text of ``f"{v:.9g}"`` for every float, ``-0``, ``nan`` and ``inf``
+    included; integers are written as floats).  Each block of
+    :data:`CSV_BLOCK_ROWS` rows is formatted by one ``%`` on a repeated row
+    template, so that no whole-table string is ever built."""
+    row = ",".join(["%.9g"] * len(columns)) + "\n"
+    n = len(columns[0])
+    template = row * CSV_BLOCK_ROWS
+    for lo in range(0, n, CSV_BLOCK_ROWS):
+        block = np.stack([c[lo:lo + CSV_BLOCK_ROWS] for c in columns], axis=1,
+                         dtype=float)
+        if len(block) < CSV_BLOCK_ROWS:
+            template = row * len(block)
+        fh.write(template % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
 # plant integration
 # ---------------------------------------------------------------------------
 
-def _rk4(params: ZoneParams, x: list[float], inputs: tuple, h: float) -> list[float]:
-    """One classical RK4 step of ``h`` seconds on the flat state ``x``;
-    ``inputs`` are the arguments of :func:`thermal_core.rate` after the state,
-    held constant over the step."""
-    k1 = rate(params, x, *inputs)
-    k2 = rate(params, [a + 0.5 * h * b for a, b in zip(x, k1)], *inputs)
-    k3 = rate(params, [a + 0.5 * h * b for a, b in zip(x, k2)], *inputs)
-    k4 = rate(params, [a + h * b for a, b in zip(x, k3)], *inputs)
-    out = [a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-           for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+def _stepper(params: ZoneParams, h: float):
+    """The classical RK4 step of ``h`` seconds compiled for one plant:
+    ``advance(t_r, t_s, t_w, vdot_w, vdot_a, t_w_in, t_a_in, t_neighbors,
+    q_ext) -> (t_r, t_s, t_w)`` over :attr:`ZoneParams.balance`, the inputs
+    held constant over the step.  The conductances are taken once per step,
+    and the stage arithmetic associates as in ``x + 0.5 * h * k`` and
+    ``x + h / 6.0 * (k1 + 2 k2 + 2 k3 + k4)``.  A non-finite result raises
+    :class:`DivergenceError` naming the first diverged state."""
+    balance, rh, hvac = params.balance, params.rh, params.hvac
+    half, sixth = 0.5 * h, h / 6.0
+    isfinite = math.isfinite
 
-    if not all(map(math.isfinite, out)):
-        n = params.n_neighbors
-        i, v = next((i, v) for i, v in enumerate(out) if not math.isfinite(v))
-        name = "T_r" if i == 0 else ("T_w" if i == n + 1 else f"T_s[{i - 1}]")
-        raise DivergenceError(f"integration diverged: state {name} is {v!r}")
-    return out
+    def shifted(t_s, c, k_s):
+        out = []
+        for a, b in zip(t_s, k_s):
+            out.append(a + c * b)
+        return out
+
+    def advance(t_r, t_s, t_w, vdot_w, vdot_a, t_w_in, t_a_in, t_neighbors, q_ext):
+        g_w = water_conductance(rh, vdot_w)
+        g_a = air_conductance(hvac, vdot_a)
+        r1, s1, w1 = balance(t_r, t_s, t_w, g_w, g_a, t_w_in, t_a_in, t_neighbors, q_ext)
+        r2, s2, w2 = balance(t_r + half * r1, shifted(t_s, half, s1), t_w + half * w1,
+                             g_w, g_a, t_w_in, t_a_in, t_neighbors, q_ext)
+        r3, s3, w3 = balance(t_r + half * r2, shifted(t_s, half, s2), t_w + half * w2,
+                             g_w, g_a, t_w_in, t_a_in, t_neighbors, q_ext)
+        r4, s4, w4 = balance(t_r + h * r3, shifted(t_s, h, s3), t_w + h * w3,
+                             g_w, g_a, t_w_in, t_a_in, t_neighbors, q_ext)
+        t_r = t_r + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        t_s_next = []
+        for a, b1, b2, b3, b4 in zip(t_s, s1, s2, s3, s4):
+            t_s_next.append(a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
+        t_w = t_w + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+        if not (isfinite(t_r) and all(map(isfinite, t_s_next)) and isfinite(t_w)):
+            states = [("T_r", t_r), *((f"T_s[{i}]", v) for i, v in enumerate(t_s_next)),
+                      ("T_w", t_w)]
+            name, v = next((name, v) for name, v in states if not isfinite(v))
+            raise DivergenceError(f"integration diverged: state {name} is {v!r}")
+        return t_r, t_s_next, t_w
+    return advance
 
 
 def step(params: ZoneParams, x: PlantState, u: ControlInput, d: Disturbance,
@@ -309,10 +388,10 @@ def step(params: ZoneParams, x: PlantState, u: ControlInput, d: Disturbance,
     n = params.n_neighbors
     if len(x.t_s) != n or len(d.t_neighbors) != n:
         raise ShapeError("state/disturbance dimensions disagree with neighbor count")
-    out = _rk4(params, x.as_list(),
-               (u.vdot_w, u.vdot_a, d.t_w_in, d.t_a_in, d.t_neighbors, d.q_ext),
-               epsilon * SECONDS_PER_HOUR)
-    return PlantState(t_r=out[0], t_s=out[1:1 + n], t_w=out[1 + n])
+    t_r, t_s, t_w = _stepper(params, epsilon * SECONDS_PER_HOUR)(
+        x.t_r, x.t_s, x.t_w, u.vdot_w, u.vdot_a, d.t_w_in, d.t_a_in,
+        d.t_neighbors, d.q_ext)
+    return PlantState(t_r=t_r, t_s=t_s, t_w=t_w)
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +489,19 @@ def simulate(params: ZoneParams, sim_cfg: SimConfig, scenario: Scenario, n: int,
     start of every sample and the applied inlet and flow.
     """
     _check_scenario(params, sim_cfg.initial, scenario)
-    h = sim_cfg.epsilon * SECONDS_PER_HOUR
+    advance = _stepper(params, sim_cfg.epsilon * SECONDS_PER_HOUR)
     signals = np.column_stack([scenario.va, scenario.ta_in, scenario.q_ext,
                                *scenario.neighbors])
-    t_r, t_w, inlet, flow = (np.empty(n) for _ in range(4))
-    x = [float(v) for v in sim_cfg.initial.as_list()]
+    t_r_log, t_w_log, inlet, flow = (np.empty(n) for _ in range(4))
+    initial = sim_cfg.initial
+    t_r, t_s, t_w = float(initial.t_r), [float(v) for v in initial.t_s], float(initial.t_w)
     for k in range(n):
-        t_r[k], t_w[k] = x[0], x[-1]
-        inlet[k], flow[k] = control(k, x[0])
+        t_r_log[k], t_w_log[k] = t_r, t_w
+        inlet[k], flow[k] = control(k, t_r)
         va, ta_in, q_ext, *t_neighbors = signals[k].tolist()
-        x = _rk4(params, x, (float(flow[k]), va, float(inlet[k]), ta_in,
-                             t_neighbors, q_ext), h)
-    return t_r, t_w, inlet, flow
+        t_r, t_s, t_w = advance(t_r, t_s, t_w, float(flow[k]), va, float(inlet[k]),
+                                ta_in, t_neighbors, q_ext)
+    return t_r_log, t_w_log, inlet, flow
 
 
 def _noise(rng: np.random.Generator, std: float, n: int) -> np.ndarray:

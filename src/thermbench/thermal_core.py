@@ -12,10 +12,15 @@ conductance is ``c_w * vdot_w``; the air flow is volumetric in m^3/s, so the
 air-side conductance is ``rho_a * c_a * vdot_a``.  Both conductances are
 exactly zero at zero flow.
 
-``rate`` is the one heat-balance function, on flat floats; the RK4 stepper in
-``simulator`` integrates it.  The per-plant constants it reads (neighbor
-order, ordered separators, water capacitance) are cached properties of the
-frozen parameter records, computed on first use.  The checked records
+There is one heat balance.  ``ZoneParams.balance`` is its compiled form: a
+closure, cached per plant, over the plant's flat constants (separator
+resistances and capacitances, convection resistance, water and zone
+capacitances) that maps the state ``(t_r, t_s, t_w)``, the two flow
+conductances and the disturbances to ``(dt_r, dt_s, dt_w)``.  The RK4 stepper
+in ``simulator`` integrates it, and ``rate`` is the same balance on the flat
+state list and the raw flows.  The other per-plant constants (neighbor order,
+ordered separators, water capacitance) are cached properties of the frozen
+parameter records too, computed on first use.  The checked records
 ``PlantState``, ``ControlInput`` and ``Disturbance`` serve the typed
 ``simulator.step``.
 ``coefficients`` (the bilinear form) is an independent reference that the
@@ -114,6 +119,33 @@ class ZoneParams:
     @property
     def n_neighbors(self) -> int:
         return len(self.separators)
+
+    @cached_property
+    def balance(self):
+        """The zone, separator and water heat balances compiled over this
+        plant's constants: ``balance(t_r, t_s, t_w, g_w, g_a, t_w_in, t_a_in,
+        t_neighbors, q_ext) -> (dt_r, dt_s, dt_w)``, with ``t_s``, ``dt_s``
+        and ``t_neighbors`` ordered by neighbor id, ``g_w``/``g_a`` the
+        conductances of :func:`water_conductance`/:func:`air_conductance` and
+        the derivatives in K/s."""
+        seps = [(s.r_plus, s.r_minus, s.c_s) for s in self.ordered_separators]
+        r_c, c_w, c_r = self.rh.r_c, self.rh.c_w, self.c_r
+
+        def balance(t_r, t_s, t_w, g_w, g_a, t_w_in, t_a_in, t_neighbors, q_ext):
+            # Separator balances: heat in from the neighbor side, out to the
+            # zone side.
+            q_s_plus, dt_s = [], []
+            for ts, tj, (r_plus, r_minus, c_s) in zip(t_s, t_neighbors, seps):
+                q_plus = (ts - t_r) / r_plus
+                q_s_plus.append(q_plus)
+                dt_s.append(((tj - ts) / r_minus - q_plus) / c_s)
+            # Radiator water node: inlet advection against convection to the zone.
+            q_w = (t_w - t_r) / r_c
+            dt_w = (g_w * (t_w_in - t_w) - q_w) / c_w
+            # Zone balance: separators, radiator, air loop, external sources.
+            dt_r = (sum(q_s_plus) + q_w + g_a * (t_a_in - t_r) + q_ext) / c_r
+            return dt_r, dt_s, dt_w
+        return balance
 
 
 @dataclass
@@ -232,22 +264,10 @@ def rate(params: ZoneParams, x: Sequence[float], vdot_w: float, vdot_a: float,
     ``x`` is the flat state ``[T_r, T_s_1..T_s_n, T_w]`` and the result its
     derivative in K/s; the inputs are the fields of ``ControlInput`` and
     ``Disturbance``, unchecked.  Linear in (x, disturbance) for fixed flows.
+    This is :attr:`ZoneParams.balance` on the flat state and the raw flows.
     """
     n = params.n_neighbors
-    t_r, t_s, t_w = x[0], x[1:1 + n], x[1 + n]
-    seps = params.ordered_separators
-
-    # Separator balances: heat in from the neighbor side, out to the zone side.
-    q_s_plus = [(ts - t_r) / s.r_plus for ts, s in zip(t_s, seps)]
-    dt_s = [((tj - ts) / s.r_minus - qp) / s.c_s
-            for tj, ts, qp, s in zip(t_neighbors, t_s, q_s_plus, seps)]
-
-    # Radiator water node: inlet advection against convection to the zone.
-    g_w = water_conductance(params.rh, vdot_w)
-    q_w = (t_w - t_r) / params.rh.r_c
-    dt_w = (g_w * (t_w_in - t_w) - q_w) / params.rh.c_w
-
-    # Zone balance: separators, radiator, air loop, external sources.
-    g_a = air_conductance(params.hvac, vdot_a)
-    dt_r = (sum(q_s_plus) + q_w + g_a * (t_a_in - t_r) + q_ext) / params.c_r
+    dt_r, dt_s, dt_w = params.balance(
+        x[0], x[1:1 + n], x[1 + n], water_conductance(params.rh, vdot_w),
+        air_conductance(params.hvac, vdot_a), t_w_in, t_a_in, t_neighbors, q_ext)
     return [dt_r, *dt_s, dt_w]

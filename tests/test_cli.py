@@ -1,9 +1,15 @@
 import configparser
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermbench
+from thermbench import excitation
 from thermbench.cli import main
 from thermbench.config import config_to_ini, default_config, load_config
 from thermbench.simulator import column_names
@@ -229,6 +235,87 @@ def test_non_finite_dataset_cell_exits_2(tmp_path, small_config, capsys, cell):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "line 9" in err and "'Qext'" in err
+
+
+def _without_column(tmp_path, small_config, name):
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(small_config), "--out-dir", str(out)])
+    lines = (out / "dataset.csv").read_text().splitlines()
+    col = lines[0].split(",").index(name)
+    path = tmp_path / f"no_{name}.csv"
+    path.write_text("".join(",".join(c for i, c in enumerate(line.split(",")) if i != col)
+                            + "\n" for line in lines))
+    return path
+
+
+def test_dataset_missing_a_column_exits_2(tmp_path, small_config, capsys):
+    common = ["--config", str(small_config), "--out-dir", str(tmp_path / "out")]
+    path = _without_column(tmp_path, small_config, "t_hours")
+    capsys.readouterr()
+    for command in ("identify", "excite-check", "mpc-run", "compare"):
+        assert main([command, *common, "--dataset", str(path)]) == 2, command
+        err = capsys.readouterr().err
+        assert str(path) in err and "['t_hours']" in err, command
+    path = _without_column(tmp_path, small_config, "Vw")
+    capsys.readouterr()
+    for argv in (["excite-check"], ["identify", "--spec", "LRM"]):
+        assert main([*argv, *common, "--dataset", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "['Vw']" in err
+
+
+def test_non_increasing_dataset_time_exits_2(tmp_path, small_config, capsys):
+    col = column_names(1).index("t_hours")
+
+    def edit(row):
+        cells = row.split(",")
+        cells[col] = "0"
+        return ",".join(cells)
+
+    path = _damaged_dataset(tmp_path, small_config, 10, edit)
+    assert main(["excite-check", "--config", str(small_config), "--out-dir",
+                 str(tmp_path / "out"), "--dataset", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "line 10" in err and "strictly increasing" in err
+
+
+def test_header_only_dataset_is_empty(tmp_path, small_config, capsys):
+    path = tmp_path / "header.csv"
+    path.write_text(",".join(column_names(1)) + "\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["excite-check", "--config", str(small_config), "--out-dir",
+                     str(tmp_path / "out"), "--dataset", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "is empty" in err
+
+
+def test_excite_check_computes_each_spectrum_once(tmp_path, small_config,
+                                                  monkeypatch):
+    calls = []
+
+    def counted(signal, *args):
+        calls.append(len(signal))
+        return spectrum(signal, *args)
+
+    spectrum = excitation.spectrum
+    monkeypatch.setattr(excitation, "spectrum", counted)
+    out = tmp_path / "out"
+    assert main(["excite-check", "--config", str(small_config),
+                 "--out-dir", str(out)]) == 0
+    assert len(calls) == len(excitation.excitation_columns(1))
+    assert sorted(p.name for p in out.glob("spectrum_*.csv")) == sorted(
+        f"spectrum_{c}.csv" for c in excitation.excitation_columns(1))
+
+
+def test_python_m_thermbench_prints_defaults(tmp_path):
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(thermbench.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "thermbench", "print-defaults"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == config_to_ini(default_config())
 
 
 def test_excite_check_reports(tmp_path, small_config, capsys):

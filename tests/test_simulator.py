@@ -3,14 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import plant_oracle
+from thermbench import simulator
 from thermbench.errors import ConfigError, DivergenceError, ShapeError
 from thermbench.identify import train
 from thermbench.mpc import MpcConfig, closed_loop_run
 from thermbench.regressors import RegressorSpec, Structure
 from thermbench.simulator import (DisturbanceSpec, HeatingCurveParams,
                                   HysteresisSettings, OccupancySchedule,
-                                  SimConfig, SinusoidRecipe, column_names,
+                                  SimConfig, SinusoidRecipe, TimeSeriesDataset,
+                                  column_names,
                                   heating_curve, hysteresis_control,
                                   run_experiment, run_probe_experiment, step,
                                   synthesize_scenario)
@@ -104,6 +109,32 @@ def test_passive_cooling_monotone():
         assert x.t_w < prev
         assert x.t_w > x.t_r - 1e-9
         prev = x.t_w
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_neighbors=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       h=st.sampled_from([1.0, 2.9, 7.0, 60.0, 300.0, 3600.0]),
+       water_on=st.booleans(), air_on=st.booleans())
+def test_stepper_matches_reference_rk4_bit_for_bit(n_neighbors, seed, h, water_on,
+                                                    air_on):
+    # the compiled stepper against the earlier RK4 over thermal_core.rate,
+    # over a few consecutive steps with zero and positive flows
+    rng = np.random.default_rng(seed)
+    params = random_zone_params(rng, n_neighbors=n_neighbors)
+    x, u, d = random_point(rng, n_neighbors=n_neighbors)
+    inputs = (u.vdot_w if water_on else 0.0, u.vdot_a if air_on else 0.0,
+              d.t_w_in, d.t_a_in, [float(v) for v in d.t_neighbors], d.q_ext)
+    advance = simulator._stepper(params, h)
+    t_r, t_s, t_w = x.t_r, [float(v) for v in x.t_s], x.t_w
+    ref = [t_r, *t_s, t_w]
+    for _ in range(4):
+        t_r, t_s, t_w = advance(t_r, t_s, t_w, *inputs)
+        ref = plant_oracle.rk4(params, ref, inputs, h)
+        assert bits([t_r, *t_s, t_w]) == bits(ref)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -268,6 +299,50 @@ def test_csv_round_trip(tmp_path, cfg):
         out = back.columns[name]
         scale = np.maximum(np.abs(col), 1e-12)
         assert np.all(np.abs(out - col) / scale < 1e-8), name
+
+
+def test_csv_writer_matches_per_value_format(tmp_path):
+    # more than two 256-row blocks and a partial one, with the awkward floats
+    special = [-0.0, 5e-324, 1e300, 0.1 + 0.2, math.nan, 3.0, -7.0, 1e9,
+               123456789.0, 2.5e-308, math.inf, -math.inf, 1.0 / 3.0]
+    rng = np.random.default_rng(11)
+    n = 2 * simulator.CSV_BLOCK_ROWS + 37
+    names = column_names(2)
+    columns = {c: rng.choice(special, size=n) for c in names if c != "k"}
+    columns["t_hours"] = np.arange(n) / 12.0
+    ds = TimeSeriesDataset(epsilon=1.0 / 12.0, n_neighbors=2, columns=columns)
+    path = tmp_path / "ds.csv"
+    ds.to_csv(path)
+    expected = ",".join(names) + "\n" + "".join(
+        ",".join(format(k if c == "k" else columns[c][k], ".9g") for c in names) + "\n"
+        for k in range(n))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_csv_reader_matches_python_float_parse(tmp_path, cfg):
+    # written rows, and cells in other spellings, blank and blank-looking
+    # lines included: the parse equals float() of every cell, bit for bit
+    ds = run_experiment(cfg.plant, dataclasses.replace(cfg.sim, duration=24.0))
+    path = tmp_path / "ds.csv"
+    ds.to_csv(path)
+    rng = np.random.default_rng(12)
+    lines = path.read_text().splitlines()
+    width = len(lines[0].split(","))
+    for i in range(40):
+        values = rng.normal(size=width) * 10.0 ** rng.integers(-30, 30, size=width)
+        values[1] = ds.t_hours[-1] + 1.0 + i
+        lines.append(",".join(fmt % v for fmt, v in zip(
+            rng.choice(["%r", "%.17g", "%.3e", " %.9g ", "%+.0f"], size=width),
+            values.tolist())))
+        if i % 10 == 0:
+            lines.append(" " if i % 20 else "")
+    path.write_text("\n".join(lines) + "\n")
+    rows = [line.strip().split(",") for line in lines[1:] if line.strip()]
+    reference = np.asarray(rows, dtype=float)
+    back = TimeSeriesDataset.from_csv(path)
+    for i, name in enumerate(lines[0].split(",")):
+        if name != "k":
+            assert bits(back.columns[name]) == bits(reference[:, i]), name
 
 
 def test_plant_loop_checks_its_inputs_before_the_first_step(cfg):
