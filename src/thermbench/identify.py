@@ -36,7 +36,7 @@ from .regressors import (PREDICTION_MIRRORS, LaggedHistory, RegressorSpec,
                          Structure, build_regressor, compile_layout,
                          measured_columns, prediction_channel,
                          regressor_length, target_column, warmup)
-from .simulator import TimeSeriesDataset
+from .simulator import TimeSeriesDataset, write_rows
 
 DEFAULT_RMSE_WINDOW = 2016  # samples; 7 days at 5-minute sampling
 
@@ -147,8 +147,8 @@ class TrainReport:
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("k,e,rolling_rmse\n")
-            for k, (e, r) in enumerate(zip(self.errors, self.rolling_rmse)):
-                fh.write(f"{k},{e:.9g},{r:.9g}\n")
+            write_rows(fh, [np.arange(len(self.errors)), self.errors,
+                            self.rolling_rmse])
 
 
 def rolling_rmse(errors: np.ndarray, window: int) -> np.ndarray:

@@ -24,10 +24,14 @@ kernel entry is ``coef * f0 * f1 * ... * pred``: the trailing prediction
 factor reads a zone or water prediction, the factors before it read only the
 controls and the plan-independent signals.  The kernel works in two stages:
 
-1. Once per period, the prefix ``coef * f0 * f1 * ...`` of every entry is
-   computed for all the period's steps in one call, over the distinct
-   combinations of options of the periods the control lags reach (16 under
-   the default config, whatever the number of rows).
+1. Once per decision, the prefix ``coef * f0 * f1 * ...`` of every entry is
+   computed for every horizon step in one call.  Each period's steps are
+   evaluated over the distinct combinations of options of the periods
+   their control lags reach (16 under the default config, whatever the
+   number of rows).  The control rows of that value table depend on the
+   plan tree alone: ``solve`` copies them from a template cached per spec
+   and config, and only the few slots whose lags reach the recorded
+   controls, and the plan-independent signals, are written per decision.
 2. Once per horizon step, one gather reads each entry's trailing prediction
    factor (an exact 1.0 where an entry has none), one multiply applies the
    prefixes, and the water and zone entries are summed.
@@ -37,9 +41,12 @@ and ``* 1.0`` is exact, so a plan costs the same bits alone or among others;
 ``predict_horizon`` is the one-row case.  Internally the newest period's
 option is the most significant digit of a row (each period boundary tiles
 the rows so far once per option), so the rows of one combination form a
-contiguous block that one prefix broadcasts over.  The costs are permuted
-back to enumeration order once per decision, with a fixed per-config
-permutation, so the first-minimum tie-break is unchanged.
+contiguous block that one prefix broadcasts over.  The cost terms are laid
+out by horizon position, one column per row, and each row's sums repeat
+numpy's pairwise summation of a C-ordered row one whole-column operation at
+a time (``_pairwise_sums``), so no transposed copy is made.  The costs are
+permuted back to enumeration order once per decision, with a fixed
+per-config permutation, so the first-minimum tie-break is unchanged.
 """
 
 from __future__ import annotations
@@ -57,7 +64,8 @@ from .regressors import (CompiledLayout, LaggedHistory, RegressorSpec,
                          compile_layout, layout, measured_columns, sum_entries,
                          warmup)
 from .simulator import (SimConfig, ZoneParams, check_control_set, heating_curve,
-                        hysteresis_control, simulate, synthesize_scenario)
+                        hysteresis_control, simulate, synthesize_scenario,
+                        write_rows)
 from .simulator import step  # noqa: F401  (perfbench's self-test patches mpc.step)
 
 
@@ -181,13 +189,6 @@ _PREDICTIONS = {"yhat_r": 0, "T_r": 0, "yhat_w": 1, "T_w": 1}
 _CONTROLS = {"Tw_in": 0, "Vw": 1}
 
 
-def _index(triples) -> tuple[np.ndarray, ...]:
-    """Three read-only index arrays from a list of triples."""
-    a = np.array(triples, dtype=np.intp).reshape(-1, 3).T
-    a.flags.writeable = False
-    return tuple(a)
-
-
 @dataclass(frozen=True, eq=False)
 class _Kernel:
     """The water and zone predictors of one zone spec as a single compiled
@@ -196,10 +197,11 @@ class _Kernel:
 
     Stage 1 fills the value-table rows that read a control (``control_*``:
     row, control plane, lag) or a plan-independent signal (``shared_*``:
-    row, index into ``shared``, lag) and leaves an exact 1.0 in the rows of
-    the prediction factors.  Stage 2 reads each entry's trailing prediction
-    factor from prediction plane ``pred_plane`` at lag ``pred_lag``, or an
-    exact 1.0 where ``has_pred`` is 0.
+    row, index into ``shared``, lag) and writes an exact 1.0 in the other
+    rows (``one_rows``: the prediction factors' rows and the padding row).
+    Stage 2 reads each entry's trailing prediction factor from prediction
+    plane ``pred_plane`` at lag ``pred_lag``, or an exact 1.0 where
+    ``has_pred`` is 0.
     """
 
     lay: CompiledLayout
@@ -214,6 +216,7 @@ class _Kernel:
     pred_plane: np.ndarray
     pred_lag: np.ndarray
     has_pred: np.ndarray
+    one_rows: np.ndarray
 
     def depth(self, s: int) -> int:
         """How many periods before its own a period's steps read controls
@@ -223,17 +226,31 @@ class _Kernel:
         return (int(self.control_lag.max(initial=1)) - 2 + s) // s
 
 
+def _readonly(a) -> np.ndarray:
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
+def _index(triples) -> tuple[np.ndarray, ...]:
+    """Three read-only index arrays from a list of triples."""
+    return tuple(_readonly(a)
+                 for a in np.array(triples, dtype=np.intp).reshape(-1, 3).T)
+
+
 @functools.lru_cache(maxsize=None)
 def _kernel(spec: RegressorSpec) -> _Kernel:
     rh = _rh_spec(spec)
     lay = compile_layout(rh, spec)
     shared = tuple(f"T_rj_{j}" for j in range(1, spec.n_neighbors + 1)) + \
         ("Ta_in", "Va", "Qext")
-    control, other = [], []
+    control, other, ones = [], [], [len(lay.columns)]
     for row, (channel, lag) in enumerate(lay.columns):
         if channel in _CONTROLS:
             control.append((row, _CONTROLS[channel], lag))
-        elif channel not in _PREDICTIONS:
+        elif channel in _PREDICTIONS:
+            ones.append(row)
+        else:
             other.append((row, shared.index(channel), lag))
     trailing = []
     for entry in lay.entries:
@@ -244,74 +261,153 @@ def _kernel(spec: RegressorSpec) -> _Kernel:
         trailing.append((_PREDICTIONS[channel], lag, 1) if channel in _PREDICTIONS
                         else (0, 0, 0))
     return _Kernel(lay, len(layout(rh)), shared, *_index(other), *_index(control),
-                   *_index(trailing))
+                   *_index(trailing), _readonly(np.array(ones, dtype=np.intp)))
 
 
-def _period_prefixes(kern: _Kernel, coef: np.ndarray, controls: np.ndarray,
-                     shared_at: np.ndarray, choices, p: int, s: int,
-                     w: int) -> np.ndarray:
-    """Stage 1: ``coef * f0 * f1 * ...`` of every entry, up to its trailing
-    prediction factor, at the ``s`` steps of period p.
+@dataclass(frozen=True, eq=False)
+class _Template:
+    """The control rows of the stage-1 value table over the whole horizon:
+    what of it depends on the plan tree and on nothing measured.
 
-    Returns shape ``(entries, s, combinations)``: one column per combination
-    of options of the periods ``lo..p`` that the steps' control lags reach,
-    period ``lo``'s option the least significant digit, as in the rollout
-    rows.  ``controls`` holds the recorded controls of positions ``0..w-1``;
-    ``shared_at`` the shared value-table rows at every horizon step.
+    Horizon step ``k`` of period p reads column ``j`` as the combination
+    ``j % n_comb[p]`` of options of the periods ``lo..p`` that its control
+    lags reach, period ``lo``'s option the least significant digit, as in
+    the rollout rows; the columns from ``n_comb[p]`` on repeat combinations
+    and are never read.  ``values`` has shape ``(control rows, n_hor,
+    max(n_comb))``.  Slot ``i`` of ``rec_*`` (control row ``rec_row``, step
+    ``rec_step``) reads a recorded control instead, position ``rec_pos`` of
+    control plane ``rec_plane``; each decision writes those slots.
     """
-    lo = max(p - kern.depth(s), 0)
-    sizes = [len(inlet) for inlet, _ in choices[lo:p + 1]]
-    n_comb = math.prod(sizes)
-    ctrl = np.empty((2, w + (p + 1) * s, n_comb))
-    ctrl[:, :w] = controls[:, :, None]
-    stride = 1
-    for q, m in enumerate(sizes, start=lo):
-        option = np.arange(n_comb) // stride % m
-        for plane, values in enumerate(choices[q]):
-            ctrl[plane, w + q * s:w + (q + 1) * s] = values[option]
-        stride *= m
-    values = np.ones((len(kern.lay.columns) + 1, s, n_comb))
-    steps = np.arange(w + 1 + p * s, w + 1 + (p + 1) * s)
-    values[kern.control_rows] = ctrl[kern.control_plane[:, None],
-                                     steps - kern.control_lag[:, None]]
-    values[kern.shared_rows] = shared_at[:, p * s:(p + 1) * s, None]
-    return kern.lay.terms(values, coef[:, None, None])
+
+    values: np.ndarray
+    n_comb: tuple[int, ...]
+    rec_row: np.ndarray
+    rec_step: np.ndarray
+    rec_plane: np.ndarray
+    rec_pos: np.ndarray
 
 
-@functools.lru_cache(maxsize=1)
-def _workspace(n_entries: int, width: int,
-               n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch memory of the rollouts of one shape: room for the prediction
-    buffers of every row, and for one step's terms.
+def _control_template(spec: RegressorSpec, choices, s: int) -> _Template:
+    """The control template of the plan tree ``choices`` (period p's
+    candidate inlet and flow values as two arrays) at ``s`` samples per
+    period."""
+    kern = _kernel(spec)
+    w = max(warmup(spec), 1)
+    sizes = [len(inlet) for inlet, _ in choices]
+    lo = np.maximum(np.arange(len(sizes)) - kern.depth(s), 0)
+    n_comb = tuple(math.prod(sizes[a:p + 1]) for p, a in enumerate(lo))
+    steps = np.arange(len(sizes) * s)
+    period = steps // s
+    # step k (position w+1+k) reads the controls applied at position
+    # w+1+k-lag: recorded ones before w, those of period (pos - w) // s after
+    pos = w + 1 + steps - kern.control_lag[:, None]
+    q = np.maximum(pos - w, 0) // s
+    # period q's digit of a combination of periods lo..p weighs the option
+    # counts of periods lo..q-1
+    radix = np.cumprod([1] + sizes)
+    comb = np.arange(max(n_comb)) % np.array(n_comb)[period][:, None]
+    option = (comb // (radix[q] // radix[lo[period]])[..., None]
+              % np.array(sizes)[q][..., None])
+    table = np.zeros((2, len(sizes), max(sizes)))
+    for p, options in enumerate(choices):
+        table[:, p, :sizes[p]] = options
+    rec_row, rec_step = np.nonzero(pos < w)
+    return _Template(_readonly(table[kern.control_plane[:, None, None], q[..., None],
+                                     option]),
+                     n_comb, _readonly(rec_row), _readonly(rec_step),
+                     _readonly(kern.control_plane[rec_row]),
+                     _readonly(pos[rec_row, rec_step]))
+
+
+def _prefixes(kern: _Kernel, tpl: _Template, coef: np.ndarray,
+              controls: np.ndarray, shared_at: np.ndarray, values: np.ndarray,
+              out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Stage 1: ``coef * f0 * f1 * ...`` of every entry, up to its trailing
+    prediction factor, at every horizon step, into ``out`` of shape
+    ``(entries, n_hor, width)``; period p's steps read its first
+    ``tpl.n_comb[p]`` columns.
+
+    ``controls`` holds the recorded controls by position, ``shared_at`` the
+    shared value-table rows at every horizon step.  ``values`` (the value
+    table, ``(columns + 1, n_hor, width)``) and ``scratch`` (``out``'s shape)
+    are overwritten.
+    """
+    values[kern.control_rows] = tpl.values
+    values[kern.control_rows[tpl.rec_row], tpl.rec_step] = \
+        controls[tpl.rec_plane, tpl.rec_pos, None]
+    values[kern.shared_rows] = shared_at[:, :, None]
+    values[kern.one_rows] = 1.0
+    return kern.lay.terms(values, coef[:, None, None], out=out, scratch=scratch)
+
+
+_WORKSPACE: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+
+
+def _workspace(*sizes: int) -> tuple[np.ndarray, ...]:
+    """Scratch memory of the rollouts of one shape: one flat array of each
+    of ``sizes``.
 
     Every such rollout reuses it and writes it before reading it.  Memory
     of this size allocated afresh per decision is page-faulted in anew
     whenever the allocator has returned it to the system in between (with
     glibc's malloc, about 550 minor faults per decision under the default
     config).  The memory is held until a rollout of another shape needs
-    its own.  A rollout's buffers are valid until the next rollout, so
-    rollouts must not run concurrently.
+    its own, and released before that one is allocated, so that the two
+    are never held at once (allocated first, the new arrays could not reuse
+    the old ones' memory: switching between the closed-loop week's two
+    specs raised the peak resident memory by about 1 MB).  A rollout's
+    buffers are valid until the next rollout, so rollouts must not run
+    concurrently.
     """
-    return np.empty(2 * width * n_rows), np.empty(n_entries * n_rows)
+    if sizes not in _WORKSPACE:
+        _WORKSPACE.clear()
+        _WORKSPACE[sizes] = tuple(np.empty(n) for n in sizes)
+    return _WORKSPACE[sizes]
+
+
+def _tile(region: np.ndarray, buffers: np.ndarray, m: int, done: int) -> None:
+    """Tile the first ``done`` positions of ``buffers``, ``(2, width,
+    rows)`` at the front of ``region``, into ``(2, width, m, rows)`` at the
+    front of ``region``: ``m`` copies of each position's rows.
+
+    The copy of flat position ``i`` (plane-major) lands on positions
+    ``i*m .. i*m+m-1`` of the source's layout, never below ``i``.  So the
+    water plane is copied first, then the zone plane from the top down in
+    ranges ``[lo, hi)`` with ``lo*m >= hi``: no range overwrites a source
+    not yet read or overlaps its own, and numpy needs no temporary copy (an
+    overlapping assignment copies its whole source first, which took about
+    half the time of the tiling).
+    """
+    width = buffers.shape[1]
+    src = buffers.reshape(2 * width, -1)
+    dst = region[:src.size * m].reshape(2 * width, m, -1)
+    dst[width:width + done] = src[width:width + done, None]
+    hi = done
+    while hi > 1:
+        lo = -(-hi // m)
+        dst[lo:hi] = src[lo:hi, None]
+        hi = lo
+    dst[0, 1:] = src[0]  # position 0's first copy is its source
 
 
 def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
              hist: LaggedHistory, forecast: HorizonForecast, cfg: MpcConfig,
-             choices) -> tuple[np.ndarray, int]:
+             choices, template: _Template | None = None) -> tuple[np.ndarray, int]:
     """Roll the water and zone predictors out over a tree of plan prefixes.
 
     ``choices[p]`` holds period p's candidate (inlet, flow) values as two
-    arrays.  Every lag is at least one sample, so the horizon steps of
+    arrays, and ``template`` their control template, built here when not
+    given.  Every lag is at least one sample, so the horizon steps of
     period p read controls of periods 0..p only: at each period boundary
     the rows are tiled once per option, and the period is rolled out once
-    per plan prefix (stage 1 computes its prefixes, stage 2 steps it; see
-    the module docstring).  Each row's arithmetic does not depend on how
-    many rows there are.  Returns ``(buffers, w)``: ``buffers`` has shape
-    ``(2, w + 1 + n_hor, rows)`` and holds the zone and water predictions by
-    position (0..w-1 the recorded past, w the decision sample, w+1.. the
-    horizon).  Row ``sum_p o_p * (m_0 * ... * m_{p-1})`` is the plan of
-    option ``o_p`` of ``m_p`` in period p: the newest period is the most
-    significant digit.
+    per plan prefix (stage 1 computes the prefixes of every period at once,
+    stage 2 steps them; see the module docstring).  Each row's arithmetic
+    does not depend on how many rows there are.  Returns ``(buffers, w)``:
+    ``buffers`` has shape ``(2, w + 1 + n_hor, rows)`` and holds the zone
+    and water predictions by position (0..w-1 the recorded past, w the
+    decision sample, w+1.. the horizon).  Row ``sum_p o_p * (m_0 * ... *
+    m_{p-1})`` is the plan of option ``o_p`` of ``m_p`` in period p: the
+    newest period is the most significant digit.
     """
     n = cfg.n_hor
     s = cfg.samples_per_period
@@ -322,6 +418,7 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
                                     f"needs {w} for the rollout")
     total = w + 1 + n
     kern = _kernel(spec)
+    tpl = template if template is not None else _control_template(spec, choices, s)
     coef = np.concatenate((theta_w, theta_r))
 
     # plan-independent signals by position: recorded, measured at the
@@ -346,10 +443,20 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
 
     # prediction buffers by position, and one position of exact 1.0s that
     # the entries without a prediction factor read in stage 2; every period's
-    # rows live at the front of the workspace
+    # rows live at the front of the workspace region.  Stage 1 runs before
+    # the buffers are written, so its value table and gather scratch borrow
+    # the region too.
     width = total + 1
-    region, scratch = _workspace(len(coef), width,
-                                 math.prod(len(inlet) for inlet, _ in choices))
+    n_rows = math.prod(len(inlet) for inlet, _ in choices)
+    value_shape = (len(kern.lay.columns) + 1, n, tpl.values.shape[2])
+    prefix_shape = (len(coef), n, tpl.values.shape[2])
+    n_values, n_prefix = math.prod(value_shape), math.prod(prefix_shape)
+    region, scratch, stage1 = _workspace(
+        max(2 * width * n_rows, n_values + n_prefix), len(coef) * n_rows, n_prefix)
+    prefix = _prefixes(kern, tpl, coef, controls, shared_at,
+                       region[:n_values].reshape(value_shape),
+                       stage1.reshape(prefix_shape),
+                       region[n_values:n_values + n_prefix].reshape(prefix_shape))
     buffers = region[:2 * width].reshape(2, width, 1)
     for c in ("yhat_r", "yhat_w"):
         buffers[_PREDICTIONS[c], :w, 0] = [hist.get(c, k) for k in range(t - w, t)]
@@ -365,20 +472,17 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
         rows = buffers.shape[2] * len(inlet)
         if len(inlet) > 1:
             # tile: one block of the rows so far per option of period p
-            done = w + p * s + 1  # positions rolled out
-            tiled = region[:2 * width * rows].reshape(2, width, rows)
-            tiled.reshape(2, width, len(inlet), -1)[:, :done] = \
-                buffers[:, :done, None, :]
-            tiled[:, total] = 1.0
-            buffers = tiled
+            _tile(region, buffers, len(inlet), w + p * s + 1)
+            buffers = region[:2 * width * rows].reshape(2, width, rows)
+            buffers[:, total] = 1.0
         flat = buffers.reshape(2 * width, rows)
-        prefix = _period_prefixes(kern, coef, controls, shared_at, choices, p, s, w)
         terms = scratch[:len(coef) * rows].reshape(len(coef), rows)
         # the rows of one combination of options are a contiguous block
-        blocks = terms.reshape(len(coef), prefix.shape[2], -1)
+        n_comb = tpl.n_comb[p]
+        blocks = terms.reshape(len(coef), n_comb, -1)
         water, zone = terms[:nw], terms[nw:]
-        for k, step_prefix in enumerate(prefix.transpose(1, 0, 2)[..., None],
-                                        start=p * s):
+        step_prefixes = prefix[:, p * s:(p + 1) * s, :n_comb].transpose(1, 0, 2)
+        for k, step_prefix in enumerate(step_prefixes[..., None], start=p * s):
             flat.take(gather[k], axis=0, out=terms, mode="clip")
             blocks *= step_prefix
             sum_entries(water, out=buffers[1, w + 1 + k])
@@ -387,6 +491,43 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
     if not np.all(np.isfinite(buffers[:, w:])):
         raise DivergenceError("plan rollout produced non-finite predictions")
     return buffers, w
+
+
+def _pairwise_sums(a: np.ndarray) -> np.ndarray:
+    """numpy's sum of each column of ``a``, ``(n, rows)``, as if the column
+    were a C-ordered row: ``np.sum(np.ascontiguousarray(a.T), axis=1)`` bit
+    for bit, without the transposing copy.
+
+    numpy sums a contiguous float64 row of ``n`` values as ``0.0 + pw(n)``:
+    below 8 values ``pw`` adds them in order from 0.0; up to 128 it keeps
+    eight accumulators ``r[j] = a[j]``, adds each block of eight into them,
+    combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the
+    ``n % 8`` left over in order; above 128 it splits at ``n // 2`` rounded
+    down to a multiple of 8 and adds the two halves' ``pw``.  Here each of
+    those steps is one operation over all the columns.  The leading ``0.0 +`` is
+    kept: it makes the sum of all ``-0.0`` ``+0.0``, as numpy's is.
+    """
+    return 0.0 + _pairwise(a)
+
+
+def _pairwise(a: np.ndarray) -> np.ndarray:
+    n = len(a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(a[:half]) + _pairwise(a[half:])
+    if n < 8:
+        total = np.zeros(a.shape[1:])
+        start = 0
+    else:
+        start = n - n % 8
+        # a reduction over the outer axis adds block after block, from +0.0:
+        # that changes only the sign of a zero, which the leading 0.0 + of
+        # _pairwise_sums makes +0.0 either way
+        r = np.add.reduce(a[:start].reshape(start // 8, 8, -1), axis=0)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in a[start:]:
+        total += row
+    return total
 
 
 def _costs(t_r: np.ndarray, t_w: np.ndarray, inlet: np.ndarray,
@@ -398,21 +539,22 @@ def _costs(t_r: np.ndarray, t_w: np.ndarray, inlet: np.ndarray,
     row's option as ``(periods, rows)`` arrays.  The comfort sum is averaged
     by n_hor; the heating term is beta * t_sam * (inlet - predicted outlet),
     optionally multiplied by an indicator that the flow is nonzero.  Every
-    row sum runs over a C-ordered row, so a plan costs the same bits alone
-    or among others.
+    row sum is numpy's sum of the row in C order (``_pairwise_sums``), so a
+    plan costs the same bits alone or among others.  The terms are computed
+    in place: ``t_r`` and ``t_w`` are overwritten.
     """
     n = cfg.n_hor
     occ_path = np.concatenate(([forecast.now.occ], forecast.occ))
-    comfort = np.subtract(t_r, cfg.t_set)
+    comfort = np.subtract(t_r, cfg.t_set, out=t_r)
     np.square(comfort, out=comfort)
     comfort *= occ_path[:, None]
     # the samples of each period against that period's option
-    heating = np.subtract(inlet[:, None], t_w.reshape(len(inlet), -1, t_w.shape[1]))
+    heating = t_w.reshape(len(inlet), -1, t_w.shape[1])
+    np.subtract(inlet[:, None], heating, out=heating)
     if cfg.heating_cost_gated_by_flow:
         heating *= (flow > 0.0)[:, None]
-    return (cfg.alpha * np.sum(np.ascontiguousarray(comfort.T), axis=1) / n,
-            cfg.beta * cfg.t_sam * np.sum(
-                np.ascontiguousarray(heating.reshape(n, -1).T), axis=1))
+    return (cfg.alpha * _pairwise_sums(comfort) / n,
+            cfg.beta * cfg.t_sam * _pairwise_sums(heating.reshape(n, -1)))
 
 
 def _pump_cost(flow: np.ndarray, cfg: MpcConfig) -> np.ndarray:
@@ -470,9 +612,11 @@ def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
         return CostBreakdown(0.0, 0.0, 0.0, 0.0)
     _, flow_seq = plan.expand(cfg)
     options = np.array(plan.periods, dtype=float)
+    # copies: the costs are computed in place
+    t_r = np.array(t_r_trace, dtype=float)[:, None]
+    t_w = np.array(t_w_trace, dtype=float)[:, None]
     comfort, heating = (float(c[0]) for c in _costs(
-        t_r_trace[:, None], t_w_trace[:, None], options[:, :1], options[:, 1:],
-        forecast, cfg))
+        t_r, t_w, options[:, :1], options[:, 1:], forecast, cfg))
     pump = float(_pump_cost(flow_seq[None, :], cfg)[0])
     return CostBreakdown(total=comfort + heating + pump, comfort=comfort,
                          heating=heating, pump=pump)
@@ -501,6 +645,11 @@ class _PlanTable:
     flow_rows: np.ndarray
     order: np.ndarray
 
+    @property
+    def choices(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The plan tree: every period's candidate inlet and flow values."""
+        return [(self.inlet, self.flow)] * len(self.inlet_rows)
+
 
 @functools.lru_cache(maxsize=8)
 def _plan_table(cfg: MpcConfig) -> _PlanTable:
@@ -526,12 +675,21 @@ def _plan_table(cfg: MpcConfig) -> _PlanTable:
     return table
 
 
+@functools.lru_cache(maxsize=8)
+def _plan_template(spec: RegressorSpec, cfg: MpcConfig) -> _Template:
+    """The control template of ``solve``'s plan tree, built once per spec
+    and config."""
+    table = _plan_table(cfg)
+    return _control_template(spec, table.choices, cfg.samples_per_period)
+
+
 def _plan_costs(theta_r, theta_w, spec, hist, forecast, cfg) -> np.ndarray:
     """Total cost of every plan, in enumeration order."""
     n = cfg.n_hor
     table = _plan_table(cfg)
     buffers, w = _rollout(theta_r, theta_w, spec, hist, forecast, cfg,
-                          [(table.inlet, table.flow)] * cfg.n_periods)
+                          table.choices, _plan_template(spec, cfg))
+    # the costs overwrite the predictions, which nothing reads after them
     comfort, heating = _costs(buffers[0, w:w + n + 1], buffers[1, w:w + n],
                               table.inlet_rows, table.flow_rows, forecast, cfg)
     return (comfort + heating)[table.order] + table.pump
@@ -587,10 +745,9 @@ class EpisodeReport:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t_hours,T_r_plant,plan_inlet,plan_flow,"
                      "run_avg_comfort,run_avg_heating,run_avg_pump\n")
-            for row in zip(self.t_hours, self.t_r_plant, self.inlet, self.flow,
-                           self.run_avg_comfort, self.run_avg_heating,
-                           self.run_avg_pump):
-                fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+            write_rows(fh, [self.t_hours, self.t_r_plant, self.inlet, self.flow,
+                            self.run_avg_comfort, self.run_avg_heating,
+                            self.run_avg_pump])
 
 
 def realized_costs(t_r_true, t_w_true, occ, inlet, flow,

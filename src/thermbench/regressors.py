@@ -171,13 +171,17 @@ class CompiledLayout:
     columns: tuple[tuple[str, int], ...]
     factors: np.ndarray  # (factor positions, entries) value-table rows
 
-    def terms(self, values: np.ndarray, coef=1.0) -> np.ndarray:
+    def terms(self, values: np.ndarray, coef=1.0, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
         """Per-entry products ``coef * f_0 * f_1 * ...``, multiplied left to
         right as ``build_regressor`` does; the entry axis replaces the first
-        axis of ``values``."""
-        out = coef * values[self.factors[0]]
+        axis of ``values``.  Given ``out`` and ``scratch``, arrays of the
+        result's shape, the products are written into ``out`` and the
+        factors gathered into ``scratch``, and nothing is allocated."""
+        out = np.multiply(coef, values.take(self.factors[0], axis=0, out=scratch,
+                                            mode="clip"), out=out)
         for rows in self.factors[1:]:
-            out *= values[rows]
+            out *= values.take(rows, axis=0, out=scratch, mode="clip")
         return out
 
 

@@ -263,6 +263,14 @@ class TimeSeriesDataset:
                               f"follows {float(t[i - 1])!r}")
         if epsilon is None:
             epsilon = float(t[1] - t[0]) if len(t) > 1 else 1.0 / 12.0
+        # training and the controller assume one sampling period; the
+        # tolerance covers the rounding of times written with 9 digits
+        off = np.flatnonzero(np.abs(np.diff(t) - epsilon) > 1e-3 * epsilon)
+        if off.size:
+            i = int(off[0]) + 1
+            raise ConfigError(f"dataset {path}, line {_data_line(path, i)}: time "
+                              f"step {float(t[i] - t[i - 1])!r} h differs from the "
+                              f"sampling period {epsilon!r} h")
         return cls(epsilon=epsilon, n_neighbors=n_neighbors, columns=columns,
                    metadata={"source": str(path)})
 

@@ -279,6 +279,39 @@ def test_non_increasing_dataset_time_exits_2(tmp_path, small_config, capsys):
     assert str(path) in err and "line 10" in err and "strictly increasing" in err
 
 
+def test_non_uniform_dataset_time_exits_2(tmp_path, small_config, capsys):
+    # steps alternating 0.05 h and 0.15 h: increasing, but no one sampling
+    # period; data row r sits on file line r + 2, and the first 0.15 h step
+    # ends on row 2
+    col = column_names(1).index("t_hours")
+    main(["simulate", "--config", str(small_config), "--out-dir", str(tmp_path / "out")])
+    path = tmp_path / "out" / "dataset.csv"
+    lines = path.read_text().splitlines()
+    for r in range(len(lines) - 1):
+        cells = lines[r + 1].split(",")
+        cells[col] = "%.9g" % (r // 2 * 0.2 + r % 2 * 0.05)
+        lines[r + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["identify", "--config", str(small_config), "--out-dir",
+                 str(tmp_path / "out"), "--dataset", str(path), "--spec", "LRM"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "line 4" in err and "sampling period" in err
+
+
+@pytest.mark.parametrize("probe", [False, True])
+def test_simulated_dataset_round_trips_on_the_full_grid(tmp_path, probe):
+    # 14 days of times written with 9 digits stay within the step tolerance
+    from thermbench.simulator import TimeSeriesDataset
+    config, out = tmp_path / "default.ini", tmp_path / "out"
+    config.write_text(config_to_ini(default_config()))
+    assert main(["simulate", "--config", str(config), "--out-dir", str(out),
+                 *(["--probe"] if probe else [])]) == 0
+    name = "dataset_probe.csv" if probe else "dataset.csv"
+    ds = TimeSeriesDataset.from_csv(out / name)
+    assert ds.t_hours[-1] > 300.0
+    assert ds.epsilon == pytest.approx(default_config().sim.epsilon, rel=1e-6)
+
+
 def test_header_only_dataset_is_empty(tmp_path, small_config, capsys):
     path = tmp_path / "header.csv"
     path.write_text(",".join(column_names(1)) + "\n\n")

@@ -401,6 +401,55 @@ def test_two_stage_kernel_matches_tree_kernel_bit_for_bit(
     assert np.array_equal(got[:, w:, order], want[:2, w:])
 
 
+def test_plan_template_cache_is_keyed_by_spec_and_config():
+    # B has A's shapes but other option values, C another period length;
+    # the two specs' kernels read controls at different lags.  Every
+    # decision must read the template of its own spec and config, and a
+    # one-plan rollout (uncached template) after it must still be its row.
+    from thermbench.mpc import _plan_costs
+    from thermbench.regressors import warmup
+    cfg_a = toy_cfg()
+    cfg_b = toy_cfg(inlet_set=(38.0, 44.0), flow_set=(0.0, 0.05))
+    cfg_c = toy_cfg(t_opt=3.0 / 12.0, t_hor=9.0 / 12.0)
+    rng = np.random.default_rng(3)
+    for spec in (RegressorSpec(Structure.NRM_MI, 1), RegressorSpec(Structure.NRM_LI, 2)):
+        theta, theta_w = stable_toy_theta(spec), toy_theta_w()
+        hist = _random_history(spec, rng, warmup(spec) + 3)
+        for cfg in (cfg_a, cfg_b, cfg_c, cfg_a):
+            fc = _random_forecast(cfg, spec.n_neighbors, rng)
+            costs = _plan_costs(theta, theta_w, spec, hist, fc, cfg)
+            assert np.array_equal(costs, mpc_oracle.tree_plan_costs(
+                theta, theta_w, spec, hist, fc, cfg))
+            solve(theta, theta_w, spec, hist, fc, cfg)
+            plans = list(itertools.product(cfg.options(), repeat=cfg.n_periods))
+            for i in (0, len(plans) // 2, len(plans) - 1):
+                plan = ControlPlan(plans[i])
+                traces = predict_horizon(theta, theta_w, spec, hist, plan, fc, cfg)
+                assert plan_cost(traces, plan, fc, cfg).total == costs[i]
+
+
+_AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-308, -2.5e-308, 1e300, -1e300,
+            1.0, -3.5, 0.1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 300), rows=st.integers(1, 40), zero_row=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=300, rows=1, zero_row=True, seed=0)
+@example(n=129, rows=1, zero_row=False, seed=1)
+def test_pairwise_sums_match_numpy_row_sums(n, rows, zero_row, seed):
+    # n covers the in-order path (< 8), the 8-accumulator blocks and the
+    # split above 128; one row is what plan_cost sums
+    from thermbench.mpc import _pairwise_sums
+    rng = np.random.default_rng(seed)
+    a = np.where(rng.random((n, rows)) < 0.3, rng.choice(_AWKWARD, size=(n, rows)),
+                 rng.normal(size=(n, rows)) * 10.0 ** rng.integers(-8, 8, size=(n, rows)))
+    if zero_row:
+        a[:, rng.integers(rows)] = -0.0
+    want = np.sum(np.ascontiguousarray(a.T), axis=1)
+    assert [float.hex(v) for v in _pairwise_sums(a)] == [float.hex(v) for v in want]
+
+
 def test_pump_cost_table_matches_plan_cost_for_every_plan():
     from thermbench.mpc import _plan_table
     for cfg in (MpcConfig(), toy_cfg(flow_set=(0.0, 0.04, 0.0787))):

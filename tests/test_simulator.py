@@ -319,6 +319,35 @@ def test_csv_writer_matches_per_value_format(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+def test_report_csvs_match_per_value_format(tmp_path):
+    # the training and episode reports go through the same block writer:
+    # their rows must read as the per-value format they were written with
+    from thermbench.identify import TrainReport
+    from thermbench.mpc import EpisodeReport
+    special = [-0.0, 5e-324, 1e300, 0.1 + 0.2, math.nan, 3.0, -7.0, 1e9,
+               123456789.0, 2.5e-308, math.inf, -math.inf, 1.0 / 3.0]
+    rng = np.random.default_rng(13)
+    n = 2 * simulator.CSV_BLOCK_ROWS + 37
+    errors, rmse = rng.choice(special, size=n), rng.choice(special, size=n)
+    rep = TrainReport(spec=RegressorSpec(Structure.LRM, 1), theta=np.zeros(3),
+                      errors=errors, rolling_rmse=rmse, window=2, pass_rmse=[])
+    rep.to_csv(tmp_path / "train.csv")
+    expected = "k,e,rolling_rmse\n" + "".join(
+        f"{k},{format(e, '.9g')},{format(r, '.9g')}\n"
+        for k, (e, r) in enumerate(zip(errors, rmse)))
+    assert (tmp_path / "train.csv").read_bytes() == expected.encode()
+
+    cols = [rng.choice(special, size=n) for _ in range(9)]
+    ep = EpisodeReport(*cols)
+    ep.to_csv(tmp_path / "episode.csv")
+    logged = [cols[i] for i in (0, 1, 3, 4, 6, 7, 8)]
+    expected = ("t_hours,T_r_plant,plan_inlet,plan_flow,run_avg_comfort,"
+                "run_avg_heating,run_avg_pump\n" + "".join(
+                    ",".join(format(c[k], ".9g") for c in logged) + "\n"
+                    for k in range(n)))
+    assert (tmp_path / "episode.csv").read_bytes() == expected.encode()
+
+
 def test_csv_reader_matches_python_float_parse(tmp_path, cfg):
     # written rows, and cells in other spellings, blank and blank-looking
     # lines included: the parse equals float() of every cell, bit for bit
@@ -330,10 +359,12 @@ def test_csv_reader_matches_python_float_parse(tmp_path, cfg):
     width = len(lines[0].split(","))
     for i in range(40):
         values = rng.normal(size=width) * 10.0 ** rng.integers(-30, 30, size=width)
-        values[1] = ds.t_hours[-1] + 1.0 + i
-        lines.append(",".join(fmt % v for fmt, v in zip(
-            rng.choice(["%r", "%.17g", "%.3e", " %.9g ", "%+.0f"], size=width),
-            values.tolist())))
+        # the times continue the sampling grid, in spellings that keep it:
+        # the reader refuses a grid whose steps differ
+        values[1] = ds.t_hours[-1] + (1 + i) * ds.epsilon
+        formats = rng.choice(["%r", "%.17g", "%.3e", " %.9g ", "%+.0f"], size=width)
+        formats[1] = rng.choice(["%r", "%.17g", " %.9g "])
+        lines.append(",".join(fmt % v for fmt, v in zip(formats, values.tolist())))
         if i % 10 == 0:
             lines.append(" " if i % 20 else "")
     path.write_text("\n".join(lines) + "\n")
