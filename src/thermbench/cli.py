@@ -83,7 +83,14 @@ def _specs(args, cfg: ExperimentConfig) -> list[RegressorSpec]:
 
 def _dataset(args, cfg: ExperimentConfig) -> TimeSeriesDataset:
     if getattr(args, "dataset", None):
-        return TimeSeriesDataset.from_csv(args.dataset)
+        ds = TimeSeriesDataset.from_csv(args.dataset)
+        # the same tolerance as the dataset's own time-grid check
+        epsilon = cfg.sim.epsilon
+        if abs(ds.epsilon - epsilon) > 1e-3 * epsilon:
+            raise ConfigError(f"dataset {args.dataset} is sampled every "
+                              f"{ds.epsilon!r} h, the config's [sim] epsilon_hours "
+                              f"is {epsilon!r} h")
+        return ds
     return run_experiment(cfg.plant, cfg.sim)
 
 

@@ -13,7 +13,9 @@ call, by the spec's ``compile_layout`` with an exact 1.0 in place of each
 prediction factor.  Each step then copies its row, multiplies the prediction
 entries by the lagged predictions and takes one dot product: the same
 arithmetic as ``build_regressor`` over a ``LaggedHistory``, which stays as
-the readable per-sample reference (``oe_predict``).
+the readable per-sample reference (``oe_predict``).  The package itself no
+longer calls ``oe_predict``: the controller's water estimate is
+``mpc.water_estimate``, the same arithmetic over column arrays.
 
 Recursive least squares has one step, ``_Rls.step``, which training calls
 directly and ``rls_update`` runs on copies of its state.  It updates the
@@ -297,7 +299,8 @@ def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,
     state = rls_init(dim, rls_cfg)
     if passes == 0:
         return TrainReport(spec=spec, theta=state.theta, errors=np.empty(0),
-                           rolling_rmse=np.empty(0), window=window, pass_rmse=[])
+                           rolling_rmse=np.empty(0), window=window, pass_rmse=[],
+                           theta_w=theta_w)
 
     wu = warmup(spec)
     if len(dataset) <= wu:

@@ -10,9 +10,10 @@ plan.
 
 The rollout is anchored to measurements: lags that reach into the past read
 the recorded history, lags inside the horizon read the rollout's own
-predictions.  The forecast arrays hold the scheduled future exogenous signals
-(offsets 1..N relative to the decision sample; the decision sample itself
-travels in ``HorizonForecast.now``).
+predictions.  A decision reads one ``DecisionWindow``: the recorded past, the
+decision sample and the exact exogenous forecast, an array per channel (in
+the closed loop, views of its logs and of the scenario).  ``water_estimate``
+is the one water estimate, logged per sample and computed per decision.
 
 One rollout kernel serves every plan.  It evaluates the compiled water and
 zone layouts over a row axis of plans and walks the plan-prefix tree: every
@@ -54,15 +55,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, HistoryUnderflowError
-from .identify import _rh_spec, oe_predict
-from .regressors import (CompiledLayout, LaggedHistory, RegressorSpec,
-                         compile_layout, layout, measured_columns, sum_entries,
-                         warmup)
+from .identify import _rh_spec
+from .identify import oe_predict  # noqa: F401  (perfbench's self-test patches mpc.oe_predict)
+from .regressors import (CompiledLayout, RegressorSpec, compile_layout, layout,
+                         regressor_length, sum_entries, warmup)
 from .simulator import (SimConfig, ZoneParams, check_control_set, heating_curve,
                         hysteresis_control, simulate, synthesize_scenario,
                         write_rows)
@@ -128,54 +130,82 @@ class ControlPlan:
         return inlet.astype(float), flow.astype(float)
 
 
+#: recorded channels of a decision window besides the zone temperature: the
+#: water estimate and the applied controls, known for the past only
+_RECORDED = ("yhat_w", "Tw_in", "Vw")
+
+
 @dataclass(frozen=True)
-class CurrentSample:
-    """Measured values at the decision sample."""
+class DecisionWindow:
+    """What a decision reads: one array per channel, indexed by position.
 
-    t_r: float
-    occ: float
-    t_neighbors: tuple[float, ...]
-    ta_in: float
-    va: float
-    qext: float
-
-
-@dataclass
-class HorizonForecast:
-    """Scheduled exogenous signals over the horizon, assumed exact.
-
-    Arrays cover offsets 1..n_hor from the decision sample.
+    Positions ``0..past-1`` are the recorded past, ``past`` is the decision
+    sample and ``past+1..past+n_hor`` the forecast, which is assumed exact.
+    The exogenous channels ``T_rj_j``, ``Ta_in``, ``Va``, ``Qext`` and ``occ``
+    cover every position, the measured zone temperature ``T_r`` positions
+    ``0..past``, and the water estimate ``yhat_w`` and the applied controls
+    ``Tw_in`` and ``Vw`` positions ``0..past-1``.  The arrays may be views of
+    longer logs; nothing here copies them.
     """
 
-    occ: np.ndarray
-    ta_in: np.ndarray
-    va: np.ndarray
-    qext: np.ndarray
-    t_neighbors: list[np.ndarray]
-    now: CurrentSample
+    columns: Mapping[str, np.ndarray]
 
-    def check(self, n_hor: int, n_neighbors: int) -> None:
-        """Raise ``ConfigError`` unless every array covers ``n_hor`` samples
-        and the forecast and the decision sample both carry ``n_neighbors``
-        neighbor temperatures."""
-        for name, count in (("forecast", len(self.t_neighbors)),
-                            ("decision sample", len(self.now.t_neighbors))):
-            if count != n_neighbors:
-                raise ConfigError(f"the {name} has {count} neighbor "
-                                  f"temperature(s), the spec expects {n_neighbors}")
-        arrays = [self.occ, self.ta_in, self.va, self.qext, *self.t_neighbors]
-        if any(len(a) != n_hor for a in arrays):
-            raise ConfigError(f"forecast arrays must have length {n_hor}")
+    @classmethod
+    def at(cls, columns: Mapping[str, np.ndarray], k: int, past: int,
+           n_hor: int) -> "DecisionWindow":
+        """Views of per-sample ``columns`` around decision sample ``k``:
+        positions ``k-past .. k+n_hor``, each channel as far as it is known."""
+        ends = {"T_r": k + 1, **dict.fromkeys(_RECORDED, k)}
+        return cls({c: a[k - past:ends.get(c, k + 1 + n_hor)]
+                    for c, a in columns.items()})
+
+    @property
+    def past(self) -> int:
+        return len(self.columns["T_r"]) - 1
+
+    def check(self, spec: RegressorSpec, n_hor: int) -> None:
+        """Raise ``ConfigError`` unless the window holds the channels of
+        ``spec``'s controller, with ``spec.n_neighbors`` neighbor
+        temperatures, over ``n_hor`` forecast positions; raise
+        ``HistoryUnderflowError`` when the past is shorter than the
+        rollout's deepest lag."""
+        count = sum(c.startswith("T_rj_") for c in self.columns)
+        if count != spec.n_neighbors:
+            raise ConfigError(f"the decision window has {count} neighbor "
+                              f"temperature(s), the spec expects {spec.n_neighbors}")
+        exogenous = (*_kernel(spec).shared, "occ")
+        missing = [c for c in ("T_r", *_RECORDED, *exogenous) if c not in self.columns]
+        if missing:
+            raise ConfigError(f"the decision window lacks channels {missing}")
+        w = max(warmup(spec), 1)
+        if self.past < w:
+            raise HistoryUnderflowError(f"the decision window records {self.past} "
+                                        f"samples, the rollout needs {w}")
+        want = {**dict.fromkeys(_RECORDED, self.past),
+                **dict.fromkeys(exogenous, self.past + 1 + n_hor)}
+        short = [c for c, n in want.items() if len(self.columns[c]) != n]
+        if short:
+            raise ConfigError(f"forecast arrays must have length {n_hor}, recorded "
+                              f"ones {self.past}: channels {short} do not")
 
 
-def runtime_channels(spec: RegressorSpec) -> list[str]:
-    """History channels a controller keeps for a zone structure plus the
-    water-loop predictor."""
-    cols = set(measured_columns(spec.structure, spec.n_neighbors))
-    cols.update(["Vw", "Tw_in", "Ta_in", "Va", "Qext", "T_r"])
-    cols.update(f"T_rj_{j}" for j in range(1, spec.n_neighbors + 1))
-    cols.discard("T_w")  # the water state is tracked through yhat_w
-    return sorted(cols)
+def water_estimate(theta_w: np.ndarray, spec: RegressorSpec,
+                   columns: Mapping[str, np.ndarray], t: int) -> float:
+    """The water predictor's output-error estimate at position ``t`` of
+    ``columns`` (``T_r``, ``yhat_w``, ``Tw_in`` and ``Vw`` by position) from
+    the positions before it.
+
+    The regressor is the compiled water-layout row, its products started
+    from an exact 1.0 as ``build_regressor`` starts them, and one
+    ``@ theta_w`` follows: ``identify.oe_predict`` bit for bit.
+    """
+    lay = compile_layout(_rh_spec(spec))
+    deepest = max(lag for _, lag in lay.columns)
+    if t < deepest:
+        raise HistoryUnderflowError(f"the water estimate at position {t} reads "
+                                    f"{deepest} position(s) back")
+    values = np.array([columns[c][t - lag] for c, lag in lay.columns] + [1.0])
+    return float(lay.terms(values) @ theta_w)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +421,8 @@ def _tile(region: np.ndarray, buffers: np.ndarray, m: int, done: int) -> None:
 
 
 def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
-             hist: LaggedHistory, forecast: HorizonForecast, cfg: MpcConfig,
-             choices, template: _Template | None = None) -> tuple[np.ndarray, int]:
+             win: DecisionWindow, cfg: MpcConfig, choices,
+             template: _Template | None = None) -> tuple[np.ndarray, int]:
     """Roll the water and zone predictors out over a tree of plan prefixes.
 
     ``choices[p]`` holds period p's candidate (inlet, flow) values as two
@@ -404,42 +434,27 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
     stage 2 steps them; see the module docstring).  Each row's arithmetic
     does not depend on how many rows there are.  Returns ``(buffers, w)``:
     ``buffers`` has shape ``(2, w + 1 + n_hor, rows)`` and holds the zone
-    and water predictions by position (0..w-1 the recorded past, w the
-    decision sample, w+1.. the horizon).  Row ``sum_p o_p * (m_0 * ... *
-    m_{p-1})`` is the plan of option ``o_p`` of ``m_p`` in period p: the
-    newest period is the most significant digit.
+    and water predictions by position (0..w-1 the last ``w`` recorded
+    positions of ``win``, w the decision sample, w+1.. the horizon).  Row
+    ``sum_p o_p * (m_0 * ... * m_{p-1})`` is the plan of option ``o_p`` of
+    ``m_p`` in period p: the newest period is the most significant digit.
     """
     n = cfg.n_hor
     s = cfg.samples_per_period
     w = max(warmup(spec), 1)
-    t = len(hist)
-    if t < w:
-        raise HistoryUnderflowError(f"controller history has {t} samples, "
-                                    f"needs {w} for the rollout")
+    win.check(spec, n)
+    cols, lo = win.columns, win.past - w
     total = w + 1 + n
     kern = _kernel(spec)
     tpl = template if template is not None else _control_template(spec, choices, s)
     coef = np.concatenate((theta_w, theta_r))
 
-    # plan-independent signals by position: recorded, measured at the
-    # decision sample, then forecast
-    now = {"Ta_in": forecast.now.ta_in, "Va": forecast.now.va,
-           "Qext": forecast.now.qext}
-    future = {"Ta_in": forecast.ta_in, "Va": forecast.va, "Qext": forecast.qext}
-    for j, (v, a) in enumerate(zip(forecast.now.t_neighbors, forecast.t_neighbors),
-                               start=1):
-        now[f"T_rj_{j}"] = v
-        future[f"T_rj_{j}"] = a
-    shared = np.empty((len(kern.shared), total))
-    for i, c in enumerate(kern.shared):
-        shared[i, :w] = [hist.get(c, k) for k in range(t - w, t)]
-        shared[i, w] = now[c]
-        shared[i, w + 1:] = future[c]
+    # plan-independent signals by position
+    shared = np.array([cols[c][lo:] for c in kern.shared], dtype=float)
     steps = np.arange(w + 1, total)
     # the shared rows of the value table at each horizon step
     shared_at = shared[kern.shared_channel[:, None], steps - kern.shared_lag[:, None]]
-    controls = np.array([[hist.get(c, k) for k in range(t - w, t)]
-                         for c in _CONTROLS])
+    controls = np.array([cols[c][lo:] for c in _CONTROLS], dtype=float)
 
     # prediction buffers by position, and one position of exact 1.0s that
     # the entries without a prediction factor read in stage 2; every period's
@@ -458,10 +473,10 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
                        stage1.reshape(prefix_shape),
                        region[n_values:n_values + n_prefix].reshape(prefix_shape))
     buffers = region[:2 * width].reshape(2, width, 1)
-    for c in ("yhat_r", "yhat_w"):
-        buffers[_PREDICTIONS[c], :w, 0] = [hist.get(c, k) for k in range(t - w, t)]
-    buffers[0, w] = forecast.now.t_r
-    buffers[1, w] = oe_predict(theta_w, _rh_spec(spec), hist, t)
+    # the zone predictions' past is the measured zone temperature
+    buffers[0, :w + 1, 0] = cols["T_r"][lo:]
+    buffers[1, :w, 0] = cols["yhat_w"][lo:]
+    buffers[1, w] = water_estimate(theta_w, spec, cols, win.past)
     buffers[:, total] = 1.0
     # the row of the flattened buffers each entry reads at each horizon step
     gather = np.where(kern.has_pred, kern.pred_plane * width - kern.pred_lag
@@ -531,12 +546,13 @@ def _pairwise(a: np.ndarray) -> np.ndarray:
 
 
 def _costs(t_r: np.ndarray, t_w: np.ndarray, inlet: np.ndarray,
-           flow: np.ndarray, forecast: HorizonForecast, cfg: MpcConfig):
+           flow: np.ndarray, win: DecisionWindow, cfg: MpcConfig):
     """Comfort and heating cost of each row (one plan per row).
 
     ``t_r`` holds horizon positions 0..n_hor and ``t_w`` 0..n_hor-1 of each
     row as ``(positions, rows)`` arrays; ``inlet`` and ``flow`` hold each
-    row's option as ``(periods, rows)`` arrays.  The comfort sum is averaged
+    row's option as ``(periods, rows)`` arrays; the occupancy is ``win``'s
+    from the decision sample on.  The comfort sum is averaged
     by n_hor; the heating term is beta * t_sam * (inlet - predicted outlet),
     optionally multiplied by an indicator that the flow is nonzero.  Every
     row sum is numpy's sum of the row in C order (``_pairwise_sums``), so a
@@ -544,10 +560,9 @@ def _costs(t_r: np.ndarray, t_w: np.ndarray, inlet: np.ndarray,
     in place: ``t_r`` and ``t_w`` are overwritten.
     """
     n = cfg.n_hor
-    occ_path = np.concatenate(([forecast.now.occ], forecast.occ))
     comfort = np.subtract(t_r, cfg.t_set, out=t_r)
     np.square(comfort, out=comfort)
-    comfort *= occ_path[:, None]
+    comfort *= win.columns["occ"][win.past:, None]
     # the samples of each period against that period's option
     heating = t_w.reshape(len(inlet), -1, t_w.shape[1])
     np.subtract(inlet[:, None], heating, out=heating)
@@ -564,8 +579,7 @@ def _pump_cost(flow: np.ndarray, cfg: MpcConfig) -> np.ndarray:
 
 
 def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
-                    spec: RegressorSpec, hist: LaggedHistory,
-                    plan: ControlPlan, forecast: HorizonForecast,
+                    spec: RegressorSpec, win: DecisionWindow, plan: ControlPlan,
                     cfg: MpcConfig) -> tuple[np.ndarray, np.ndarray]:
     """Multi-step rollout of the zone and water predictors under one plan.
 
@@ -576,23 +590,13 @@ def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
     n = cfg.n_hor
     if n == 0:
         return np.empty(0), np.empty(0)
-    forecast.check(n, spec.n_neighbors)
     if len(plan.periods) != cfg.n_periods:
         raise ConfigError(f"plan has {len(plan.periods)} periods, "
                           f"config expects {cfg.n_periods}")
     choices = [(option[:1], option[1:])
                for option in np.array(plan.periods, dtype=float)]
-    buffers, w = _rollout(theta_r, theta_w, spec, hist, forecast, cfg, choices)
+    buffers, w = _rollout(theta_r, theta_w, spec, win, cfg, choices)
     return buffers[0, w:w + n + 1, 0].copy(), buffers[1, w:w + n, 0].copy()
-
-
-def _push_rollout_row(work: LaggedHistory, *, t_r, t_w,
-                      t_neighbors, ta_in, va, qext, occ, tw_in, vw) -> None:
-    row = {"T_r": t_r, "Ta_in": ta_in, "Va": va, "Qext": qext, "occ": occ,
-           "Tw_in": tw_in, "Vw": vw, "T_w": t_w}
-    for j, v in enumerate(t_neighbors, start=1):
-        row[f"T_rj_{j}"] = v
-    work.push({c: row[c] for c in work.channels if c in row})
 
 
 @dataclass(frozen=True)
@@ -604,7 +608,7 @@ class CostBreakdown:
 
 
 def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
-              forecast: HorizonForecast, cfg: MpcConfig) -> CostBreakdown:
+              win: DecisionWindow, cfg: MpcConfig) -> CostBreakdown:
     """Comfort, heating and pump cost of one rolled-out plan, by the cost
     function ``solve`` ranks plans with."""
     t_r_trace, t_w_trace = traces
@@ -616,7 +620,7 @@ def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
     t_r = np.array(t_r_trace, dtype=float)[:, None]
     t_w = np.array(t_w_trace, dtype=float)[:, None]
     comfort, heating = (float(c[0]) for c in _costs(
-        t_r, t_w, options[:, :1], options[:, 1:], forecast, cfg))
+        t_r, t_w, options[:, :1], options[:, 1:], win, cfg))
     pump = float(_pump_cost(flow_seq[None, :], cfg)[0])
     return CostBreakdown(total=comfort + heating + pump, comfort=comfort,
                          heating=heating, pump=pump)
@@ -683,26 +687,24 @@ def _plan_template(spec: RegressorSpec, cfg: MpcConfig) -> _Template:
     return _control_template(spec, table.choices, cfg.samples_per_period)
 
 
-def _plan_costs(theta_r, theta_w, spec, hist, forecast, cfg) -> np.ndarray:
+def _plan_costs(theta_r, theta_w, spec, win, cfg) -> np.ndarray:
     """Total cost of every plan, in enumeration order."""
     n = cfg.n_hor
     table = _plan_table(cfg)
-    buffers, w = _rollout(theta_r, theta_w, spec, hist, forecast, cfg,
-                          table.choices, _plan_template(spec, cfg))
+    buffers, w = _rollout(theta_r, theta_w, spec, win, cfg, table.choices,
+                          _plan_template(spec, cfg))
     # the costs overwrite the predictions, which nothing reads after them
     comfort, heating = _costs(buffers[0, w:w + n + 1], buffers[1, w:w + n],
-                              table.inlet_rows, table.flow_rows, forecast, cfg)
+                              table.inlet_rows, table.flow_rows, win, cfg)
     return (comfort + heating)[table.order] + table.pump
 
 
 def solve(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
-          hist: LaggedHistory, forecast: HorizonForecast,
-          cfg: MpcConfig) -> ControlPlan:
+          win: DecisionWindow, cfg: MpcConfig) -> ControlPlan:
     """Exhaustively enumerate all admissible plans and return the cheapest
     (first minimum in tie-break order)."""
     plans = _plan_table(cfg).plans
-    forecast.check(cfg.n_hor, spec.n_neighbors)
-    costs = _plan_costs(theta_r, theta_w, spec, hist, forecast, cfg)
+    costs = _plan_costs(theta_r, theta_w, spec, win, cfg)
     return ControlPlan(periods=plans[int(np.argmin(costs))])
 
 
@@ -774,10 +776,21 @@ def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
     exogenous forecast is read from the scenario schedule (exact).  Until the
     history covers the deepest regressor lag, the hysteresis law bootstraps
     the flow with the scheduled heating-curve inlet.  The controller runs as
-    the ``control`` of the plant loop ``simulator.simulate``.
+    the ``control`` of the plant loop ``simulator.simulate``; it logs the
+    measured zone temperature, its water estimate and the applied controls
+    by sample, and each decision reads a ``DecisionWindow`` of views of
+    those logs and of the scenario.
     """
     if abs(sim_cfg.epsilon - cfg.t_sam) > 1e-9:
         raise ConfigError("simulator sampling period and t_sam must agree")
+    for name, layout_spec, theta in (("theta_r", spec, theta_r),
+                                     ("theta_w", _rh_spec(spec), theta_w)):
+        want = (regressor_length(layout_spec),)
+        if np.shape(theta) != want:
+            raise ConfigError(
+                f"the {spec.structure.value} controller (n_neighbors="
+                f"{spec.n_neighbors}) got {name} of shape {np.shape(theta)}, "
+                f"its {layout_spec.structure.value} layout has shape {want}")
     n = sim_cfg.n_samples
     n_hor = cfg.n_hor
     rng = np.random.default_rng(sim_cfg.seed)
@@ -785,49 +798,32 @@ def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
                                n + n_hor + 1, rng)
     noise = (rng.normal(0.0, sim_cfg.noise_std, size=n) if sim_cfg.noise_std > 0
              else np.zeros(n))
-    q_ext = scen.q_ext
-    rh = _rh_spec(spec)
 
-    hist = LaggedHistory(runtime_channels(spec), extra_predictions=("yhat_w",))
+    t_r, yhat_w, tw_in, vw = (np.empty(n) for _ in range(4))
+    columns = {"T_r": t_r, "yhat_w": yhat_w, "Tw_in": tw_in, "Vw": vw,
+               **{f"T_rj_{j}": nb for j, nb in enumerate(scen.neighbors, start=1)},
+               "Ta_in": scen.ta_in, "Va": scen.va, "Qext": scen.q_ext, "occ": scen.occ}
     warm = max(warmup(spec), 1)
-    t_r_prev_meas = None
     current = None  # (inlet, flow) applied during the current period
 
     def control(k, t_r_true):
-        nonlocal t_r_prev_meas, current
-        t_r_meas = t_r_true + noise[k]
-        now = CurrentSample(t_r=float(t_r_meas), occ=float(scen.occ[k]),
-                            t_neighbors=tuple(float(nb[k]) for nb in scen.neighbors),
-                            ta_in=float(scen.ta_in[k]), va=float(scen.va[k]),
-                            qext=float(q_ext[k]))
-
+        nonlocal current
+        t_r[k] = t_r_true + noise[k]
         if k < warm or (current is None and k % cfg.samples_per_period != 0):
             # bootstrap: hysteresis with the heating-curve inlet
-            prev = t_r_meas if t_r_prev_meas is None else t_r_prev_meas
-            flow_k = hysteresis_control(t_r_meas, prev, scen.occ[k] > 0,
+            flow_k = hysteresis_control(t_r[k], t_r[max(k - 1, 0)], scen.occ[k] > 0,
                                         sim_cfg.hysteresis)
             inlet_k = heating_curve(sim_cfg.hysteresis.t_set, scen.neighbors[0][k],
                                     sim_cfg.heating_curve)
         else:
             if k % cfg.samples_per_period == 0 or current is None:
-                forecast = HorizonForecast(
-                    occ=scen.occ[k + 1:k + 1 + n_hor],
-                    ta_in=scen.ta_in[k + 1:k + 1 + n_hor],
-                    va=scen.va[k + 1:k + 1 + n_hor],
-                    qext=q_ext[k + 1:k + 1 + n_hor],
-                    t_neighbors=[nb[k + 1:k + 1 + n_hor] for nb in scen.neighbors],
-                    now=now)
-                plan = solve(theta_r, theta_w, spec, hist, forecast, cfg)
-                current = plan.periods[0]
+                win = DecisionWindow.at(columns, k, warm, n_hor)
+                current = solve(theta_r, theta_w, spec, win, cfg).periods[0]
             inlet_k, flow_k = current
 
         # controller-side water estimate, then record the sample
-        yhat_w_k = oe_predict(theta_w, rh, hist, k) if k >= 1 else now.t_r
-        _push_rollout_row(hist, t_r=now.t_r, t_w=yhat_w_k, t_neighbors=now.t_neighbors,
-                          ta_in=now.ta_in, va=now.va, qext=now.qext, occ=now.occ,
-                          tw_in=inlet_k, vw=flow_k)
-        hist.record_prediction("yhat_w", k, yhat_w_k)
-        t_r_prev_meas = t_r_meas
+        yhat_w[k] = water_estimate(theta_w, spec, columns, k) if k >= 1 else t_r[k]
+        tw_in[k], vw[k] = inlet_k, flow_k
         return inlet_k, flow_k
 
     t_r_plant, t_w_plant, inlet_log, flow_log = simulate(params, sim_cfg, scen, n,

@@ -1,16 +1,25 @@
-"""Reference rollouts of the MPC predictors, kept as test oracles.
+"""Reference rollouts and the reference controller of the MPC, kept as test
+oracles.
 
-``predict_horizon`` steps one plan through a copy of the controller's
-``LaggedHistory`` with ``oe_predict`` (a BLAS dot per step) and ``plan_cost``
-sums the costs in Python loops.  It shares no rollout or cost arithmetic with
-``thermbench.mpc``, so the controller's tree rollout is checked against
-separate code; the two agree to about 1e-11 relative, not bit for bit.
+``predict_horizon`` steps one plan through a ``LaggedHistory`` built from the
+decision window's recorded past, with ``oe_predict`` (a BLAS dot per step),
+and ``plan_cost`` sums the costs in Python loops.  It shares no rollout or
+cost arithmetic with ``thermbench.mpc``, so the controller's tree rollout is
+checked against separate code; the two agree to about 1e-11 relative, not bit
+for bit.
 
 ``tree_plan_costs`` is the earlier one-stage tree kernel: at every horizon
 step it fills a value table with the plan buffers and the shared signals and
 multiplies every factor of every entry over all rows, with the plans in
-enumeration order.  The two-stage kernel of ``thermbench.mpc`` must
-reproduce its cost vectors bit for bit.
+enumeration order.  It reads the window's past through its own
+``LaggedHistory``.  The two-stage kernel of ``thermbench.mpc`` must reproduce
+its cost vectors bit for bit.
+
+``closed_loop_run`` is the earlier controller: it records the episode in a
+``LaggedHistory``, one pushed row per sample, computes its water estimates
+with ``oe_predict`` and hands ``mpc.solve`` a decision window built from that
+history.  ``thermbench.mpc.closed_loop_run`` must reproduce its episodes bit
+for bit.
 """
 
 from __future__ import annotations
@@ -21,44 +30,87 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from thermbench.errors import DivergenceError, HistoryUnderflowError
+from thermbench import mpc
+from thermbench.errors import DivergenceError
 from thermbench.identify import oe_predict
-from thermbench.mpc import (ControlPlan, CostBreakdown, HorizonForecast,
-                            MpcConfig, _push_rollout_row, _rh_spec)
+from thermbench.mpc import (ControlPlan, CostBreakdown, DecisionWindow,
+                            EpisodeReport, MpcConfig, _rh_spec, realized_costs)
 from thermbench.regressors import (CompiledLayout, LaggedHistory, RegressorSpec,
-                                   compile_layout, layout, sum_entries, warmup)
+                                   compile_layout, layout, measured_columns,
+                                   sum_entries, warmup)
+from thermbench.simulator import (heating_curve, hysteresis_control, simulate,
+                                  synthesize_scenario)
+
+
+def runtime_channels(spec: RegressorSpec) -> list[str]:
+    """History channels a controller keeps for a zone structure plus the
+    water-loop predictor."""
+    cols = set(measured_columns(spec.structure, spec.n_neighbors))
+    cols.update(["Vw", "Tw_in", "Ta_in", "Va", "Qext", "T_r"])
+    cols.update(f"T_rj_{j}" for j in range(1, spec.n_neighbors + 1))
+    cols.discard("T_w")  # the water state is tracked through yhat_w
+    return sorted(cols)
+
+
+def _push_rollout_row(work: LaggedHistory, *, t_r, t_w,
+                      t_neighbors, ta_in, va, qext, occ, tw_in, vw) -> None:
+    row = {"T_r": t_r, "Ta_in": ta_in, "Va": va, "Qext": qext, "occ": occ,
+           "Tw_in": tw_in, "Vw": vw, "T_w": t_w}
+    for j, v in enumerate(t_neighbors, start=1):
+        row[f"T_rj_{j}"] = v
+    work.push({c: row[c] for c in work.channels if c in row})
+
+
+def _neighbors(win: DecisionWindow, i: int) -> tuple[float, ...]:
+    n = sum(c.startswith("T_rj_") for c in win.columns)
+    return tuple(float(win.columns[f"T_rj_{j}"][i]) for j in range(1, n + 1))
+
+
+def history(win: DecisionWindow, spec: RegressorSpec) -> LaggedHistory:
+    """The recorded past of ``win`` as a controller history, one pushed row
+    per position."""
+    cols = win.columns
+    hist = LaggedHistory(runtime_channels(spec), extra_predictions=("yhat_w",))
+    for i in range(win.past):
+        _push_rollout_row(hist, t_r=cols["T_r"][i], t_w=cols["yhat_w"][i],
+                          t_neighbors=_neighbors(win, i), ta_in=cols["Ta_in"][i],
+                          va=cols["Va"][i], qext=cols["Qext"][i], occ=cols["occ"][i],
+                          tw_in=cols["Tw_in"][i], vw=cols["Vw"][i])
+        hist.record_prediction("yhat_w", i, cols["yhat_w"][i])
+    return hist
 
 
 def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
-                    spec: RegressorSpec, hist: LaggedHistory,
-                    plan: ControlPlan, forecast: HorizonForecast,
-                    cfg: MpcConfig) -> tuple[np.ndarray, np.ndarray]:
+                    spec: RegressorSpec, win: DecisionWindow,
+                    plan: ControlPlan, cfg: MpcConfig) -> tuple[np.ndarray, np.ndarray]:
     """Multi-step rollout of the zone and water predictors under one plan.
 
     Returns the zone trace (length n_hor+1, position 0 is the current
-    measurement) and the water-outlet trace (length n_hor).  The caller's
-    history is not modified.
+    measurement) and the water-outlet trace (length n_hor).
     """
     n = cfg.n_hor
     if n == 0:
         return np.empty(0), np.empty(0)
-    forecast.check(n, spec.n_neighbors)
+    win.check(spec, n)
     rh = _rh_spec(spec)
     inlet_seq, flow_seq = plan.expand(cfg)
-    work = hist.copy()
+    work = history(win, spec)
     t = len(work)
+    cols = win.columns
+
+    def now(c, kappa):
+        return float(cols[c][t + kappa])
 
     t_r_trace = np.empty(n + 1)
     t_w_trace = np.empty(n)
-    t_r_trace[0] = forecast.now.t_r
+    t_r_trace[0] = now("T_r", 0)
 
     # current water estimate from the recorded history (plan independent)
-    yhat_w = oe_predict(theta_w, rh, work, t) if t >= 1 else forecast.now.t_r
+    yhat_w = oe_predict(theta_w, rh, work, t) if t >= 1 else t_r_trace[0]
     t_w_trace[0] = yhat_w
-    _push_rollout_row(work, t_r=forecast.now.t_r, t_w=yhat_w,
-                      t_neighbors=forecast.now.t_neighbors,
-                      ta_in=forecast.now.ta_in, va=forecast.now.va,
-                      qext=forecast.now.qext, occ=forecast.now.occ,
+    _push_rollout_row(work, t_r=t_r_trace[0], t_w=yhat_w,
+                      t_neighbors=_neighbors(win, t), ta_in=now("Ta_in", 0),
+                      va=now("Va", 0), qext=now("Qext", 0), occ=now("occ", 0),
                       tw_in=inlet_seq[0], vw=flow_seq[0])
     work.record_prediction("yhat_w", t, yhat_w)
 
@@ -73,20 +125,16 @@ def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
             t_w_trace[kappa] = yhat_w
         s = min(kappa, n - 1)
         _push_rollout_row(work, t_r=yhat_r, t_w=yhat_w,
-                          t_neighbors=tuple(float(a[kappa - 1])
-                                            for a in forecast.t_neighbors),
-                          ta_in=float(forecast.ta_in[kappa - 1]),
-                          va=float(forecast.va[kappa - 1]),
-                          qext=float(forecast.qext[kappa - 1]),
-                          occ=float(forecast.occ[kappa - 1]),
-                          tw_in=inlet_seq[s], vw=flow_seq[s])
+                          t_neighbors=_neighbors(win, idx), ta_in=now("Ta_in", kappa),
+                          va=now("Va", kappa), qext=now("Qext", kappa),
+                          occ=now("occ", kappa), tw_in=inlet_seq[s], vw=flow_seq[s])
         work.record_prediction("yhat_r", idx, yhat_r)
         work.record_prediction("yhat_w", idx, yhat_w)
     return t_r_trace, t_w_trace
 
 
 def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
-              forecast: HorizonForecast, cfg: MpcConfig) -> CostBreakdown:
+              win: DecisionWindow, cfg: MpcConfig) -> CostBreakdown:
     """Comfort, heating and pump cost of one rolled-out plan.
 
     The comfort sum runs over horizon positions 0..n_hor and is averaged by
@@ -99,10 +147,11 @@ def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
     if n == 0 or len(t_r_trace) == 0:
         return CostBreakdown(0.0, 0.0, 0.0, 0.0)
     inlet_seq, flow_seq = plan.expand(cfg)
+    occ = win.columns["occ"][win.past:]
 
-    comfort = forecast.now.occ * (t_r_trace[0] - cfg.t_set) ** 2
+    comfort = float(occ[0]) * (t_r_trace[0] - cfg.t_set) ** 2
     for kappa in range(1, n + 1):
-        comfort += float(forecast.occ[kappa - 1]) * (t_r_trace[kappa] - cfg.t_set) ** 2
+        comfort += float(occ[kappa]) * (t_r_trace[kappa] - cfg.t_set) ** 2
     comfort = cfg.alpha * comfort / n
 
     heating = 0.0
@@ -116,13 +165,13 @@ def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
                          heating=heating, pump=pump)
 
 
-def scalar_costs(theta, theta_w, spec, hist, forecast, cfg, plans):
+def scalar_costs(theta, theta_w, spec, win, cfg, plans):
     """Total cost of each plan (a tuple of per-period (inlet, flow) pairs)."""
     out = []
     for periods in plans:
         plan = ControlPlan(periods)
-        traces = predict_horizon(theta, theta_w, spec, hist, plan, forecast, cfg)
-        out.append(plan_cost(traces, plan, forecast, cfg).total)
+        traces = predict_horizon(theta, theta_w, spec, win, plan, cfg)
+        out.append(plan_cost(traces, plan, win, cfg).total)
     return out
 
 
@@ -173,8 +222,7 @@ def _kernel(spec: RegressorSpec) -> _Kernel:
 
 
 def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
-             hist: LaggedHistory, forecast: HorizonForecast, cfg: MpcConfig,
-             choices) -> tuple[np.ndarray, int]:
+             win: DecisionWindow, cfg: MpcConfig, choices) -> tuple[np.ndarray, int]:
     """Roll the water and zone predictors out over a tree of plan prefixes.
 
     ``choices[p]`` holds period p's candidate (inlet, flow) values as two
@@ -191,27 +239,18 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
     n = cfg.n_hor
     s = cfg.samples_per_period
     w = max(warmup(spec), 1)
+    win.check(spec, n)
+    hist = history(win, spec)
     t = len(hist)
-    if t < w:
-        raise HistoryUnderflowError(f"controller history has {t} samples, "
-                                    f"needs {w} for the rollout")
     total = w + 1 + n
     kern = _kernel(spec)
 
-    # plan-independent signals by position: recorded, measured at the
-    # decision sample, then forecast; the last row is the constant 1.0
-    now = {"Ta_in": forecast.now.ta_in, "Va": forecast.now.va,
-           "Qext": forecast.now.qext}
-    future = {"Ta_in": forecast.ta_in, "Va": forecast.va, "Qext": forecast.qext}
-    for j, (v, a) in enumerate(zip(forecast.now.t_neighbors, forecast.t_neighbors),
-                               start=1):
-        now[f"T_rj_{j}"] = v
-        future[f"T_rj_{j}"] = a
+    # plan-independent signals by position: recorded, then the decision
+    # sample and the forecast; the last row is the constant 1.0
     shared = np.empty((len(kern.shared) + 1, total))
     for i, c in enumerate(kern.shared):
         shared[i, :w] = [hist.get(c, k) for k in range(t - w, t)]
-        shared[i, w] = now[c]
-        shared[i, w + 1:] = future[c]
+        shared[i, w:] = win.columns[c][t:]
     shared[-1] = 1.0
     # the shared rows of the value table at each horizon step
     shared_at = shared[kern.shared_channel,
@@ -220,7 +259,7 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
     buffers = np.zeros((4, total, 1))
     for c in ("yhat_r", "yhat_w", "Tw_in", "Vw"):
         buffers[_PLAN_BUFFERS[c], :w, 0] = [hist.get(c, k) for k in range(t - w, t)]
-    buffers[0, w] = forecast.now.t_r
+    buffers[0, w] = win.columns["T_r"][t]
     buffers[1, w] = oe_predict(theta_w, _rh_spec(spec), hist, t)
 
     coef = np.concatenate((theta_w, theta_r))[:, None]
@@ -245,10 +284,11 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
 
 
 def _costs(t_r: np.ndarray, t_w: np.ndarray, inlet: np.ndarray,
-           flow: np.ndarray, forecast: HorizonForecast, cfg: MpcConfig):
+           flow: np.ndarray, occ_path: np.ndarray, cfg: MpcConfig):
     """Comfort, heating and pump cost of each row (one plan per row).
 
-    ``t_r`` covers horizon positions 0..n_hor, the others 0..n_hor-1.  The
+    ``t_r`` and the occupancy ``occ_path`` cover horizon positions
+    0..n_hor, the others 0..n_hor-1.  The
     comfort sum is averaged by n_hor; the heating term is
     beta * t_sam * (inlet - predicted outlet), optionally multiplied by an
     indicator that the flow is nonzero.  Every row sum runs over a C-ordered
@@ -256,7 +296,6 @@ def _costs(t_r: np.ndarray, t_w: np.ndarray, inlet: np.ndarray,
     alone or among others.
     """
     n = cfg.n_hor
-    occ_path = np.concatenate(([forecast.now.occ], forecast.occ))
     comfort = cfg.alpha * np.sum(
         occ_path * np.subtract(t_r, cfg.t_set, order="C") ** 2, axis=1) / n
     gate = (flow > 0.0).astype(float) if cfg.heating_cost_gated_by_flow else 1.0
@@ -266,16 +305,98 @@ def _costs(t_r: np.ndarray, t_w: np.ndarray, inlet: np.ndarray,
     return comfort, heating, pump
 
 
-def tree_plan_costs(theta_r, theta_w, spec, hist, forecast, cfg) -> np.ndarray:
+def tree_plan_costs(theta_r, theta_w, spec, win, cfg) -> np.ndarray:
     """Total cost of every plan, in enumeration order."""
     n = cfg.n_hor
     options = cfg.options()
     inlet = np.array([i for i, _ in options], dtype=float)
     flow = np.array([f for _, f in options], dtype=float)
-    buffers, w = _rollout(theta_r, theta_w, spec, hist, forecast, cfg,
+    buffers, w = _rollout(theta_r, theta_w, spec, win, cfg,
                           [(inlet, flow)] * cfg.n_periods)
     # (plans, positions) views of the leaves
     t_r, t_w, inlet_seq, flow_seq = (buffers[b, w:w + n + (b == 0)].T
                                      for b in range(4))
-    comfort, heating, pump = _costs(t_r, t_w, inlet_seq, flow_seq, forecast, cfg)
+    occ_path = np.asarray(win.columns["occ"][win.past:], dtype=float)
+    comfort, heating, pump = _costs(t_r, t_w, inlet_seq, flow_seq, occ_path, cfg)
     return comfort + heating + pump
+
+
+# ---------------------------------------------------------------------------
+# LaggedHistory controller
+# ---------------------------------------------------------------------------
+
+def _window(hist: LaggedHistory, w: int, t_r: float, exogenous: dict, k: int,
+            n_hor: int) -> DecisionWindow:
+    """The decision window at sample ``k``: the last ``w`` samples of
+    ``hist``, the measured ``t_r`` and the scenario's ``exogenous`` signals
+    from ``k`` on (its occupancy over every position)."""
+    t = len(hist)
+
+    def past(c):
+        return np.array([hist.get(c, i) for i in range(t - w, t)])
+
+    cols = {c: past(c) for c in ("yhat_w", "Tw_in", "Vw")}
+    cols["T_r"] = np.append(past("T_r"), t_r)
+    for c, a in exogenous.items():
+        cols[c] = (a[k - w:k + 1 + n_hor] if c == "occ"
+                   else np.concatenate((past(c), a[k:k + 1 + n_hor])))
+    return DecisionWindow(cols)
+
+
+def closed_loop_run(params, sim_cfg, cfg: MpcConfig, spec: RegressorSpec,
+                    theta_r: np.ndarray, theta_w: np.ndarray) -> EpisodeReport:
+    """Receding-horizon episode against the RK4 plant, recorded in a
+    ``LaggedHistory``; every decision is ``mpc.solve`` on a window built
+    from it."""
+    n = sim_cfg.n_samples
+    n_hor = cfg.n_hor
+    rng = np.random.default_rng(sim_cfg.seed)
+    scen = synthesize_scenario(sim_cfg.disturbance_spec, sim_cfg.epsilon,
+                               n + n_hor + 1, rng)
+    noise = (rng.normal(0.0, sim_cfg.noise_std, size=n) if sim_cfg.noise_std > 0
+             else np.zeros(n))
+    q_ext = scen.q_ext
+    exogenous = {**{f"T_rj_{j}": nb for j, nb in enumerate(scen.neighbors, start=1)},
+                 "Ta_in": scen.ta_in, "Va": scen.va, "Qext": q_ext, "occ": scen.occ}
+    rh = _rh_spec(spec)
+
+    hist = LaggedHistory(runtime_channels(spec), extra_predictions=("yhat_w",))
+    warm = max(warmup(spec), 1)
+    t_r_prev_meas = None
+    current = None  # (inlet, flow) applied during the current period
+
+    def control(k, t_r_true):
+        nonlocal t_r_prev_meas, current
+        t_r_meas = t_r_true + noise[k]
+        if k < warm or (current is None and k % cfg.samples_per_period != 0):
+            # bootstrap: hysteresis with the heating-curve inlet
+            prev = t_r_meas if t_r_prev_meas is None else t_r_prev_meas
+            flow_k = hysteresis_control(t_r_meas, prev, scen.occ[k] > 0,
+                                        sim_cfg.hysteresis)
+            inlet_k = heating_curve(sim_cfg.hysteresis.t_set, scen.neighbors[0][k],
+                                    sim_cfg.heating_curve)
+        else:
+            if k % cfg.samples_per_period == 0 or current is None:
+                win = _window(hist, warm, float(t_r_meas), exogenous, k, n_hor)
+                current = mpc.solve(theta_r, theta_w, spec, win, cfg).periods[0]
+            inlet_k, flow_k = current
+
+        # controller-side water estimate, then record the sample
+        yhat_w_k = oe_predict(theta_w, rh, hist, k) if k >= 1 else float(t_r_meas)
+        _push_rollout_row(hist, t_r=float(t_r_meas), t_w=yhat_w_k,
+                          t_neighbors=tuple(float(nb[k]) for nb in scen.neighbors),
+                          ta_in=float(scen.ta_in[k]), va=float(scen.va[k]),
+                          qext=float(q_ext[k]), occ=float(scen.occ[k]),
+                          tw_in=inlet_k, vw=flow_k)
+        hist.record_prediction("yhat_w", k, yhat_w_k)
+        t_r_prev_meas = t_r_meas
+        return inlet_k, flow_k
+
+    t_r_plant, t_w_plant, inlet_log, flow_log = simulate(params, sim_cfg, scen, n,
+                                                         control)
+    comfort, heating, pump = realized_costs(t_r_plant, t_w_plant, scen.occ[:n],
+                                            inlet_log, flow_log, cfg)
+    return EpisodeReport(t_hours=scen.t_hours[:n], t_r_plant=t_r_plant,
+                         t_w_plant=t_w_plant, inlet=inlet_log, flow=flow_log,
+                         occ=scen.occ[:n].copy(), run_avg_comfort=comfort,
+                         run_avg_heating=heating, run_avg_pump=pump)

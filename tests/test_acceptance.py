@@ -25,8 +25,7 @@ from thermbench.simulator import (OccupancySchedule, run_experiment,
 from conftest import random_point
 from mpc_oracle import scalar_costs
 from test_identify import generate_self_consistent, stable_theta
-from test_mpc import (stable_toy_theta, toy_cfg, toy_forecast, toy_theta_w,
-                      warm_history)
+from test_mpc import stable_toy_theta, toy_cfg, toy_theta_w, toy_window
 
 SPEC_MI = RegressorSpec(Structure.NRM_MI, 1)
 SPEC_LRM = RegressorSpec(Structure.LRM, 1)
@@ -170,12 +169,11 @@ def test_criterion_6_toy_enumeration_optimality():
     assert len(plans) == 16
     for seed in range(20):
         theta = stable_toy_theta(SPEC_MI, seed=seed)
-        hist = warm_history(SPEC_MI, seed=seed + 50)
-        fc = toy_forecast(cfg, seed=seed + 500)
-        costs = scalar_costs(theta, theta_w, SPEC_MI, hist, fc, cfg, plans)
+        win = toy_window(cfg, seed=seed + 50, forecast_seed=seed + 500)
+        costs = scalar_costs(theta, theta_w, SPEC_MI, win, cfg, plans)
         # independent enumeration in reversed order, ties -> smallest index
         best = min(reversed(range(len(plans))), key=lambda i: (costs[i], i))
-        assert solve(theta, theta_w, SPEC_MI, hist, fc, cfg).periods == plans[best]
+        assert solve(theta, theta_w, SPEC_MI, win, cfg).periods == plans[best]
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     report(6, f"20 random two-period instances match the independent "

@@ -414,3 +414,62 @@ def test_probe_flag(tmp_path, small_config):
     from thermbench.simulator import TimeSeriesDataset
     ds = TimeSeriesDataset.from_csv(out / "dataset_probe.csv")
     assert set(np.unique(ds.columns["Tw_in"])) <= {40.0, 45.0}
+
+
+def test_compare_byte_identical_reruns(tmp_path, small_config):
+    # the second run in the same process starts from the controller's module
+    # caches (kernel, plan template, rollout workspace) the first one left
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["compare", "--config", str(small_config), "--out-dir", str(out),
+                     "--spec", "NRM_MI", "--spec", "NRM_FI_ZONE"]) == 0
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == sorted(p.name for p in runs[1].iterdir())
+    assert {"episode_NRM_MI.csv", "episode_NRM_FI_ZONE.csv", "summary.csv"} <= set(names)
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+def test_compare_with_zero_passes_runs_the_untrained_models(tmp_path, small_config):
+    # zero passes leave every parameter at zero, the water predictor's too;
+    # the controller used to get no water parameters at all and failed with a
+    # raw ValueError.  No pass leaves no error to report an RMSE of.
+    cp = configparser.ConfigParser()
+    cp.read(small_config)
+    cp["model"]["passes"] = "0"
+    config = tmp_path / "untrained.ini"
+    with open(config, "w") as fh:
+        cp.write(fh)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(config), "--out-dir", str(out),
+                 "--spec", "LRM", "--spec", "NRM_MI"]) == 0
+    with open(out / "summary.csv") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [dict(zip(header, line.strip().split(","))) for line in fh]
+    assert [row["spec"] for row in rows] == ["LRM", "NRM_MI"]
+    for row in rows:
+        assert np.isnan(float(row["final_rmse"]))
+        assert all(np.isfinite(float(row[c]))
+                   for c in ("final_comfort", "final_heating", "final_pump"))
+    assert not np.any(np.loadtxt(out / "theta_w.txt"))
+
+
+def test_dataset_at_another_sampling_period_exits_2(tmp_path, small_config, capsys):
+    # a 0.1 h dataset under a 1/12 h config used to train and run the
+    # controller at 1/12 h
+    cp = configparser.ConfigParser()
+    cp.read(small_config)
+    cp["sim"]["epsilon_hours"] = cp["mpc"]["t_sam"] = "0.1"
+    config = tmp_path / "tenth.ini"
+    with open(config, "w") as fh:
+        cp.write(fh)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == 0
+    path = out / "dataset.csv"
+    capsys.readouterr()
+    for argv in (["identify", "--spec", "LRM"], ["excite-check"],
+                 ["mpc-run", "--spec", "NRM_MI"], ["compare"]):
+        assert main([*argv, "--config", str(small_config), "--out-dir", str(out),
+                     "--dataset", str(path)]) == 2, argv
+        err = capsys.readouterr().err
+        assert str(path) in err and "0.1 h" in err and repr(1.0 / 12.0) in err, argv

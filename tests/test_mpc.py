@@ -6,12 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermbench.errors import ConfigError
-from thermbench.identify import train
-from thermbench.mpc import (ControlPlan, CurrentSample, HorizonForecast,
-                            MpcConfig, closed_loop_run, plan_cost,
-                            predict_horizon, realized_costs, runtime_channels,
-                            solve)
+from thermbench.errors import ConfigError, HistoryUnderflowError
+from thermbench.identify import oe_predict, train
+from thermbench.mpc import (ControlPlan, DecisionWindow, MpcConfig,
+                            closed_loop_run, plan_cost, predict_horizon,
+                            realized_costs, solve, water_estimate)
 from thermbench.regressors import LaggedHistory, RegressorSpec, Structure
 from thermbench.simulator import (OccupancySchedule, step,
                                   run_probe_experiment)
@@ -49,26 +48,45 @@ def toy_theta_w(eps_s=300.0):
     return np.array([0.9, -0.7, 0.7, 0.1])
 
 
-def warm_history(spec, n=8, seed=1):
+def window(past, now, future):
+    """A decision window from the recorded ``past`` arrays, the decision
+    sample's values ``now`` and the exogenous ``future`` arrays, by channel."""
+    cols = {c: np.concatenate((past[c], [now[c]], a)) for c, a in future.items()}
+    cols["T_r"] = np.append(past["T_r"], now["T_r"])
+    cols.update((c, past[c]) for c in ("yhat_w", "Tw_in", "Vw"))
+    return DecisionWindow(cols)
+
+
+def warm_history(n=8, seed=1):
+    """The recorded past of a one-neighbor toy window, by channel; the
+    occupancy of the past is never read."""
     rng = np.random.default_rng(seed)
-    hist = LaggedHistory(runtime_channels(spec), extra_predictions=("yhat_w",))
+    past = {c: np.empty(n) for c in ("T_r", "T_rj_1", "yhat_w")}
     for k in range(n):
-        hist.push({"T_r": 20.5 + 0.1 * rng.normal(), "T_rj_1": 5.0 + rng.normal(),
-                   "Ta_in": 19.0, "Va": 0.03, "Qext": 200.0,
-                   "Vw": 0.0787 * (k % 2), "Tw_in": 41.0})
-        hist.record_prediction("yhat_w", k, 30.0 + rng.normal())
-    return hist
+        past["T_r"][k] = 20.5 + 0.1 * rng.normal()
+        past["T_rj_1"][k] = 5.0 + rng.normal()
+        past["yhat_w"][k] = 30.0 + rng.normal()
+    return {**past, "Ta_in": np.full(n, 19.0), "Va": np.full(n, 0.03),
+            "Qext": np.full(n, 200.0), "Vw": 0.0787 * (np.arange(n) % 2),
+            "Tw_in": np.full(n, 41.0), "occ": np.ones(n)}
 
 
-def toy_forecast(cfg, seed=2):
+def toy_forecast(cfg, past, seed=2, occ=1.0):
+    """``past``, a decision sample and a toy forecast over ``cfg``'s
+    horizon, occupied at ``occ`` throughout."""
     rng = np.random.default_rng(seed)
     n = cfg.n_hor
-    return HorizonForecast(
-        occ=np.ones(n), ta_in=np.full(n, 19.0) + 0.1 * rng.normal(size=n),
-        va=np.full(n, 0.03), qext=np.full(n, 200.0) + rng.normal(size=n),
-        t_neighbors=[np.full(n, 5.0) + 0.2 * rng.normal(size=n)],
-        now=CurrentSample(t_r=20.5, occ=1.0, t_neighbors=(5.0,), ta_in=19.0,
-                          va=0.03, qext=200.0))
+    future = {"occ": np.full(n, occ),
+              "Ta_in": np.full(n, 19.0) + 0.1 * rng.normal(size=n),
+              "Va": np.full(n, 0.03), "Qext": np.full(n, 200.0) + rng.normal(size=n),
+              "T_rj_1": np.full(n, 5.0) + 0.2 * rng.normal(size=n)}
+    now = {"T_r": 20.5, "occ": occ, "T_rj_1": 5.0, "Ta_in": 19.0, "Va": 0.03,
+           "Qext": 200.0}
+    return window(past, now, future)
+
+
+def toy_window(cfg, seed=1, forecast_seed=2, occ=1.0):
+    return toy_forecast(cfg, warm_history(seed=seed), forecast_seed, occ)
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +113,8 @@ def test_plan_expansion_zero_order_hold():
 
 def test_budget_cap():
     cfg = MpcConfig(plan_budget=100)  # 4^5 = 1024 > 100
-    hist = warm_history(SPEC)
     with pytest.raises(ConfigError):
-        solve(stable_toy_theta(SPEC), toy_theta_w(), SPEC, hist,
-              toy_forecast(cfg), cfg)
+        solve(stable_toy_theta(SPEC), toy_theta_w(), SPEC, toy_window(cfg), cfg)
 
 
 def test_zero_horizon_empty_traces():
@@ -106,24 +122,22 @@ def test_zero_horizon_empty_traces():
     # documented degenerate behavior is exercised with a config stand-in
     import types
     cfg0 = types.SimpleNamespace(n_hor=0)
-    tr, tw = predict_horizon(stable_toy_theta(SPEC), toy_theta_w(), SPEC,
-                             warm_history(SPEC), ControlPlan(((40.0, 0.0),)),
-                             toy_forecast(toy_cfg()), cfg0)
+    win = toy_window(toy_cfg())
+    tr, tw = predict_horizon(stable_toy_theta(SPEC), toy_theta_w(), SPEC, win,
+                             ControlPlan(((40.0, 0.0),)), cfg0)
     assert len(tr) == 0 and len(tw) == 0
-    c = plan_cost((tr, tw), ControlPlan(((40.0, 0.0),)),
-                  toy_forecast(toy_cfg()), cfg0)
+    c = plan_cost((tr, tw), ControlPlan(((40.0, 0.0),)), win, cfg0)
     assert c.total == 0.0
 
 
 def test_causality_plans_equal_until_divergence():
     cfg = toy_cfg(t_hor=3.0)
     theta, theta_w = stable_toy_theta(SPEC), toy_theta_w()
-    hist = warm_history(SPEC)
-    fc = toy_forecast(cfg)
+    win = toy_window(cfg)
     a = ControlPlan(((40.0, 0.0787), (45.0, 0.0), (40.0, 0.0)))
     b = ControlPlan(((40.0, 0.0787), (45.0, 0.0), (45.0, 0.0787)))
-    tr_a = predict_horizon(theta, theta_w, SPEC, hist, a, fc, cfg)
-    tr_b = predict_horizon(theta, theta_w, SPEC, hist, b, fc, cfg)
+    tr_a = predict_horizon(theta, theta_w, SPEC, win, a, cfg)
+    tr_b = predict_horizon(theta, theta_w, SPEC, win, b, cfg)
     j = 2 * cfg.samples_per_period  # plans agree through the second period
     assert np.array_equal(tr_a[0][:j + 1], tr_b[0][:j + 1])
     assert np.array_equal(tr_a[1][:j], tr_b[1][:j])
@@ -138,12 +152,10 @@ def test_cost_all_zero():
     cfg = toy_cfg()
     n = cfg.n_hor
     plan = ControlPlan(((40.0, 0.0), (40.0, 0.0)))
-    fc = toy_forecast(cfg)
-    fc = dataclasses.replace(fc, occ=np.zeros(n),
-                             now=dataclasses.replace(fc.now, occ=0.0))
+    win = toy_window(cfg, occ=0.0)
     tw = np.full(n, 40.0)  # outlet equals inlet: no heating term
     tr = np.full(n + 1, 21.0)
-    c = plan_cost((tr, tw), plan, fc, cfg)
+    c = plan_cost((tr, tw), plan, win, cfg)
     assert c.total == c.comfort == c.heating == c.pump == 0.0
 
 
@@ -151,10 +163,9 @@ def test_pump_cost_hand_value():
     # 0.5278e3 * (1/12) * 0.0787 per sample, 60 samples
     cfg = MpcConfig()
     plan = ControlPlan(tuple((45.0, 0.0787) for _ in range(5)))
-    fc = toy_forecast(cfg)
     tr = np.full(cfg.n_hor + 1, 21.0)
     tw = np.full(cfg.n_hor, 45.0)
-    c = plan_cost((tr, tw), plan, fc, cfg)
+    c = plan_cost((tr, tw), plan, toy_window(cfg), cfg)
     assert c.pump == pytest.approx(0.5278e3 * (1.0 / 12.0) * 0.0787 * 60, rel=1e-12)
     assert c.pump == pytest.approx(207.69, abs=0.01)
 
@@ -162,10 +173,9 @@ def test_pump_cost_hand_value():
 def test_comfort_zero_at_setpoint_regardless_of_occupancy():
     cfg = toy_cfg()
     plan = ControlPlan(((45.0, 0.0787), (45.0, 0.0787)))
-    fc = toy_forecast(cfg)
     tr = np.full(cfg.n_hor + 1, cfg.t_set)
     tw = np.full(cfg.n_hor, 38.0)
-    c = plan_cost((tr, tw), plan, fc, cfg)
+    c = plan_cost((tr, tw), plan, toy_window(cfg), cfg)
     assert c.comfort == 0.0
     assert c.heating > 0.0
 
@@ -174,20 +184,18 @@ def test_cost_decomposition_exact():
     rng = np.random.default_rng(3)
     cfg = toy_cfg()
     plan = ControlPlan(((40.0, 0.0787), (45.0, 0.0)))
-    fc = toy_forecast(cfg)
     tr = 21.0 + rng.normal(size=cfg.n_hor + 1)
     tw = 35.0 + rng.normal(size=cfg.n_hor)
-    c = plan_cost((tr, tw), plan, fc, cfg)
+    c = plan_cost((tr, tw), plan, toy_window(cfg), cfg)
     assert c.total == c.comfort + c.heating + c.pump
 
 
 def test_gating_flag_zeroes_heating_without_flow():
     cfg = toy_cfg(heating_cost_gated_by_flow=True)
     plan = ControlPlan(((45.0, 0.0), (45.0, 0.0)))
-    fc = toy_forecast(cfg)
     tr = np.full(cfg.n_hor + 1, 21.0)
     tw = np.full(cfg.n_hor, 25.0)
-    c = plan_cost((tr, tw), plan, fc, cfg)
+    c = plan_cost((tr, tw), plan, toy_window(cfg), cfg)
     assert c.heating == 0.0 and c.pump == 0.0
 
 
@@ -201,13 +209,12 @@ def test_solve_matches_independent_enumeration():
     cfg = toy_cfg()
     theta, theta_w = stable_toy_theta(SPEC), toy_theta_w()
     for seed in range(6):
-        hist = warm_history(SPEC, seed=seed)
-        fc = toy_forecast(cfg, seed=seed + 100)
+        win = toy_window(cfg, seed=seed, forecast_seed=seed + 100)
         plans = list(itertools.product(cfg.options(), repeat=cfg.n_periods))
-        costs = scalar_costs(theta, theta_w, SPEC, hist, fc, cfg, plans)
+        costs = scalar_costs(theta, theta_w, SPEC, win, cfg, plans)
         best = min(reversed(range(len(plans))),
                    key=lambda i: (costs[i], i))
-        got = solve(theta, theta_w, SPEC, hist, fc, cfg)
+        got = solve(theta, theta_w, SPEC, win, cfg)
         assert got.periods == plans[best]
 
 
@@ -215,18 +222,17 @@ def test_solve_beats_random_plans():
     cfg = toy_cfg(t_hor=3.0)
     rng = np.random.default_rng(4)
     theta, theta_w = stable_toy_theta(SPEC), toy_theta_w()
-    hist = warm_history(SPEC)
-    fc = toy_forecast(cfg)
-    best = solve(theta, theta_w, SPEC, hist, fc, cfg)
-    tr = predict_horizon(theta, theta_w, SPEC, hist, best, fc, cfg)
-    best_cost = plan_cost(tr, best, fc, cfg).total
+    win = toy_window(cfg)
+    best = solve(theta, theta_w, SPEC, win, cfg)
+    tr = predict_horizon(theta, theta_w, SPEC, win, best, cfg)
+    best_cost = plan_cost(tr, best, win, cfg).total
     options = cfg.options()
     for _ in range(100):
         periods = tuple(options[rng.integers(len(options))]
                         for _ in range(cfg.n_periods))
         plan = ControlPlan(periods)
-        traces = predict_horizon(theta, theta_w, SPEC, hist, plan, fc, cfg)
-        assert best_cost <= plan_cost(traces, plan, fc, cfg).total + 1e-9
+        traces = predict_horizon(theta, theta_w, SPEC, win, plan, cfg)
+        assert best_cost <= plan_cost(traces, plan, win, cfg).total + 1e-9
 
 
 def test_unoccupied_gated_horizon_prefers_rest():
@@ -234,31 +240,26 @@ def test_unoccupied_gated_horizon_prefers_rest():
     # and the tie resolves to the lowest inlet everywhere
     cfg = toy_cfg(heating_cost_gated_by_flow=True)
     theta, theta_w = stable_toy_theta(SPEC), toy_theta_w()
-    hist = warm_history(SPEC)
-    fc = toy_forecast(cfg)
-    fc = dataclasses.replace(fc, occ=np.zeros(cfg.n_hor),
-                             now=dataclasses.replace(fc.now, occ=0.0))
-    plan = solve(theta, theta_w, SPEC, hist, fc, cfg)
+    plan = solve(theta, theta_w, SPEC, toy_window(cfg, occ=0.0), cfg)
     assert plan.periods == tuple((40.0, 0.0) for _ in range(cfg.n_periods))
 
 
 def test_alpha_zero_minimizes_energy_only():
     cfg = toy_cfg(alpha=0.0)
     theta, theta_w = stable_toy_theta(SPEC), toy_theta_w()
-    hist = warm_history(SPEC)
-    fc = toy_forecast(cfg)
+    win = toy_window(cfg)
     plans = list(itertools.product(cfg.options(), repeat=cfg.n_periods))
-    costs = scalar_costs(theta, theta_w, SPEC, hist, fc, cfg, plans)
+    costs = scalar_costs(theta, theta_w, SPEC, win, cfg, plans)
     best = min(range(len(plans)), key=lambda i: (costs[i], i))
-    got = solve(theta, theta_w, SPEC, hist, fc, cfg)
+    got = solve(theta, theta_w, SPEC, win, cfg)
     assert got.periods == plans[best]
     # the cheapest constant plan, found by its own enumeration, is no better
     const_costs = {}
     for opt in cfg.options():
         periods = tuple(opt for _ in range(cfg.n_periods))
         plan = ControlPlan(periods)
-        tr = predict_horizon(theta, theta_w, SPEC, hist, plan, fc, cfg)
-        const_costs[periods] = plan_cost(tr, plan, fc, cfg).total
+        tr = predict_horizon(theta, theta_w, SPEC, win, plan, cfg)
+        const_costs[periods] = plan_cost(tr, plan, win, cfg).total
     assert costs[best] <= min(const_costs.values()) + 1e-12
 
 
@@ -266,15 +267,14 @@ def test_vectorized_equals_scalar_path():
     from thermbench.mpc import _plan_costs
     cfg = toy_cfg(t_hor=3.0)
     theta, theta_w = stable_toy_theta(SPEC), toy_theta_w()
-    hist = warm_history(SPEC)
-    fc = toy_forecast(cfg)
+    win = toy_window(cfg)
     plans = list(itertools.product(cfg.options(), repeat=cfg.n_periods))
-    vec = _plan_costs(theta, theta_w, SPEC, hist, fc, cfg)
+    vec = _plan_costs(theta, theta_w, SPEC, win, cfg)
     rng = np.random.default_rng(5)
     for i in rng.choice(len(plans), size=10, replace=False):
         plan = ControlPlan(plans[i])
-        tr = mpc_oracle.predict_horizon(theta, theta_w, SPEC, hist, plan, fc, cfg)
-        sc = mpc_oracle.plan_cost(tr, plan, fc, cfg).total
+        tr = mpc_oracle.predict_horizon(theta, theta_w, SPEC, win, plan, cfg)
+        sc = mpc_oracle.plan_cost(tr, plan, win, cfg).total
         assert vec[i] == pytest.approx(sc, rel=1e-11)
 
 
@@ -283,29 +283,37 @@ def test_vectorized_equals_scalar_path():
 # ---------------------------------------------------------------------------
 
 def _random_history(spec, rng, n):
-    hist = LaggedHistory(runtime_channels(spec), extra_predictions=("yhat_w",))
+    """A random recorded past of ``n`` samples, by channel; the occupancy of
+    the past is never read."""
+    neighbors = [f"T_rj_{j}" for j in range(1, spec.n_neighbors + 1)]
+    past = {c: np.empty(n) for c in ("T_r", "Ta_in", "Qext", "Vw", "Tw_in",
+                                     "yhat_w", *neighbors)}
     for k in range(n):
-        row = {"T_r": 20.5 + 0.1 * rng.normal(), "Ta_in": 19.0 + rng.normal(),
-               "Va": 0.03, "Qext": 200.0 + 10.0 * rng.normal(),
-               "Vw": 0.0787 * rng.integers(2), "Tw_in": 40.0 + 5.0 * rng.integers(2),
-               "T_w": 30.0 + rng.normal()}
-        for j in range(1, spec.n_neighbors + 1):
-            row[f"T_rj_{j}"] = 5.0 + rng.normal()
-        hist.push({c: row[c] for c in hist.channels if c in row})
-        hist.record_prediction("yhat_w", k, 30.0 + rng.normal())
-    return hist
+        past["T_r"][k] = 20.5 + 0.1 * rng.normal()
+        past["Ta_in"][k] = 19.0 + rng.normal()
+        past["Qext"][k] = 200.0 + 10.0 * rng.normal()
+        past["Vw"][k] = 0.0787 * rng.integers(2)
+        past["Tw_in"][k] = 40.0 + 5.0 * rng.integers(2)
+        rng.normal()  # a water outlet temperature, which no controller records
+        for c in neighbors:
+            past[c][k] = 5.0 + rng.normal()
+        past["yhat_w"][k] = 30.0 + rng.normal()
+    return {**past, "Va": np.full(n, 0.03), "occ": np.ones(n)}
 
 
-def _random_forecast(cfg, n_neighbors, rng):
+def _random_forecast(cfg, n_neighbors, rng, past):
+    """``past``, a random decision sample and a random forecast over
+    ``cfg``'s horizon."""
     n = cfg.n_hor
-    return HorizonForecast(
-        occ=rng.integers(2, size=n).astype(float),
-        ta_in=19.0 + 0.1 * rng.normal(size=n), va=np.full(n, 0.03),
-        qext=200.0 + rng.normal(size=n),
-        t_neighbors=[5.0 + 0.2 * rng.normal(size=n) for _ in range(n_neighbors)],
-        now=CurrentSample(t_r=20.5 + 0.1 * rng.normal(), occ=float(rng.integers(2)),
-                          t_neighbors=tuple(5.0 + rng.normal(size=n_neighbors)),
-                          ta_in=19.0, va=0.03, qext=200.0))
+    neighbors = [f"T_rj_{j}" for j in range(1, n_neighbors + 1)]
+    future = {"occ": rng.integers(2, size=n).astype(float),
+              "Ta_in": 19.0 + 0.1 * rng.normal(size=n), "Va": np.full(n, 0.03),
+              "Qext": 200.0 + rng.normal(size=n)}
+    future.update((c, 5.0 + 0.2 * rng.normal(size=n)) for c in neighbors)
+    now = {"T_r": 20.5 + 0.1 * rng.normal(), "occ": float(rng.integers(2))}
+    now.update(zip(neighbors, 5.0 + rng.normal(size=n_neighbors)))
+    now.update(Ta_in=19.0, Va=0.03, Qext=200.0)
+    return window(past, now, future)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -328,17 +336,17 @@ def test_tree_rollout_matches_scalar_oracle(structure, n_neighbors, n_periods,
                     heating_cost_gated_by_flow=gated)
     rng = np.random.default_rng(seed)
     theta, theta_w = stable_toy_theta(spec, seed=seed % 1000), toy_theta_w()
-    hist = _random_history(spec, rng, warmup(spec) + 3)
-    fc = _random_forecast(cfg, n_neighbors, rng)
+    win = _random_forecast(cfg, n_neighbors, rng,
+                           _random_history(spec, rng, warmup(spec) + 3))
     plans = list(itertools.product(cfg.options(), repeat=cfg.n_periods))
 
-    costs = _plan_costs(theta, theta_w, spec, hist, fc, cfg)
-    oracle = scalar_costs(theta, theta_w, spec, hist, fc, cfg, plans)
+    costs = _plan_costs(theta, theta_w, spec, win, cfg)
+    oracle = scalar_costs(theta, theta_w, spec, win, cfg, plans)
     assert costs == pytest.approx(oracle, rel=1e-11)
 
     # solve takes the kernel's first minimum; that is the oracle's first
     # minimum unless the two sit within the paths' rounding distance
-    chosen = plans.index(solve(theta, theta_w, spec, hist, fc, cfg).periods)
+    chosen = plans.index(solve(theta, theta_w, spec, win, cfg).periods)
     assert chosen == int(np.argmin(costs))
     best = min(range(len(plans)), key=lambda i: (oracle[i], i))
     assert chosen == best or oracle[chosen] == pytest.approx(oracle[best], rel=1e-11)
@@ -346,8 +354,8 @@ def test_tree_rollout_matches_scalar_oracle(structure, n_neighbors, n_periods,
     # a one-plan rollout is a row of the tree, bit for bit
     for i, periods in enumerate(plans):
         plan = ControlPlan(periods)
-        traces = predict_horizon(theta, theta_w, spec, hist, plan, fc, cfg)
-        assert plan_cost(traces, plan, fc, cfg).total == costs[i]
+        traces = predict_horizon(theta, theta_w, spec, win, plan, cfg)
+        assert plan_cost(traces, plan, win, cfg).total == costs[i]
 
 
 _OPTION_SETS = st.lists(st.sampled_from([40.0, 42.5, 45.0]), min_size=1,
@@ -377,11 +385,10 @@ def test_two_stage_kernel_matches_tree_kernel_bit_for_bit(
                     heating_cost_gated_by_flow=gated)
     rng = np.random.default_rng(seed)
     theta, theta_w = stable_toy_theta(spec, seed=seed % 1000), toy_theta_w()
-    hist = _random_history(spec, rng, warmup(spec) + 3)
-    fc = _random_forecast(cfg, n_neighbors, rng)
-    assert np.array_equal(_plan_costs(theta, theta_w, spec, hist, fc, cfg),
-                          mpc_oracle.tree_plan_costs(theta, theta_w, spec, hist,
-                                                     fc, cfg))
+    win = _random_forecast(cfg, n_neighbors, rng,
+                           _random_history(spec, rng, warmup(spec) + 3))
+    assert np.array_equal(_plan_costs(theta, theta_w, spec, win, cfg),
+                          mpc_oracle.tree_plan_costs(theta, theta_w, spec, win, cfg))
 
     # a mixed-radix tree: each period a different subset of the options
     options = cfg.options()
@@ -391,8 +398,8 @@ def test_two_stage_kernel_matches_tree_kernel_bit_for_bit(
                                   replace=False))
         choices.append(tuple(np.array([options[i][c] for i in pick])
                              for c in (0, 1)))
-    got, w = _rollout(theta, theta_w, spec, hist, fc, cfg, choices)
-    want, w_tree = mpc_oracle._rollout(theta, theta_w, spec, hist, fc, cfg, choices)
+    got, w = _rollout(theta, theta_w, spec, win, cfg, choices)
+    want, w_tree = mpc_oracle._rollout(theta, theta_w, spec, win, cfg, choices)
     # the newest period's option is the most significant digit of a rollout
     # row, the earliest period's of a tree row
     sizes = [len(inlet) for inlet, _ in choices]
@@ -414,18 +421,18 @@ def test_plan_template_cache_is_keyed_by_spec_and_config():
     rng = np.random.default_rng(3)
     for spec in (RegressorSpec(Structure.NRM_MI, 1), RegressorSpec(Structure.NRM_LI, 2)):
         theta, theta_w = stable_toy_theta(spec), toy_theta_w()
-        hist = _random_history(spec, rng, warmup(spec) + 3)
+        past = _random_history(spec, rng, warmup(spec) + 3)
         for cfg in (cfg_a, cfg_b, cfg_c, cfg_a):
-            fc = _random_forecast(cfg, spec.n_neighbors, rng)
-            costs = _plan_costs(theta, theta_w, spec, hist, fc, cfg)
+            win = _random_forecast(cfg, spec.n_neighbors, rng, past)
+            costs = _plan_costs(theta, theta_w, spec, win, cfg)
             assert np.array_equal(costs, mpc_oracle.tree_plan_costs(
-                theta, theta_w, spec, hist, fc, cfg))
-            solve(theta, theta_w, spec, hist, fc, cfg)
+                theta, theta_w, spec, win, cfg))
+            solve(theta, theta_w, spec, win, cfg)
             plans = list(itertools.product(cfg.options(), repeat=cfg.n_periods))
             for i in (0, len(plans) // 2, len(plans) - 1):
                 plan = ControlPlan(plans[i])
-                traces = predict_horizon(theta, theta_w, spec, hist, plan, fc, cfg)
-                assert plan_cost(traces, plan, fc, cfg).total == costs[i]
+                traces = predict_horizon(theta, theta_w, spec, win, plan, cfg)
+                assert plan_cost(traces, plan, win, cfg).total == costs[i]
 
 
 _AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-308, -2.5e-308, 1e300, -1e300,
@@ -455,32 +462,84 @@ def test_pump_cost_table_matches_plan_cost_for_every_plan():
     for cfg in (MpcConfig(), toy_cfg(flow_set=(0.0, 0.04, 0.0787))):
         table = _plan_table(cfg)
         traces = (np.full(cfg.n_hor + 1, 21.0), np.full(cfg.n_hor, 35.0))
-        fc = toy_forecast(cfg)
+        win = toy_window(cfg)
         for periods, pump in zip(table.plans, table.pump):
-            assert pump == plan_cost(traces, ControlPlan(periods), fc, cfg).pump
+            assert pump == plan_cost(traces, ControlPlan(periods), win, cfg).pump
 
 
-@pytest.mark.parametrize("forecast_neighbors,now_neighbors",
-                         [(1, 1), (1, 2), (2, 1), (2, 3)])
-def test_forecast_with_the_wrong_neighbor_count_is_a_config_error(
-        forecast_neighbors, now_neighbors):
-    # too few neighbor arrays used to surface as a raw KeyError from the
-    # rollout, and a decision sample with more neighbors than the forecast
-    # arrays was truncated silently
+@pytest.mark.parametrize("n_neighbors", [1, 3])
+def test_forecast_with_the_wrong_neighbor_count_is_a_config_error(n_neighbors):
+    # too few neighbor temperatures used to surface as a raw KeyError from
+    # the rollout, and surplus ones were ignored silently
     spec = RegressorSpec(Structure.NRM_MI, 2)
     cfg = toy_cfg()
     theta, theta_w = stable_toy_theta(spec), toy_theta_w()
     rng = np.random.default_rng(0)
-    hist = _random_history(spec, rng, 10)
-    fc = _random_forecast(cfg, forecast_neighbors, rng)
-    fc = dataclasses.replace(fc, now=dataclasses.replace(
-        fc.now, t_neighbors=(5.0,) * now_neighbors))
-    bad = forecast_neighbors if forecast_neighbors != 2 else now_neighbors
+    win = _random_forecast(cfg, n_neighbors, rng, _random_history(
+        RegressorSpec(Structure.NRM_MI, n_neighbors), rng, 10))
     plan = ControlPlan(((40.0, 0.0), (45.0, 0.0787)))
-    for call in (lambda: solve(theta, theta_w, spec, hist, fc, cfg),
-                 lambda: predict_horizon(theta, theta_w, spec, hist, plan, fc, cfg)):
-        with pytest.raises(ConfigError, match=f"has {bad} neighbor.*expects 2"):
+    for call in (lambda: solve(theta, theta_w, spec, win, cfg),
+                 lambda: predict_horizon(theta, theta_w, spec, win, plan, cfg)):
+        with pytest.raises(ConfigError, match=f"has {n_neighbors} neighbor.*expects 2"):
             call()
+
+
+def test_window_check_names_each_fault():
+    # every fault is raised by the one check, before the rollout reads the
+    # window: through solve and predict_horizon alike
+    cfg = toy_cfg()
+    theta, theta_w = stable_toy_theta(SPEC), toy_theta_w()
+    plan = ControlPlan(((40.0, 0.0), (45.0, 0.0787)))
+    good = toy_window(cfg)
+    good.check(SPEC, cfg.n_hor)
+    no_qext = DecisionWindow({c: a for c, a in good.columns.items() if c != "Qext"})
+    spec_2 = RegressorSpec(Structure.NRM_MI, 2)
+    for spec, win, error, match in [
+            (SPEC, no_qext, ConfigError, r"lacks channels \['Qext'\]"),
+            # NRM_MI with one neighbor reads three samples back
+            (SPEC, toy_forecast(cfg, warm_history(n=2)), HistoryUnderflowError,
+             "records 2 samples, the rollout needs 3"),
+            (spec_2, good, ConfigError, "has 1 neighbor.*expects 2"),
+            (SPEC, toy_forecast(toy_cfg(t_hor=3.0), warm_history()), ConfigError,
+             "must have length 24")]:
+        for call in (lambda: win.check(spec, cfg.n_hor),
+                     lambda: solve(theta if spec == SPEC else stable_toy_theta(spec),
+                                   theta_w, spec, win, cfg),
+                     lambda: predict_horizon(stable_toy_theta(spec), theta_w, spec,
+                                             win, plan, cfg)):
+            with pytest.raises(error, match=match):
+                call()
+
+
+_MODERATE = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-308, 1.0, -3.5, 0.1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n_neighbors=st.integers(1, 3), t=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), share=st.floats(0.0, 1.0))
+@example(n_neighbors=1, t=1, seed=0, share=1.0)
+def test_water_estimate_is_oe_predict_bit_for_bit(n_neighbors, t, seed, share):
+    # a share of the values, the parameters among them, from signed zeros,
+    # subnormals and small integers; the others spread over six decades
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        return np.where(rng.random(size) < share, rng.choice(_MODERATE, size=size),
+                        rng.normal(size=size) * 10.0 ** rng.integers(-3, 3, size=size))
+
+    cols = {c: draw(t) for c in ("T_r", "yhat_w", "Tw_in", "Vw")}
+    theta_w = draw(4)
+    hist = LaggedHistory(["T_r", "Tw_in", "Vw"], extra_predictions=("yhat_w",))
+    for k in range(t):
+        hist.push({c: cols[c][k] for c in ("T_r", "Tw_in", "Vw")})
+        hist.record_prediction("yhat_w", k, cols["yhat_w"][k])
+    rh = RegressorSpec(Structure.NRM_FI_RH, n_neighbors)
+    want = oe_predict(theta_w, rh, hist, t)
+    for spec in (rh, RegressorSpec(Structure.NRM_LI, n_neighbors)):
+        assert float.hex(water_estimate(theta_w, spec, cols, t)) == float.hex(want)
+    # position 0 has no past to read (a negative index would wrap)
+    with pytest.raises(HistoryUnderflowError, match="position 0 reads 1"):
+        water_estimate(theta_w, rh, cols, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -488,34 +547,27 @@ def test_forecast_with_the_wrong_neighbor_count_is_a_config_error(
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def probe_models(cfg):
-    ds = run_probe_experiment(cfg.plant, dataclasses.replace(cfg.sim, duration=168.0))
-    theta = train(ds, SPEC, passes=4).theta
-    theta_w = train(ds, RegressorSpec(Structure.NRM_FI_RH, 1), passes=4).theta
+def probe_dataset(cfg):
+    return run_probe_experiment(cfg.plant, dataclasses.replace(cfg.sim, duration=168.0))
+
+
+@pytest.fixture(scope="module")
+def probe_models(probe_dataset):
+    theta = train(probe_dataset, SPEC, passes=4).theta
+    theta_w = train(probe_dataset, RegressorSpec(Structure.NRM_FI_RH, 1), passes=4).theta
     return theta, theta_w
 
 
 def _dataset_rollout_inputs(ds, t0, n, with_yhat_w_from="T_w"):
-    hist = LaggedHistory(runtime_channels(SPEC), extra_predictions=("yhat_w",))
-    for k in range(t0 - 12, t0):
-        hist.push({c: float(ds.columns[c][k]) for c in hist.channels
-                   if c in ds.columns})
-        hist.record_prediction("yhat_w", len(hist) - 1,
-                               float(ds.columns[with_yhat_w_from][k]))
-    sl = slice(t0 + 1, t0 + 1 + n)
-    fc = HorizonForecast(
-        occ=ds.columns["occ"][sl], ta_in=ds.columns["Ta_in"][sl],
-        va=ds.columns["Va"][sl], qext=ds.columns["Qext"][sl],
-        t_neighbors=[ds.columns["T_rj_1"][sl]],
-        now=CurrentSample(t_r=float(ds.columns["T_r"][t0]),
-                          occ=float(ds.columns["occ"][t0]),
-                          t_neighbors=(float(ds.columns["T_rj_1"][t0]),),
-                          ta_in=float(ds.columns["Ta_in"][t0]),
-                          va=float(ds.columns["Va"][t0]),
-                          qext=float(ds.columns["Qext"][t0])))
+    """The decision window at dataset sample ``t0`` over 12 recorded samples,
+    the water estimates read from column ``with_yhat_w_from``, and the
+    one-period plan the dataset applied at ``t0``."""
+    cols = {c: ds.columns[c] for c in ("T_r", "T_rj_1", "Ta_in", "Va", "Qext",
+                                       "occ", "Tw_in", "Vw")}
+    cols["yhat_w"] = ds.columns[with_yhat_w_from]
     plan = ControlPlan(((float(ds.columns["Tw_in"][t0]),
                          float(ds.columns["Vw"][t0])),))
-    return hist, fc, plan
+    return DecisionWindow.at(cols, t0, 12, n), plan
 
 
 def test_rollout_reproduces_self_consistent_truth():
@@ -548,11 +600,10 @@ def test_rollout_reproduces_self_consistent_truth():
 
     cfgm = toy_cfg(t_hor=1.0)
     t0 = 600  # hour boundary: the recorded controls are one valid plan
-    hist, fc, plan = _dataset_rollout_inputs(ds, t0, cfgm.n_hor,
-                                             with_yhat_w_from="T_r")
+    win, plan = _dataset_rollout_inputs(ds, t0, cfgm.n_hor, with_yhat_w_from="T_r")
     # the water predictor plays no role in the zone structure's regressor;
     # any stable theta_w leaves the zone trace untouched
-    tr, _ = predict_horizon(theta_star, toy_theta_w(), SPEC, hist, plan, fc, cfgm)
+    tr, _ = predict_horizon(theta_star, toy_theta_w(), SPEC, win, plan, cfgm)
     truth = ds.columns["T_r"][t0:t0 + cfgm.n_hor + 1]
     assert np.max(np.abs(tr - truth)) < 1e-9
 
@@ -571,8 +622,8 @@ def test_rollout_tracks_plant_on_converged_model(cfg):
     worst = 0.0
     for t0 in (300, 600, 900, 1200, 1500):
         assert np.all(ds.columns["Vw"][t0:t0 + n] == ds.columns["Vw"][t0])
-        hist, fc, plan = _dataset_rollout_inputs(ds, t0, n)
-        tr, _ = predict_horizon(rep.theta, theta_w, SPEC, hist, plan, fc, cfgm)
+        win, plan = _dataset_rollout_inputs(ds, t0, n)
+        tr, _ = predict_horizon(rep.theta, theta_w, SPEC, win, plan, cfgm)
         truth = ds.columns["T_r"][t0:t0 + n + 1]
         worst = max(worst, float(np.max(np.abs(tr - truth))))
     # the recorded OE residual is itself a free-run divergence, so a
@@ -660,3 +711,46 @@ def test_episode_csv(tmp_path, cfg, probe_models):
     data = np.genfromtxt(path, delimiter=",", names=True)
     assert len(data) == sim.n_samples
     assert data["run_avg_pump"][-1] == pytest.approx(ep.final_pump, rel=1e-8)
+
+
+@pytest.mark.parametrize("structure", [Structure.NRM_MI, Structure.LRM,
+                                       Structure.NRM_LI, Structure.NRM_FI_ZONE])
+def test_closed_loop_matches_the_lagged_history_controller(
+        cfg, probe_dataset, probe_models, structure, monkeypatch):
+    # the reference controller records the episode in a LaggedHistory, takes
+    # its water estimates from oe_predict and builds each decision window
+    # from the history: the column-array controller must apply the same
+    # controls to the same plant, bit for bit.  Both call mpc.solve, which
+    # records every decision's cost vector: the first 6 h of the default
+    # scenario keep the same plan, so the costs pin the windows too
+    from thermbench import mpc
+    spec = RegressorSpec(structure, 1)
+    theta_w = probe_models[1]
+    theta = (probe_models[0] if structure is Structure.NRM_MI
+             else train(probe_dataset, spec, passes=2, theta_w=theta_w).theta)
+    sim = dataclasses.replace(cfg.sim, duration=6.0)
+    costs = []
+
+    def recorded(*args):
+        costs.append(mpc._plan_costs(*args))
+        return solve(*args)
+
+    monkeypatch.setattr(mpc, "solve", recorded)
+    got = closed_loop_run(cfg.plant, sim, MpcConfig(), spec, theta, theta_w)
+    n_decisions = len(costs)
+    want = mpc_oracle.closed_loop_run(cfg.plant, sim, MpcConfig(), spec, theta, theta_w)
+    assert n_decisions == 5 and len(costs) == 10
+    for a, b in zip(costs[:5], costs[5:]):
+        assert np.array_equal(a, b)
+    for name in ("inlet", "flow", "t_r_plant"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_closed_loop_rejects_parameters_of_the_wrong_length(cfg):
+    sim = dataclasses.replace(cfg.sim, duration=1.0)
+    theta, theta_w = stable_toy_theta(SPEC), toy_theta_w()
+    for args, match in [((theta, theta_w[:3]), r"theta_w of shape \(3,\).*\(4,\)"),
+                        ((theta, None), r"theta_w of shape \(\)"),
+                        ((theta[:-1], theta_w), r"theta_r of shape \(25,\).*\(26,\)")]:
+        with pytest.raises(ConfigError, match=r"NRM_MI controller.*" + match):
+            closed_loop_run(cfg.plant, sim, MpcConfig(), SPEC, *args)
