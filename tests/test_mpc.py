@@ -467,20 +467,40 @@ def test_pump_cost_table_matches_plan_cost_for_every_plan():
             assert pump == plan_cost(traces, ControlPlan(periods), win, cfg).pump
 
 
-@pytest.mark.parametrize("n_neighbors", [1, 3])
-def test_forecast_with_the_wrong_neighbor_count_is_a_config_error(n_neighbors):
+@pytest.mark.parametrize("forecast_neighbors,now_neighbors",
+                         [(1, 1), (1, 2), (2, 1), (2, 3)])
+def test_forecast_with_the_wrong_neighbor_count_is_a_config_error(
+        forecast_neighbors, now_neighbors):
     # too few neighbor temperatures used to surface as a raw KeyError from
-    # the rollout, and surplus ones were ignored silently
+    # the rollout, and a decision sample with more neighbors than the
+    # forecast was truncated silently. A neighbor known at the decision
+    # sample but not forecast, or the other way round, is a column one
+    # position short of the rest
     spec = RegressorSpec(Structure.NRM_MI, 2)
     cfg = toy_cfg()
     theta, theta_w = stable_toy_theta(spec), toy_theta_w()
     rng = np.random.default_rng(0)
-    win = _random_forecast(cfg, n_neighbors, rng, _random_history(
-        RegressorSpec(Structure.NRM_MI, n_neighbors), rng, 10))
+    count = max(forecast_neighbors, now_neighbors)
+    good = _random_forecast(cfg, count, rng, _random_history(
+        RegressorSpec(Structure.NRM_MI, count), rng, 10))
+    past = good.past
+    cols = dict(good.columns)
+    for j in range(1, count + 1):
+        c = f"T_rj_{j}"
+        keep = [np.arange(past)]
+        if j <= now_neighbors:
+            keep.append([past])
+        if j <= forecast_neighbors:
+            keep.append(np.arange(past + 1, past + 1 + cfg.n_hor))
+        cols[c] = cols[c][np.concatenate(keep)]
+    win = DecisionWindow(cols)
+    match = (f"has {count} neighbor.*expects 2" if count != 2 else
+             r"forecast arrays must have length .*channels \['T_rj_2'\] do not")
     plan = ControlPlan(((40.0, 0.0), (45.0, 0.0787)))
-    for call in (lambda: solve(theta, theta_w, spec, win, cfg),
+    for call in (lambda: win.check(spec, cfg.n_hor),
+                 lambda: solve(theta, theta_w, spec, win, cfg),
                  lambda: predict_horizon(theta, theta_w, spec, win, plan, cfg)):
-        with pytest.raises(ConfigError, match=f"has {n_neighbors} neighbor.*expects 2"):
+        with pytest.raises(ConfigError, match=match):
             call()
 
 
