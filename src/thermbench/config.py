@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise ConfigError("model n_neighbors disagrees with the plant")
         if abs(self.mpc.t_sam - self.sim.epsilon) > 1e-9:
             raise ConfigError("mpc t_sam must equal the simulator sampling period")
+        if self.eval_seed < 0:
+            raise ConfigError(f"[mpc] eval_seed must be non-negative, got {self.eval_seed}")
         self.sim.disturbance_spec.validate_excitation()
 
 

@@ -38,16 +38,12 @@ class SpectrumReport:
     def n_lines(self) -> int:
         return len(self.lines)
 
-    def to_csv(self, path, epsilon_hours: float | None = None) -> None:
-        """Frequency grid in cycles/sample and, when the sampling period is
-        known, in 1/hours."""
+    def to_csv(self, path, epsilon_hours: float) -> None:
+        """Frequency grid in cycles/sample and in 1/hours, for a sampling
+        period of ``epsilon_hours``."""
         with open(path, "w", encoding="utf-8") as fh:
-            if epsilon_hours:
-                fh.write("freq_cycles_per_sample,freq_per_hour,power\n")
-                write_rows(fh, [self.freq, self.freq / epsilon_hours, self.power])
-            else:
-                fh.write("freq_cycles_per_sample,power\n")
-                write_rows(fh, [self.freq, self.power])
+            fh.write("freq_cycles_per_sample,freq_per_hour,power\n")
+            write_rows(fh, [self.freq, self.freq / epsilon_hours, self.power])
 
 
 def spectrum(signal, threshold: float = DEFAULT_THRESHOLD) -> SpectrumReport:

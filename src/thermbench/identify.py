@@ -10,15 +10,16 @@ Every regressor entry is a static product of measured, lagged columns times
 at most one trailing prediction factor (see :mod:`thermbench.regressors`).
 The static products for the whole dataset are evaluated once per ``train``
 call, by the spec's ``compile_layout`` with an exact 1.0 in place of each
-prediction factor.  Each step then copies its row, multiplies the prediction
-entries by the lagged predictions and takes one dot product: the same
-arithmetic as ``build_regressor`` over a ``LaggedHistory``, which stays as
-the readable per-sample reference (``oe_predict``).  The package itself no
-longer calls ``oe_predict``: the controller's water estimate is
-``mpc.water_estimate``, the same arithmetic over column arrays.
+factor of the spec's own prediction.  Each step then copies its row,
+multiplies those entries by the lagged predictions and takes one dot
+product: the same arithmetic as ``build_regressor`` over a
+``LaggedHistory``, which stays as the readable per-sample reference
+(``oe_predict``).  The FI zone structure also reads the water-loop
+prediction ``yhat_w``.  That series does not depend on the zone estimate, so
+it is computed once per call, by ``_oe_pass`` over the RH structure with its
+fixed ``theta_w``, and its static table reads it like a measured column.
 
-Recursive least squares has one step, ``_Rls.step``, which training calls
-directly and ``rls_update`` runs on copies of its state.  It updates the
+Recursive least squares is one class, ``Rls``.  Its ``step`` updates the
 estimate and covariance in place, in one contiguous buffer, with the work
 vectors and the scratch matrix allocated once; it reuses the prediction the
 pass has already taken.  After each step one dot of that buffer with a ones
@@ -29,7 +30,7 @@ are the elements checked one by one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,11 +46,10 @@ DEFAULT_RMSE_WINDOW = 2016  # samples; 7 days at 5-minute sampling
 
 @dataclass(frozen=True)
 class RlsConfig:
-    """Forgetting factor, initial-covariance scale and initial estimate."""
+    """Forgetting factor and initial-covariance scale."""
 
     forgetting: float = 0.999
     reg_init: float = 1.0e3
-    theta0: np.ndarray | None = None
 
     def __post_init__(self):
         if not (0.0 < self.forgetting <= 1.0):
@@ -58,37 +58,9 @@ class RlsConfig:
             raise ConfigError("reg_init must be positive")
 
 
-@dataclass
-class RlsState:
-    theta: np.ndarray
-    p_matrix: np.ndarray
-    forgetting: float
-    k: int = 0
-
-
-def rls_init(dim: int, cfg: RlsConfig | None = None) -> RlsState:
-    cfg = cfg or RlsConfig()
-    theta = np.zeros(dim) if cfg.theta0 is None else np.asarray(cfg.theta0, dtype=float).copy()
-    if theta.shape != (dim,):
-        raise ConfigError(f"theta0 has shape {theta.shape}, expected ({dim},)")
-    return RlsState(theta=theta, p_matrix=cfg.reg_init * np.eye(dim),
-                    forgetting=cfg.forgetting)
-
-
-def rls_update(s: RlsState, phi: np.ndarray, y: float) -> RlsState:
-    """Exponentially weighted RLS step; the covariance is re-symmetrized.
-
-    Runs one in-place ``_Rls`` step on copies of ``s``, which is left as it is.
-    """
-    if phi.shape != s.theta.shape:
-        raise ConfigError(f"phi has shape {phi.shape}, theta {s.theta.shape}")
-    rls = _Rls(s)
-    rls.step(phi, y, phi @ rls.theta)
-    return RlsState(theta=rls.theta, p_matrix=rls.p, forgetting=rls.lam, k=rls.k)
-
-
-class _Rls:
-    """An RLS estimate updated in place: the one RLS step of the package.
+class Rls:
+    """An exponentially weighted RLS estimate, updated in place: the one RLS
+    of the package.  It starts from theta = 0 and P = ``reg_init`` * I.
 
     ``theta`` and ``p`` are views of one contiguous buffer, so one dot with a
     ones vector screens both for non-finite values: the dot is non-finite
@@ -96,16 +68,15 @@ class _Rls:
     elements are checked one by one before a step is reported as diverged.
     """
 
-    def __init__(self, s: RlsState):
-        dim = len(s.theta)
-        self._buf = np.empty(dim * (dim + 1))
+    def __init__(self, dim: int, cfg: RlsConfig | None = None):
+        cfg = cfg or RlsConfig()
+        self._buf = np.zeros(dim * (dim + 1))
         self._ones = np.ones(len(self._buf))
         self.theta = self._buf[:dim]
         self.p = self._buf[dim:].reshape(dim, dim)
-        self.theta[:] = s.theta
-        self.p[:] = s.p_matrix
-        self.lam = s.forgetting
-        self.k = s.k
+        np.fill_diagonal(self.p, cfg.reg_init)
+        self.lam = cfg.forgetting
+        self.k = 0
         self._p_phi = np.empty(dim)
         self._gain = np.empty(dim)
         self._gain_col = self._gain[:, np.newaxis]
@@ -113,9 +84,14 @@ class _Rls:
 
     def step(self, phi: np.ndarray, y: float, yhat: float) -> None:
         """Update with regressor ``phi`` and measurement ``y``; ``yhat`` must
-        be ``phi @ theta`` taken before the step."""
+        be ``phi @ theta`` taken before the step.  The covariance is
+        re-symmetrized."""
         p, p_phi, gain, m, lam = self.p, self._p_phi, self._gain, self._m, self.lam
-        np.matmul(p, phi, out=p_phi)
+        try:
+            np.matmul(p, phi, out=p_phi)
+        except ValueError:  # nothing is written before the shapes are checked
+            raise ConfigError(f"phi has shape {np.shape(phi)}, theta "
+                              f"{self.theta.shape}") from None
         np.divide(p_phi, lam + phi @ p_phi, out=gain)
         np.multiply(self._gain_col, p_phi, out=m)  # outer product
         gain *= y - yhat
@@ -176,10 +152,6 @@ def oe_predict(theta: np.ndarray, spec: RegressorSpec, hist: LaggedHistory,
     return float(build_regressor(spec, hist, k) @ theta)
 
 
-def _needs_rh_feed(spec: RegressorSpec) -> bool:
-    return spec.structure is Structure.NRM_FI_ZONE
-
-
 def _rh_spec(spec: RegressorSpec) -> RegressorSpec:
     return RegressorSpec(Structure.NRM_FI_RH, spec.n_neighbors)
 
@@ -188,12 +160,12 @@ def _rh_spec(spec: RegressorSpec) -> RegressorSpec:
 class _StaticTable:
     """Static regressor products of one spec for samples ``start..n-1``, one
     C-ordered row per sample, and the entries that still take their trailing
-    prediction factor: ``feeds`` holds (prediction channel, entry indices,
-    lags)."""
+    factor from the spec's own prediction channel: ``feed`` holds their
+    indices and lags."""
 
     start: int
     rows: np.ndarray
-    feeds: tuple[tuple[str, np.ndarray, np.ndarray], ...]
+    feed: tuple[np.ndarray, np.ndarray]
 
 
 _TABLE_CHUNK = 512  # samples per value table while a static table is built
@@ -202,74 +174,65 @@ _TABLE_CHUNK = 512  # samples per value table while a static table is built
 def _static_table(spec: RegressorSpec, dataset: TimeSeriesDataset,
                   start: int) -> _StaticTable:
     lay = compile_layout(spec)
+    own = prediction_channel(spec)
     m = max(len(dataset) - start, 0)
     rows = np.empty((m, len(lay.entries)))
-    # value-table rows: measured columns by lag, an exact 1.0 for every
-    # prediction factor and for the padding row; built in chunks of samples
-    # so the transient tables stay small next to the result
+    # value-table rows: the columns by lag, an exact 1.0 for every factor of
+    # the spec's own prediction and for the padding row; built in chunks of
+    # samples so the transient tables stay small next to the result
     for lo in range(0, m, _TABLE_CHUNK):
         hi = min(lo + _TABLE_CHUNK, m)
         values = np.ones((len(lay.columns) + 1, hi - lo))
         for row, (channel, lag) in enumerate(lay.columns):
-            if channel not in PREDICTION_MIRRORS:
+            if channel != own:
                 values[row] = dataset.columns[channel][start - lag + lo:start - lag + hi]
         rows[lo:hi] = lay.terms(values).T
-    feeds: dict[str, list[tuple[int, int]]] = {}
-    for i, entry in enumerate(lay.entries):
-        channel, lag = entry[-1]
-        if channel in PREDICTION_MIRRORS:
-            feeds.setdefault(channel, []).append((i, lag))
+    feed = [(i, entry[-1][1]) for i, entry in enumerate(lay.entries)
+            if entry[-1][0] == own]
     return _StaticTable(start=start, rows=rows,
-                        feeds=tuple((channel, *np.array(f, dtype=np.intp).T)
-                                    for channel, f in feeds.items()))
+                        feed=tuple(np.array(feed, dtype=np.intp).T))
+
+
+def _table(spec: RegressorSpec, dataset: TimeSeriesDataset,
+           theta_w: np.ndarray | None) -> _StaticTable:
+    """The static table of ``spec`` from its warm-up on.  The FI zone
+    structure reads ``yhat_w`` from the RH predictor ``theta_w``, which it
+    requires: its output-error series from the same warm-up on, the measured
+    ``T_w`` before."""
+    wu = warmup(spec)
+    if spec.structure is Structure.NRM_FI_ZONE:
+        if theta_w is None:
+            raise ConfigError("the FI zone structure needs theta_w, the RH "
+                              "predictor's parameters")
+        rh = _rh_spec(spec)
+        yhat_w = _oe_pass(rh, dataset, _static_table(rh, dataset, wu), theta_w)
+        dataset = replace(dataset, columns={**dataset.columns, "yhat_w": yhat_w})
+    return _static_table(spec, dataset, wu)
 
 
 def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
-             table: _StaticTable, feed: tuple[_StaticTable, np.ndarray] | None,
-             theta: np.ndarray | None = None, rls: _Rls | None = None,
-             pass_no: int = 1) -> np.ndarray:
+             table: _StaticTable, theta: np.ndarray | None = None,
+             rls: Rls | None = None, pass_no: int = 1) -> np.ndarray:
     """One output-error pass over samples ``table.start..n-1``.
 
-    ``feed`` is the static table and parameters of the RH predictor whose
-    outputs fill ``yhat_w`` for the FI zone structure.  With an ``rls``
-    estimate it is updated in place after every sample (training) and
-    ``theta`` is not used; otherwise the fixed ``theta`` predicts.  Prediction
-    buffers hold the mirrored measurement until a sample is predicted.
-    Returns the predictions of samples ``table.start..n-1``.
+    With an ``rls`` estimate it is updated in place after every sample
+    (training) and ``theta`` is not used; otherwise the fixed ``theta``
+    predicts.  Returns the prediction series of all ``n`` samples, which
+    holds the mirrored measurement before ``table.start``.
     """
     if rls is not None:
         theta = rls.theta
     if table.rows.shape[1:] != np.shape(theta):
         raise ConfigError(f"phi has shape {table.rows.shape[1:]}, theta "
                           f"{np.shape(theta)}")
-    tables = (table,) if feed is None else (feed[0], table)
-    buffers = {channel: np.array(dataset.columns[PREDICTION_MIRRORS[channel]],
-                                 dtype=float)
-               for t in tables for channel, _, _ in t.feeds}
-
-    def bound(t):
-        return t.rows, tuple((buffers[c], idx, lags) for c, idx, lags in t.feeds)
-
-    def regressor(t, i, k):
-        rows, feeds = t
-        phi = rows[i].copy()
-        for buf, idx, lags in feeds:
-            phi[idx] *= buf[k - lags]
-        return phi
-
-    main = bound(table)
-    rh = None if feed is None else bound(feed[0])
+    yhat_buf = np.array(dataset.columns[PREDICTION_MIRRORS[prediction_channel(spec)]],
+                        dtype=float)
+    rows, (idx, lags), start = table.rows, table.feed, table.start
     y = dataset.columns[target_column(spec)].tolist()
-    yhat_buf = buffers[prediction_channel(spec)]
-    start, n = table.start, len(dataset)
-    for k in range(start, n):
-        i = k - start
-        if rh is not None:
-            yhat_w = float(regressor(rh, i, k) @ feed[1])
-        phi = regressor(main, i, k)
+    for k in range(start, len(dataset)):
+        phi = rows[k - start].copy()
+        phi[idx] *= yhat_buf[k - lags]
         yhat = yhat_buf[k] = float(phi @ theta)
-        if rh is not None:
-            buffers["yhat_w"][k] = yhat_w
         if rls is not None:
             try:
                 rls.step(phi, y[k], yhat)
@@ -278,7 +241,7 @@ def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
                     f"training {spec.structure.value} (n_neighbors="
                     f"{spec.n_neighbors}) diverged in pass {pass_no} at dataset "
                     f"sample {k}: {exc}") from exc
-    return yhat_buf[start:]
+    return yhat_buf
 
 
 def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,
@@ -289,39 +252,32 @@ def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,
     The estimate and covariance carry across passes; the prediction buffers
     are reset each pass.  The first ``warmup`` samples of each pass use measured
     values in place of unavailable predictions and are excluded from the loss.
-    The FI zone structure needs the RH predictor for its water channel; it is
-    trained first on the same data unless ``theta_w`` is given.
+    The FI zone structure reads its water channel from the RH predictor, whose
+    parameters ``theta_w`` it requires.
     """
     if passes < 0:
         raise ConfigError("passes must be non-negative")
     _history_channels(spec, dataset)
+    table = _table(spec, dataset, theta_w)
     dim = regressor_length(spec)
-    state = rls_init(dim, rls_cfg)
     if passes == 0:
-        return TrainReport(spec=spec, theta=state.theta, errors=np.empty(0),
+        return TrainReport(spec=spec, theta=np.zeros(dim), errors=np.empty(0),
                            rolling_rmse=np.empty(0), window=window, pass_rmse=[],
                            theta_w=theta_w)
 
-    wu = warmup(spec)
+    wu = table.start
     if len(dataset) <= wu:
         raise ConfigError(
             f"{spec.structure.value} (n_neighbors={spec.n_neighbors}) has a "
             f"{wu}-sample warm-up; a dataset of {len(dataset)} samples leaves "
             "nothing to train on")
-    feed = None
-    if _needs_rh_feed(spec):
-        if theta_w is None:
-            theta_w = train(dataset, _rh_spec(spec), passes, rls_cfg,
-                            window=window).theta
-        feed = (_static_table(_rh_spec(spec), dataset, wu), theta_w)
-    table = _static_table(spec, dataset, wu)
     y = dataset.columns[target_column(spec)][wu:]
-    rls = _Rls(state)
+    rls = Rls(dim, rls_cfg)
     errors = []
     pass_rmse = []
     for p in range(1, passes + 1):
-        yhat = _oe_pass(spec, dataset, table, feed, rls=rls, pass_no=p)
-        pass_errors = y - yhat
+        yhat = _oe_pass(spec, dataset, table, rls=rls, pass_no=p)
+        pass_errors = y - yhat[wu:]
         errors.append(pass_errors)
         pass_rmse.append(float(np.sqrt(np.mean(np.square(pass_errors)))))
 
@@ -337,15 +293,9 @@ def predict_series(theta: np.ndarray, spec: RegressorSpec,
     """One-step OE predictions over a dataset with a fixed parameter vector;
     NaN during warm-up."""
     _history_channels(spec, dataset)
-    wu = warmup(spec)
-    feed = None
-    if _needs_rh_feed(spec):
-        if theta_w is None:
-            raise ConfigError("the FI zone structure needs theta_w for prediction")
-        feed = (_static_table(_rh_spec(spec), dataset, wu), theta_w)
+    table = _table(spec, dataset, theta_w)
     out = np.full(len(dataset), np.nan)
-    out[wu:] = _oe_pass(spec, dataset, _static_table(spec, dataset, wu),
-                        feed, theta)
+    out[table.start:] = _oe_pass(spec, dataset, table, theta)[table.start:]
     return out
 
 

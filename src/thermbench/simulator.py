@@ -185,6 +185,8 @@ class SimConfig:
             raise ConfigError("noise_std must be non-negative")
         if self.disturbance_spec is None or self.initial is None:
             raise ConfigError("disturbance_spec and initial state are required")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def n_samples(self) -> int:

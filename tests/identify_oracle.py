@@ -2,24 +2,40 @@
 
 ``train`` and ``predict_series`` walk the dataset one sample at a time through
 a ``LaggedHistory`` and ``build_regressor``, and ``rls_update`` is the
-recursive least-squares step written out without in-place arithmetic.  They
-share no table, buffer or update code with ``thermbench.identify``, whose
-compiled pass must reproduce them bit for bit.
+recursive least-squares step written out without in-place arithmetic, over
+an immutable ``RlsState``.  The FI zone structure takes its ``yhat_w`` from
+the RH predictor sample by sample, inside the same loop.  They share no
+table, buffer, series or update code with ``thermbench.identify``, whose
+compiled pass and ``Rls`` must reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from thermbench.errors import ConfigError, NumericalError
-from thermbench.identify import (RlsConfig, RlsState, TrainReport,
-                                 _history_channels, _needs_rh_feed,
-                                 oe_predict, rls_init, rolling_rmse,
-                                 DEFAULT_RMSE_WINDOW)
+from thermbench.identify import (RlsConfig, TrainReport, _history_channels,
+                                 oe_predict, rolling_rmse, DEFAULT_RMSE_WINDOW)
 from thermbench.regressors import (LaggedHistory, RegressorSpec, Structure,
                                    build_regressor, prediction_channel,
                                    regressor_length, target_column, warmup)
 from thermbench.simulator import TimeSeriesDataset
+
+
+@dataclass(frozen=True)
+class RlsState:
+    theta: np.ndarray
+    p_matrix: np.ndarray
+    forgetting: float
+    k: int = 0
+
+
+def rls_init(dim: int, cfg: RlsConfig | None = None) -> RlsState:
+    cfg = cfg or RlsConfig()
+    return RlsState(theta=np.zeros(dim), p_matrix=cfg.reg_init * np.eye(dim),
+                    forgetting=cfg.forgetting)
 
 
 def rls_update(s: RlsState, phi: np.ndarray, y: float) -> RlsState:
@@ -37,6 +53,16 @@ def rls_update(s: RlsState, phi: np.ndarray, y: float) -> RlsState:
     return RlsState(theta=theta, p_matrix=p, forgetting=lam, k=s.k + 1)
 
 
+def _rh_feed(spec: RegressorSpec, theta_w) -> RegressorSpec | None:
+    """The RH spec whose predictions feed ``yhat_w``, for the FI zone
+    structure only."""
+    if spec.structure is not Structure.NRM_FI_ZONE:
+        return None
+    if theta_w is None:
+        raise ConfigError("the FI zone structure needs theta_w")
+    return RegressorSpec(Structure.NRM_FI_RH, spec.n_neighbors)
+
+
 def _row(dataset: TimeSeriesDataset, cols: list[str], k: int) -> dict[str, float]:
     return {c: float(dataset.columns[c][k]) for c in cols}
 
@@ -49,23 +75,19 @@ def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,
     The estimate and covariance carry across passes; the lag history is
     rebuilt each pass.  The first ``warmup`` samples of each pass use measured
     values in place of unavailable predictions and are excluded from the loss.
-    The FI zone structure needs the RH predictor for its water channel; it is
-    trained first on the same data unless ``theta_w`` is given.
+    The FI zone structure needs the RH predictor ``theta_w`` for its water
+    channel.
     """
     if passes < 0:
         raise ConfigError("passes must be non-negative")
     cols = _history_channels(spec, dataset)
+    rh_spec = _rh_feed(spec, theta_w)
     dim = regressor_length(spec)
     state = rls_init(dim, rls_cfg)
     if passes == 0:
         return TrainReport(spec=spec, theta=state.theta, errors=np.empty(0),
-                           rolling_rmse=np.empty(0), window=window, pass_rmse=[])
-
-    rh_spec = None
-    if _needs_rh_feed(spec):
-        rh_spec = RegressorSpec(Structure.NRM_FI_RH, spec.n_neighbors)
-        if theta_w is None:
-            theta_w = train(dataset, rh_spec, passes, rls_cfg, window=window).theta
+                           rolling_rmse=np.empty(0), window=window, pass_rmse=[],
+                           theta_w=theta_w)
 
     y = dataset.columns[target_column(spec)]
     pred_chan = prediction_channel(spec)
@@ -108,11 +130,7 @@ def predict_series(theta: np.ndarray, spec: RegressorSpec,
     """One-step OE predictions over a dataset with a fixed parameter vector;
     NaN during warm-up."""
     cols = _history_channels(spec, dataset)
-    rh_spec = None
-    if _needs_rh_feed(spec):
-        if theta_w is None:
-            raise ConfigError("the FI zone structure needs theta_w for prediction")
-        rh_spec = RegressorSpec(Structure.NRM_FI_RH, spec.n_neighbors)
+    rh_spec = _rh_feed(spec, theta_w)
     pred_chan = prediction_channel(spec)
     wu = warmup(spec)
     n = len(dataset)

@@ -104,6 +104,28 @@ def test_bad_config_value_names_section_and_key(tmp_path, small_config, capsys,
     assert not caught and "Warning" not in err
 
 
+@pytest.mark.parametrize("command,section,key,value,extra", [
+    ("simulate", "sim", "seed", "-1", []),
+    ("simulate", None, "seed", None, ["--seed", "-5"]),
+    ("mpc-run", "mpc", "eval_seed", "-3", []),
+], ids=["sim-seed", "seed-option", "mpc-eval-seed"])
+def test_negative_seed_names_its_key(tmp_path, small_config, capsys,
+                                     command, section, key, value, extra):
+    cp = configparser.ConfigParser()
+    cp.read(small_config)
+    if section is not None:
+        cp[section][key] = value
+    broken = tmp_path / "broken.ini"
+    with open(broken, "w") as fh:
+        cp.write(fh)
+    code = main([command, "--config", str(broken), "--out-dir", str(tmp_path), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    if section == "mpc":
+        assert f"[{section}] {key}" in err
+
+
 @pytest.mark.parametrize("value,part", [
     ("nan-3.0; 5.0-inf", "nan-3.0"),
     ("8.0-16.0; 5.0-inf", "5.0-inf"),

@@ -733,27 +733,38 @@ def test_episode_csv(tmp_path, cfg, probe_models):
     assert data["run_avg_pump"][-1] == pytest.approx(ep.final_pump, rel=1e-8)
 
 
-@pytest.mark.parametrize("structure", [Structure.NRM_MI, Structure.LRM,
-                                       Structure.NRM_LI, Structure.NRM_FI_ZONE])
+#: zone, wall and water temperatures of a warm start, from which the LRM
+#: controller switches its first-period decision within 6 h
+WARM_START = PlantState(t_r=21.5, t_s=[20.5], t_w=30.0)
+
+
+@pytest.mark.parametrize("structure,initial", [
+    pytest.param(s, start, id=s.value + tag)
+    for start, tag in ((None, ""), (WARM_START, "-warm"))
+    for s in (Structure.NRM_MI, Structure.LRM, Structure.NRM_LI, Structure.NRM_FI_ZONE)])
 def test_closed_loop_matches_the_lagged_history_controller(
-        cfg, probe_dataset, probe_models, structure, monkeypatch):
+        cfg, probe_dataset, probe_models, structure, initial, monkeypatch):
     # the reference controller records the episode in a LaggedHistory, takes
     # its water estimates from oe_predict and builds each decision window
     # from the history: the column-array controller must apply the same
     # controls to the same plant, bit for bit.  Both call mpc.solve, which
-    # records every decision's cost vector: the first 6 h of the default
-    # scenario keep the same plan, so the costs pin the windows too
+    # records every decision's cost vector and plan.  From the default start
+    # every controller keeps one plan for the first 6 h, so there the costs
+    # pin the windows; from the warm start the LRM controller switches plans,
+    # which pins the applied decisions and the windows that read them
     from thermbench import mpc
     spec = RegressorSpec(structure, 1)
     theta_w = probe_models[1]
     theta = (probe_models[0] if structure is Structure.NRM_MI
              else train(probe_dataset, spec, passes=2, theta_w=theta_w).theta)
-    sim = dataclasses.replace(cfg.sim, duration=6.0)
-    costs = []
+    sim = dataclasses.replace(cfg.sim, duration=6.0,
+                              initial=initial or cfg.sim.initial)
+    costs, plans = [], []
 
     def recorded(*args):
         costs.append(mpc._plan_costs(*args))
-        return solve(*args)
+        plans.append(solve(*args))
+        return plans[-1]
 
     monkeypatch.setattr(mpc, "solve", recorded)
     got = closed_loop_run(cfg.plant, sim, MpcConfig(), spec, theta, theta_w)
@@ -762,6 +773,9 @@ def test_closed_loop_matches_the_lagged_history_controller(
     assert n_decisions == 5 and len(costs) == 10
     for a, b in zip(costs[:5], costs[5:]):
         assert np.array_equal(a, b)
+    assert plans[:5] == plans[5:]
+    if initial is WARM_START and structure is Structure.LRM:
+        assert len({plan.periods[0] for plan in plans[:5]}) >= 2
     for name in ("inlet", "flow", "t_r_plant"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
