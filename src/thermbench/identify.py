@@ -10,21 +10,25 @@ Every regressor entry is a static product of measured, lagged columns times
 at most one trailing prediction factor (see :mod:`thermbench.regressors`).
 The static products for the whole dataset are evaluated once per ``train``
 call, by the spec's ``compile_layout`` with an exact 1.0 in place of each
-factor of the spec's own prediction.  Each step then copies its row,
-multiplies those entries by the lagged predictions and takes one dot
-product: the same arithmetic as ``build_regressor`` over a
-``LaggedHistory``, which stays as the readable per-sample reference
+factor of the spec's own prediction; the static products of the entries that
+take that factor are kept beside the table.  Each step multiplies those
+products by the lagged predictions, writes them into its own row of the
+table and takes one dot product: the same arithmetic as ``build_regressor``
+over a ``LaggedHistory``, which stays as the readable per-sample reference
 (``oe_predict``).  The FI zone structure also reads the water-loop
 prediction ``yhat_w``.  That series does not depend on the zone estimate, so
 it is computed once per call, by ``_oe_pass`` over the RH structure with its
 fixed ``theta_w``, and its static table reads it like a measured column.
 
-Recursive least squares is one class, ``Rls``.  Its ``step`` updates the
-estimate and covariance in place, in one contiguous buffer, with the work
-vectors and the scratch matrix allocated once; it reuses the prediction the
-pass has already taken.  After each step one dot of that buffer with a ones
+Recursive least squares is one class, ``Rls``.  Its update is one kernel,
+compiled once per estimate over one contiguous buffer of the estimate and
+the covariance, the work vectors and the scratch matrix; it reuses the
+prediction the pass has already taken.  A dot of the buffer with a ones
 vector screens it for non-finite values, and only when the dot is not finite
-are the elements checked one by one.
+are the elements checked one by one.  ``Rls.step`` screens after every
+update; training screens once per block of ``_BLOCK`` samples and replays a
+block that diverged through ``Rls.step``, from a snapshot taken before it,
+so both report the same sample and step.
 """
 
 from __future__ import annotations
@@ -58,6 +62,34 @@ class RlsConfig:
             raise ConfigError("reg_init must be positive")
 
 
+def _rls_kernel(theta: np.ndarray, p: np.ndarray, lam: float):
+    """The RLS update of ``theta`` and ``p`` in place, compiled once per
+    estimate: ``kernel(phi, y, yhat)``, where ``yhat`` is ``phi @ theta``
+    taken before the update.  A closure over the work vectors, the scratch
+    matrix and its transpose, ``lam`` and the ufuncs, each called with a
+    positional ``out``.  No check: the caller screens the state."""
+    dim = len(theta)
+    p_phi, gain, m = np.empty(dim), np.empty(dim), np.empty((dim, dim))
+    gain_col, m_t = gain[:, np.newaxis], m.T
+    # 0-d arrays skip the conversion a Python float takes in every call
+    lam_0d, half = np.array(lam), np.array(0.5)
+    dot, add, subtract, multiply, divide = (np.dot, np.add, np.subtract,
+                                            np.multiply, np.divide)
+
+    def kernel(phi, y, yhat):
+        dot(p, phi, p_phi)
+        divide(p_phi, lam + dot(phi, p_phi), gain)
+        multiply(gain_col, p_phi, m)  # outer product
+        multiply(gain, y - yhat, gain)
+        add(theta, gain, theta)
+        subtract(p, m, m)
+        divide(m, lam_0d, m)
+        add(m, m_t, p)  # re-symmetrized
+        multiply(p, half, p)
+
+    return kernel
+
+
 class Rls:
     """An exponentially weighted RLS estimate, updated in place: the one RLS
     of the package.  It starts from theta = 0 and P = ``reg_init`` * I.
@@ -65,7 +97,10 @@ class Rls:
     ``theta`` and ``p`` are views of one contiguous buffer, so one dot with a
     ones vector screens both for non-finite values: the dot is non-finite
     whenever an element is.  A finite state can overflow the sum, so the
-    elements are checked one by one before a step is reported as diverged.
+    elements are checked one by one before the state is reported as
+    diverged.  A non-finite element stays non-finite under every later
+    update, so a screen after a run of updates fires exactly when one of
+    them diverged.
     """
 
     def __init__(self, dim: int, cfg: RlsConfig | None = None):
@@ -77,33 +112,23 @@ class Rls:
         np.fill_diagonal(self.p, cfg.reg_init)
         self.lam = cfg.forgetting
         self.k = 0
-        self._p_phi = np.empty(dim)
-        self._gain = np.empty(dim)
-        self._gain_col = self._gain[:, np.newaxis]
-        self._m = np.empty((dim, dim))
+        self._kernel = _rls_kernel(self.theta, self.p, self.lam)
+
+    def _diverged(self) -> bool:
+        # vdot, unlike dot and matmul, raises no numpy warning when the sum
+        # of a finite state overflows
+        return (not math.isfinite(np.vdot(self._buf, self._ones))
+                and not np.isfinite(self._buf).all())
 
     def step(self, phi: np.ndarray, y: float, yhat: float) -> None:
         """Update with regressor ``phi`` and measurement ``y``; ``yhat`` must
         be ``phi @ theta`` taken before the step.  The covariance is
-        re-symmetrized."""
-        p, p_phi, gain, m, lam = self.p, self._p_phi, self._gain, self._m, self.lam
-        try:
-            np.matmul(p, phi, out=p_phi)
-        except ValueError:  # nothing is written before the shapes are checked
+        re-symmetrized, and the state screened for non-finite values."""
+        if np.shape(phi) != self.theta.shape:
             raise ConfigError(f"phi has shape {np.shape(phi)}, theta "
-                              f"{self.theta.shape}") from None
-        np.divide(p_phi, lam + phi @ p_phi, out=gain)
-        np.multiply(self._gain_col, p_phi, out=m)  # outer product
-        gain *= y - yhat
-        self.theta += gain
-        np.subtract(p, m, out=m)
-        m /= lam
-        np.add(m, m.T, out=p)
-        p *= 0.5
-        # vdot, unlike dot and matmul, raises no numpy warning when the sum
-        # of a finite state overflows
-        if not math.isfinite(np.vdot(self._buf, self._ones)) \
-                and not np.isfinite(self._buf).all():
+                              f"{self.theta.shape}")
+        self._kernel(phi, y, yhat)
+        if self._diverged():
             raise NumericalError(f"RLS update produced non-finite values at step {self.k}")
         self.k += 1
 
@@ -160,12 +185,17 @@ def _rh_spec(spec: RegressorSpec) -> RegressorSpec:
 class _StaticTable:
     """Static regressor products of one spec for samples ``start..n-1``, one
     C-ordered row per sample, and the entries that still take their trailing
-    factor from the spec's own prediction channel: ``feed`` holds their
-    indices and lags."""
+    factor from the spec's own prediction channel: ``idx`` holds their
+    indices, ``lags`` the lags of that factor and ``static`` their static
+    products, one row per sample.  The pass writes the fed products into the
+    sample's row, so those entries of ``rows`` hold whatever the last pass
+    wrote."""
 
     start: int
     rows: np.ndarray
-    feed: tuple[np.ndarray, np.ndarray]
+    static: np.ndarray
+    idx: np.ndarray
+    lags: np.ndarray
 
 
 _TABLE_CHUNK = 512  # samples per value table while a static table is built
@@ -189,8 +219,9 @@ def _static_table(spec: RegressorSpec, dataset: TimeSeriesDataset,
         rows[lo:hi] = lay.terms(values).T
     feed = [(i, entry[-1][1]) for i, entry in enumerate(lay.entries)
             if entry[-1][0] == own]
-    return _StaticTable(start=start, rows=rows,
-                        feed=tuple(np.array(feed, dtype=np.intp).T))
+    idx, lags = np.array(feed, dtype=np.intp).T
+    return _StaticTable(start=start, rows=rows, static=rows[:, idx], idx=idx,
+                        lags=lags)
 
 
 def _table(spec: RegressorSpec, dataset: TimeSeriesDataset,
@@ -210,6 +241,9 @@ def _table(spec: RegressorSpec, dataset: TimeSeriesDataset,
     return _static_table(spec, dataset, wu)
 
 
+_BLOCK = 64  # training samples per non-finite screen of the RLS state
+
+
 def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
              table: _StaticTable, theta: np.ndarray | None = None,
              rls: Rls | None = None, pass_no: int = 1) -> np.ndarray:
@@ -219,6 +253,12 @@ def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
     (training) and ``theta`` is not used; otherwise the fixed ``theta``
     predicts.  Returns the prediction series of all ``n`` samples, which
     holds the mirrored measurement before ``table.start``.
+
+    Training runs the RLS kernel in blocks of ``_BLOCK`` samples and screens
+    the state once per block.  A block whose screen fires, or that raises,
+    is replayed from a snapshot of the state through ``Rls.step``, which
+    stops at the first diverged step, so the error names the sample and the
+    RLS step that a screen after every step would.
     """
     if rls is not None:
         theta = rls.theta
@@ -227,20 +267,48 @@ def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
                           f"{np.shape(theta)}")
     yhat_buf = np.array(dataset.columns[PREDICTION_MIRRORS[prediction_channel(spec)]],
                         dtype=float)
-    rows, (idx, lags), start = table.rows, table.feed, table.start
+    rows, static, idx, start = table.rows, table.static, table.idx, table.start
+    # the prediction at lag l of sample k is element deep - l of
+    # yhat_buf[k - deep:k]: one slice and one take per sample
+    deep = int(table.lags.max())
+    back = deep - table.lags
+    fed = np.empty(len(idx))
     y = dataset.columns[target_column(spec)].tolist()
-    for k in range(start, len(dataset)):
-        phi = rows[k - start].copy()
-        phi[idx] *= yhat_buf[k - lags]
-        yhat = yhat_buf[k] = float(phi @ theta)
-        if rls is not None:
-            try:
-                rls.step(phi, y[k], yhat)
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"training {spec.structure.value} (n_neighbors="
-                    f"{spec.n_neighbors}) diverged in pass {pass_no} at dataset "
-                    f"sample {k}: {exc}") from exc
+    multiply, dot = np.multiply, np.dot
+
+    def run(lo, hi, step):
+        for k in range(lo, hi):
+            j = k - start
+            phi = rows[j]
+            multiply(static[j], yhat_buf[k - deep:k].take(back), fed)
+            phi[idx] = fed
+            yhat = yhat_buf[k] = dot(phi, theta)
+            if step is not None:
+                step(phi, y[k], yhat)
+
+    if rls is None:
+        run(start, len(dataset), None)
+        return yhat_buf
+    snapshot = np.empty_like(rls._buf)
+    for lo in range(start, len(dataset), _BLOCK):
+        hi = min(lo + _BLOCK, len(dataset))
+        np.copyto(snapshot, rls._buf)
+        try:
+            run(lo, hi, rls._kernel)
+            if not rls._diverged():
+                rls.k += hi - lo
+                continue
+        except (ArithmeticError, Warning):
+            pass  # numpy set to raise: the replay raises it again, at the same step
+        np.copyto(rls._buf, snapshot)
+        k0 = rls.k
+        try:
+            run(lo, hi, rls.step)
+        except NumericalError as exc:
+            raise NumericalError(
+                f"training {spec.structure.value} (n_neighbors="
+                f"{spec.n_neighbors}) diverged in pass {pass_no} at dataset "
+                f"sample {lo + rls.k - k0}: {exc}") from exc
     return yhat_buf
 
 

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import identify_oracle as oracle
 from thermbench.errors import ConfigError, NumericalError
-from thermbench.identify import (Rls, RlsConfig, predict_series, rolling_rmse,
-                                 theta_from_file, theta_to_file, train)
+from thermbench.identify import (_BLOCK, Rls, RlsConfig, predict_series,
+                                 rolling_rmse, theta_from_file, theta_to_file,
+                                 train)
 from thermbench.regressors import (LaggedHistory, RegressorSpec, Structure,
                                    build_regressor, layout, measured_columns,
                                    regressor_length, warmup)
@@ -17,6 +18,9 @@ from conftest import random_point
 # ---------------------------------------------------------------------------
 # synthetic self-consistent data
 # ---------------------------------------------------------------------------
+
+MI = RegressorSpec(Structure.NRM_MI, 1)
+
 
 def multisine(n, offset, comps):
     t = np.arange(n)
@@ -177,7 +181,21 @@ def test_rls_covariance_stays_spd():
     assert np.linalg.eigvalsh(rls.p).min() > 0.0
 
 
+# the dimensions of the scalar case and of the RH, LRM and NRM_MI models
+# with one neighbor, pinned at every forgetting factor whatever the draw
 @settings(max_examples=60, deadline=None, derandomize=True)
+@example(dim=1, steps=50, forgetting=1.0, seed=21)
+@example(dim=1, steps=50, forgetting=0.999, seed=22)
+@example(dim=1, steps=50, forgetting=0.9, seed=23)
+@example(dim=4, steps=50, forgetting=1.0, seed=24)
+@example(dim=4, steps=50, forgetting=0.999, seed=25)
+@example(dim=4, steps=50, forgetting=0.9, seed=26)
+@example(dim=21, steps=50, forgetting=1.0, seed=27)
+@example(dim=21, steps=50, forgetting=0.999, seed=28)
+@example(dim=21, steps=50, forgetting=0.9, seed=29)
+@example(dim=26, steps=50, forgetting=1.0, seed=30)
+@example(dim=26, steps=50, forgetting=0.999, seed=31)
+@example(dim=26, steps=50, forgetting=0.9, seed=32)
 @given(dim=st.integers(1, 30), steps=st.integers(1, 50),
        forgetting=st.sampled_from([1.0, 0.999, 0.9]),
        seed=st.integers(0, 2**32 - 1))
@@ -204,12 +222,15 @@ def test_finite_state_whose_sum_overflows_is_not_a_divergence():
     p = rls.p.copy()
     rls.step(np.zeros(4), 0.0, 0.0)
     assert np.array_equal(rls.p, p)
+    # training screens once per block of samples: more than two blocks
     spec = RegressorSpec(Structure.NRM_FI_RH, 1)
-    zeros = {c: np.zeros(40) for c in measured_columns(spec.structure, 1)}
+    n = warmup(spec) + 2 * _BLOCK + 5
+    zeros = {c: np.zeros(n) for c in measured_columns(spec.structure, 1)}
     ds = TimeSeriesDataset(epsilon=1.0 / 12.0, n_neighbors=1, columns=zeros)
     rep = train(ds, spec, passes=2, rls_cfg=cfg, window=8)
     assert np.array_equal(rep.theta, np.zeros(4))
     assert rep.pass_rmse == [0.0, 0.0]
+    assert len(rep.errors) == 2 * (n - warmup(spec))
 
 
 def test_rls_dim_mismatch():
@@ -376,6 +397,54 @@ def test_divergence_names_spec_pass_and_sample():
     assert "NRM_MI" in msg and "pass 1" in msg and "sample 151" in msg
 
 
+# training screens the RLS state once per block of samples and replays a
+# block that diverged one step at a time: an infinite Qext cell first reaches
+# the regressor of the next sample, at the first and the last sample of a
+# block and inside the final partial block
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("sample", [
+    pytest.param(warmup(MI) + _BLOCK, id="first-of-block"),
+    pytest.param(warmup(MI) + 2 * _BLOCK - 1, id="last-of-block"),
+    pytest.param(warmup(MI) + 2 * _BLOCK + 3, id="partial-block")])
+def test_divergence_in_a_block_names_its_sample_and_rls_step(sample):
+    ds = generate_self_consistent(MI, stable_theta(MI), warmup(MI) + 2 * _BLOCK + 5)
+    cols = {c: v.copy() for c, v in ds.columns.items()}
+    cols["Qext"][sample - 1] = np.inf
+    bad = TimeSeriesDataset(epsilon=ds.epsilon, n_neighbors=1, columns=cols)
+    with pytest.raises(NumericalError) as ref:
+        oracle.train(bad, MI, passes=2)
+    with pytest.raises(NumericalError) as exc:
+        train(bad, MI, passes=2)
+    msg, step = str(exc.value), str(ref.value)
+    assert f"NRM_MI (n_neighbors=1) diverged in pass 1 at dataset sample {sample}: " in msg
+    assert msg.endswith(step) and step.endswith(f"at step {sample - warmup(MI)}")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_divergence_in_pass_2_names_its_sample_and_rls_step():
+    # an infinite cell diverges in the first pass already; on zero data every
+    # step only divides P by the forgetting factor 0.5, so an initial
+    # covariance of 2**e overflows at a step that e chooses: here in the
+    # second block of the second pass
+    spec = RegressorSpec(Structure.NRM_FI_RH, 1)
+    wu = warmup(spec)
+    n = wu + 2 * _BLOCK + 5
+    steps, exponent = n - wu, 1022 - (n - wu) - _BLOCK - 9
+    cfg = RlsConfig(forgetting=0.5, reg_init=2.0 ** exponent)
+    ref = Rls(4, cfg)
+    with pytest.raises(NumericalError) as step:
+        while True:
+            ref.step(np.zeros(4), 0.0, 0.0)
+    assert ref.k == steps + _BLOCK + 9
+    zeros = {c: np.zeros(n) for c in measured_columns(spec.structure, 1)}
+    ds = TimeSeriesDataset(epsilon=1.0 / 12.0, n_neighbors=1, columns=zeros)
+    with pytest.raises(NumericalError) as exc:
+        train(ds, spec, passes=3, rls_cfg=cfg)
+    assert str(exc.value) == (
+        f"training NRM_FI_RH (n_neighbors=1) diverged in pass 2 at dataset "
+        f"sample {wu + _BLOCK + 9}: {step.value}")
+
+
 # ---------------------------------------------------------------------------
 # compiled OE pass against the per-sample oracle
 # ---------------------------------------------------------------------------
@@ -432,3 +501,26 @@ def test_oe_pass_matches_oracle_bit_for_bit(structure, n_neighbors, passes, n,
     assert np.array_equal(pred, oracle.predict_series(ref.theta, spec, ds, ref.theta_w),
                           equal_nan=True)
     assert np.all(np.isnan(pred[:warmup(spec)]))
+
+
+@pytest.mark.parametrize("structure", [Structure.LRM, Structure.NRM_MI,
+                                       Structure.NRM_FI_ZONE, Structure.NRM_LI])
+def test_oe_pass_matches_oracle_bit_for_bit_across_blocks(structure):
+    # two full screening blocks and a partial one in each of two passes; the
+    # property test above stays within one block
+    spec = RegressorSpec(structure, 1)
+    n = warmup(spec) + 2 * _BLOCK + 5
+    ds = _random_dataset(np.random.default_rng(5), 1, n)
+    theta_w = None
+    if structure is Structure.NRM_FI_ZONE:
+        theta_w = train(ds, RegressorSpec(Structure.NRM_FI_RH, 1), passes=2,
+                        window=8).theta
+    got = train(ds, spec, 2, theta_w=theta_w, window=8)
+    ref = oracle.train(ds, spec, 2, theta_w=theta_w, window=8)
+    assert len(got.errors) == 2 * (2 * _BLOCK + 5)
+    assert np.array_equal(got.theta, ref.theta)
+    assert np.array_equal(got.errors, ref.errors)
+    assert np.array_equal(got.rolling_rmse, ref.rolling_rmse)
+    assert np.array_equal(predict_series(got.theta, spec, ds, theta_w),
+                          oracle.predict_series(ref.theta, spec, ds, theta_w),
+                          equal_nan=True)

@@ -737,27 +737,37 @@ def test_episode_csv(tmp_path, cfg, probe_models):
 #: controller switches its first-period decision within 6 h
 WARM_START = PlantState(t_r=21.5, t_s=[20.5], t_w=30.0)
 
+#: the working-day absences of the criterion-7 evaluation week; the NRM_MI
+#: controller switches its first-period decision when the 8 h absence begins,
+#: and a 10 h episode leaves one more decision to read the switched controls
+AWAY = OccupancySchedule(absent_windows=((8.0, 16.0), (22.5, 23.5)), jitter_h=0.3)
 
-@pytest.mark.parametrize("structure,initial", [
-    pytest.param(s, start, id=s.value + tag)
-    for start, tag in ((None, ""), (WARM_START, "-warm"))
-    for s in (Structure.NRM_MI, Structure.LRM, Structure.NRM_LI, Structure.NRM_FI_ZONE)])
+
+@pytest.mark.parametrize("structure,initial,occupancy,hours", [
+    *(pytest.param(s, start, None, 6.0, id=s.value + tag)
+      for start, tag in ((None, ""), (WARM_START, "-warm"))
+      for s in (Structure.NRM_MI, Structure.LRM, Structure.NRM_LI, Structure.NRM_FI_ZONE)),
+    pytest.param(Structure.NRM_MI, None, AWAY, 10.0, id="NRM_MI-away")])
 def test_closed_loop_matches_the_lagged_history_controller(
-        cfg, probe_dataset, probe_models, structure, initial, monkeypatch):
+        cfg, probe_dataset, probe_models, structure, initial, occupancy, hours,
+        monkeypatch):
     # the reference controller records the episode in a LaggedHistory, takes
     # its water estimates from oe_predict and builds each decision window
     # from the history: the column-array controller must apply the same
     # controls to the same plant, bit for bit.  Both call mpc.solve, which
     # records every decision's cost vector and plan.  From the default start
     # every controller keeps one plan for the first 6 h, so there the costs
-    # pin the windows; from the warm start the LRM controller switches plans,
-    # which pins the applied decisions and the windows that read them
+    # pin the windows; from the warm start the LRM controller, and ahead of
+    # the absence the NRM_MI controller, switch plans, which pins the applied
+    # decisions and the windows that read them
     from thermbench import mpc
     spec = RegressorSpec(structure, 1)
     theta_w = probe_models[1]
     theta = (probe_models[0] if structure is Structure.NRM_MI
              else train(probe_dataset, spec, passes=2, theta_w=theta_w).theta)
-    sim = dataclasses.replace(cfg.sim, duration=6.0,
+    sd = dataclasses.replace(cfg.sim.disturbance_spec,
+                             occupancy=occupancy or cfg.sim.disturbance_spec.occupancy)
+    sim = dataclasses.replace(cfg.sim, duration=hours, disturbance_spec=sd,
                               initial=initial or cfg.sim.initial)
     costs, plans = [], []
 
@@ -770,12 +780,12 @@ def test_closed_loop_matches_the_lagged_history_controller(
     got = closed_loop_run(cfg.plant, sim, MpcConfig(), spec, theta, theta_w)
     n_decisions = len(costs)
     want = mpc_oracle.closed_loop_run(cfg.plant, sim, MpcConfig(), spec, theta, theta_w)
-    assert n_decisions == 5 and len(costs) == 10
-    for a, b in zip(costs[:5], costs[5:]):
+    assert n_decisions == hours - 1 and len(costs) == 2 * n_decisions
+    for a, b in zip(costs[:n_decisions], costs[n_decisions:]):
         assert np.array_equal(a, b)
-    assert plans[:5] == plans[5:]
-    if initial is WARM_START and structure is Structure.LRM:
-        assert len({plan.periods[0] for plan in plans[:5]}) >= 2
+    assert plans[:n_decisions] == plans[n_decisions:]
+    if (initial is WARM_START and structure is Structure.LRM) or occupancy is AWAY:
+        assert len({plan.periods[0] for plan in plans[:n_decisions]}) >= 2
     for name in ("inlet", "flow", "t_r_plant"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
