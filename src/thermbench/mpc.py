@@ -38,16 +38,16 @@ controls and the plan-independent signals.  The kernel works in two stages:
    prefixes, and the water and zone entries are summed.
 
 The products are those of a single multiplication chain, in the same order,
-and ``* 1.0`` is exact, so a plan costs the same bits alone or among others;
-``predict_horizon`` is the one-row case.  Internally the newest period's
-option is the most significant digit of a row (each period boundary tiles
-the rows so far once per option), so the rows of one combination form a
-contiguous block that one prefix broadcasts over.  The cost terms are laid
-out by horizon position, one column per row, and each row's sums repeat
-numpy's pairwise summation of a C-ordered row one whole-column operation at
-a time (``_pairwise_sums``), so no transposed copy is made.  The costs are
-permuted back to enumeration order once per decision, with a fixed
-per-config permutation, so the first-minimum tie-break is unchanged.
+and ``* 1.0`` is exact; ``predict_horizon`` is the one-row case.  Each
+period's buffer holds its own steps and the ``w`` positions before them, as
+far back as any lag reads; at a period boundary those positions are copied
+once per option into the next period's rows, the newest period's option the
+most significant digit, so the rows of one combination form a contiguous
+block that one prefix broadcasts over.  Each period's cost terms are summed
+in order and added to its prefix's sums along the tree, so a plan costs the
+same bits alone or among others.  The costs are permuted back to
+enumeration order once per decision, with a fixed per-config permutation,
+so the first-minimum tie-break is unchanged.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -370,12 +371,12 @@ def _prefixes(kern: _Kernel, tpl: _Template, coef: np.ndarray,
     return kern.lay.terms(values, coef[:, None, None], out=out, scratch=scratch)
 
 
-_WORKSPACE: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+_WORKSPACE = threading.local()
 
 
 def _workspace(*sizes: int) -> tuple[np.ndarray, ...]:
-    """Scratch memory of the rollouts of one shape: one flat array of each
-    of ``sizes``.
+    """Scratch memory of this thread's rollouts of one shape: one flat
+    array of each of ``sizes``.
 
     Every such rollout reuses it and writes it before reading it.  Memory
     of this size allocated afresh per decision is page-faulted in anew
@@ -385,191 +386,140 @@ def _workspace(*sizes: int) -> tuple[np.ndarray, ...]:
     its own, and released before that one is allocated, so that the two
     are never held at once (allocated first, the new arrays could not reuse
     the old ones' memory: switching between the closed-loop week's two
-    specs raised the peak resident memory by about 1 MB).  A rollout's
-    buffers are valid until the next rollout, so rollouts must not run
-    concurrently.
+    specs raised the peak resident memory by about 1 MB).  Each thread has
+    its own, and a rollout's buffers are valid until the thread's next
+    rollout.
     """
-    if sizes not in _WORKSPACE:
-        _WORKSPACE.clear()
-        _WORKSPACE[sizes] = tuple(np.empty(n) for n in sizes)
-    return _WORKSPACE[sizes]
-
-
-def _tile(region: np.ndarray, buffers: np.ndarray, m: int, done: int) -> None:
-    """Tile the first ``done`` positions of ``buffers``, ``(2, width,
-    rows)`` at the front of ``region``, into ``(2, width, m, rows)`` at the
-    front of ``region``: ``m`` copies of each position's rows.
-
-    The copy of flat position ``i`` (plane-major) lands on positions
-    ``i*m .. i*m+m-1`` of the source's layout, never below ``i``.  So the
-    water plane is copied first, then the zone plane from the top down in
-    ranges ``[lo, hi)`` with ``lo*m >= hi``: no range overwrites a source
-    not yet read or overlaps its own, and numpy needs no temporary copy (an
-    overlapping assignment copies its whole source first, which took about
-    half the time of the tiling).
-    """
-    width = buffers.shape[1]
-    src = buffers.reshape(2 * width, -1)
-    dst = region[:src.size * m].reshape(2 * width, m, -1)
-    dst[width:width + done] = src[width:width + done, None]
-    hi = done
-    while hi > 1:
-        lo = -(-hi // m)
-        dst[lo:hi] = src[lo:hi, None]
-        hi = lo
-    dst[0, 1:] = src[0]  # position 0's first copy is its source
+    if getattr(_WORKSPACE, "sizes", None) != sizes:
+        _WORKSPACE.sizes = _WORKSPACE.arrays = None
+        _WORKSPACE.arrays = tuple(np.empty(n) for n in sizes)
+        _WORKSPACE.sizes = sizes
+    return _WORKSPACE.arrays
 
 
 def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
              win: DecisionWindow, cfg: MpcConfig, choices,
-             template: _Template | None = None) -> tuple[np.ndarray, int]:
+             template: _Template | None = None) -> tuple[list[np.ndarray], int]:
     """Roll the water and zone predictors out over a tree of plan prefixes.
 
     ``choices[p]`` holds period p's candidate (inlet, flow) values as two
     arrays, and ``template`` their control template, built here when not
-    given.  Every lag is at least one sample, so the horizon steps of
-    period p read controls of periods 0..p only: at each period boundary
-    the rows are tiled once per option, and the period is rolled out once
-    per plan prefix (stage 1 computes the prefixes of every period at once,
-    stage 2 steps them; see the module docstring).  Each row's arithmetic
-    does not depend on how many rows there are.  Returns ``(buffers, w)``:
-    ``buffers`` has shape ``(2, w + 1 + n_hor, rows)`` and holds the zone
-    and water predictions by position (0..w-1 the last ``w`` recorded
-    positions of ``win``, w the decision sample, w+1.. the horizon).  Row
-    ``sum_p o_p * (m_0 * ... * m_{p-1})`` is the plan of option ``o_p`` of
-    ``m_p`` in period p: the newest period is the most significant digit.
+    given.  Every lag is at least one sample and at most ``w``, so the
+    horizon steps of period p read the controls of periods 0..p and the
+    predictions of the ``w`` positions before each step: period p is rolled
+    out once per plan prefix (stage 1 computes the prefixes of every period
+    at once, stage 2 steps them; see the module docstring).  Each row's
+    arithmetic does not depend on how many rows there are.
+
+    Returns ``(periods, w)``.  ``periods[p]`` has shape ``(2, w + s + 1,
+    rows_p)`` and holds period p's zone and water predictions by position:
+    0..w-1 the ``w`` positions before its first step (for period 0 the last
+    ``w - 1`` recorded positions of ``win`` and the decision sample), w..w+s-1
+    its steps and w+s an exact 1.0.  Row ``sum_q o_q * (m_0 * ... *
+    m_{q-1})`` is the prefix of option ``o_q`` of ``m_q`` in each period
+    q <= p: the newest period is the most significant digit.  The buffers
+    are views of this thread's workspace, valid until its next rollout.
     """
     n = cfg.n_hor
     s = cfg.samples_per_period
     w = max(warmup(spec), 1)
     win.check(spec, n)
     cols, lo = win.columns, win.past - w
-    total = w + 1 + n
     kern = _kernel(spec)
     tpl = template if template is not None else _control_template(spec, choices, s)
     coef = np.concatenate((theta_w, theta_r))
 
     # plan-independent signals by position
     shared = np.array([cols[c][lo:] for c in kern.shared], dtype=float)
-    steps = np.arange(w + 1, total)
+    steps = np.arange(w + 1, w + 1 + n)
     # the shared rows of the value table at each horizon step
     shared_at = shared[kern.shared_channel[:, None], steps - kern.shared_lag[:, None]]
     controls = np.array([cols[c][lo:] for c in _CONTROLS], dtype=float)
 
-    # prediction buffers by position, and one position of exact 1.0s that
-    # the entries without a prediction factor read in stage 2; every period's
-    # rows live at the front of the workspace region.  Stage 1 runs before
-    # the buffers are written, so its value table and gather scratch borrow
-    # the region too.
-    width = total + 1
-    n_rows = math.prod(len(inlet) for inlet, _ in choices)
+    # every period's buffer lives in the workspace region, one after the
+    # other.  Stage 1 runs before the buffers are written, so its value
+    # table and gather scratch borrow the region too.
+    width = w + s + 1
+    rows = np.cumprod([len(inlet) for inlet, _ in choices]).tolist()
     value_shape = (len(kern.lay.columns) + 1, n, tpl.values.shape[2])
     prefix_shape = (len(coef), n, tpl.values.shape[2])
     n_values, n_prefix = math.prod(value_shape), math.prod(prefix_shape)
     region, scratch, stage1 = _workspace(
-        max(2 * width * n_rows, n_values + n_prefix), len(coef) * n_rows, n_prefix)
+        max(2 * width * sum(rows), n_values + n_prefix), len(coef) * rows[-1], n_prefix)
     prefix = _prefixes(kern, tpl, coef, controls, shared_at,
                        region[:n_values].reshape(value_shape),
                        stage1.reshape(prefix_shape),
                        region[n_values:n_values + n_prefix].reshape(prefix_shape))
-    buffers = region[:2 * width].reshape(2, width, 1)
-    # the zone predictions' past is the measured zone temperature
-    buffers[0, :w + 1, 0] = cols["T_r"][lo:]
-    buffers[1, :w, 0] = cols["yhat_w"][lo:]
-    buffers[1, w] = water_estimate(theta_w, spec, cols, win.past)
-    buffers[:, total] = 1.0
-    # the row of the flattened buffers each entry reads at each horizon step
+    # the w positions before the first step: the measured zone temperature,
+    # and the recorded water estimates and the decision sample's
+    tail = np.empty((2, w, 1))
+    tail[0, :, 0] = cols["T_r"][lo + 1:]
+    tail[1, :w - 1, 0] = cols["yhat_w"][lo + 1:]
+    tail[1, w - 1] = water_estimate(theta_w, spec, cols, win.past)
+    # the row of a flattened period buffer each entry reads at each step
     gather = np.where(kern.has_pred, kern.pred_plane * width - kern.pred_lag
-                      + steps[:, None], total)
+                      + np.arange(w, w + s)[:, None], w + s)
 
     nw = kern.n_water
+    periods, end = [], 0
     for p, (inlet, _) in enumerate(choices):
-        rows = buffers.shape[2] * len(inlet)
-        if len(inlet) > 1:
-            # tile: one block of the rows so far per option of period p
-            _tile(region, buffers, len(inlet), w + p * s + 1)
-            buffers = region[:2 * width * rows].reshape(2, width, rows)
-            buffers[:, total] = 1.0
-        flat = buffers.reshape(2 * width, rows)
-        terms = scratch[:len(coef) * rows].reshape(len(coef), rows)
+        buf = region[end:end + 2 * width * rows[p]].reshape(2, width, rows[p])
+        end += buf.size
+        # one copy of the previous period's last w positions per option
+        buf[:, :w].reshape(2, w, len(inlet), -1)[...] = tail[:, :, None]
+        buf[:, w + s] = 1.0
+        flat = buf.reshape(2 * width, rows[p])
+        terms = scratch[:len(coef) * rows[p]].reshape(len(coef), rows[p])
         # the rows of one combination of options are a contiguous block
         n_comb = tpl.n_comb[p]
         blocks = terms.reshape(len(coef), n_comb, -1)
         water, zone = terms[:nw], terms[nw:]
         step_prefixes = prefix[:, p * s:(p + 1) * s, :n_comb].transpose(1, 0, 2)
-        for k, step_prefix in enumerate(step_prefixes[..., None], start=p * s):
-            flat.take(gather[k], axis=0, out=terms, mode="clip")
+        for j, step_prefix in enumerate(step_prefixes[..., None]):
+            flat.take(gather[j], axis=0, out=terms, mode="clip")
             blocks *= step_prefix
-            sum_entries(water, out=buffers[1, w + 1 + k])
-            sum_entries(zone, out=buffers[0, w + 1 + k])
-    buffers = buffers[:, :total]
-    if not np.all(np.isfinite(buffers[:, w:])):
-        raise DivergenceError("plan rollout produced non-finite predictions")
-    return buffers, w
+            sum_entries(water, out=buf[1, w + j])
+            sum_entries(zone, out=buf[0, w + j])
+        # the steps, and in period 0 the decision sample
+        if not np.all(np.isfinite(buf[:, w - 1:w + s])):
+            raise DivergenceError("plan rollout produced non-finite predictions")
+        periods.append(buf)
+        tail = buf[:, s:s + w]
+    return periods, w
 
 
-def _pairwise_sums(a: np.ndarray) -> np.ndarray:
-    """numpy's sum of each column of ``a``, ``(n, rows)``, as if the column
-    were a C-ordered row: ``np.sum(np.ascontiguousarray(a.T), axis=1)`` bit
-    for bit, without the transposing copy.
+def _costs(t_r0: float, zone, water, inlet, flow, win: DecisionWindow,
+           cfg: MpcConfig):
+    """Comfort and heating cost of each row (one plan per row) of the last
+    period of a rollout.
 
-    numpy sums a contiguous float64 row of ``n`` values as ``0.0 + pw(n)``:
-    below 8 values ``pw`` adds them in order from 0.0; up to 128 it keeps
-    eight accumulators ``r[j] = a[j]``, adds each block of eight into them,
-    combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the
-    ``n % 8`` left over in order; above 128 it splits at ``n // 2`` rounded
-    down to a multiple of 8 and adds the two halves' ``pw``.  Here each of
-    those steps is one operation over all the columns.  The leading ``0.0 +`` is
-    kept: it makes the sum of all ``-0.0`` ``+0.0``, as numpy's is.
+    ``t_r0`` is the decision sample's zone temperature; ``zone[p]`` and
+    ``water[p]`` are period p's ``(s, rows_p)`` blocks of zone predictions
+    at its steps and water predictions at the positions before them, and
+    ``inlet[p]`` and ``flow[p]`` its rows' options; the occupancy is
+    ``win``'s from the decision sample on.  The comfort sum is averaged by
+    n_hor; the heating term is beta * t_sam * (inlet - predicted outlet),
+    optionally multiplied by an indicator that the flow is nonzero.  Each
+    period's terms are summed in order and added to its prefix's sums, the
+    comfort's from the decision sample's term and the heating's from 0.0,
+    so a plan costs the same bits alone or among others.  The blocks are
+    overwritten.
     """
-    return 0.0 + _pairwise(a)
-
-
-def _pairwise(a: np.ndarray) -> np.ndarray:
-    n = len(a)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise(a[:half]) + _pairwise(a[half:])
-    if n < 8:
-        total = np.zeros(a.shape[1:])
-        start = 0
-    else:
-        start = n - n % 8
-        # a reduction over the outer axis adds block after block, from +0.0:
-        # that changes only the sign of a zero, which the leading 0.0 + of
-        # _pairwise_sums makes +0.0 either way
-        r = np.add.reduce(a[:start].reshape(start // 8, 8, -1), axis=0)
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for row in a[start:]:
-        total += row
-    return total
-
-
-def _costs(t_r: np.ndarray, t_w: np.ndarray, inlet: np.ndarray,
-           flow: np.ndarray, win: DecisionWindow, cfg: MpcConfig):
-    """Comfort and heating cost of each row (one plan per row).
-
-    ``t_r`` holds horizon positions 0..n_hor and ``t_w`` 0..n_hor-1 of each
-    row as ``(positions, rows)`` arrays; ``inlet`` and ``flow`` hold each
-    row's option as ``(periods, rows)`` arrays; the occupancy is ``win``'s
-    from the decision sample on.  The comfort sum is averaged
-    by n_hor; the heating term is beta * t_sam * (inlet - predicted outlet),
-    optionally multiplied by an indicator that the flow is nonzero.  Every
-    row sum is numpy's sum of the row in C order (``_pairwise_sums``), so a
-    plan costs the same bits alone or among others.  The terms are computed
-    in place: ``t_r`` and ``t_w`` are overwritten.
-    """
-    n = cfg.n_hor
-    comfort = np.subtract(t_r, cfg.t_set, out=t_r)
-    np.square(comfort, out=comfort)
-    comfort *= win.columns["occ"][win.past:, None]
-    # the samples of each period against that period's option
-    heating = t_w.reshape(len(inlet), -1, t_w.shape[1])
-    np.subtract(inlet[:, None], heating, out=heating)
-    if cfg.heating_cost_gated_by_flow:
-        heating *= (flow > 0.0)[:, None]
-    return (cfg.alpha * _pairwise_sums(comfort) / n,
-            cfg.beta * cfg.t_sam * _pairwise_sums(heating.reshape(n, -1)))
+    s = cfg.samples_per_period
+    occ = win.columns["occ"][win.past:]
+    comfort = np.square(np.subtract([t_r0], cfg.t_set)) * occ[:1]
+    heating = np.zeros(1)
+    for p, (t_r, t_w) in enumerate(zip(zone, water)):
+        np.subtract(t_r, cfg.t_set, out=t_r)
+        np.square(t_r, out=t_r)
+        t_r *= occ[1 + p * s:1 + (p + 1) * s, None]
+        np.subtract(inlet[p], t_w, out=t_w)
+        if cfg.heating_cost_gated_by_flow:
+            t_w *= flow[p] > 0.0
+        # period p's rows are its prefix's rows once per option
+        comfort = (comfort + sum_entries(t_r).reshape(-1, len(comfort))).ravel()
+        heating = (heating + sum_entries(t_w).reshape(-1, len(heating))).ravel()
+    return cfg.alpha * comfort / cfg.n_hor, cfg.beta * cfg.t_sam * heating
 
 
 def _pump_cost(flow: np.ndarray, cfg: MpcConfig) -> np.ndarray:
@@ -595,8 +545,11 @@ def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
                           f"config expects {cfg.n_periods}")
     choices = [(option[:1], option[1:])
                for option in np.array(plan.periods, dtype=float)]
-    buffers, w = _rollout(theta_r, theta_w, spec, win, cfg, choices)
-    return buffers[0, w:w + n + 1, 0].copy(), buffers[1, w:w + n, 0].copy()
+    periods, w = _rollout(theta_r, theta_w, spec, win, cfg, choices)
+    s = cfg.samples_per_period
+    zone = [periods[0][0, w - 1:w, 0], *(b[0, w:w + s, 0] for b in periods)]
+    water = [b[1, w - 1:w + s - 1, 0] for b in periods]
+    return np.concatenate(zone), np.concatenate(water)
 
 
 @dataclass(frozen=True)
@@ -616,11 +569,11 @@ def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
         return CostBreakdown(0.0, 0.0, 0.0, 0.0)
     _, flow_seq = plan.expand(cfg)
     options = np.array(plan.periods, dtype=float)
-    # copies: the costs are computed in place
-    t_r = np.array(t_r_trace, dtype=float)[:, None]
-    t_w = np.array(t_w_trace, dtype=float)[:, None]
+    # one-row period blocks; copies: the costs are computed in place
+    zone, water = (np.array(a, dtype=float).reshape(len(options), -1, 1)
+                   for a in (t_r_trace[1:], t_w_trace))
     comfort, heating = (float(c[0]) for c in _costs(
-        t_r, t_w, options[:, :1], options[:, 1:], win, cfg))
+        t_r_trace[0], zone, water, options[:, :1], options[:, 1:], win, cfg))
     pump = float(_pump_cost(flow_seq[None, :], cfg)[0])
     return CostBreakdown(total=comfort + heating + pump, comfort=comfort,
                          heating=heating, pump=pump)
@@ -636,17 +589,18 @@ class _PlanTable:
 
     ``plans`` lists every admissible plan in tie-break order, with its pump
     cost in ``pump``; ``inlet`` and ``flow`` hold one period's options in
-    the same order.  ``inlet_rows`` and ``flow_rows`` hold the option of
-    each period in each rollout row, and ``order`` the rollout row of each
-    plan: ``costs[order]`` puts costs by row into enumeration order.
+    the same order.  ``inlet_rows[p]`` and ``flow_rows[p]`` hold the option
+    of period p in each of its rollout rows, and ``order`` the last period's
+    rollout row of each plan: ``costs[order]`` puts costs by row into
+    enumeration order.
     """
 
     plans: tuple
     pump: np.ndarray
     inlet: np.ndarray
     flow: np.ndarray
-    inlet_rows: np.ndarray
-    flow_rows: np.ndarray
+    inlet_rows: tuple[np.ndarray, ...]
+    flow_rows: tuple[np.ndarray, ...]
     order: np.ndarray
 
     @property
@@ -669,14 +623,14 @@ def _plan_table(cfg: MpcConfig) -> _PlanTable:
                                 cfg.samples_per_period, axis=1), cfg)
     inlet = np.array([i for i, _ in options], dtype=float)
     flow = np.array([f for _, f in options], dtype=float)
-    # period p's option is the digit of weight m**p of the rollout row:
+    # period p's option is the digit of weight m**p of its rollout rows:
     # the reverse digit order of the enumeration
-    digits = np.arange(n_plans) // m ** np.arange(n_periods)[:, None] % m
+    inlet_rows, flow_rows = (tuple(np.repeat(a, m ** p) for p in range(n_periods))
+                             for a in (inlet, flow))
     order = np.arange(n_plans).reshape((m,) * n_periods).T.ravel()
-    table = _PlanTable(plans, pump, inlet, flow, inlet[digits], flow[digits], order)
-    for a in (pump, inlet, flow, table.inlet_rows, table.flow_rows, order):
+    for a in (pump, inlet, flow, *inlet_rows, *flow_rows, order):
         a.flags.writeable = False
-    return table
+    return _PlanTable(plans, pump, inlet, flow, inlet_rows, flow_rows, order)
 
 
 @functools.lru_cache(maxsize=8)
@@ -689,12 +643,14 @@ def _plan_template(spec: RegressorSpec, cfg: MpcConfig) -> _Template:
 
 def _plan_costs(theta_r, theta_w, spec, win, cfg) -> np.ndarray:
     """Total cost of every plan, in enumeration order."""
-    n = cfg.n_hor
+    s = cfg.samples_per_period
     table = _plan_table(cfg)
-    buffers, w = _rollout(theta_r, theta_w, spec, win, cfg, table.choices,
+    periods, w = _rollout(theta_r, theta_w, spec, win, cfg, table.choices,
                           _plan_template(spec, cfg))
     # the costs overwrite the predictions, which nothing reads after them
-    comfort, heating = _costs(buffers[0, w:w + n + 1], buffers[1, w:w + n],
+    comfort, heating = _costs(periods[0][0, w - 1, 0],
+                              [b[0, w:w + s] for b in periods],
+                              [b[1, w - 1:w + s - 1] for b in periods],
                               table.inlet_rows, table.flow_rows, win, cfg)
     return (comfort + heating)[table.order] + table.pump
 

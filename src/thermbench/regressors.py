@@ -186,16 +186,17 @@ class CompiledLayout:
 
 
 def sum_entries(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Left-to-right sum of a C-ordered ``(entries, n)`` array over its
-    entries, for each of the ``n`` columns (into ``out`` if given)."""
+    """Left-to-right sum from 0.0 of a C-ordered ``(entries, n)`` array over
+    its entries, for each of the ``n`` columns (into ``out`` if given)."""
     if terms.shape[1] == 1:
-        # numpy sums one contiguous axis pairwise; accumulate runs in order
-        total = np.add.accumulate(terms, axis=0)[-1]
+        # numpy sums one contiguous axis pairwise; accumulate runs in order,
+        # from the first entry, and 0.0 + gives the zero sign of a sum from 0.0
+        total = 0.0 + np.add.accumulate(terms, axis=0)[-1]
         if out is None:
             return total
         out[...] = total
         return out
-    # across rows numpy adds row after row
+    # across rows numpy adds row after row to its identity, 0.0
     return np.add.reduce(terms, axis=0, out=out)
 
 

@@ -291,16 +291,26 @@ def _costs(t_r: np.ndarray, t_w: np.ndarray, inlet: np.ndarray,
     0..n_hor, the others 0..n_hor-1.  The
     comfort sum is averaged by n_hor; the heating term is
     beta * t_sam * (inlet - predicted outlet), optionally multiplied by an
-    indicator that the flow is nonzero.  Every row sum runs over a C-ordered
-    row, whatever the layout of the inputs, so a plan costs the same bits
-    alone or among others.
+    indicator that the flow is nonzero.  The terms of each optimization
+    period are added in order, and the periods' sums in turn, the comfort
+    starting from the decision sample's term and the heating from 0.0: the
+    association of ``thermbench.mpc``'s per-period sums.  The pump cost is
+    numpy's sum of a C-ordered row.
     """
-    n = cfg.n_hor
-    comfort = cfg.alpha * np.sum(
-        occ_path * np.subtract(t_r, cfg.t_set, order="C") ** 2, axis=1) / n
+    n, s = cfg.n_hor, cfg.samples_per_period
+    comfort_terms = occ_path * (t_r - cfg.t_set) ** 2
     gate = (flow > 0.0).astype(float) if cfg.heating_cost_gated_by_flow else 1.0
-    heating = cfg.beta * cfg.t_sam * np.sum(
-        np.multiply(inlet - t_w, gate, order="C"), axis=1)
+    heating_terms = (inlet - t_w) * gate
+    comfort, heating = comfort_terms[:, 0], np.zeros(len(t_w))
+    for start in range(0, n, s):
+        c, h = comfort_terms[:, 1 + start], heating_terms[:, start]
+        for k in range(start + 1, start + s):
+            c = c + comfort_terms[:, 1 + k]
+            h = h + heating_terms[:, k]
+        comfort = comfort + c
+        heating = heating + h
+    comfort = cfg.alpha * comfort / n
+    heating = cfg.beta * cfg.t_sam * heating
     pump = cfg.gamma * cfg.t_sam * np.sum(np.ascontiguousarray(flow), axis=1)
     return comfort, heating, pump
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -325,6 +326,16 @@ def _random_forecast(cfg, n_neighbors, rng, past):
        seed=st.integers(0, 2**32 - 1))
 @example(structure=Structure.NRM_MI, n_neighbors=2, n_periods=2, samples=3,
          inlet_set=(40.0, 45.0), flow_set=(0.0, 0.0787), gated=False, seed=0)
+@example(structure=Structure.LRM, n_neighbors=1, n_periods=3, samples=4,
+         inlet_set=(40.0, 45.0), flow_set=(0.0, 0.0787), gated=True, seed=1)
+@example(structure=Structure.NRM_MI, n_neighbors=3, n_periods=3, samples=2,
+         inlet_set=(40.0, 45.0), flow_set=(0.0, 0.0787), gated=False, seed=2)
+@example(structure=Structure.NRM_LI, n_neighbors=2, n_periods=2, samples=4,
+         inlet_set=(40.0,), flow_set=(0.0, 0.0787), gated=True, seed=3)
+@example(structure=Structure.NRM_FI_ZONE, n_neighbors=1, n_periods=3, samples=1,
+         inlet_set=(40.0, 45.0), flow_set=(0.0,), gated=False, seed=4)
+@example(structure=Structure.LRM, n_neighbors=2, n_periods=2, samples=2,
+         inlet_set=(40.0,), flow_set=(0.0,), gated=True, seed=5)
 def test_tree_rollout_matches_scalar_oracle(structure, n_neighbors, n_periods,
                                             samples, inlet_set, flow_set,
                                             gated, seed):
@@ -362,6 +373,9 @@ _OPTION_SETS = st.lists(st.sampled_from([40.0, 42.5, 45.0]), min_size=1,
                         max_size=3, unique=True)
 _FLOW_SETS = st.lists(st.sampled_from([0.0, 0.04, 0.0787]), min_size=1,
                       max_size=3, unique=True)
+#: per period, the options (indices modulo their number) of a mixed-radix tree
+_PICKS = st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=9),
+                  min_size=5, max_size=5)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -369,14 +383,29 @@ _FLOW_SETS = st.lists(st.sampled_from([0.0, 0.04, 0.0787]), min_size=1,
                                   Structure.NRM_LI, Structure.NRM_FI_ZONE]),
        n_neighbors=st.integers(1, 3), n_periods=st.integers(1, 3),
        samples=st.integers(1, 4), inlet_set=_OPTION_SETS, flow_set=_FLOW_SETS,
-       gated=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       gated=st.booleans(), picks=_PICKS, seed=st.integers(0, 2**32 - 1))
 @example(structure=Structure.NRM_MI, n_neighbors=1, n_periods=5, samples=12,
-         inlet_set=[40.0, 45.0], flow_set=[0.0, 0.0787], gated=False, seed=0)
+         inlet_set=[40.0, 45.0], flow_set=[0.0, 0.0787], gated=False,
+         picks=[[0, 1, 2, 3], [1], [0, 2], [3], [0, 1, 2, 3]], seed=0)
+@example(structure=Structure.LRM, n_neighbors=2, n_periods=3, samples=3,
+         inlet_set=[40.0, 45.0], flow_set=[0.0, 0.0787], gated=True,
+         picks=[[0, 1, 2, 3], [2], [0, 3], [0], [0]], seed=1)
+@example(structure=Structure.NRM_MI, n_neighbors=3, n_periods=3, samples=2,
+         inlet_set=[40.0, 42.5, 45.0], flow_set=[0.0, 0.0787], gated=False,
+         picks=[[0, 5], [1, 2, 3], [4], [0], [0]], seed=2)
+@example(structure=Structure.NRM_LI, n_neighbors=2, n_periods=2, samples=4,
+         inlet_set=[42.5], flow_set=[0.0, 0.04, 0.0787], gated=True,
+         picks=[[0], [0, 1, 2], [0], [0], [0]], seed=3)
+@example(structure=Structure.NRM_FI_ZONE, n_neighbors=1, n_periods=3, samples=1,
+         inlet_set=[40.0, 45.0], flow_set=[0.04], gated=False,
+         picks=[[1], [0, 1], [0], [0], [0]], seed=4)
 def test_two_stage_kernel_matches_tree_kernel_bit_for_bit(
         structure, n_neighbors, n_periods, samples, inlet_set, flow_set, gated,
-        seed):
+        picks, seed):
     # 1-4 samples per period put the deepest control lag 1-3 periods back;
-    # the explicit example is the default config (1024 plans)
+    # the first example is the default config (1024 plans), the third has
+    # fewer samples per period than lags (s=2, w=5), so a period's first w
+    # positions reach into the previous period's first w
     from thermbench.mpc import _plan_costs, _rollout
     from thermbench.regressors import warmup
     spec = RegressorSpec(structure, n_neighbors)
@@ -393,19 +422,50 @@ def test_two_stage_kernel_matches_tree_kernel_bit_for_bit(
     # a mixed-radix tree: each period a different subset of the options
     options = cfg.options()
     choices = []
-    for _ in range(cfg.n_periods):
-        pick = np.sort(rng.choice(len(options), size=rng.integers(1, len(options) + 1),
-                                  replace=False))
+    for p in range(cfg.n_periods):
+        pick = sorted({i % len(options) for i in picks[p]})
         choices.append(tuple(np.array([options[i][c] for i in pick])
                              for c in (0, 1)))
-    got, w = _rollout(theta, theta_w, spec, win, cfg, choices)
-    want, w_tree = mpc_oracle._rollout(theta, theta_w, spec, win, cfg, choices)
-    # the newest period's option is the most significant digit of a rollout
-    # row, the earliest period's of a tree row
+    periods, w = _rollout(theta, theta_w, spec, win, cfg, choices)
+    leaves, w_tree = mpc_oracle._rollout(theta, theta_w, spec, win, cfg, choices)
+    assert w == w_tree and len(periods) == cfg.n_periods
+    # a leaf's digits d_q, the earliest period's the most significant; the
+    # leaf's prefix through period p is row sum_{q<=p} d_q * m_0 * ... *
+    # m_{q-1} of period p's buffer, whose position i is the leaf's p*s+1+i
     sizes = [len(inlet) for inlet, _ in choices]
-    order = np.arange(got.shape[2]).reshape(sizes[::-1]).T.ravel()
-    assert w == w_tree
-    assert np.array_equal(got[:, w:, order], want[:2, w:])
+    digits = np.unravel_index(np.arange(int(np.prod(sizes))), sizes)
+    weights = np.cumprod([1, *sizes[:-1]])
+    s = cfg.samples_per_period
+    for p, buf in enumerate(periods):
+        rows = sum(d * weight for d, weight in zip(digits[:p + 1], weights))
+        assert np.array_equal(buf[:, :w + s, rows],
+                              leaves[:2, p * s + 1:p * s + 1 + w + s]), p
+        assert np.all(buf[:, w + s] == 1.0)
+
+
+def test_rollouts_in_several_threads_match_a_serial_run():
+    # each thread rolls out in a workspace of its own: threads on one spec
+    # and config (one workspace shape) must cost their windows as a serial
+    # run does, and none may see another's predictions as a divergence
+    from concurrent.futures import ThreadPoolExecutor
+    from thermbench.mpc import _plan_costs
+    cfg = toy_cfg()
+    theta, theta_w = stable_toy_theta(SPEC), toy_theta_w()
+    wins = [toy_window(cfg, seed=i, forecast_seed=i + 10) for i in range(3)]
+    want = [_plan_costs(theta, theta_w, SPEC, win, cfg) for win in wins]
+
+    def run(win):
+        return [_plan_costs(theta, theta_w, SPEC, win, cfg) for _ in range(150)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(wins)) as pool:
+            got = [f.result(timeout=60) for f in [pool.submit(run, w) for w in wins]]
+    finally:
+        sys.setswitchinterval(interval)
+    for costs, expected in zip(got, want):
+        assert all(np.array_equal(c, expected) for c in costs)
 
 
 def test_plan_template_cache_is_keyed_by_spec_and_config():
@@ -433,28 +493,6 @@ def test_plan_template_cache_is_keyed_by_spec_and_config():
                 plan = ControlPlan(plans[i])
                 traces = predict_horizon(theta, theta_w, spec, win, plan, cfg)
                 assert plan_cost(traces, plan, win, cfg).total == costs[i]
-
-
-_AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-308, -2.5e-308, 1e300, -1e300,
-            1.0, -3.5, 0.1]
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(n=st.integers(1, 300), rows=st.integers(1, 40), zero_row=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-@example(n=300, rows=1, zero_row=True, seed=0)
-@example(n=129, rows=1, zero_row=False, seed=1)
-def test_pairwise_sums_match_numpy_row_sums(n, rows, zero_row, seed):
-    # n covers the in-order path (< 8), the 8-accumulator blocks and the
-    # split above 128; one row is what plan_cost sums
-    from thermbench.mpc import _pairwise_sums
-    rng = np.random.default_rng(seed)
-    a = np.where(rng.random((n, rows)) < 0.3, rng.choice(_AWKWARD, size=(n, rows)),
-                 rng.normal(size=(n, rows)) * 10.0 ** rng.integers(-8, 8, size=(n, rows)))
-    if zero_row:
-        a[:, rng.integers(rows)] = -0.0
-    want = np.sum(np.ascontiguousarray(a.T), axis=1)
-    assert [float.hex(v) for v in _pairwise_sums(a)] == [float.hex(v) for v in want]
 
 
 def test_pump_cost_table_matches_plan_cost_for_every_plan():

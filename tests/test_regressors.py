@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermbench.errors import ConfigError, HistoryUnderflowError
@@ -356,6 +356,40 @@ def test_compiled_layout_matches_build_regressor(structure, n, seed, width):
                 term *= hist.get(channel, k - lag)
             acc += term
         assert got[j] == acc
+
+
+_AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-308, -2.5e-308, 1e300, -1e300,
+            1.0, -3.5, 0.1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(entries=st.integers(1, 130),
+       columns=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 16, 64, 1024]),
+       zero_column=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(entries=130, columns=1, zero_column=True, seed=0)
+@example(entries=129, columns=7, zero_column=False, seed=1)
+@example(entries=9, columns=1024, zero_column=True, seed=2)
+@example(entries=1, columns=16, zero_column=True, seed=3)
+def test_sum_entries_adds_left_to_right(entries, columns, zero_column, seed):
+    # the one fixed-order sum of the rollout and of the MPC costs, so a
+    # plan's bits do not depend on how many rows share its arrays: numpy's
+    # own sum of one contiguous axis is pairwise from 9 values on, and its
+    # reduction across rows starts from 0.0, which turns an all -0.0 column
+    # into +0.0 however many columns there are
+    rng = np.random.default_rng(seed)
+    shape = (entries, columns)
+    terms = np.where(rng.random(shape) < 0.3, rng.choice(_AWKWARD, size=shape),
+                     rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape))
+    if zero_column:
+        terms[:, rng.integers(columns)] = -0.0
+    want = []
+    for column in terms.T.tolist():
+        total = 0.0
+        for value in column:
+            total += value
+        want.append(float.hex(total))
+    for got in (sum_entries(terms), sum_entries(terms, out=np.empty(columns))):
+        assert [float.hex(v) for v in got] == want
 
 
 def test_compile_layout_rejects_a_prediction_factor_before_the_last(monkeypatch):
