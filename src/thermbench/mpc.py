@@ -15,39 +15,38 @@ decision sample and the exact exogenous forecast, an array per channel (in
 the closed loop, views of its logs and of the scenario).  ``water_estimate``
 is the one water estimate, logged per sample and computed per decision.
 
-One rollout kernel serves every plan.  It evaluates the compiled water and
-zone layouts over a row axis of plans and walks the plan-prefix tree: every
-regressor lag is at least one sample, so the horizon steps of period p depend
-on the choices of periods 0..p only, and period p is rolled out once per
-prefix (4, 16, 64, 256 and 1024 rows under the default config).  The tree
-still reaches every admissible plan, so the search stays exhaustive.  Every
-kernel entry is ``coef * f0 * f1 * ... * pred``: the trailing prediction
-factor reads a zone or water prediction, the factors before it read only the
-controls and the plan-independent signals.  The kernel works in two stages:
+One rollout kernel serves every plan.  It walks the plan-prefix tree: every
+regressor lag is at least one sample, so the steps of period p depend on the
+choices of periods 0..p only, and period p is rolled out once per prefix (4,
+16, 64, 256 and 1024 rows under the default config); every admissible plan
+is still costed.  Every kernel entry is ``coef * f0 * f1 * ... * pred``: the
+trailing prediction factor reads a zone or water prediction, the factors
+before it only controls and plan-independent signals.  So a period's
+predictions are ``Phi_c . state + beta_c``, with maps that depend on its
+combination of options c alone, of the predictions before it that its steps
+read (zone lags 1-3 and water lag 1 under NRM_MI and LRM with one neighbor).
+Once per decision:
 
-1. Once per decision, the prefix ``coef * f0 * f1 * ...`` of every entry is
-   computed for every horizon step in one call.  Each period's steps are
-   evaluated over the distinct combinations of options of the periods
-   their control lags reach (16 under the default config, whatever the
-   number of rows).  The control rows of that value table depend on the
-   plan tree alone: ``solve`` copies them from a template cached per spec
-   and config, and only the few slots whose lags reach the recorded
-   controls, and the plan-independent signals, are written per decision.
-2. Once per horizon step, one gather reads each entry's trailing prediction
-   factor (an exact 1.0 where an entry has none), one multiply applies the
-   prefixes, and the water and zone entries are summed.
+1. One ``CompiledLayout.terms`` call computes ``coef * f0 * f1 * ...`` of
+   every entry at every step of every period, over the combinations of
+   options of the periods its control lags reach (4, then 16 per period),
+   from a control template cached per spec and config.
+2. One step loop (a gather of each entry's trailing factor, a multiply by
+   the prefixes, the water and zone entry sums) runs over one period for
+   basis rows of every period and combination: a unit row per state value,
+   where the exact 1.0 that entries without a prediction factor read is 0,
+   gives ``Phi_c``, and an offset row of zero state ``beta_c`` (340 rows).
+3. Each period's rows are filled from their states by the multiply-adds
+   ``Phi_c[0] * x_0 + Phi_c[1] * x_1 + ... + beta_c``, in this order.
 
-The products are those of a single multiplication chain, in the same order,
-and ``* 1.0`` is exact; ``predict_horizon`` is the one-row case.  Each
-period's buffer holds its own steps and the ``w`` positions before them, as
-far back as any lag reads; at a period boundary those positions are copied
-once per option into the next period's rows, the newest period's option the
-most significant digit, so the rows of one combination form a contiguous
-block that one prefix broadcasts over.  Each period's cost terms are summed
-in order and added to its prefix's sums along the tree, so a plan costs the
-same bits alone or among others.  The costs are permuted back to
-enumeration order once per decision, with a fixed per-config permutation,
-so the first-minimum tie-break is unchanged.
+The maps serve every row count, so a row's arithmetic does not depend on
+how many rows there are and ``predict_horizon`` is the one-row case bit for
+bit.  A period's buffer holds its steps and the ``w`` positions before them,
+copied at the boundary once per option, the newest period's option the most
+significant digit, so the rows of one combination are a contiguous block.
+Each period's cost terms are summed in order and added to its prefix's sums,
+so a plan costs the same bits alone or among others; a fixed permutation
+puts the costs in enumeration order for the first-minimum tie-break.
 """
 
 from __future__ import annotations
@@ -190,6 +189,13 @@ class DecisionWindow:
                               f"ones {self.past}: channels {short} do not")
 
 
+@functools.lru_cache(maxsize=None)
+def _water_layout(spec: RegressorSpec) -> tuple[CompiledLayout, int]:
+    """The compiled water layout of ``spec``'s controller and its deepest lag."""
+    lay = compile_layout(_rh_spec(spec))
+    return lay, max(lag for _, lag in lay.columns)
+
+
 def water_estimate(theta_w: np.ndarray, spec: RegressorSpec,
                    columns: Mapping[str, np.ndarray], t: int) -> float:
     """The water predictor's output-error estimate at position ``t`` of
@@ -200,8 +206,7 @@ def water_estimate(theta_w: np.ndarray, spec: RegressorSpec,
     from an exact 1.0 as ``build_regressor`` starts them, and one
     ``@ theta_w`` follows: ``identify.oe_predict`` bit for bit.
     """
-    lay = compile_layout(_rh_spec(spec))
-    deepest = max(lag for _, lag in lay.columns)
+    lay, deepest = _water_layout(spec)
     if t < deepest:
         raise HistoryUnderflowError(f"the water estimate at position {t} reads "
                                     f"{deepest} position(s) back")
@@ -231,8 +236,8 @@ class _Kernel:
     row, index into ``shared``, lag) and writes an exact 1.0 in the other
     rows (``one_rows``: the prediction factors' rows and the padding row).
     Stage 2 reads each entry's trailing prediction factor from prediction
-    plane ``pred_plane`` at lag ``pred_lag``, or an exact 1.0 where
-    ``has_pred`` is 0.
+    plane ``pred_plane`` at lag ``pred_lag``, or where ``has_pred`` is 0 the
+    basis rows' exact 1.0 (0 in the unit rows).
     """
 
     lay: CompiledLayout
@@ -297,78 +302,63 @@ def _kernel(spec: RegressorSpec) -> _Kernel:
 
 @dataclass(frozen=True, eq=False)
 class _Template:
-    """The control rows of the stage-1 value table over the whole horizon:
-    what of it depends on the plan tree and on nothing measured.
+    """What the rollout of one plan tree reads that nothing measured changes.
 
-    Horizon step ``k`` of period p reads column ``j`` as the combination
-    ``j % n_comb[p]`` of options of the periods ``lo..p`` that its control
-    lags reach, period ``lo``'s option the least significant digit, as in
-    the rollout rows; the columns from ``n_comb[p]`` on repeat combinations
-    and are never read.  ``values`` has shape ``(control rows, n_hor,
-    max(n_comb))``.  Slot ``i`` of ``rec_*`` (control row ``rec_row``, step
-    ``rec_step``) reads a recorded control instead, position ``rec_pos`` of
-    control plane ``rec_plane``; each decision writes those slots.
+    Stage 1's columns run over the periods and, within period p, over the
+    ``n_comb[p]`` combinations of options of the periods ``lo..p`` that its
+    control lags reach, period ``lo``'s option the least significant digit,
+    as in the rollout rows.  ``values`` holds the value table's control rows,
+    ``(control rows, s, columns)``; step j of column i is horizon step
+    ``step[j, i]``.  The value-table slots ``rec`` (row, step and column
+    indices) read recorded controls instead, ``rec_from`` (control plane and
+    position indices).  A basis buffer is laid out as a period's plus an exact
+    1.0 (or 0) at position w+s, plane after plane: ``gather[j]`` holds the
+    row each entry's trailing factor reads at step j, and ``state`` the rows
+    before w that some step reads.
     """
 
     values: np.ndarray
     n_comb: tuple[int, ...]
-    rec_row: np.ndarray
-    rec_step: np.ndarray
-    rec_plane: np.ndarray
-    rec_pos: np.ndarray
+    step: np.ndarray
+    rec: tuple[np.ndarray, ...]
+    rec_from: tuple[np.ndarray, ...]
+    gather: np.ndarray
+    state: np.ndarray
 
 
 def _control_template(spec: RegressorSpec, choices, s: int) -> _Template:
-    """The control template of the plan tree ``choices`` (period p's
-    candidate inlet and flow values as two arrays) at ``s`` samples per
-    period."""
+    """The template of the plan tree ``choices`` (period p's candidate inlet
+    and flow values as two arrays) at ``s`` samples per period."""
     kern = _kernel(spec)
     w = max(warmup(spec), 1)
     sizes = [len(inlet) for inlet, _ in choices]
     lo = np.maximum(np.arange(len(sizes)) - kern.depth(s), 0)
     n_comb = tuple(math.prod(sizes[a:p + 1]) for p, a in enumerate(lo))
-    steps = np.arange(len(sizes) * s)
-    period = steps // s
+    # column i is combination comb[i] of period period[i]
+    period = np.repeat(np.arange(len(sizes)), n_comb)
+    comb = np.arange(len(period)) - np.repeat(np.cumsum((0,) + n_comb[:-1]), n_comb)
+    step = period * s + np.arange(s)[:, None]
     # step k (position w+1+k) reads the controls applied at position
     # w+1+k-lag: recorded ones before w, those of period (pos - w) // s after
-    pos = w + 1 + steps - kern.control_lag[:, None]
+    pos = w + 1 + step - kern.control_lag[:, None, None]
     q = np.maximum(pos - w, 0) // s
     # period q's digit of a combination of periods lo..p weighs the option
     # counts of periods lo..q-1
     radix = np.cumprod([1] + sizes)
-    comb = np.arange(max(n_comb)) % np.array(n_comb)[period][:, None]
-    option = (comb // (radix[q] // radix[lo[period]])[..., None]
-              % np.array(sizes)[q][..., None])
+    option = comb // (radix[q] // radix[lo[period]]) % np.array(sizes)[q]
     table = np.zeros((2, len(sizes), max(sizes)))
     for p, options in enumerate(choices):
         table[:, p, :sizes[p]] = options
-    rec_row, rec_step = np.nonzero(pos < w)
-    return _Template(_readonly(table[kern.control_plane[:, None, None], q[..., None],
-                                     option]),
-                     n_comb, _readonly(rec_row), _readonly(rec_step),
-                     _readonly(kern.control_plane[rec_row]),
-                     _readonly(pos[rec_row, rec_step]))
-
-
-def _prefixes(kern: _Kernel, tpl: _Template, coef: np.ndarray,
-              controls: np.ndarray, shared_at: np.ndarray, values: np.ndarray,
-              out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Stage 1: ``coef * f0 * f1 * ...`` of every entry, up to its trailing
-    prediction factor, at every horizon step, into ``out`` of shape
-    ``(entries, n_hor, width)``; period p's steps read its first
-    ``tpl.n_comb[p]`` columns.
-
-    ``controls`` holds the recorded controls by position, ``shared_at`` the
-    shared value-table rows at every horizon step.  ``values`` (the value
-    table, ``(columns + 1, n_hor, width)``) and ``scratch`` (``out``'s shape)
-    are overwritten.
-    """
-    values[kern.control_rows] = tpl.values
-    values[kern.control_rows[tpl.rec_row], tpl.rec_step] = \
-        controls[tpl.rec_plane, tpl.rec_pos, None]
-    values[kern.shared_rows] = shared_at[:, :, None]
-    values[kern.one_rows] = 1.0
-    return kern.lay.terms(values, coef[:, None, None], out=out, scratch=scratch)
+    rec = np.nonzero(pos < w)
+    width = w + s + 1
+    gather = np.where(kern.has_pred, kern.pred_plane * width - kern.pred_lag
+                      + np.arange(w, w + s)[:, None], w + s)
+    return _Template(_readonly(table[kern.control_plane[:, None, None], q, option]),
+                     n_comb, _readonly(step),
+                     tuple(map(_readonly, (kern.control_rows[rec[0]], *rec[1:]))),
+                     tuple(map(_readonly, (kern.control_plane[rec[0]], pos[rec]))),
+                     _readonly(gather),
+                     _readonly(np.flatnonzero(np.bincount(gather[gather % width < w]))))
 
 
 _WORKSPACE = threading.local()
@@ -376,19 +366,13 @@ _WORKSPACE = threading.local()
 
 def _workspace(*sizes: int) -> tuple[np.ndarray, ...]:
     """Scratch memory of this thread's rollouts of one shape: one flat
-    array of each of ``sizes``.
-
-    Every such rollout reuses it and writes it before reading it.  Memory
-    of this size allocated afresh per decision is page-faulted in anew
-    whenever the allocator has returned it to the system in between (with
-    glibc's malloc, about 550 minor faults per decision under the default
-    config).  The memory is held until a rollout of another shape needs
-    its own, and released before that one is allocated, so that the two
-    are never held at once (allocated first, the new arrays could not reuse
-    the old ones' memory: switching between the closed-loop week's two
-    specs raised the peak resident memory by about 1 MB).  Each thread has
-    its own, and a rollout's buffers are valid until the thread's next
-    rollout.
+    array of each of ``sizes``, written before it is read, and held until a
+    rollout of another shape releases it before allocating its own.
+    Allocated afresh per decision, it is page-faulted in anew (about 550
+    minor faults per decision under the default config and glibc's malloc);
+    held alongside the new arrays, the closed-loop week's two specs raised
+    the peak resident memory by about 1 MB.  A rollout's buffers are valid
+    until the thread's next rollout.
     """
     if getattr(_WORKSPACE, "sizes", None) != sizes:
         _WORKSPACE.sizes = _WORKSPACE.arrays = None
@@ -400,25 +384,17 @@ def _workspace(*sizes: int) -> tuple[np.ndarray, ...]:
 def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
              win: DecisionWindow, cfg: MpcConfig, choices,
              template: _Template | None = None) -> tuple[list[np.ndarray], int]:
-    """Roll the water and zone predictors out over a tree of plan prefixes.
+    """Roll the water and zone predictors out over a tree of plan prefixes
+    by period maps (see the module docstring).  ``choices[p]`` holds period
+    p's candidate (inlet, flow) values as two arrays, and ``template`` their
+    template, built here when not given.  No prediction is checked here.
 
-    ``choices[p]`` holds period p's candidate (inlet, flow) values as two
-    arrays, and ``template`` their control template, built here when not
-    given.  Every lag is at least one sample and at most ``w``, so the
-    horizon steps of period p read the controls of periods 0..p and the
-    predictions of the ``w`` positions before each step: period p is rolled
-    out once per plan prefix (stage 1 computes the prefixes of every period
-    at once, stage 2 steps them; see the module docstring).  Each row's
-    arithmetic does not depend on how many rows there are.
-
-    Returns ``(periods, w)``.  ``periods[p]`` has shape ``(2, w + s + 1,
-    rows_p)`` and holds period p's zone and water predictions by position:
-    0..w-1 the ``w`` positions before its first step (for period 0 the last
-    ``w - 1`` recorded positions of ``win`` and the decision sample), w..w+s-1
-    its steps and w+s an exact 1.0.  Row ``sum_q o_q * (m_0 * ... *
-    m_{q-1})`` is the prefix of option ``o_q`` of ``m_q`` in each period
-    q <= p: the newest period is the most significant digit.  The buffers
-    are views of this thread's workspace, valid until its next rollout.
+    Returns ``(periods, w)``: ``periods[p]``, of shape ``(2, w + s,
+    rows_p)``, holds period p's zone and water predictions at the ``w``
+    positions before its first step (for period 0 the last ``w - 1``
+    recorded ones and the decision sample) and at its steps.  Row ``sum_q
+    o_q * (m_0 * ... * m_{q-1})`` is the prefix of option ``o_q`` of ``m_q``
+    in each period q <= p.  The buffers are views of ``_workspace``.
     """
     n = cfg.n_hor
     s = cfg.samples_per_period
@@ -428,61 +404,76 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
     kern = _kernel(spec)
     tpl = template if template is not None else _control_template(spec, choices, s)
     coef = np.concatenate((theta_w, theta_r))
-
-    # plan-independent signals by position
+    # plan-independent signals by position, and the shared value-table rows
+    # at each horizon step
     shared = np.array([cols[c][lo:] for c in kern.shared], dtype=float)
-    steps = np.arange(w + 1, w + 1 + n)
-    # the shared rows of the value table at each horizon step
-    shared_at = shared[kern.shared_channel[:, None], steps - kern.shared_lag[:, None]]
+    shared_at = shared[kern.shared_channel[:, None],
+                       np.arange(w + 1, w + 1 + n) - kern.shared_lag[:, None]]
     controls = np.array([cols[c][lo:] for c in _CONTROLS], dtype=float)
 
-    # every period's buffer lives in the workspace region, one after the
-    # other.  Stage 1 runs before the buffers are written, so its value
-    # table and gather scratch borrow the region too.
-    width = w + s + 1
+    width, state = w + s + 1, tpl.state
+    n_basis = tpl.step.shape[1] * (len(state) + 1)
     rows = np.cumprod([len(inlet) for inlet, _ in choices]).tolist()
-    value_shape = (len(kern.lay.columns) + 1, n, tpl.values.shape[2])
-    prefix_shape = (len(coef), n, tpl.values.shape[2])
+    n_buffers = 2 * (w + s) * sum(rows)
+    value_shape = (len(kern.lay.columns) + 1, *tpl.step.shape)
+    prefix_shape = (len(coef), *tpl.step.shape)
     n_values, n_prefix = math.prod(value_shape), math.prod(prefix_shape)
+    # the period buffers and the basis share a region that stage 1 borrows
     region, scratch, stage1 = _workspace(
-        max(2 * width * sum(rows), n_values + n_prefix), len(coef) * rows[-1], n_prefix)
-    prefix = _prefixes(kern, tpl, coef, controls, shared_at,
-                       region[:n_values].reshape(value_shape),
-                       stage1.reshape(prefix_shape),
-                       region[n_values:n_values + n_prefix].reshape(prefix_shape))
-    # the w positions before the first step: the measured zone temperature,
-    # and the recorded water estimates and the decision sample's
+        max(n_buffers + 2 * width * n_basis, n_values + n_prefix),
+        max(len(coef) * n_basis, 2 * s * rows[-1]), n_prefix)
+    # stage 1: coef * f0 * f1 * ... of every entry, up to its trailing
+    # prediction factor (an exact 1.0 in the value table)
+    values = region[:n_values].reshape(value_shape)
+    values[kern.control_rows] = tpl.values
+    values[tpl.rec] = controls[tpl.rec_from]
+    values[kern.shared_rows] = shared_at.take(tpl.step, axis=1)
+    values[kern.one_rows] = 1.0
+    prefix = kern.lay.terms(values, coef[:, None, None], out=stage1.reshape(prefix_shape),
+                            scratch=region[n_values:n_values + n_prefix].reshape(prefix_shape))
+
+    # stage 2: per template column, one unit row per state value and an
+    # offset row, stepped through one period
+    basis = region[n_buffers:n_buffers + 2 * width * n_basis].reshape(
+        2 * width, len(state) + 1, -1)
+    basis[...] = 0.0
+    basis[state, np.arange(len(state))] = 1.0
+    basis[w + s, -1] = 1.0
+    flat = basis.reshape(2 * width, n_basis)
+    terms = scratch[:len(coef) * n_basis].reshape(len(coef), n_basis)
+    blocks = terms.reshape(len(coef), len(state) + 1, -1)
+    water, zone = terms[:kern.n_water], terms[kern.n_water:]
+    for j in range(s):
+        flat.take(tpl.gather[j], axis=0, out=terms, mode="clip")
+        blocks *= prefix[:, j, None]
+        sum_entries(water, out=flat[width + w + j])
+        sum_entries(zone, out=flat[w + j])
+    # (2, s, state values + 1, template columns, 1), the offset last
+    maps = basis.reshape(2, width, len(state) + 1, -1, 1)[:, w:w + s]
+    plane, pos = np.divmod(state, width)
+
+    # stage 3, from the measured zone temperatures and the water estimates
     tail = np.empty((2, w, 1))
     tail[0, :, 0] = cols["T_r"][lo + 1:]
     tail[1, :w - 1, 0] = cols["yhat_w"][lo + 1:]
     tail[1, w - 1] = water_estimate(theta_w, spec, cols, win.past)
-    # the row of a flattened period buffer each entry reads at each step
-    gather = np.where(kern.has_pred, kern.pred_plane * width - kern.pred_lag
-                      + np.arange(w, w + s)[:, None], w + s)
-
-    nw = kern.n_water
-    periods, end = [], 0
+    periods, end, first = [], 0, 0
     for p, (inlet, _) in enumerate(choices):
-        buf = region[end:end + 2 * width * rows[p]].reshape(2, width, rows[p])
+        buf = region[end:end + 2 * (w + s) * rows[p]].reshape(2, w + s, rows[p])
         end += buf.size
         # one copy of the previous period's last w positions per option
         buf[:, :w].reshape(2, w, len(inlet), -1)[...] = tail[:, :, None]
-        buf[:, w + s] = 1.0
-        flat = buf.reshape(2 * width, rows[p])
-        terms = scratch[:len(coef) * rows[p]].reshape(len(coef), rows[p])
         # the rows of one combination of options are a contiguous block
         n_comb = tpl.n_comb[p]
-        blocks = terms.reshape(len(coef), n_comb, -1)
-        water, zone = terms[:nw], terms[nw:]
-        step_prefixes = prefix[:, p * s:(p + 1) * s, :n_comb].transpose(1, 0, 2)
-        for j, step_prefix in enumerate(step_prefixes[..., None]):
-            flat.take(gather[j], axis=0, out=terms, mode="clip")
-            blocks *= step_prefix
-            sum_entries(water, out=buf[1, w + j])
-            sum_entries(zone, out=buf[0, w + j])
-        # the steps, and in period 0 the decision sample
-        if not np.all(np.isfinite(buf[:, w - 1:w + s])):
-            raise DivergenceError("plan rollout produced non-finite predictions")
+        x = buf[plane, pos].reshape(len(state), n_comb, -1)
+        out = buf[:, w:].reshape(2, s, n_comb, -1)
+        tmp = scratch[:out.size].reshape(out.shape)
+        m = maps[..., first:first + n_comb, :]
+        np.multiply(m[:, :, 0], x[0], out=out)
+        for k in range(1, len(state)):
+            out += np.multiply(m[:, :, k], x[k], out=tmp)
+        out += m[:, :, -1]
+        first += n_comb
         periods.append(buf)
         tail = buf[:, s:s + w]
     return periods, w
@@ -547,9 +538,11 @@ def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
                for option in np.array(plan.periods, dtype=float)]
     periods, w = _rollout(theta_r, theta_w, spec, win, cfg, choices)
     s = cfg.samples_per_period
-    zone = [periods[0][0, w - 1:w, 0], *(b[0, w:w + s, 0] for b in periods)]
-    water = [b[1, w - 1:w + s - 1, 0] for b in periods]
-    return np.concatenate(zone), np.concatenate(water)
+    zone = np.concatenate([periods[0][0, w - 1:w, 0], *(b[0, w:w + s, 0] for b in periods)])
+    water = np.concatenate([b[1, w - 1:w + s - 1, 0] for b in periods])
+    if not (np.all(np.isfinite(zone)) and np.all(np.isfinite(water))):
+        raise DivergenceError("plan rollout produced non-finite predictions")
+    return zone, water
 
 
 @dataclass(frozen=True)
@@ -642,7 +635,10 @@ def _plan_template(spec: RegressorSpec, cfg: MpcConfig) -> _Template:
 
 
 def _plan_costs(theta_r, theta_w, spec, win, cfg) -> np.ndarray:
-    """Total cost of every plan, in enumeration order."""
+    """Total cost of every plan, in enumeration order; ``DivergenceError``
+    unless every cost is finite.  A non-finite prediction reaches its plan's
+    cost through the square, the occupancy product and the flow gate, so
+    this catches every diverged rollout, and also costs that overflow."""
     s = cfg.samples_per_period
     table = _plan_table(cfg)
     periods, w = _rollout(theta_r, theta_w, spec, win, cfg, table.choices,
@@ -652,7 +648,11 @@ def _plan_costs(theta_r, theta_w, spec, win, cfg) -> np.ndarray:
                               [b[0, w:w + s] for b in periods],
                               [b[1, w - 1:w + s - 1] for b in periods],
                               table.inlet_rows, table.flow_rows, win, cfg)
-    return (comfort + heating)[table.order] + table.pump
+    costs = (comfort + heating)[table.order] + table.pump
+    if not np.all(np.isfinite(costs)):
+        raise DivergenceError("plan costs are not finite: a rollout diverged "
+                              "or a cost overflowed")
+    return costs
 
 
 def solve(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,

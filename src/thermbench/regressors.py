@@ -146,6 +146,7 @@ def regressor_length(spec: RegressorSpec) -> int:
     return len(layout(spec))
 
 
+@functools.lru_cache(maxsize=None)
 def warmup(spec: RegressorSpec) -> int:
     """Deepest lag referenced by the structure."""
     return max(lag for entry in layout(spec) for _, lag in entry)

@@ -8,12 +8,17 @@ cost arithmetic with ``thermbench.mpc``, so the controller's tree rollout is
 checked against separate code; the two agree to about 1e-11 relative, not bit
 for bit.
 
+``map_rollout`` and ``map_plan_costs`` redo the arithmetic of
+``thermbench.mpc``'s period maps one plan at a time, in Python floats and
+loops over the layouts' entries: the controller's kernel must reproduce
+their predictions and cost vectors bit for bit.
+
 ``tree_plan_costs`` is the earlier one-stage tree kernel: at every horizon
 step it fills a value table with the plan buffers and the shared signals and
 multiplies every factor of every entry over all rows, with the plans in
 enumeration order.  It reads the window's past through its own
-``LaggedHistory``.  The two-stage kernel of ``thermbench.mpc`` must reproduce
-its cost vectors bit for bit.
+``LaggedHistory``.  It steps every prediction where the period maps apply
+affine maps, so the two agree to rounding, not bit for bit.
 
 ``closed_loop_run`` is the earlier controller: it records the episode in a
 ``LaggedHistory``, one pushed row per sample, computes its water estimates
@@ -25,6 +30,7 @@ for bit.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -173,6 +179,121 @@ def scalar_costs(theta, theta_w, spec, win, cfg, plans):
         traces = predict_horizon(theta, theta_w, spec, win, plan, cfg)
         out.append(plan_cost(traces, plan, win, cfg).total)
     return out
+
+
+# ---------------------------------------------------------------------------
+# period maps, one plan at a time
+# ---------------------------------------------------------------------------
+
+#: the trajectory plane a prediction channel reads: zone 0, water 1
+_PLANES = {"yhat_r": 0, "T_r": 0, "yhat_w": 1, "T_w": 1}
+
+
+def map_rollout(theta_r, theta_w, spec, win, cfg, choices) -> tuple[np.ndarray, int]:
+    """Roll every plan of the tree ``choices`` out by period maps, one plan
+    at a time.
+
+    A period's steps read the predictions of its ``state``: the positions
+    before its first step that some step reads, the zone's oldest first,
+    then the water's.  At each step every entry is ``coef * f0 * f1 * ...``
+    left to right, times its trailing prediction factor or, for an entry
+    without one, times ``one``; the water entries and the zone entries are
+    each summed in order from 0.0.  Stepped through the period from a unit
+    state with ``one = 0.0`` that gives each state value's factors ``phi_k``,
+    from a zero state with ``one = 1.0`` the offset ``beta``.  A prediction
+    of the period is then ``phi_0 * x_0 + phi_1 * x_1 + ... + beta`` of the
+    plan's state ``x``, added left to right.  The maps are computed once per
+    period and sequence of controls its steps read, and each plan prefix's
+    predictions once.
+
+    Returns ``(leaves, w)``: ``leaves`` has shape ``(2, w + 1 + n_hor,
+    plans)`` and holds the zone and water predictions by position (0..w-1
+    the recorded past, w the decision sample, w+1.. the horizon); the plans
+    are in enumeration order, earliest period most significant.
+    """
+    n, s = cfg.n_hor, cfg.samples_per_period
+    w = max(warmup(spec), 1)
+    win.check(spec, n)
+    cols, t = win.columns, win.past
+    rh = _rh_spec(spec)
+    entries = layout(rh) + layout(spec)
+    n_water = len(layout(rh))
+    coef = [float(c) for c in (*theta_w, *theta_r)]
+    trailing = [entry[-1] for entry in entries]
+    state = sorted({(_PLANES[entry[-1][0]], j - entry[-1][1]) for entry in entries
+                    if entry[-1][0] in _PLANES for j in range(s) if j < entry[-1][1]})
+    signals = {c: [float(v) for v in a] for c, a in cols.items()}
+    past = (signals["T_r"][:t + 1],
+            signals["yhat_w"][:t] + [oe_predict(theta_w, rh, history(win, spec), t)])
+    maps, periods = {}, {}
+
+    def period_map(first, controls):
+        """Each state value's factors, then the offset, by plane and step,
+        for the period whose first step is position ``first``."""
+        read = {**signals, **controls}
+        # each entry's product up to its trailing prediction factor, by step
+        prefixes = []
+        for j in range(s):
+            prefixes.append([])
+            for i, entry in enumerate(entries):
+                term = coef[i]
+                for channel, lag in entry if entry[-1][0] not in _PLANES else entry[:-1]:
+                    term *= read[channel][first + j - lag]
+                prefixes[j].append(term)
+        out = []
+        for b in range(len(state) + 1):
+            pred = {v: float(b == k) for k, v in enumerate(state)}
+            one = float(b == len(state))
+            for j in range(s):
+                sums = [0.0, 0.0]
+                for i, (prefix, (channel, lag)) in enumerate(zip(prefixes[j], trailing)):
+                    sums[i >= n_water] += prefix * (pred[_PLANES[channel], j - lag]
+                                                    if channel in _PLANES else one)
+                pred[0, j], pred[1, j] = sums[1], sums[0]
+            out.append([[pred[plane, j] for j in range(s)] for plane in (0, 1)])
+        return out
+
+    plans = list(itertools.product(*(list(zip(*options)) for options in choices)))
+    leaves = np.empty((2, w + 1 + n, len(plans)))
+    for col, plan in enumerate(plans):
+        controls = {c: signals[c][:t] + [float(p[i]) for p in plan for _ in range(s)]
+                    for i, c in enumerate(("Tw_in", "Vw"))}
+        traj = [list(past[0]), list(past[1])]
+        for p in range(len(plan)):
+            first = t + 1 + p * s
+            if plan[:p + 1] not in periods:
+                key = (p, *(tuple(a[first - w:first + s - 1]) for a in controls.values()))
+                if key not in maps:
+                    maps[key] = period_map(first, controls)
+                phi = maps[key]
+                x = [traj[plane][first + offset] for plane, offset in state]
+                steps = []
+                for plane in (0, 1):
+                    for j in range(s):
+                        v = phi[0][plane][j] * x[0]
+                        for k in range(1, len(state)):
+                            v += phi[k][plane][j] * x[k]
+                        steps.append(v + phi[-1][plane][j])
+                periods[plan[:p + 1]] = steps
+            steps = periods[plan[:p + 1]]
+            traj[0] += steps[:s]
+            traj[1] += steps[s:]
+        leaves[:, :, col] = [a[t - w:] for a in traj]
+    return leaves, w
+
+
+def map_plan_costs(theta_r, theta_w, spec, win, cfg) -> np.ndarray:
+    """Total cost of every plan, in enumeration order, from ``map_rollout``."""
+    n, s = cfg.n_hor, cfg.samples_per_period
+    options = cfg.options()
+    choices = [tuple(np.array(c) for c in zip(*options))] * cfg.n_periods
+    leaves, w = map_rollout(theta_r, theta_w, spec, win, cfg, choices)
+    plans = np.array(list(itertools.product(options, repeat=cfg.n_periods)), dtype=float)
+    inlet_seq, flow_seq = (np.repeat(plans[:, :, c], s, axis=1) for c in (0, 1))
+    occ_path = np.asarray(win.columns["occ"][win.past:], dtype=float)
+    comfort, heating, pump = _costs(leaves[0, w:].T, leaves[1, w:w + n].T,
+                                    inlet_seq, flow_seq, occ_path, cfg)
+    return comfort + heating + pump
 
 
 # ---------------------------------------------------------------------------

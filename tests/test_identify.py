@@ -457,10 +457,16 @@ def _random_dataset(rng, n_neighbors, n):
                              columns=cols)
 
 
-# the generated examples follow a seed taken from this test's source; the
-# FI zone structure, whose water channel is a second OE series, and LRM are
-# pinned by explicit examples whatever the draw
+# the generated examples follow a seed taken from this test's source; every
+# structure, and the FI zone structure, whose water channel is a second OE
+# series, at several sizes, are pinned by explicit examples whatever the draw
 @settings(max_examples=60, deadline=None, derandomize=True)
+@example(structure=Structure.NRM_FI_RH, n_neighbors=1, passes=2, n=20,
+         forgetting=0.999, seed=5)
+@example(structure=Structure.NRM_MI, n_neighbors=1, passes=2, n=30,
+         forgetting=1.0, seed=6)
+@example(structure=Structure.NRM_LI, n_neighbors=3, passes=3, n=28,
+         forgetting=0.9, seed=7)
 @example(structure=Structure.LRM, n_neighbors=2, passes=2, n=25,
          forgetting=0.999, seed=4)
 @example(structure=Structure.NRM_FI_ZONE, n_neighbors=1, passes=2, n=30,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermbench.errors import ConfigError, HistoryUnderflowError
+from thermbench.errors import ConfigError, DivergenceError, HistoryUnderflowError
 from thermbench.identify import oe_predict, train
 from thermbench.mpc import (ControlPlan, DecisionWindow, MpcConfig,
                             closed_loop_run, plan_cost, predict_horizon,
@@ -399,7 +399,7 @@ _PICKS = st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=9),
 @example(structure=Structure.NRM_FI_ZONE, n_neighbors=1, n_periods=3, samples=1,
          inlet_set=[40.0, 45.0], flow_set=[0.04], gated=False,
          picks=[[1], [0, 1], [0], [0], [0]], seed=4)
-def test_two_stage_kernel_matches_tree_kernel_bit_for_bit(
+def test_kernel_matches_period_map_oracle_bit_for_bit(
         structure, n_neighbors, n_periods, samples, inlet_set, flow_set, gated,
         picks, seed):
     # 1-4 samples per period put the deepest control lag 1-3 periods back;
@@ -416,8 +416,13 @@ def test_two_stage_kernel_matches_tree_kernel_bit_for_bit(
     theta, theta_w = stable_toy_theta(spec, seed=seed % 1000), toy_theta_w()
     win = _random_forecast(cfg, n_neighbors, rng,
                            _random_history(spec, rng, warmup(spec) + 3))
-    assert np.array_equal(_plan_costs(theta, theta_w, spec, win, cfg),
-                          mpc_oracle.tree_plan_costs(theta, theta_w, spec, win, cfg))
+    costs = _plan_costs(theta, theta_w, spec, win, cfg)
+    assert np.array_equal(costs, mpc_oracle.map_plan_costs(theta, theta_w, spec, win, cfg))
+    # the one-stage tree kernel steps every prediction where the maps apply
+    # affine maps: the costs agree to rounding, and so do the decisions
+    tree = mpc_oracle.tree_plan_costs(theta, theta_w, spec, win, cfg)
+    assert costs == pytest.approx(tree, rel=1e-11)
+    assert np.argmin(costs) == np.argmin(tree)
 
     # a mixed-radix tree: each period a different subset of the options
     options = cfg.options()
@@ -427,8 +432,8 @@ def test_two_stage_kernel_matches_tree_kernel_bit_for_bit(
         choices.append(tuple(np.array([options[i][c] for i in pick])
                              for c in (0, 1)))
     periods, w = _rollout(theta, theta_w, spec, win, cfg, choices)
-    leaves, w_tree = mpc_oracle._rollout(theta, theta_w, spec, win, cfg, choices)
-    assert w == w_tree and len(periods) == cfg.n_periods
+    leaves, w_maps = mpc_oracle.map_rollout(theta, theta_w, spec, win, cfg, choices)
+    assert w == w_maps and len(periods) == cfg.n_periods
     # a leaf's digits d_q, the earliest period's the most significant; the
     # leaf's prefix through period p is row sum_{q<=p} d_q * m_0 * ... *
     # m_{q-1} of period p's buffer, whose position i is the leaf's p*s+1+i
@@ -438,9 +443,8 @@ def test_two_stage_kernel_matches_tree_kernel_bit_for_bit(
     s = cfg.samples_per_period
     for p, buf in enumerate(periods):
         rows = sum(d * weight for d, weight in zip(digits[:p + 1], weights))
-        assert np.array_equal(buf[:, :w + s, rows],
-                              leaves[:2, p * s + 1:p * s + 1 + w + s]), p
-        assert np.all(buf[:, w + s] == 1.0)
+        assert buf.shape == (2, w + s, int(np.prod(sizes[:p + 1])))
+        assert np.array_equal(buf[:, :, rows], leaves[:, p * s + 1:p * s + 1 + w + s]), p
 
 
 def test_rollouts_in_several_threads_match_a_serial_run():
@@ -485,7 +489,7 @@ def test_plan_template_cache_is_keyed_by_spec_and_config():
         for cfg in (cfg_a, cfg_b, cfg_c, cfg_a):
             win = _random_forecast(cfg, spec.n_neighbors, rng, past)
             costs = _plan_costs(theta, theta_w, spec, win, cfg)
-            assert np.array_equal(costs, mpc_oracle.tree_plan_costs(
+            assert np.array_equal(costs, mpc_oracle.map_plan_costs(
                 theta, theta_w, spec, win, cfg))
             solve(theta, theta_w, spec, win, cfg)
             plans = list(itertools.product(cfg.options(), repeat=cfg.n_periods))
@@ -567,6 +571,42 @@ def test_window_check_names_each_fault():
                                              win, plan, cfg)):
             with pytest.raises(error, match=match):
                 call()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fault", ["inf-Qext", "nan-T_r", "overflowing-theta"])
+def test_diverging_rollout_is_a_divergence_error(fault):
+    # the forecast's last position is read only as the comfort term's
+    # occupancy: the last Qext the rollout reads is the one before it, which
+    # only the last step reads.  A NaN zone temperature recorded one sample
+    # before the decision, and a zone model whose first-lag coefficient is
+    # 1e200, reach every plan
+    cfg = toy_cfg()
+    theta, theta_w = stable_toy_theta(SPEC), toy_theta_w()
+    win = toy_window(cfg)
+    cols = {c: a.copy() for c, a in win.columns.items()}
+    if fault == "inf-Qext":
+        cols["Qext"][win.past + cfg.n_hor - 1] = np.inf
+    elif fault == "nan-T_r":
+        cols["T_r"][win.past - 1] = np.nan
+    else:
+        theta[0] = 1e200
+    win = DecisionWindow(cols)
+    plan = ControlPlan(((40.0, 0.0787), (45.0, 0.0)))
+    with pytest.raises(DivergenceError):
+        solve(theta, theta_w, SPEC, win, cfg)
+    with pytest.raises(DivergenceError):
+        predict_horizon(theta, theta_w, SPEC, win, plan, cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_plan_costs_are_a_divergence_error():
+    # finite predictions whose comfort cost overflows: every plan would cost
+    # inf, and the first plan would win by its place in the enumeration
+    cfg = toy_cfg(alpha=1e308)
+    theta, theta_w = stable_toy_theta(SPEC), toy_theta_w()
+    with pytest.raises(DivergenceError, match="not finite"):
+        solve(theta, theta_w, SPEC, toy_window(cfg), cfg)
 
 
 _MODERATE = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-308, 1.0, -3.5, 0.1]

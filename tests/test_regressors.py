@@ -328,6 +328,11 @@ def test_predictions_overwrite_mirror():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(structure=st.sampled_from(ALL_STRUCTURES), n=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1), width=st.integers(1, 5))
+@example(structure=Structure.LRM, n=1, seed=0, width=1)
+@example(structure=Structure.NRM_FI_ZONE, n=2, seed=1, width=3)
+@example(structure=Structure.NRM_FI_RH, n=3, seed=2, width=5)
+@example(structure=Structure.NRM_MI, n=1, seed=3, width=4)
+@example(structure=Structure.NRM_LI, n=3, seed=4, width=2)
 def test_compiled_layout_matches_build_regressor(structure, n, seed, width):
     spec = RegressorSpec(structure, n)
     rng = np.random.default_rng(seed)

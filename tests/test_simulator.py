@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import plant_oracle
@@ -119,6 +119,12 @@ def bits(values):
 @given(n_neighbors=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        h=st.sampled_from([1.0, 2.9, 7.0, 60.0, 300.0, 3600.0]),
        water_on=st.booleans(), air_on=st.booleans())
+@example(n_neighbors=1, seed=0, h=300.0, water_on=True, air_on=True)
+@example(n_neighbors=1, seed=1, h=3600.0, water_on=False, air_on=False)
+@example(n_neighbors=2, seed=2, h=60.0, water_on=True, air_on=False)
+@example(n_neighbors=2, seed=3, h=2.9, water_on=False, air_on=True)
+@example(n_neighbors=3, seed=4, h=7.0, water_on=True, air_on=True)
+@example(n_neighbors=3, seed=5, h=1.0, water_on=False, air_on=False)
 def test_stepper_matches_reference_rk4_bit_for_bit(n_neighbors, seed, h, water_on,
                                                     air_on):
     # the compiled stepper against the earlier RK4 over thermal_core.rate,
