@@ -143,8 +143,8 @@ class InformativityReport:
         return "\n".join(lines)
 
 
-def informativity_check(dataset: TimeSeriesDataset, spec: RegressorSpec,
-                        threshold: float = DEFAULT_THRESHOLD) -> InformativityReport:
+def informativity_check(dataset: TimeSeriesDataset,
+                        spec: RegressorSpec) -> InformativityReport:
     """Check that every input/disturbance column is persistently exciting of
     order 2*(n_neighbors + 2), or one less when its spectrum has a DC line.
     The report keeps each column's spectrum; a missing column is a
@@ -152,7 +152,7 @@ def informativity_check(dataset: TimeSeriesDataset, spec: RegressorSpec,
     required = 2 * (spec.n_neighbors + 2)
     columns = excitation_columns(dataset.n_neighbors)
     dataset.require(columns, "the excitation check")
-    spectra = {col: spectrum(dataset.columns[col], threshold) for col in columns}
+    spectra = {col: spectrum(dataset.columns[col]) for col in columns}
     entries = [ColumnExcitation(column=col, order=pe_order(rep), required=required,
                                 dc_present=rep.dc_present)
                for col, rep in spectra.items()]

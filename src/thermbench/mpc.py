@@ -54,7 +54,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -146,6 +145,11 @@ class DecisionWindow:
     ``0..past``, and the water estimate ``yhat_w`` and the applied controls
     ``Tw_in`` and ``Vw`` positions ``0..past-1``.  The arrays may be views of
     longer logs; nothing here copies them.
+
+    Every lag is at least one sample, so the rollout's last step reads the
+    forecast at ``past+n_hor-1``: at ``past+n_hor`` only ``occ`` is read, for
+    the last comfort term.  ``check`` still asks every exogenous channel to
+    cover it, so that they all have one length.
     """
 
     columns: Mapping[str, np.ndarray]
@@ -361,26 +365,6 @@ def _control_template(spec: RegressorSpec, choices, s: int) -> _Template:
                      _readonly(np.flatnonzero(np.bincount(gather[gather % width < w]))))
 
 
-_WORKSPACE = threading.local()
-
-
-def _workspace(*sizes: int) -> tuple[np.ndarray, ...]:
-    """Scratch memory of this thread's rollouts of one shape: one flat
-    array of each of ``sizes``, written before it is read, and held until a
-    rollout of another shape releases it before allocating its own.
-    Allocated afresh per decision, it is page-faulted in anew (about 550
-    minor faults per decision under the default config and glibc's malloc);
-    held alongside the new arrays, the closed-loop week's two specs raised
-    the peak resident memory by about 1 MB.  A rollout's buffers are valid
-    until the thread's next rollout.
-    """
-    if getattr(_WORKSPACE, "sizes", None) != sizes:
-        _WORKSPACE.sizes = _WORKSPACE.arrays = None
-        _WORKSPACE.arrays = tuple(np.empty(n) for n in sizes)
-        _WORKSPACE.sizes = sizes
-    return _WORKSPACE.arrays
-
-
 def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
              win: DecisionWindow, cfg: MpcConfig, choices,
              template: _Template | None = None) -> tuple[list[np.ndarray], int]:
@@ -394,7 +378,7 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
     positions before its first step (for period 0 the last ``w - 1``
     recorded ones and the decision sample) and at its steps.  Row ``sum_q
     o_q * (m_0 * ... * m_{q-1})`` is the prefix of option ``o_q`` of ``m_q``
-    in each period q <= p.  The buffers are views of ``_workspace``.
+    in each period q <= p.  Every array is allocated here, per call.
     """
     n = cfg.n_hor
     s = cfg.samples_per_period
@@ -412,35 +396,22 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
     controls = np.array([cols[c][lo:] for c in _CONTROLS], dtype=float)
 
     width, state = w + s + 1, tpl.state
-    n_basis = tpl.step.shape[1] * (len(state) + 1)
-    rows = np.cumprod([len(inlet) for inlet, _ in choices]).tolist()
-    n_buffers = 2 * (w + s) * sum(rows)
-    value_shape = (len(kern.lay.columns) + 1, *tpl.step.shape)
-    prefix_shape = (len(coef), *tpl.step.shape)
-    n_values, n_prefix = math.prod(value_shape), math.prod(prefix_shape)
-    # the period buffers and the basis share a region that stage 1 borrows
-    region, scratch, stage1 = _workspace(
-        max(n_buffers + 2 * width * n_basis, n_values + n_prefix),
-        max(len(coef) * n_basis, 2 * s * rows[-1]), n_prefix)
     # stage 1: coef * f0 * f1 * ... of every entry, up to its trailing
     # prediction factor (an exact 1.0 in the value table)
-    values = region[:n_values].reshape(value_shape)
+    values = np.empty((len(kern.lay.columns) + 1, *tpl.step.shape))
     values[kern.control_rows] = tpl.values
     values[tpl.rec] = controls[tpl.rec_from]
     values[kern.shared_rows] = shared_at.take(tpl.step, axis=1)
     values[kern.one_rows] = 1.0
-    prefix = kern.lay.terms(values, coef[:, None, None], out=stage1.reshape(prefix_shape),
-                            scratch=region[n_values:n_values + n_prefix].reshape(prefix_shape))
+    prefix = kern.lay.terms(values, coef[:, None, None])
 
     # stage 2: per template column, one unit row per state value and an
     # offset row, stepped through one period
-    basis = region[n_buffers:n_buffers + 2 * width * n_basis].reshape(
-        2 * width, len(state) + 1, -1)
-    basis[...] = 0.0
+    basis = np.zeros((2 * width, len(state) + 1, tpl.step.shape[1]))
     basis[state, np.arange(len(state))] = 1.0
     basis[w + s, -1] = 1.0
-    flat = basis.reshape(2 * width, n_basis)
-    terms = scratch[:len(coef) * n_basis].reshape(len(coef), n_basis)
+    flat = basis.reshape(2 * width, -1)
+    terms = np.empty((len(coef), flat.shape[1]))
     blocks = terms.reshape(len(coef), len(state) + 1, -1)
     water, zone = terms[:kern.n_water], terms[kern.n_water:]
     for j in range(s):
@@ -457,17 +428,16 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
     tail[0, :, 0] = cols["T_r"][lo + 1:]
     tail[1, :w - 1, 0] = cols["yhat_w"][lo + 1:]
     tail[1, w - 1] = water_estimate(theta_w, spec, cols, win.past)
-    periods, end, first = [], 0, 0
+    periods, first = [], 0
     for p, (inlet, _) in enumerate(choices):
-        buf = region[end:end + 2 * (w + s) * rows[p]].reshape(2, w + s, rows[p])
-        end += buf.size
+        buf = np.empty((2, w + s, len(inlet) * tail.shape[2]))
         # one copy of the previous period's last w positions per option
         buf[:, :w].reshape(2, w, len(inlet), -1)[...] = tail[:, :, None]
         # the rows of one combination of options are a contiguous block
         n_comb = tpl.n_comb[p]
         x = buf[plane, pos].reshape(len(state), n_comb, -1)
         out = buf[:, w:].reshape(2, s, n_comb, -1)
-        tmp = scratch[:out.size].reshape(out.shape)
+        tmp = np.empty_like(out)
         m = maps[..., first:first + n_comb, :]
         np.multiply(m[:, :, 0], x[0], out=out)
         for k in range(1, len(state)):

@@ -152,11 +152,6 @@ def warmup(spec: RegressorSpec) -> int:
     return max(lag for entry in layout(spec) for _, lag in entry)
 
 
-def entry_shapes(spec: RegressorSpec) -> list[int]:
-    """Number of lagged-signal factors per regressor entry (audit hook)."""
-    return [len(entry) for entry in layout(spec)]
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledLayout:
     """Index form of a lag table, evaluated against a table of factor values.
@@ -172,17 +167,13 @@ class CompiledLayout:
     columns: tuple[tuple[str, int], ...]
     factors: np.ndarray  # (factor positions, entries) value-table rows
 
-    def terms(self, values: np.ndarray, coef=1.0, out: np.ndarray | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
+    def terms(self, values: np.ndarray, coef=1.0) -> np.ndarray:
         """Per-entry products ``coef * f_0 * f_1 * ...``, multiplied left to
         right as ``build_regressor`` does; the entry axis replaces the first
-        axis of ``values``.  Given ``out`` and ``scratch``, arrays of the
-        result's shape, the products are written into ``out`` and the
-        factors gathered into ``scratch``, and nothing is allocated."""
-        out = np.multiply(coef, values.take(self.factors[0], axis=0, out=scratch,
-                                            mode="clip"), out=out)
+        axis of ``values``."""
+        out = np.multiply(coef, values.take(self.factors[0], axis=0, mode="clip"))
         for rows in self.factors[1:]:
-            out *= values.take(rows, axis=0, out=scratch, mode="clip")
+            out *= values.take(rows, axis=0, mode="clip")
         return out
 
 

@@ -231,7 +231,9 @@ class TimeSeriesDataset:
                             for c in names])
 
     @classmethod
-    def from_csv(cls, path, epsilon: float | None = None) -> "TimeSeriesDataset":
+    def from_csv(cls, path) -> "TimeSeriesDataset":
+        """Read a dataset that ``to_csv`` wrote; the sampling period is its
+        first time step, and every time step must match it."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 header = fh.readline().strip().split(",")
@@ -263,8 +265,7 @@ class TimeSeriesDataset:
             raise ConfigError(f"dataset {path}, line {_data_line(path, i)}: time index "
                               f"must be strictly increasing, t_hours {float(t[i])!r} "
                               f"follows {float(t[i - 1])!r}")
-        if epsilon is None:
-            epsilon = float(t[1] - t[0]) if len(t) > 1 else 1.0 / 12.0
+        epsilon = float(t[1] - t[0]) if len(t) > 1 else 1.0 / 12.0
         # training and the controller assume one sampling period; the
         # tolerance covers the rounding of times written with 9 digits
         off = np.flatnonzero(np.abs(np.diff(t) - epsilon) > 1e-3 * epsilon)

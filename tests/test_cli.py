@@ -440,7 +440,7 @@ def test_probe_flag(tmp_path, small_config):
 
 def test_compare_byte_identical_reruns(tmp_path, small_config):
     # the second run in the same process starts from the controller's module
-    # caches (kernel, plan template, rollout workspace) the first one left
+    # caches (kernel, plan table and template, water layout) the first one left
     runs = [tmp_path / "a", tmp_path / "b"]
     for out in runs:
         assert main(["compare", "--config", str(small_config), "--out-dir", str(out),

@@ -448,9 +448,10 @@ def test_kernel_matches_period_map_oracle_bit_for_bit(
 
 
 def test_rollouts_in_several_threads_match_a_serial_run():
-    # each thread rolls out in a workspace of its own: threads on one spec
-    # and config (one workspace shape) must cost their windows as a serial
-    # run does, and none may see another's predictions as a divergence
+    # the threads share the module caches (kernel, plan table and template,
+    # water layout): threads on one spec and config must cost their windows
+    # as a serial run does, and none may see another's predictions as a
+    # divergence
     from concurrent.futures import ThreadPoolExecutor
     from thermbench.mpc import _plan_costs
     cfg = toy_cfg()
@@ -607,6 +608,35 @@ def test_overflowing_plan_costs_are_a_divergence_error():
     theta, theta_w = stable_toy_theta(SPEC), toy_theta_w()
     with pytest.raises(DivergenceError, match="not finite"):
         solve(theta, theta_w, SPEC, toy_window(cfg), cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_last_forecast_position_is_read_for_the_occupancy_only():
+    # every lag is at least one sample, so the last step reads the
+    # exogenous forecast at past + n_hor - 1; at past + n_hor only the
+    # occupancy is read, for the last comfort term
+    from thermbench.mpc import _plan_costs
+    cfg = toy_cfg()
+    theta, theta_w = stable_toy_theta(SPEC), toy_theta_w()
+    win = toy_window(cfg)
+    plan = ControlPlan(((40.0, 0.0787), (45.0, 0.0)))
+    costs = _plan_costs(theta, theta_w, SPEC, win, cfg)
+    zone, water = predict_horizon(theta, theta_w, SPEC, win, plan, cfg)
+
+    def with_inf_qext(position):
+        cols = {c: a.copy() for c, a in win.columns.items()}
+        cols["Qext"][position] = np.inf
+        return DecisionWindow(cols)
+
+    last = with_inf_qext(win.past + cfg.n_hor)
+    assert np.array_equal(_plan_costs(theta, theta_w, SPEC, last, cfg), costs)
+    got = predict_horizon(theta, theta_w, SPEC, last, plan, cfg)
+    assert np.array_equal(got[0], zone) and np.array_equal(got[1], water)
+    before = with_inf_qext(win.past + cfg.n_hor - 1)
+    with pytest.raises(DivergenceError):
+        _plan_costs(theta, theta_w, SPEC, before, cfg)
+    with pytest.raises(DivergenceError):
+        predict_horizon(theta, theta_w, SPEC, before, plan, cfg)
 
 
 _MODERATE = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-308, 1.0, -3.5, 0.1]

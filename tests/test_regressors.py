@@ -7,7 +7,7 @@ from thermbench.errors import ConfigError, HistoryUnderflowError
 from thermbench.regressors import (DelayPolynomialOp, LaggedHistory,
                                    RegressorSpec, Structure, apply_op,
                                    build_regressor, compile_layout, compose,
-                                   entry_shapes, identity_op, layout,
+                                   identity_op, layout,
                                    measured_columns, property2_correction,
                                    q_separator, q_varying, regressor_length,
                                    sum_entries, verify_property_1,
@@ -264,7 +264,7 @@ def test_li_replaces_inlet_temperatures_with_unity():
 def test_entry_shape_audit():
     for n in (1, 2, 3):
         for s in ALL_STRUCTURES:
-            shapes = entry_shapes(RegressorSpec(s, n))
+            shapes = [len(e) for e in layout(RegressorSpec(s, n))]
             assert max(shapes) <= 3
             if s is Structure.NRM_MI:
                 assert shapes.count(3) == 2 * (n + 1)  # the two triple blocks
