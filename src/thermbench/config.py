@@ -4,17 +4,23 @@ One key-value file with sections describes the plant, the data-generation
 scenario, the identification model and the controller.  ``default_config``
 is the self-contained reference scenario used across the test suite;
 ``print-defaults`` on the CLI emits it as a template.
+
+The file's schema is one table, :data:`SCHEMA`, which both
+``config_to_ini`` and ``load_config`` walk.  The loader rejects every
+section and key the table lacks, and each of its errors names the file and,
+where one is to blame, the ``[section] key``.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
+import itertools
 import math
+import re
 from dataclasses import dataclass
 
-from .errors import ConfigError
-from .identify import DEFAULT_RMSE_WINDOW, RlsConfig
+from .errors import ConfigError, ThermbenchError
+from .identify import DEFAULT_RMSE_WINDOW, RlsConfig, check_training
 from .mpc import MpcConfig
 from .regressors import RegressorSpec, Structure
 from .simulator import (DisturbanceSpec, HeatingCurveParams, HysteresisSettings,
@@ -30,6 +36,9 @@ class ModelConfig:
     rls: RlsConfig = RlsConfig()
     rmse_window: int = DEFAULT_RMSE_WINDOW
 
+    def __post_init__(self):
+        check_training(self.passes, self.rmse_window)
+
 
 @dataclass
 class ExperimentConfig:
@@ -41,17 +50,28 @@ class ExperimentConfig:
     episode_hours: float = 168.0
 
     def validate(self) -> None:
+        """The checks across sections; each message names both keys."""
         n = self.plant.n_neighbors
-        if len(self.sim.disturbance_spec.neighbor_recipes) != n:
-            raise ConfigError("number of neighbor recipes disagrees with the plant")
         if len(self.sim.initial.t_s) != n:
-            raise ConfigError("initial separator temperatures disagree with the plant")
+            raise ConfigError(f"[initial] t_s has {len(self.sim.initial.t_s)} values, "
+                              f"[plant] n_neighbors is {n}")
         if self.model.spec.n_neighbors != n:
-            raise ConfigError("model n_neighbors disagrees with the plant")
+            raise ConfigError(f"[model] n_neighbors is {self.model.spec.n_neighbors}, "
+                              f"[plant] n_neighbors is {n}")
         if abs(self.mpc.t_sam - self.sim.epsilon) > 1e-9:
-            raise ConfigError("mpc t_sam must equal the simulator sampling period")
+            raise ConfigError(f"[mpc] t_sam is {self.mpc.t_sam!r}, [sim] epsilon_hours "
+                              f"is {self.sim.epsilon!r}; they must be equal")
         if self.eval_seed < 0:
             raise ConfigError(f"[mpc] eval_seed must be non-negative, got {self.eval_seed}")
+        if self.episode_hours < self.sim.epsilon:
+            raise ConfigError(f"[mpc] episode_hours is {self.episode_hours!r}, shorter than "
+                              f"one sample: [sim] epsilon_hours is {self.sim.epsilon!r}")
+        # the recipe's least value over unbounded time, whatever its phases
+        air_flow = self.sim.disturbance_spec.air_flow
+        if air_flow.offset < sum(map(abs, air_flow.amplitudes)):
+            raise ConfigError(f"[disturbance.air_flow] offset {air_flow.offset!r} is below "
+                              "the sum of the |amplitudes|: the air flow would turn "
+                              "negative")
         self.sim.disturbance_spec.validate_excitation()
 
 
@@ -96,243 +116,223 @@ def default_config() -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# INI serialization
+# The schema and the INI file
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)  # shortest exact round-trip
-    return str(v)
+def _recipe(section: str, field: str) -> list[tuple[str, str, str, str]]:
+    return [(section, key, kind, f"sim.disturbance_spec.{field}.{key}")
+            for key, kind in (("offset", "float"), ("amplitudes", "floats"),
+                              ("periods_h", "floats"), ("phases", "floats"))]
 
 
-def _fmt_list(vals) -> str:
-    return ", ".join(_fmt(float(v)) for v in vals)
+#: The config file, one row per key in the order ``print-defaults`` writes:
+#: ``(section, key, kind, field)``, where ``field`` is the attribute path of
+#: the value in an ``ExperimentConfig``.  A ``{j}`` section is repeated for
+#: each neighbor j = 1..``[plant] n_neighbors``; in a path, the number j picks
+#: the j-th separator or recipe.
+SCHEMA = (
+    ("plant", "c_r", "float", "plant.c_r"),
+    ("plant", "n_neighbors", "int", "plant.n_neighbors"),
+    ("separator_{j}", "r_plus", "float", "plant.ordered_separators.{j}.r_plus"),
+    ("separator_{j}", "r_minus", "float", "plant.ordered_separators.{j}.r_minus"),
+    ("separator_{j}", "c_s", "float", "plant.ordered_separators.{j}.c_s"),
+    ("rh", "c_w", "float", "plant.rh.c_w_medium"),
+    ("rh", "rho_w", "float", "plant.rh.rho_w"),
+    ("rh", "v_w", "float", "plant.rh.v_w_volume"),
+    ("rh", "r_c", "float", "plant.rh.r_c"),
+    ("hvac", "c_a", "float", "plant.hvac.c_a"),
+    ("hvac", "rho_a", "float", "plant.hvac.rho_a"),
+    ("sim", "epsilon_hours", "float", "sim.epsilon"),
+    ("sim", "duration_hours", "float", "sim.duration"),
+    ("sim", "noise_std", "float", "sim.noise_std"),
+    ("sim", "seed", "int", "sim.seed"),
+    ("initial", "t_r", "float", "sim.initial.t_r"),
+    ("initial", "t_s", "floats", "sim.initial.t_s"),
+    ("initial", "t_w", "float", "sim.initial.t_w"),
+    ("hysteresis", "t_set", "float", "sim.hysteresis.t_set"),
+    ("hysteresis", "delta_t", "float", "sim.hysteresis.delta_t"),
+    ("hysteresis", "vdot_max", "float", "sim.hysteresis.vdot_max"),
+    ("heating_curve", "rho0", "float", "sim.heating_curve.rho0"),
+    ("heating_curve", "rho1", "float", "sim.heating_curve.rho1"),
+    ("heating_curve", "zeta", "float", "sim.heating_curve.zeta"),
+    *_recipe("disturbance.solar", "solar"),
+    *_recipe("disturbance.air_inlet", "air_inlet"),
+    *_recipe("disturbance.air_flow", "air_flow"),
+    *_recipe("disturbance.neighbor_{j}", "neighbor_recipes.{j}"),
+    ("occupancy", "absent_windows", "windows", "sim.disturbance_spec.occupancy.absent_windows"),
+    ("occupancy", "jitter_h", "float", "sim.disturbance_spec.occupancy.jitter_h"),
+    ("occupancy", "occupant_gain_w", "float", "sim.disturbance_spec.occupant_gain_w"),
+    ("model", "structure", "structure", "model.spec.structure"),
+    ("model", "n_neighbors", "int", "model.spec.n_neighbors"),
+    ("model", "passes", "int", "model.passes"),
+    ("model", "forgetting", "float", "model.rls.forgetting"),
+    ("model", "reg_init", "float", "model.rls.reg_init"),
+    ("model", "rmse_window", "int", "model.rmse_window"),
+    ("mpc", "alpha", "float", "mpc.alpha"),
+    ("mpc", "beta", "float", "mpc.beta"),
+    ("mpc", "gamma", "float", "mpc.gamma"),
+    ("mpc", "t_sam", "float", "mpc.t_sam"),
+    ("mpc", "t_opt", "float", "mpc.t_opt"),
+    ("mpc", "t_hor", "float", "mpc.t_hor"),
+    ("mpc", "inlet_set", "floats", "mpc.inlet_set"),
+    ("mpc", "flow_set", "floats", "mpc.flow_set"),
+    ("mpc", "t_set", "float", "mpc.t_set"),
+    ("mpc", "heating_cost_gated_by_flow", "bool", "mpc.heating_cost_gated_by_flow"),
+    ("mpc", "plan_budget", "int", "mpc.plan_budget"),
+    ("mpc", "eval_seed", "int", "eval_seed"),
+    ("mpc", "episode_hours", "float", "episode_hours"),
+)
+
+
+def _sections(n_neighbors: int):
+    """The file's sections in order with their ``(key, kind, field)`` rows."""
+    for section, rows in itertools.groupby(SCHEMA, key=lambda row: row[0]):
+        rows = list(rows)
+        for j in range(1, n_neighbors + 1) if "{j}" in section else (0,):
+            yield section.format(j=j), [(key, kind, field.format(j=j))
+                                        for _, key, kind, field in rows]
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _windows(text: str) -> tuple[tuple[float, float], ...]:
+    # each split at the first '-' that neither signs a number nor its exponent
+    windows = tuple(tuple(map(float, re.split(r"(?<=[^eE\s-])\s*-", part.strip(),
+                                              maxsplit=1)))
+                    for part in text.split(";")) if text else ()
+    if any(len(w) != 2 for w in windows):
+        raise ValueError(text)
+    return windows
+
+
+_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+          **dict.fromkeys(("false", "0", "no", "off"), False)}
+
+#: kind -> (parse, which raises ValueError or KeyError; format; the text it wants)
+_KINDS = {
+    "float": (_finite, lambda v: repr(float(v)), "a finite number"),
+    "int": (int, str, "an integer"),
+    "bool": (lambda t: _BOOLS[t.lower()], lambda v: "true" if v else "false",
+             f"one of {', '.join(_BOOLS)}"),
+    "floats": (lambda t: tuple(map(_finite, t.split(","))) if t else (),
+               lambda vs: ", ".join(repr(float(v)) for v in vs),
+               "a comma-separated list of finite numbers"),
+    "structure": (Structure, lambda s: s.value,
+                  f"a model structure ({', '.join(s.value for s in Structure)})"),
+    "windows": (_windows,
+                lambda ws: "; ".join(f"{float(a)!r}-{float(b)!r}" for a, b in ws),
+                "a list of 'start-end' hours separated by ';'"),
+}
+
+
+def _get(cfg: ExperimentConfig, field: str):
+    value = cfg
+    for part in field.split("."):
+        value = value[int(part) - 1] if part.isdigit() else getattr(value, part)
+    return value
 
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
-    cp = configparser.ConfigParser()
-    n = cfg.plant.n_neighbors
-
-    cp["plant"] = {"c_r": _fmt(cfg.plant.c_r), "n_neighbors": str(n)}
-    for j in cfg.plant.neighbor_ids:
-        s = cfg.plant.separators[j]
-        cp[f"separator_{j}"] = {"r_plus": _fmt(s.r_plus), "r_minus": _fmt(s.r_minus),
-                                "c_s": _fmt(s.c_s)}
-    rh = cfg.plant.rh
-    cp["rh"] = {"c_w": _fmt(rh.c_w_medium), "rho_w": _fmt(rh.rho_w),
-                "v_w": _fmt(rh.v_w_volume), "r_c": _fmt(rh.r_c)}
-    cp["hvac"] = {"c_a": _fmt(cfg.plant.hvac.c_a), "rho_a": _fmt(cfg.plant.hvac.rho_a)}
-
-    sim = cfg.sim
-    cp["sim"] = {"epsilon_hours": _fmt(sim.epsilon), "duration_hours": _fmt(sim.duration),
-                 "noise_std": _fmt(sim.noise_std), "seed": str(sim.seed)}
-    cp["initial"] = {"t_r": _fmt(sim.initial.t_r),
-                     "t_s": _fmt_list(sim.initial.t_s),
-                     "t_w": _fmt(sim.initial.t_w)}
-    cp["hysteresis"] = {"t_set": _fmt(sim.hysteresis.t_set),
-                        "delta_t": _fmt(sim.hysteresis.delta_t),
-                        "vdot_max": _fmt(sim.hysteresis.vdot_max)}
-    cp["heating_curve"] = {"rho0": _fmt(sim.heating_curve.rho0),
-                           "rho1": _fmt(sim.heating_curve.rho1),
-                           "zeta": _fmt(sim.heating_curve.zeta)}
-
-    ds = sim.disturbance_spec
-    recipes = {"disturbance.solar": ds.solar, "disturbance.air_inlet": ds.air_inlet,
-               "disturbance.air_flow": ds.air_flow}
-    for j, r in enumerate(ds.neighbor_recipes, start=1):
-        recipes[f"disturbance.neighbor_{j}"] = r
-    for name, r in recipes.items():
-        cp[name] = {"offset": _fmt(r.offset), "amplitudes": _fmt_list(r.amplitudes),
-                    "periods_h": _fmt_list(r.periods_h), "phases": _fmt_list(r.phases)}
-    occ = ds.occupancy
-    cp["occupancy"] = {
-        "absent_windows": "; ".join(f"{_fmt(a)}-{_fmt(b)}" for a, b in occ.absent_windows),
-        "jitter_h": _fmt(occ.jitter_h),
-        "occupant_gain_w": _fmt(ds.occupant_gain_w),
-    }
-
-    m = cfg.model
-    cp["model"] = {"structure": m.spec.structure.value,
-                   "n_neighbors": str(m.spec.n_neighbors),
-                   "passes": str(m.passes),
-                   "forgetting": _fmt(m.rls.forgetting),
-                   "reg_init": _fmt(m.rls.reg_init),
-                   "rmse_window": str(m.rmse_window)}
-
-    mp = cfg.mpc
-    cp["mpc"] = {"alpha": _fmt(mp.alpha), "beta": _fmt(mp.beta), "gamma": _fmt(mp.gamma),
-                 "t_sam": _fmt(mp.t_sam), "t_opt": _fmt(mp.t_opt), "t_hor": _fmt(mp.t_hor),
-                 "inlet_set": _fmt_list(mp.inlet_set), "flow_set": _fmt_list(mp.flow_set),
-                 "t_set": _fmt(mp.t_set),
-                 "heating_cost_gated_by_flow": _fmt(mp.heating_cost_gated_by_flow),
-                 "plan_budget": str(mp.plan_budget),
-                 "eval_seed": str(cfg.eval_seed),
-                 "episode_hours": _fmt(cfg.episode_hours)}
-
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
+    """The config as the text ``configparser`` writes for it."""
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {_KINDS[kind][1](_get(cfg, field))}\n"
+                                   for key, kind, field in rows) + "\n"
+        for section, rows in _sections(cfg.plant.n_neighbors))
 
 
-class _Section:
-    """Missing-key reporting wrapper around one config section."""
-
-    def __init__(self, cp: configparser.ConfigParser, name: str):
-        if not cp.has_section(name):
-            raise ConfigError(f"missing section '{name}'")
-        self._sec = cp[name]
-        self._name = name
-
-    def _raw(self, key: str) -> str:
-        if key not in self._sec:
-            raise ConfigError(f"missing key '{key}' in section '{self._name}'")
-        return self._sec[key]
-
-    def _number(self, key: str, raw: str) -> float:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"key '{key}' in '{self._name}': "
-                              f"not a number: {raw!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"key '{key}' in '{self._name}': "
-                              f"must be finite, got {raw.strip()!r}")
-        return value
-
-    def float(self, key: str) -> float:
-        return self._number(key, self._raw(key))
-
-    def int(self, key: str) -> int:
-        raw = self._raw(key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"key '{key}' in '{self._name}': "
-                              f"not an integer: {raw!r}") from None
-
-    def bool(self, key: str) -> bool:
-        v = self._raw(key).strip().lower()
-        if v in ("true", "1", "yes", "on"):
-            return True
-        if v in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"key '{key}' in '{self._name}': not a boolean: {v!r}")
-
-    def floats(self, key: str) -> tuple[float, ...]:
-        raw = self._raw(key).strip()
-        return tuple(self._number(key, x) for x in raw.split(",")) if raw else ()
-
-    def str(self, key: str) -> str:
-        return self._raw(key).strip()
+def _parse(sections: dict[str, dict[str, str]], path, section: str, key: str, kind: str):
+    if section not in sections:
+        raise ConfigError(f"{path}: [{section}]: missing section")
+    if key not in sections[section]:
+        raise ConfigError(f"{path}: [{section}] {key}: missing key")
+    parse, _, wants = _KINDS[kind]
+    text = sections[section][key]
+    try:
+        return parse(text)
+    except (ValueError, KeyError):
+        raise ConfigError(f"{path}: [{section}] {key}: {text!r} is not {wants}") from None
 
 
-def _recipe(sec: _Section) -> SinusoidRecipe:
-    return SinusoidRecipe(offset=sec.float("offset"),
-                          amplitudes=sec.floats("amplitudes"),
-                          periods_h=sec.floats("periods_h"),
-                          phases=sec.floats("phases"))
+def _suggest(name: str, names) -> str:
+    import difflib  # on the error path only
+    close = difflib.get_close_matches(name, names, n=1)
+    return f"; did you mean {close[0]!r}?" if close else ""
 
 
 def load_config(path) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-
-    plant_sec = _Section(cp, "plant")
-    n = plant_sec.int("n_neighbors")
-    separators = {}
-    for j in range(1, n + 1):
-        s = _Section(cp, f"separator_{j}")
-        separators[j] = SeparatorParams(r_plus=s.float("r_plus"),
-                                        r_minus=s.float("r_minus"),
-                                        c_s=s.float("c_s"))
-    rh_sec = _Section(cp, "rh")
-    hvac_sec = _Section(cp, "hvac")
-    plant = ZoneParams(
-        c_r=plant_sec.float("c_r"), separators=separators,
-        rh=RhParams(c_w_medium=rh_sec.float("c_w"), rho_w=rh_sec.float("rho_w"),
-                    v_w_volume=rh_sec.float("v_w"), r_c=rh_sec.float("r_c")),
-        hvac=HvacParams(c_a=hvac_sec.float("c_a"), rho_a=hvac_sec.float("rho_a")))
-
-    occ_sec = _Section(cp, "occupancy")
-    windows = []
-    raw_windows = occ_sec.str("absent_windows")
-    if raw_windows:
-        for part in raw_windows.split(";"):
-            a, _, b = part.strip().partition("-")
-            try:
-                lo, hi = float(a), float(b)
-            except ValueError:
-                lo = hi = math.nan
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ConfigError(
-                    f"key 'absent_windows' in 'occupancy': bad absence window "
-                    f"{part.strip()!r} (want 'start-end' hours, finite, "
-                    "start < end)")
-            windows.append((lo, hi))
-    neighbor_recipes = tuple(_recipe(_Section(cp, f"disturbance.neighbor_{j}"))
-                             for j in range(1, n + 1))
-    disturbances = DisturbanceSpec(
-        neighbor_recipes=neighbor_recipes,
-        solar=_recipe(_Section(cp, "disturbance.solar")),
-        air_inlet=_recipe(_Section(cp, "disturbance.air_inlet")),
-        air_flow=_recipe(_Section(cp, "disturbance.air_flow")),
-        occupancy=OccupancySchedule(absent_windows=tuple(windows),
-                                    jitter_h=occ_sec.float("jitter_h")),
-        occupant_gain_w=occ_sec.float("occupant_gain_w"))
-
-    sim_sec = _Section(cp, "sim")
-    init_sec = _Section(cp, "initial")
-    hys_sec = _Section(cp, "hysteresis")
-    curve_sec = _Section(cp, "heating_curve")
-    sim = SimConfig(
-        epsilon=sim_sec.float("epsilon_hours"),
-        duration=sim_sec.float("duration_hours"),
-        noise_std=sim_sec.float("noise_std"),
-        disturbance_spec=disturbances,
-        hysteresis=HysteresisSettings(t_set=hys_sec.float("t_set"),
-                                      delta_t=hys_sec.float("delta_t"),
-                                      vdot_max=hys_sec.float("vdot_max")),
-        seed=sim_sec.int("seed"),
-        heating_curve=HeatingCurveParams(rho0=curve_sec.float("rho0"),
-                                         rho1=curve_sec.float("rho1"),
-                                         zeta=curve_sec.float("zeta")),
-        initial=PlantState(t_r=init_sec.float("t_r"),
-                           t_s=list(init_sec.floats("t_s")),
-                           t_w=init_sec.float("t_w")))
-
-    model_sec = _Section(cp, "model")
-    structure_name = model_sec.str("structure")
+    """Read and check a config file; a ConfigError names the file and, where
+    one is to blame, the ``[section] key``."""
+    cp = configparser.ConfigParser(interpolation=None)
     try:
-        structure = Structure(structure_name)
-    except ValueError:
-        raise ConfigError(f"unknown model structure {structure_name!r}") from None
-    model = ModelConfig(
-        spec=RegressorSpec(structure, model_sec.int("n_neighbors")),
-        passes=model_sec.int("passes"),
-        rls=RlsConfig(forgetting=model_sec.float("forgetting"),
-                      reg_init=model_sec.float("reg_init")),
-        rmse_window=model_sec.int("rmse_window"))
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: {e}") from None
+    sections = {section: dict(cp.items(section)) for section in cp.sections()}
+    n = _parse(sections, path, "plant", "n_neighbors", "int")
+    if n < 1:
+        raise ConfigError(f"{path}: [plant] n_neighbors: must be at least 1, got {n}")
+    # a file with fewer sections than neighbors lacks one, which the walk names
+    known = {section: [key for key, _, _ in rows]
+             for section, rows in _sections(min(n, len(sections)))}
+    for section, found in sections.items():
+        if section not in known:
+            raise ConfigError(f"{path}: [{section}]: unknown section"
+                              + _suggest(section, known))
+        for key in found:
+            if key not in known[section]:
+                raise ConfigError(f"{path}: [{section}] {key}: unknown key"
+                                  + _suggest(key, known[section]))
 
-    mpc_sec = _Section(cp, "mpc")
-    mpc_values = dict(
-        alpha=mpc_sec.float("alpha"), beta=mpc_sec.float("beta"),
-        gamma=mpc_sec.float("gamma"), t_sam=mpc_sec.float("t_sam"),
-        t_opt=mpc_sec.float("t_opt"), t_hor=mpc_sec.float("t_hor"),
-        inlet_set=mpc_sec.floats("inlet_set"), flow_set=mpc_sec.floats("flow_set"),
-        t_set=mpc_sec.float("t_set"),
-        heating_cost_gated_by_flow=mpc_sec.bool("heating_cost_gated_by_flow"),
-        plan_budget=mpc_sec.int("plan_budget"))
+    # each object's constructor arguments, and the section and keys they come from
+    values: dict[str, dict] = {}
+    keys: dict[str, tuple[str, dict[str, str]]] = {}
+    for section, rows in _sections(n):
+        for key, kind, field in rows:
+            obj, _, attr = field.rpartition(".")
+            values.setdefault(obj, {})[attr] = _parse(sections, path, section, key, kind)
+            keys.setdefault(obj, (section, {}))[1][attr] = key
+    del values["plant"]["n_neighbors"]  # ZoneParams counts its separators
+    values["sim.initial"]["t_s"] = list(values["sim.initial"]["t_s"])  # as PlantState holds it
+
+    def build(cls, obj: str, **parts):
+        try:
+            return cls(**values[obj], **parts)
+        except ThermbenchError as e:
+            # a message that names one of the section's fields blames its key
+            section, fields = keys[obj]
+            named = [key for attr, key in fields.items()
+                     if re.search(rf"\b{attr}\b", str(e))]
+            where = f"[{section}] {named[0]}" if len(named) == 1 else f"[{section}]"
+            raise ConfigError(f"{path}: {where}: {e}") from None
+
+    neighbors = range(1, n + 1)
+    ds = "sim.disturbance_spec"
+    plant = build(ZoneParams, "plant", rh=build(RhParams, "plant.rh"),
+                  hvac=build(HvacParams, "plant.hvac"),
+                  separators={j: build(SeparatorParams, f"plant.ordered_separators.{j}")
+                              for j in neighbors})
+    disturbances = build(
+        DisturbanceSpec, ds, occupancy=build(OccupancySchedule, f"{ds}.occupancy"),
+        neighbor_recipes=tuple(build(SinusoidRecipe, f"{ds}.neighbor_recipes.{j}")
+                               for j in neighbors),
+        **{name: build(SinusoidRecipe, f"{ds}.{name}")
+           for name in ("solar", "air_inlet", "air_flow")})
+    sim = build(SimConfig, "sim", disturbance_spec=disturbances,
+                initial=build(PlantState, "sim.initial"),
+                hysteresis=build(HysteresisSettings, "sim.hysteresis"),
+                heating_curve=build(HeatingCurveParams, "sim.heating_curve"))
+    model = build(ModelConfig, "model", spec=build(RegressorSpec, "model.spec"),
+                  rls=build(RlsConfig, "model.rls"))
+    cfg = build(ExperimentConfig, "", plant=plant, sim=sim, model=model,
+                mpc=build(MpcConfig, "mpc"))
     try:
-        mpc = MpcConfig(**mpc_values)
+        cfg.validate()
     except ConfigError as e:
-        raise ConfigError(f"section 'mpc': {e}") from None
-
-    cfg = ExperimentConfig(plant=plant, sim=sim, model=model, mpc=mpc,
-                           eval_seed=mpc_sec.int("eval_seed"),
-                           episode_hours=mpc_sec.float("episode_hours"))
-    cfg.validate()
+        raise ConfigError(f"{path}: {e}") from None
     return cfg

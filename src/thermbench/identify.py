@@ -154,9 +154,18 @@ class TrainReport:
                             self.rolling_rmse])
 
 
-def rolling_rmse(errors: np.ndarray, window: int) -> np.ndarray:
+def check_training(passes: int, window: int) -> None:
+    """The settings :func:`train` accepts: a non-negative number of passes
+    and a rolling-RMSE window of at least two samples."""
+    if passes < 0:
+        raise ConfigError(f"passes must be non-negative, got {passes}")
     if window < 2:
-        raise ConfigError("rolling window must be at least 2")
+        raise ConfigError(f"rmse_window must be at least 2, got {window}")
+
+
+def rolling_rmse(errors: np.ndarray, window: int) -> np.ndarray:
+    """RMSE of each error and the ``window - 1`` before it (a ``window`` as
+    :func:`check_training` accepts)."""
     sq = np.concatenate(([0.0], np.cumsum(np.asarray(errors) ** 2)))
     n = len(errors)
     idx = np.arange(1, n + 1)
@@ -323,8 +332,7 @@ def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,
     The FI zone structure reads its water channel from the RH predictor, whose
     parameters ``theta_w`` it requires.
     """
-    if passes < 0:
-        raise ConfigError("passes must be non-negative")
+    check_training(passes, window)
     _history_channels(spec, dataset)
     table = _table(spec, dataset, theta_w)
     dim = regressor_length(spec)

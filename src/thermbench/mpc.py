@@ -64,9 +64,9 @@ from .identify import _rh_spec
 from .identify import oe_predict  # noqa: F401  (perfbench's self-test patches mpc.oe_predict)
 from .regressors import (CompiledLayout, RegressorSpec, compile_layout, layout,
                          regressor_length, sum_entries, warmup)
-from .simulator import (SimConfig, ZoneParams, check_control_set, heating_curve,
-                        hysteresis_control, simulate, synthesize_scenario,
-                        write_rows)
+from .simulator import (SimConfig, ZoneParams, check_control_set, check_positive,
+                        heating_curve, hysteresis_control, simulate,
+                        synthesize_scenario, write_rows)
 from .simulator import step  # noqa: F401  (perfbench's self-test patches mpc.step)
 
 
@@ -87,14 +87,19 @@ class MpcConfig:
     plan_budget: int = 100_000
 
     def __post_init__(self):
+        for name, weight in (("alpha", self.alpha), ("beta", self.beta),
+                             ("gamma", self.gamma)):
+            if not weight >= 0.0:
+                raise ConfigError(f"{name} must be non-negative, got {weight!r}")
         check_control_set(self.inlet_set, self.flow_set)
-        if self.t_sam <= 0 or self.t_opt <= 0 or self.t_hor <= 0:
-            raise ConfigError("t_sam, t_opt and t_hor must be positive")
+        check_positive(t_sam=self.t_sam, t_opt=self.t_opt, t_hor=self.t_hor)
         for whole, part, names in ((self.t_hor, self.t_opt, "t_hor/t_opt"),
                                    (self.t_opt, self.t_sam, "t_opt/t_sam")):
             ratio = whole / part
             if abs(ratio - round(ratio)) > 1e-6 or round(ratio) < 1:
                 raise ConfigError(f"{names} must be a positive integer, got {ratio}")
+        if self.plan_budget < 1:
+            raise ConfigError(f"plan_budget must be at least 1, got {self.plan_budget}")
 
     @property
     def n_periods(self) -> int:

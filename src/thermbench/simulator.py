@@ -52,6 +52,14 @@ def column_names(n_neighbors: int) -> list[str]:
     return names
 
 
+def check_positive(**values: float) -> None:
+    """Raise ConfigError naming the first of ``values`` that is not positive
+    and finite."""
+    for name, v in values.items():
+        if not (math.isfinite(v) and v > 0.0):
+            raise ConfigError(f"{name} must be positive and finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class SinusoidRecipe:
     """offset + sum of amplitude * sin(2*pi*t/period + phase), t in hours."""
@@ -62,10 +70,17 @@ class SinusoidRecipe:
     phases: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not (len(self.amplitudes) == len(self.periods_h) == len(self.phases)):
-            raise ConfigError("amplitudes, periods_h and phases must have equal length")
+        counts = [len(self.amplitudes), len(self.periods_h), len(self.phases)]
+        odd = [(name, n) for name, n in zip(("amplitudes", "periods_h", "phases"), counts)
+               if counts.count(n) == 1]
+        if len(odd) == 1:  # the one list out of step with the other two
+            raise ConfigError(f"{odd[0][0]} has {odd[0][1]} values where the other two "
+                              f"lists have {max(counts, key=counts.count)}")
+        if odd:
+            raise ConfigError("amplitudes, periods_h and phases must have equal "
+                              f"length, got {counts}")
         if any(p <= 0 for p in self.periods_h):
-            raise ConfigError("sinusoid periods must be positive")
+            raise ConfigError(f"periods_h must be positive, got {self.periods_h}")
 
     def sample(self, t_hours: np.ndarray) -> np.ndarray:
         out = np.full_like(t_hours, self.offset, dtype=float)
@@ -90,6 +105,14 @@ class OccupancySchedule:
 
     absent_windows: tuple[tuple[float, float], ...] = ()
     jitter_h: float = 0.0
+
+    def __post_init__(self):
+        if not self.jitter_h >= 0.0:
+            raise ConfigError(f"jitter_h must be non-negative, got {self.jitter_h!r}")
+        for a, b in self.absent_windows:
+            if not 0.0 <= a < b <= 24.0:
+                raise ConfigError(f"absent_windows has the bad window '{a!r}-{b!r}' (want "
+                                  "'start-end' hours of the day, 0 <= start < end <= 24)")
 
     def sample(self, t_hours: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         occ = np.ones_like(t_hours, dtype=float)
@@ -146,10 +169,9 @@ class HysteresisSettings:
     vdot_max: float = 0.0787  # kg/s
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.t_set, self.delta_t, self.vdot_max))):
-            raise ConfigError("hysteresis t_set, delta_t and vdot_max must be finite")
-        if self.delta_t <= 0 or self.vdot_max <= 0:
-            raise ConfigError("delta_t and vdot_max must be positive")
+        if not math.isfinite(self.t_set):
+            raise ConfigError(f"t_set must be finite, got {self.t_set!r}")
+        check_positive(delta_t=self.delta_t, vdot_max=self.vdot_max)
 
 
 @dataclass(frozen=True)
@@ -159,8 +181,7 @@ class HeatingCurveParams:
     zeta: float = 0.97
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0 for v in (self.rho0, self.rho1, self.zeta)):
-            raise ConfigError("heating curve constants must be positive and finite")
+        check_positive(rho0=self.rho0, rho1=self.rho1, zeta=self.zeta)
 
 
 @dataclass(frozen=True)
@@ -462,10 +483,11 @@ def synthesize_scenario(spec: DisturbanceSpec, epsilon: float, n_samples: int,
 def check_control_set(inlet_set, flow_set) -> None:
     """A discrete control set the plant can apply: non-empty, finite, and
     with non-negative water flows."""
-    if not inlet_set or not flow_set:
-        raise ConfigError("inlet_set and flow_set must be non-empty")
-    if not all(map(math.isfinite, (*inlet_set, *flow_set))):
-        raise ConfigError(f"inlet_set {inlet_set} and flow_set {flow_set} must be finite")
+    for name, values in (("inlet_set", inlet_set), ("flow_set", flow_set)):
+        if not values:
+            raise ConfigError(f"{name} must be non-empty")
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{name} {values} must be finite")
     if min(flow_set) < 0.0:
         raise ConfigError(f"flow_set entry {min(flow_set)!r} is negative; water "
                           "flows must be non-negative")

@@ -1,9 +1,10 @@
+import configparser
 import dataclasses
 
 import numpy as np
 import pytest
 
-from thermbench.config import default_config
+from thermbench.config import config_to_ini, default_config
 from thermbench.simulator import run_experiment
 from thermbench.thermal_core import (ControlInput, Disturbance, HvacParams,
                                      PlantState, RhParams, SeparatorParams,
@@ -13,6 +14,21 @@ from thermbench.thermal_core import (ControlInput, Disturbance, HvacParams,
 @pytest.fixture(scope="session")
 def cfg():
     return default_config()
+
+
+@pytest.fixture()
+def small_config(tmp_path):
+    """Default config shrunk to test-friendly durations."""
+    text = config_to_ini(default_config())
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    cp["sim"]["duration_hours"] = "24"
+    cp["model"]["passes"] = "2"
+    cp["mpc"]["episode_hours"] = "6"
+    path = tmp_path / "config.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -15,21 +15,6 @@ from thermbench.config import config_to_ini, default_config, load_config
 from thermbench.simulator import column_names
 
 
-@pytest.fixture()
-def small_config(tmp_path):
-    """Default config shrunk to test-friendly durations."""
-    text = config_to_ini(default_config())
-    cp = configparser.ConfigParser()
-    cp.read_string(text)
-    cp["sim"]["duration_hours"] = "24"
-    cp["model"]["passes"] = "2"
-    cp["mpc"]["episode_hours"] = "6"
-    path = tmp_path / "config.ini"
-    with open(path, "w") as fh:
-        cp.write(fh)
-    return path
-
-
 def test_print_defaults_round_trips(tmp_path, capsys):
     assert main(["print-defaults"]) == 0
     text = capsys.readouterr().out
@@ -77,7 +62,8 @@ def test_missing_key_names_it(tmp_path, small_config, capsys):
         cp.write(fh)
     code = main(["simulate", "--config", str(broken), "--out-dir", str(tmp_path)])
     assert code == 2
-    assert "c_r" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "[plant] c_r: missing key" in err and str(broken) in err
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -86,6 +72,14 @@ def test_missing_key_names_it(tmp_path, small_config, capsys):
     ("hysteresis", "vdot_max", "nan"),
     ("heating_curve", "rho0", "nan"),
     ("occupancy", "occupant_gain_w", "inf"),
+    ("occupancy", "jitter_h", "-1"),
+    ("mpc", "alpha", "-1"),
+    ("mpc", "beta", "-1"),
+    ("mpc", "gamma", "-0.5"),
+    ("mpc", "episode_hours", "0"),
+    ("mpc", "plan_budget", "0"),
+    ("model", "rmse_window", "0"),
+    ("plant", "c_r", "0"),
 ])
 def test_bad_config_value_names_section_and_key(tmp_path, small_config, capsys,
                                                 section, key, value):
@@ -100,7 +94,7 @@ def test_bad_config_value_names_section_and_key(tmp_path, small_config, capsys,
         code = main(["simulate", "--config", str(broken), "--out-dir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"'{section}'" in err and key in err
+    assert f"[{section}] {key}" in err and str(broken) in err
     assert not caught and "Warning" not in err
 
 
@@ -122,8 +116,8 @@ def test_negative_seed_names_its_key(tmp_path, small_config, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
-    if section == "mpc":
-        assert f"[{section}] {key}" in err
+    if section is not None:
+        assert f"[{section}] {key}" in err and str(broken) in err
 
 
 @pytest.mark.parametrize("value,part", [
@@ -131,6 +125,9 @@ def test_negative_seed_names_its_key(tmp_path, small_config, capsys,
     ("8.0-16.0; 5.0-inf", "5.0-inf"),
     ("5.0-3.0", "5.0-3.0"),
     ("8.0-16.0; 4.0-4.0", "4.0-4.0"),
+    ("25.0-26.0", "25.0-26.0"),
+    ("8.0-16.0; 23.0-24.5", "23.0-24.5"),
+    ("-1.0-3.0", "-1.0-3.0"),
 ])
 def test_bad_absence_window_names_key_and_part(tmp_path, small_config, capsys,
                                                value, part):
@@ -143,7 +140,7 @@ def test_bad_absence_window_names_key_and_part(tmp_path, small_config, capsys,
     code = main(["simulate", "--config", str(broken), "--out-dir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "'occupancy'" in err and "absent_windows" in err and repr(part) in err
+    assert "[occupancy] absent_windows" in err and repr(part) in err and str(broken) in err
     assert not (tmp_path / "dataset.csv").exists()
 
 
@@ -367,10 +364,11 @@ def test_python_m_thermbench_prints_defaults(tmp_path):
     env = {**os.environ,
            "PYTHONPATH": str(Path(thermbench.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-m", "thermbench", "print-defaults"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=60)
+                          cwd=tmp_path, env=env, capture_output=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == config_to_ini(default_config())
+    # the committed file pins the template's bytes
+    assert done.stdout == (Path(__file__).parent / "data" / "defaults.ini").read_bytes()
+    assert done.stdout.decode() == config_to_ini(default_config())
 
 
 def test_excite_check_reports(tmp_path, small_config, capsys):
