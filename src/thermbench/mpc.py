@@ -15,38 +15,52 @@ decision sample and the exact exogenous forecast, an array per channel (in
 the closed loop, views of its logs and of the scenario).  ``water_estimate``
 is the one water estimate, logged per sample and computed per decision.
 
-One rollout kernel serves every plan.  It walks the plan-prefix tree: every
-regressor lag is at least one sample, so the steps of period p depend on the
-choices of periods 0..p only, and period p is rolled out once per prefix (4,
-16, 64, 256 and 1024 rows under the default config); every admissible plan
-is still costed.  Every kernel entry is ``coef * f0 * f1 * ... * pred``: the
-trailing prediction factor reads a zone or water prediction, the factors
-before it only controls and plan-independent signals.  So a period's
-predictions are ``Phi_c . state + beta_c``, with maps that depend on its
-combination of options c alone, of the predictions before it that its steps
-read (zone lags 1-3 and water lag 1 under NRM_MI and LRM with one neighbor).
-Once per decision:
+Every regressor lag is at least one sample, so the steps of period p depend
+on the choices of periods 0..p only, and every kernel entry is ``coef * f0 *
+f1 * ... * pred``: the trailing prediction factor reads a zone or water
+prediction, the factors before it only controls and plan-independent
+signals.  So a period's predictions are ``Phi_c . x + beta_c`` of its entry
+state x, the predictions before it that its steps read (zone lags 1-3 and
+water lag 1 under NRM_MI and LRM with one neighbor: 4 values), with maps
+that depend on its combination of options c alone.  A decision goes maps ->
+forms -> walk:
 
-1. One ``CompiledLayout.terms`` call computes ``coef * f0 * f1 * ...`` of
-   every entry at every step of every period, over the combinations of
-   options of the periods its control lags reach (4, then 16 per period),
-   from a control template cached per spec and config.
-2. One step loop (a gather of each entry's trailing factor, a multiply by
-   the prefixes, the water and zone entry sums) runs over one period for
-   basis rows of every period and combination: a unit row per state value,
-   where the exact 1.0 that entries without a prediction factor read is 0,
-   gives ``Phi_c``, and an offset row of zero state ``beta_c`` (340 rows).
-3. Each period's rows are filled from their states by the multiply-adds
-   ``Phi_c[0] * x_0 + Phi_c[1] * x_1 + ... + beta_c``, in this order.
+1. Maps.  One ``CompiledLayout.terms`` call computes ``coef * f0 * f1 *
+   ...`` of every entry at every step of every period, over the
+   combinations of options its control lags reach (4, then 16 per period),
+   from a control template cached per spec and config.  One step loop over
+   basis rows (a unit row per state value, where the exact 1.0 that entries
+   without a prediction factor read is 0, and an offset row of zero state)
+   gives ``Phi_c`` and ``beta_c`` (340 rows).
+2. Forms.  On the centred entry state ``x~ = [x - t_set; 1]`` every
+   prediction minus ``t_set`` is a row times ``x~``.  So a period's cost,
+   ``alpha / n_hor * sum_j occ_j (z_j - t_set)^2`` plus ``beta * t_sam *
+   sum_j (inlet - w_j)`` (times the flow gate when so configured), is the
+   quadratic form ``x~ . (Q_c x~)``, the heating term and the inlet constant
+   folded into its last row, and the next period's entry state is 4 more
+   rows of ``x~``: one stacked (5 + 4) x 5 form per combination.
+3. Walk.  The plan tree is walked period by period (4, 16, 64, 256 and 1024
+   rows, the newest period's option the most significant digit, so the rows
+   of one combination are a contiguous block): each row's state goes through
+   its combination's form, its period cost is added to its prefix's, and its
+   next state passes to its children.  A fixed permutation puts the costs in
+   enumeration order for the first-minimum tie-break.
 
-The maps serve every row count, so a row's arithmetic does not depend on
-how many rows there are and ``predict_horizon`` is the one-row case bit for
-bit.  A period's buffer holds its steps and the ``w`` positions before them,
-copied at the boundary once per option, the newest period's option the most
-significant digit, so the rows of one combination are a contiguous block.
-Each period's cost terms are summed in order and added to its prefix's sums,
-so a plan costs the same bits alone or among others; a fixed permutation
-puts the costs in enumeration order for the first-minimum tie-break.
+Every product is an elementwise multiply and every sum an in-order sum over
+a leading axis from 0.0 (``sum_entries``), never BLAS, so a column's bits do
+not depend on how many columns are built together.  The forms depend on
+theta, the exact forecast and the option combination, not on the state, so
+``closed_loop_run`` builds them once per period of the episode, ``_CHUNK``
+periods at a time inside the decision that first needs them; a decision
+whose horizon reads controls that no earlier decision applied (the first
+after the hysteresis bootstrap) builds its own from its window, by the same
+code, with the same bits.
+
+``predict_horizon`` fills one plan's predictions from the maps by the
+multiply-adds ``Phi_c[0] * x_0 + Phi_c[1] * x_1 + ... + beta_c``, and
+``plan_cost`` sums its cost terms: ``solve``'s costs equal ``predict_horizon``
++ ``plan_cost`` within rounding, not bit for bit, since the forms expand the
+squares.
 """
 
 from __future__ import annotations
@@ -55,7 +69,7 @@ import functools
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -199,10 +213,15 @@ class DecisionWindow:
 
 
 @functools.lru_cache(maxsize=None)
-def _water_layout(spec: RegressorSpec) -> tuple[CompiledLayout, int]:
-    """The compiled water layout of ``spec``'s controller and its deepest lag."""
+def _water_layout(spec: RegressorSpec) -> tuple[tuple, tuple, int]:
+    """The compiled water layout of ``spec``'s controller: its distinct
+    factors, the factor indices of each entry in the layout's factor order
+    (the spare positions reading the exact 1.0 after the factors), and its
+    deepest lag."""
     lay = compile_layout(_rh_spec(spec))
-    return lay, max(lag for _, lag in lay.columns)
+    entries = tuple(tuple(int(i) for i in lay.factors[:, e])
+                    for e in range(len(lay.entries)))
+    return lay.columns, entries, max(lag for _, lag in lay.columns)
 
 
 def water_estimate(theta_w: np.ndarray, spec: RegressorSpec,
@@ -211,21 +230,37 @@ def water_estimate(theta_w: np.ndarray, spec: RegressorSpec,
     ``columns`` (``T_r``, ``yhat_w``, ``Tw_in`` and ``Vw`` by position) from
     the positions before it.
 
-    The regressor is the compiled water-layout row, its products started
-    from an exact 1.0 as ``build_regressor`` starts them, and one
-    ``@ theta_w`` follows: ``identify.oe_predict`` bit for bit.
+    The regressor is the compiled water-layout row, built in Python floats,
+    each product started from an exact 1.0 and multiplied in the layout's
+    factor order as ``CompiledLayout.terms`` multiplies it, and one ``@
+    theta_w`` follows: ``identify.oe_predict`` bit for bit.
     """
-    lay, deepest = _water_layout(spec)
+    factors, entries, deepest = _water_layout(spec)
     if t < deepest:
         raise HistoryUnderflowError(f"the water estimate at position {t} reads "
                                     f"{deepest} position(s) back")
-    values = np.array([columns[c][t - lag] for c, lag in lay.columns] + [1.0])
-    return float(lay.terms(values) @ theta_w)
+    values = [float(columns[c][t - lag]) for c, lag in factors]
+    values.append(1.0)
+    row = []
+    for entry in entries:
+        term = 1.0
+        for i in entry:
+            term *= values[i]
+        row.append(term)
+    return float(np.array(row) @ theta_w)
 
 
 # ---------------------------------------------------------------------------
-# rollout kernel
+# period maps, cost forms and the plan-tree walk
 # ---------------------------------------------------------------------------
+
+#: periods of a closed loop whose cost forms are built together, sized so
+#: that a build's largest array stays about the size of a decision's own.
+#: Under the default config that is stage 1's prefixes: 30 entries x 12
+#: steps x 80 columns (5 periods of 16 combinations) for NRM_MI, 28.8k
+#: values, against 24.5k for one decision's maps and 25.6k for the last
+#: product of its walk
+_CHUNK = 5
 
 # inside the horizon the layouts' output channels read the rollout's own
 # predictions (planes of the prediction buffers), and the controls follow the
@@ -311,19 +346,25 @@ def _kernel(spec: RegressorSpec) -> _Kernel:
 
 @dataclass(frozen=True, eq=False)
 class _Template:
-    """What the rollout of one plan tree reads that nothing measured changes.
+    """What the maps and forms of a run of periods read that nothing
+    measured changes.
 
     Stage 1's columns run over the periods and, within period p, over the
     ``n_comb[p]`` combinations of options of the periods ``lo..p`` that its
     control lags reach, period ``lo``'s option the least significant digit,
-    as in the rollout rows.  ``values`` holds the value table's control rows,
-    ``(control rows, s, columns)``; step j of column i is horizon step
-    ``step[j, i]``.  The value-table slots ``rec`` (row, step and column
-    indices) read recorded controls instead, ``rec_from`` (control plane and
-    position indices).  A basis buffer is laid out as a period's plus an exact
-    1.0 (or 0) at position w+s, plane after plane: ``gather[j]`` holds the
-    row each entry's trailing factor reads at step j, and ``state`` the rows
-    before w that some step reads.
+    as in the walk's rows; ``own`` holds each column's inlet and flow of
+    period p.  ``values`` holds the value table's control rows, ``(control
+    rows, s, columns)``; step j of column i is step ``step[j, i]`` of the
+    run.  The value-table slots ``rec`` (row, step and column indices) read
+    recorded controls instead, ``rec_from`` (control plane and position
+    indices).  A basis buffer is laid out as a period's ``w`` entry
+    positions and ``s`` steps plus an exact 1.0 (or 0) at position w+s,
+    plane after plane: ``gather[j]`` holds the row each entry's trailing
+    factor reads at step j, and ``state`` the rows before w that some step
+    reads, a period's entry state.  ``next`` indexes the rows of the next
+    period's entry state, ``plane * s + j`` for step j's prediction and
+    ``2s + k`` for entry value k where a lag reaches past the period, and
+    ``water`` is the entry value the first heating term reads.
     """
 
     values: np.ndarray
@@ -333,6 +374,9 @@ class _Template:
     rec_from: tuple[np.ndarray, ...]
     gather: np.ndarray
     state: np.ndarray
+    own: np.ndarray
+    next: np.ndarray
+    water: int
 
 
 def _control_template(spec: RegressorSpec, choices, s: int) -> _Template:
@@ -354,7 +398,10 @@ def _control_template(spec: RegressorSpec, choices, s: int) -> _Template:
     # period q's digit of a combination of periods lo..p weighs the option
     # counts of periods lo..q-1
     radix = np.cumprod([1] + sizes)
-    option = comb // (radix[q] // radix[lo[period]]) % np.array(sizes)[q]
+
+    def digit(q):
+        return comb // (radix[q] // radix[lo[period]]) % np.array(sizes)[q]
+
     table = np.zeros((2, len(sizes), max(sizes)))
     for p, options in enumerate(choices):
         table[:, p, :sizes[p]] = options
@@ -362,43 +409,36 @@ def _control_template(spec: RegressorSpec, choices, s: int) -> _Template:
     width = w + s + 1
     gather = np.where(kern.has_pred, kern.pred_plane * width - kern.pred_lag
                       + np.arange(w, w + s)[:, None], w + s)
-    return _Template(_readonly(table[kern.control_plane[:, None, None], q, option]),
+    state = np.flatnonzero(np.bincount(gather[gather % width < w]))
+    # the next period's entry value at position i is this period's at i + s
+    # (every layout reads its predictions at lags 1..d, so that is in the state)
+    entry = {divmod(int(row), width): k for k, row in enumerate(state)}
+    nxt = [plane * s + i + s - w if i + s >= w else 2 * s + entry[plane, i + s]
+           for plane, i in entry]
+    return _Template(_readonly(table[kern.control_plane[:, None, None], q, digit(q)]),
                      n_comb, _readonly(step),
                      tuple(map(_readonly, (kern.control_rows[rec[0]], *rec[1:]))),
                      tuple(map(_readonly, (kern.control_plane[rec[0]], pos[rec]))),
-                     _readonly(gather),
-                     _readonly(np.flatnonzero(np.bincount(gather[gather % width < w]))))
+                     _readonly(gather), _readonly(state),
+                     _readonly(table[:, period, digit(period)]),
+                     _readonly(np.array(nxt, dtype=np.intp)), entry[1, w - 1])
 
 
-def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
-             win: DecisionWindow, cfg: MpcConfig, choices,
-             template: _Template | None = None) -> tuple[list[np.ndarray], int]:
-    """Roll the water and zone predictors out over a tree of plan prefixes
-    by period maps (see the module docstring).  ``choices[p]`` holds period
-    p's candidate (inlet, flow) values as two arrays, and ``template`` their
-    template, built here when not given.  No prediction is checked here.
-
-    Returns ``(periods, w)``: ``periods[p]``, of shape ``(2, w + s,
-    rows_p)``, holds period p's zone and water predictions at the ``w``
-    positions before its first step (for period 0 the last ``w - 1``
-    recorded ones and the decision sample) and at its steps.  Row ``sum_q
-    o_q * (m_0 * ... * m_{q-1})`` is the prefix of option ``o_q`` of ``m_q``
-    in each period q <= p.  Every array is allocated here, per call.
+def _maps(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
+          tpl: _Template, shared: np.ndarray, controls: np.ndarray) -> np.ndarray:
+    """Stages 1 and 2 over the columns of ``tpl``: ``(2, s, state values +
+    1, columns)``, each plane and step's factor of every entry state value,
+    the offset last.  ``shared`` holds the plan-independent signals and
+    ``controls`` the recorded controls by position, position ``w`` the
+    sample before the first step.  Every array is allocated here, per call.
     """
-    n = cfg.n_hor
-    s = cfg.samples_per_period
-    w = max(warmup(spec), 1)
-    win.check(spec, n)
-    cols, lo = win.columns, win.past - w
     kern = _kernel(spec)
-    tpl = template if template is not None else _control_template(spec, choices, s)
+    w = max(warmup(spec), 1)
+    s = tpl.step.shape[0]
     coef = np.concatenate((theta_w, theta_r))
-    # plan-independent signals by position, and the shared value-table rows
-    # at each horizon step
-    shared = np.array([cols[c][lo:] for c in kern.shared], dtype=float)
+    # the shared value-table rows at each step of the run
     shared_at = shared[kern.shared_channel[:, None],
-                       np.arange(w + 1, w + 1 + n) - kern.shared_lag[:, None]]
-    controls = np.array([cols[c][lo:] for c in _CONTROLS], dtype=float)
+                       np.arange(w + 1, shared.shape[1]) - kern.shared_lag[:, None]]
 
     width, state = w + s + 1, tpl.state
     # stage 1: coef * f0 * f1 * ... of every entry, up to its trailing
@@ -424,68 +464,91 @@ def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
         blocks *= prefix[:, j, None]
         sum_entries(water, out=flat[width + w + j])
         sum_entries(zone, out=flat[w + j])
-    # (2, s, state values + 1, template columns, 1), the offset last
-    maps = basis.reshape(2, width, len(state) + 1, -1, 1)[:, w:w + s]
-    plane, pos = np.divmod(state, width)
-
-    # stage 3, from the measured zone temperatures and the water estimates
-    tail = np.empty((2, w, 1))
-    tail[0, :, 0] = cols["T_r"][lo + 1:]
-    tail[1, :w - 1, 0] = cols["yhat_w"][lo + 1:]
-    tail[1, w - 1] = water_estimate(theta_w, spec, cols, win.past)
-    periods, first = [], 0
-    for p, (inlet, _) in enumerate(choices):
-        buf = np.empty((2, w + s, len(inlet) * tail.shape[2]))
-        # one copy of the previous period's last w positions per option
-        buf[:, :w].reshape(2, w, len(inlet), -1)[...] = tail[:, :, None]
-        # the rows of one combination of options are a contiguous block
-        n_comb = tpl.n_comb[p]
-        x = buf[plane, pos].reshape(len(state), n_comb, -1)
-        out = buf[:, w:].reshape(2, s, n_comb, -1)
-        tmp = np.empty_like(out)
-        m = maps[..., first:first + n_comb, :]
-        np.multiply(m[:, :, 0], x[0], out=out)
-        for k in range(1, len(state)):
-            out += np.multiply(m[:, :, k], x[k], out=tmp)
-        out += m[:, :, -1]
-        first += n_comb
-        periods.append(buf)
-        tail = buf[:, s:s + w]
-    return periods, w
+    return basis.reshape(2, width, len(state) + 1, -1)[:, w:w + s]
 
 
-def _costs(t_r0: float, zone, water, inlet, flow, win: DecisionWindow,
-           cfg: MpcConfig):
-    """Comfort and heating cost of each row (one plan per row) of the last
-    period of a rollout.
-
-    ``t_r0`` is the decision sample's zone temperature; ``zone[p]`` and
-    ``water[p]`` are period p's ``(s, rows_p)`` blocks of zone predictions
-    at its steps and water predictions at the positions before them, and
-    ``inlet[p]`` and ``flow[p]`` its rows' options; the occupancy is
-    ``win``'s from the decision sample on.  The comfort sum is averaged by
-    n_hor; the heating term is beta * t_sam * (inlet - predicted outlet),
-    optionally multiplied by an indicator that the flow is nonzero.  Each
-    period's terms are summed in order and added to its prefix's sums, the
-    comfort's from the decision sample's term and the heating's from 0.0,
-    so a plan costs the same bits alone or among others.  The blocks are
-    overwritten.
+def _forms(maps: np.ndarray, tpl: _Template, occ: np.ndarray,
+           cfg: MpcConfig) -> np.ndarray:
+    """The stacked cost form of every column of ``tpl`` from its ``maps``:
+    ``(K + 1, 2K + 1, columns)`` for K entry state values, ``forms[k, i, c]``
+    the weight of ``x~_k`` in row i of column c's form on ``x~ = [x - t_set;
+    1]``.  Rows 0..K are the period-cost form Q: ``x~ . (Q x~)`` is the
+    period's comfort and heating cost.  Rows K+1.. are the next period's
+    entry state minus ``t_set``.  ``occ`` is the occupancy at each column's
+    steps, ``(s, columns)``.
     """
-    s = cfg.samples_per_period
-    occ = win.columns["occ"][win.past:]
-    comfort = np.square(np.subtract([t_r0], cfg.t_set)) * occ[:1]
-    heating = np.zeros(1)
-    for p, (t_r, t_w) in enumerate(zip(zone, water)):
-        np.subtract(t_r, cfg.t_set, out=t_r)
-        np.square(t_r, out=t_r)
-        t_r *= occ[1 + p * s:1 + (p + 1) * s, None]
-        np.subtract(inlet[p], t_w, out=t_w)
-        if cfg.heating_cost_gated_by_flow:
-            t_w *= flow[p] > 0.0
-        # period p's rows are its prefix's rows once per option
-        comfort = (comfort + sum_entries(t_r).reshape(-1, len(comfort))).ravel()
-        heating = (heating + sum_entries(t_w).reshape(-1, len(heating))).ravel()
-    return cfg.alpha * comfort / cfg.n_hor, cfg.beta * cfg.t_sam * heating
+    _, s, k1, n = maps.shape
+    t_set = cfg.t_set
+    # rows[:, plane, j]: the prediction at step j minus t_set, on x~
+    rows = np.moveaxis(maps, 2, 0).copy()
+    gain = sum_entries(rows[:-1].reshape(k1 - 1, -1)).reshape(2, s, n)
+    rows[-1] -= t_set * (1.0 - gain)
+    # comfort: Q[i, k] = sum_j (a_j[i] * alpha / n_hor * occ_j) * a_j[k]
+    zone = rows[:, 0].transpose(1, 0, 2)
+    weighted = zone * (cfg.alpha / cfg.n_hor * occ)[:, None]
+    q = sum_entries((weighted[:, :, None] * zone[:, None]).reshape(s, -1))
+    q = q.reshape(k1, k1, n)
+    # heating: beta * t_sam * sum of (inlet - outlet) at the entry's last
+    # water value and the first s - 1 steps, folded into Q's last row
+    water = np.zeros((s, k1, n))
+    water[0, tpl.water] = 1.0
+    water[1:] = rows[:, 1, :s - 1].transpose(1, 0, 2)
+    outlet = sum_entries(water.reshape(s, -1)).reshape(k1, n)
+    inlet, flow = tpl.own
+    gate = cfg.beta * cfg.t_sam * ((flow > 0.0) if cfg.heating_cost_gated_by_flow else 1.0)
+    inflow = np.zeros((k1, n))
+    inflow[-1] = s * (inlet - t_set)
+    q[-1] += (inflow - outlet) * gate
+    # the next entry state: this period's predictions, or entry values that
+    # lags reach past the period
+    units = np.broadcast_to(np.eye(k1, k1 - 1)[:, :, None], (k1, k1 - 1, n))
+    source = np.concatenate((rows.reshape(k1, 2 * s, n), units), axis=1)
+    return np.concatenate((q.transpose(1, 0, 2), source[:, tpl.next]), axis=1)
+
+
+def _walk(forms: list[np.ndarray], entry: np.ndarray, cost: float,
+          m: int) -> np.ndarray:
+    """The cost of every plan of a tree of ``m`` options per period, by
+    row: ``cost`` plus each period's ``x~ . (Q x~)``, where x~ is ``entry``
+    in period 0 and after it the previous period's next-state rows times its
+    x~.  ``forms[p]`` holds period p's forms by combination; period p's row
+    ``o * R + r`` is option o after row r of the R rows before it, so the
+    rows of a combination are a contiguous block."""
+    k1 = len(entry)
+    x, costs = entry.reshape(k1, 1, 1), np.array([cost])
+    for p, f in enumerate(forms):
+        groups = f.shape[2] // m  # period p's combinations per option
+        if p == len(forms) - 1:
+            f = f[:, :k1]  # the last period's next state is not read
+        x = x.reshape(k1, 1, groups, -1)
+        y = np.empty((f.shape[1] + 1, m, *x.shape[2:]))
+        y[-1] = 1.0
+        sum_entries((f.reshape(*f.shape[:2], m, groups, 1) * x[:, None]).reshape(k1, -1),
+                    out=y[:-1].reshape(-1))
+        costs = (costs + sum_entries((x * y[:k1]).reshape(k1, -1)).reshape(m, -1)).ravel()
+        x = y[k1:]
+    return costs
+
+
+def _window_signals(spec: RegressorSpec,
+                    win: DecisionWindow) -> tuple[np.ndarray, np.ndarray]:
+    """The plan-independent signals and the recorded controls of ``win``
+    from the ``w`` positions before its decision sample on."""
+    lo = win.past - max(warmup(spec), 1)
+    return tuple(np.array([win.columns[c][lo:] for c in channels], dtype=float)
+                 for channels in (_kernel(spec).shared, _CONTROLS))
+
+
+def _tail(theta_w: np.ndarray, spec: RegressorSpec, win: DecisionWindow) -> np.ndarray:
+    """The zone and water values of the ``w`` positions up to the decision
+    sample: the measured zone temperatures and the water estimates."""
+    w = max(warmup(spec), 1)
+    cols, lo = win.columns, win.past - w
+    tail = np.empty((2, w))
+    tail[0] = cols["T_r"][lo + 1:]
+    tail[1, :w - 1] = cols["yhat_w"][lo + 1:]
+    tail[1, w - 1] = water_estimate(theta_w, spec, cols, win.past)
+    return tail
 
 
 def _pump_cost(flow: np.ndarray, cfg: MpcConfig) -> np.ndarray:
@@ -500,8 +563,8 @@ def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
     """Multi-step rollout of the zone and water predictors under one plan.
 
     Returns the zone trace (length n_hor+1, position 0 is the current
-    measurement) and the water-outlet trace (length n_hor).  This is the
-    one-row case of the rollout ``solve`` ranks plans with, bit for bit.
+    measurement) and the water-outlet trace (length n_hor), filled from
+    the period maps ``solve`` builds its forms from.
     """
     n = cfg.n_hor
     if n == 0:
@@ -509,12 +572,25 @@ def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
     if len(plan.periods) != cfg.n_periods:
         raise ConfigError(f"plan has {len(plan.periods)} periods, "
                           f"config expects {cfg.n_periods}")
-    choices = [(option[:1], option[1:])
-               for option in np.array(plan.periods, dtype=float)]
-    periods, w = _rollout(theta_r, theta_w, spec, win, cfg, choices)
-    s = cfg.samples_per_period
-    zone = np.concatenate([periods[0][0, w - 1:w, 0], *(b[0, w:w + s, 0] for b in periods)])
-    water = np.concatenate([b[1, w - 1:w + s - 1, 0] for b in periods])
+    win.check(spec, n)
+    s, w = cfg.samples_per_period, max(warmup(spec), 1)
+    tpl = _control_template(spec, [(option[:1], option[1:]) for option in
+                                   np.array(plan.periods, dtype=float)], s)
+    maps = _maps(theta_r, theta_w, spec, tpl, *_window_signals(spec, win))
+    plane, pos = np.divmod(tpl.state, w + s + 1)
+    # positions 0..w-1 up to the decision sample, then the steps
+    traj = np.empty((2, w + n))
+    traj[:, :w] = _tail(theta_w, spec, win)
+    tmp = np.empty((2, s))
+    for p in range(cfg.n_periods):
+        x = traj[plane, p * s + pos]
+        m = maps[..., p]
+        out = traj[:, w + p * s:w + (p + 1) * s]
+        np.multiply(m[:, :, 0], x[0], out=out)
+        for k in range(1, len(x)):
+            out += np.multiply(m[:, :, k], x[k], out=tmp)
+        out += m[:, :, -1]
+    zone, water = traj[0, w - 1:], traj[1, w - 1:-1]
     if not (np.all(np.isfinite(zone)) and np.all(np.isfinite(water))):
         raise DivergenceError("plan rollout produced non-finite predictions")
     return zone, water
@@ -531,17 +607,22 @@ class CostBreakdown:
 def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
               win: DecisionWindow, cfg: MpcConfig) -> CostBreakdown:
     """Comfort, heating and pump cost of one rolled-out plan, by the cost
-    function ``solve`` ranks plans with."""
+    function ``solve`` ranks plans with.
+
+    The comfort sum runs over horizon positions 0..n_hor and is averaged by
+    n_hor; heating and pump sum positions 0..n_hor-1.  The heating term is
+    beta * t_sam * (inlet - predicted outlet), optionally multiplied by an
+    indicator that the flow is nonzero.
+    """
     t_r_trace, t_w_trace = traces
-    if cfg.n_hor == 0 or len(t_r_trace) == 0:
+    n = cfg.n_hor
+    if n == 0 or len(t_r_trace) == 0:
         return CostBreakdown(0.0, 0.0, 0.0, 0.0)
-    _, flow_seq = plan.expand(cfg)
-    options = np.array(plan.periods, dtype=float)
-    # one-row period blocks; copies: the costs are computed in place
-    zone, water = (np.array(a, dtype=float).reshape(len(options), -1, 1)
-                   for a in (t_r_trace[1:], t_w_trace))
-    comfort, heating = (float(c[0]) for c in _costs(
-        t_r_trace[0], zone, water, options[:, :1], options[:, 1:], win, cfg))
+    inlet_seq, flow_seq = plan.expand(cfg)
+    occ = win.columns["occ"][win.past:win.past + n + 1]
+    comfort = cfg.alpha * float(np.sum(occ * np.square(t_r_trace - cfg.t_set))) / n
+    gate = flow_seq > 0.0 if cfg.heating_cost_gated_by_flow else 1.0
+    heating = cfg.beta * cfg.t_sam * float(np.sum((inlet_seq - t_w_trace) * gate))
     pump = float(_pump_cost(flow_seq[None, :], cfg)[0])
     return CostBreakdown(total=comfort + heating + pump, comfort=comfort,
                          heating=heating, pump=pump)
@@ -557,24 +638,22 @@ class _PlanTable:
 
     ``plans`` lists every admissible plan in tie-break order, with its pump
     cost in ``pump``; ``inlet`` and ``flow`` hold one period's options in
-    the same order.  ``inlet_rows[p]`` and ``flow_rows[p]`` hold the option
-    of period p in each of its rollout rows, and ``order`` the last period's
-    rollout row of each plan: ``costs[order]`` puts costs by row into
-    enumeration order.
+    the same order, for ``n_periods`` periods.  ``order`` holds the walk's
+    row of each plan: ``costs[order]`` puts costs by row into enumeration
+    order.
     """
 
     plans: tuple
     pump: np.ndarray
     inlet: np.ndarray
     flow: np.ndarray
-    inlet_rows: tuple[np.ndarray, ...]
-    flow_rows: tuple[np.ndarray, ...]
+    n_periods: int
     order: np.ndarray
 
     @property
     def choices(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The plan tree: every period's candidate inlet and flow values."""
-        return [(self.inlet, self.flow)] * len(self.inlet_rows)
+        return [(self.inlet, self.flow)] * self.n_periods
 
 
 @functools.lru_cache(maxsize=8)
@@ -591,14 +670,12 @@ def _plan_table(cfg: MpcConfig) -> _PlanTable:
                                 cfg.samples_per_period, axis=1), cfg)
     inlet = np.array([i for i, _ in options], dtype=float)
     flow = np.array([f for _, f in options], dtype=float)
-    # period p's option is the digit of weight m**p of its rollout rows:
-    # the reverse digit order of the enumeration
-    inlet_rows, flow_rows = (tuple(np.repeat(a, m ** p) for p in range(n_periods))
-                             for a in (inlet, flow))
+    # period p's option is the digit of weight m**p of the walk's rows: the
+    # reverse digit order of the enumeration
     order = np.arange(n_plans).reshape((m,) * n_periods).T.ravel()
-    for a in (pump, inlet, flow, *inlet_rows, *flow_rows, order):
+    for a in (pump, inlet, flow, order):
         a.flags.writeable = False
-    return _PlanTable(plans, pump, inlet, flow, inlet_rows, flow_rows, order)
+    return _PlanTable(plans, pump, inlet, flow, n_periods, order)
 
 
 @functools.lru_cache(maxsize=8)
@@ -609,21 +686,99 @@ def _plan_template(spec: RegressorSpec, cfg: MpcConfig) -> _Template:
     return _control_template(spec, table.choices, cfg.samples_per_period)
 
 
-def _plan_costs(theta_r, theta_w, spec, win, cfg) -> np.ndarray:
-    """Total cost of every plan, in enumeration order; ``DivergenceError``
-    unless every cost is finite.  A non-finite prediction reaches its plan's
-    cost through the square, the occupancy product and the flow gate, so
-    this catches every diverged rollout, and also costs that overflow."""
+@functools.lru_cache(maxsize=32)
+def _chunk_template(spec: RegressorSpec, cfg: MpcConfig, count: int) -> _Template:
+    """The template of ``count`` consecutive periods of a closed loop, each
+    over every combination of the options of the periods its control lags
+    reach: the last ``count`` periods of a plan tree ``depth`` periods
+    longer, whose steps read no recorded control."""
     s = cfg.samples_per_period
+    depth = _kernel(spec).depth(s)
+    tpl = _control_template(spec, _plan_table(cfg).choices[:1] * (depth + count), s)
+    first = sum(tpl.n_comb[:depth])
+    none = _readonly(np.empty(0, dtype=np.intp))
+    return replace(tpl, values=tpl.values[..., first:], n_comb=tpl.n_comb[depth:],
+                   step=_readonly(tpl.step[:, first:] - depth * s),
+                   rec=(none,) * 3, rec_from=(none,) * 2, own=tpl.own[:, first:])
+
+
+def _decision_forms(theta_r, theta_w, spec, win, cfg) -> list[np.ndarray]:
+    """Each period's forms of ``solve``'s plan tree, from the decision
+    window: period 0's steps read the recorded controls."""
+    tpl = _plan_template(spec, cfg)
+    maps = _maps(theta_r, theta_w, spec, tpl, *_window_signals(spec, win))
+    forms = _forms(maps, tpl, win.columns["occ"][win.past + 1:][tpl.step], cfg)
+    return np.split(forms, np.cumsum(tpl.n_comb[:-1]), axis=2)
+
+
+class _EpisodeForms:
+    """The forms of a closed loop's periods, by period of the episode.
+
+    Period q's forms cover every combination of options of the periods
+    ``q - depth .. q`` that its control lags reach, period ``q - depth``'s
+    option the least significant digit, and read the scenario's forecast:
+    they do not depend on the state, so each period's are built once,
+    ``_CHUNK`` periods at a time, and dropped once no decision reads them.
+    """
+
+    def __init__(self, theta_r, theta_w, spec: RegressorSpec, cfg: MpcConfig,
+                 columns: Mapping[str, np.ndarray]):
+        self.thetas, self.spec, self.cfg, self.columns = (theta_r, theta_w), spec, cfg, columns
+        self.by_period: dict[int, np.ndarray] = {}
+
+    def horizon(self, period: int, applied: tuple[int, ...]) -> list[np.ndarray]:
+        """The forms of the plan tree of the decision that starts ``period``
+        after the options ``applied`` (indices into ``cfg.options()``) in
+        the ``depth`` periods before it, oldest first."""
+        cfg, m, d = self.cfg, len(self.cfg.options()), len(applied)
+        for q in range(period, period + cfg.n_periods):
+            if q not in self.by_period:
+                self._build(q)
+        for q in [q for q in self.by_period if q < period]:
+            del self.by_period[q]
+        forms = []
+        for p in range(cfg.n_periods):
+            f = self.by_period[period + p]
+            if p < d:
+                # the combinations whose digits before the decision are the
+                # applied options
+                known = sum(a * m ** i for i, a in enumerate(applied[p:]))
+                f = f[..., known + m ** (d - p) * np.arange(m ** (p + 1))]
+            forms.append(f)
+        return forms
+
+    def _build(self, first: int) -> None:
+        cfg, spec = self.cfg, self.spec
+        s, w = cfg.samples_per_period, max(warmup(spec), 1)
+        occ = self.columns["occ"]
+        # the periods from ``first`` on whose last comfort term the scenario holds
+        count = min(_CHUNK, (len(occ) - 1) // s - first)
+        tpl = _chunk_template(spec, cfg, count)
+        k = first * s
+        shared = np.array([self.columns[c][k - w:k + 1 + count * s]
+                           for c in _kernel(spec).shared], dtype=float)
+        maps = _maps(*self.thetas, spec, tpl, shared, np.empty((2, 0)))
+        forms = _forms(maps, tpl, occ[k + 1:][tpl.step], cfg)
+        self.by_period.update(enumerate(np.split(forms, count, axis=2), start=first))
+
+
+def _plan_costs(theta_r, theta_w, spec, win, cfg, forms=None) -> np.ndarray:
+    """Total cost of every plan, in enumeration order (``forms`` as for
+    ``solve``); ``DivergenceError`` unless every cost is finite.  A
+    non-finite value of the window or of a form reaches the cost of every
+    plan that reads it through the products and sums, so this catches every
+    diverged rollout, and also costs that overflow."""
+    win.check(spec, cfg.n_hor)
     table = _plan_table(cfg)
-    periods, w = _rollout(theta_r, theta_w, spec, win, cfg, table.choices,
-                          _plan_template(spec, cfg))
-    # the costs overwrite the predictions, which nothing reads after them
-    comfort, heating = _costs(periods[0][0, w - 1, 0],
-                              [b[0, w:w + s] for b in periods],
-                              [b[1, w - 1:w + s - 1] for b in periods],
-                              table.inlet_rows, table.flow_rows, win, cfg)
-    costs = (comfort + heating)[table.order] + table.pump
+    tpl = _plan_template(spec, cfg)
+    periods = (forms() if forms is not None
+               else _decision_forms(theta_r, theta_w, spec, win, cfg))
+    plane, pos = np.divmod(tpl.state, max(warmup(spec), 1) + cfg.samples_per_period + 1)
+    x = _tail(theta_w, spec, win)[plane, pos] - cfg.t_set
+    z = float(win.columns["T_r"][win.past]) - cfg.t_set
+    cost = cfg.alpha / cfg.n_hor * float(win.columns["occ"][win.past]) * z * z
+    costs = _walk(periods, np.append(x, 1.0), cost, len(table.inlet))[table.order]
+    costs += table.pump
     if not np.all(np.isfinite(costs)):
         raise DivergenceError("plan costs are not finite: a rollout diverged "
                               "or a cost overflowed")
@@ -631,11 +786,17 @@ def _plan_costs(theta_r, theta_w, spec, win, cfg) -> np.ndarray:
 
 
 def solve(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
-          win: DecisionWindow, cfg: MpcConfig) -> ControlPlan:
+          win: DecisionWindow, cfg: MpcConfig, forms=None) -> ControlPlan:
     """Exhaustively enumerate all admissible plans and return the cheapest
-    (first minimum in tie-break order)."""
+    (first minimum in tie-break order).
+
+    ``forms``, when given, is a callable that returns each period's forms of
+    the decision's plan tree (``closed_loop_run`` passes the ones it builds
+    once per period of the episode); without it they are built from ``win``
+    by the same code.
+    """
     plans = _plan_table(cfg).plans
-    costs = _plan_costs(theta_r, theta_w, spec, win, cfg)
+    costs = _plan_costs(theta_r, theta_w, spec, win, cfg, forms)
     return ControlPlan(periods=plans[int(np.argmin(costs))])
 
 
@@ -710,7 +871,10 @@ def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
     the ``control`` of the plant loop ``simulator.simulate``; it logs the
     measured zone temperature, its water estimate and the applied controls
     by sample, and each decision reads a ``DecisionWindow`` of views of
-    those logs and of the scenario.
+    those logs and of the scenario.  Its plan costs read the cost forms the
+    episode builds once per period from the scenario, except where its
+    horizon reads controls that no decision applied (the first decision
+    after the bootstrap), which builds its own from the window.
     """
     if abs(sim_cfg.epsilon - cfg.t_sam) > 1e-9:
         raise ConfigError("simulator sampling period and t_sam must agree")
@@ -736,20 +900,32 @@ def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
                "Ta_in": scen.ta_in, "Va": scen.va, "Qext": scen.q_ext, "occ": scen.occ}
     warm = max(warmup(spec), 1)
     current = None  # (inlet, flow) applied during the current period
+    s = cfg.samples_per_period
+    options = cfg.options()
+    depth = _kernel(spec).depth(s)
+    episode = _EpisodeForms(theta_r, theta_w, spec, cfg, columns)
+    decided: dict[int, int] = {}  # the option each decision applied, by period
 
     def control(k, t_r_true):
         nonlocal current
         t_r[k] = t_r_true + noise[k]
-        if k < warm or (current is None and k % cfg.samples_per_period != 0):
+        if k < warm or (current is None and k % s != 0):
             # bootstrap: hysteresis with the heating-curve inlet
             flow_k = hysteresis_control(t_r[k], t_r[max(k - 1, 0)], scen.occ[k] > 0,
                                         sim_cfg.hysteresis)
             inlet_k = heating_curve(sim_cfg.hysteresis.t_set, scen.neighbors[0][k],
                                     sim_cfg.heating_curve)
         else:
-            if k % cfg.samples_per_period == 0 or current is None:
+            if k % s == 0 or current is None:
                 win = DecisionWindow.at(columns, k, warm, n_hor)
-                current = solve(theta_r, theta_w, spec, win, cfg).periods[0]
+                period = k // s
+                # the episode's forms serve a decision once decisions applied
+                # every control its horizon reads
+                applied = tuple(decided.get(q) for q in range(period - depth, period))
+                forms = (None if None in applied
+                         else functools.partial(episode.horizon, period, applied))
+                current = solve(theta_r, theta_w, spec, win, cfg, forms=forms).periods[0]
+                decided[period] = options.index(current)
             inlet_k, flow_k = current
 
         # controller-side water estimate, then record the sample

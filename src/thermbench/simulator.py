@@ -150,7 +150,8 @@ class DisturbanceSpec:
 
     def validate_excitation(self) -> None:
         """Each continuous signal must carry at least 3 distinct non-negative
-        frequencies; raise ConfigError otherwise."""
+        frequencies; raise ConfigError otherwise, naming the config section
+        and keys of its recipe."""
         signals = {"air_inlet": self.air_inlet, "air_flow": self.air_flow,
                    "solar": self.solar}
         for j, r in enumerate(self.neighbor_recipes, start=1):
@@ -158,8 +159,8 @@ class DisturbanceSpec:
         for name, r in signals.items():
             if r.n_frequencies() < 3:
                 raise ConfigError(
-                    f"disturbance signal {name!r} has {r.n_frequencies()} distinct "
-                    "frequencies, need at least 3")
+                    f"[disturbance.{name}] amplitudes, periods_h: the signal has "
+                    f"{r.n_frequencies()} distinct frequencies, need at least 3")
 
 
 @dataclass(frozen=True)

@@ -4,35 +4,28 @@ oracles.
 ``predict_horizon`` steps one plan through a ``LaggedHistory`` built from the
 decision window's recorded past, with ``oe_predict`` (a BLAS dot per step),
 and ``plan_cost`` sums the costs in Python loops.  It shares no rollout or
-cost arithmetic with ``thermbench.mpc``, so the controller's tree rollout is
-checked against separate code; the two agree to about 1e-11 relative, not bit
-for bit.
+cost arithmetic with ``thermbench.mpc``, so the controller's plan costs are
+checked against separate code; the two agree to about 1e-11 relative, not
+bit for bit.
 
-``map_rollout`` and ``map_plan_costs`` redo the arithmetic of
-``thermbench.mpc``'s period maps one plan at a time, in Python floats and
-loops over the layouts' entries: the controller's kernel must reproduce
-their predictions and cost vectors bit for bit.
-
-``tree_plan_costs`` is the earlier one-stage tree kernel: at every horizon
-step it fills a value table with the plan buffers and the shared signals and
-multiplies every factor of every entry over all rows, with the plans in
-enumeration order.  It reads the window's past through its own
-``LaggedHistory``.  It steps every prediction where the period maps apply
-affine maps, so the two agree to rounding, not bit for bit.
+``map_rollout`` redoes the arithmetic of ``thermbench.mpc``'s period maps
+one plan at a time, in Python floats and loops over the layouts' entries,
+and ``form_plan_costs`` the arithmetic of its cost forms and of the walk
+over the plan tree on them: ``mpc.predict_horizon`` must reproduce the
+former's predictions and ``mpc.solve`` the latter's cost vectors bit for
+bit.
 
 ``closed_loop_run`` is the earlier controller: it records the episode in a
 ``LaggedHistory``, one pushed row per sample, computes its water estimates
 with ``oe_predict`` and hands ``mpc.solve`` a decision window built from that
-history.  ``thermbench.mpc.closed_loop_run`` must reproduce its episodes bit
-for bit.
+history, without the episode's forms.  ``thermbench.mpc.closed_loop_run``
+must reproduce its episodes bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +34,8 @@ from thermbench.errors import DivergenceError
 from thermbench.identify import oe_predict
 from thermbench.mpc import (ControlPlan, CostBreakdown, DecisionWindow,
                             EpisodeReport, MpcConfig, _rh_spec, realized_costs)
-from thermbench.regressors import (CompiledLayout, LaggedHistory, RegressorSpec,
-                                   compile_layout, layout, measured_columns,
-                                   sum_entries, warmup)
+from thermbench.regressors import (LaggedHistory, RegressorSpec, layout,
+                                   measured_columns, warmup)
 from thermbench.simulator import (heating_curve, hysteresis_control, simulate,
                                   synthesize_scenario)
 
@@ -182,38 +174,35 @@ def scalar_costs(theta, theta_w, spec, win, cfg, plans):
 
 
 # ---------------------------------------------------------------------------
-# period maps, one plan at a time
+# period maps and cost forms, one plan at a time
 # ---------------------------------------------------------------------------
 
 #: the trajectory plane a prediction channel reads: zone 0, water 1
 _PLANES = {"yhat_r": 0, "T_r": 0, "yhat_w": 1, "T_w": 1}
 
 
-def map_rollout(theta_r, theta_w, spec, win, cfg, choices) -> tuple[np.ndarray, int]:
-    """Roll every plan of the tree ``choices`` out by period maps, one plan
-    at a time.
+def _period_maps(theta_r, theta_w, spec, win, cfg):
+    """What the period maps of a decision read.
 
     A period's steps read the predictions of its ``state``: the positions
-    before its first step that some step reads, the zone's oldest first,
-    then the water's.  At each step every entry is ``coef * f0 * f1 * ...``
-    left to right, times its trailing prediction factor or, for an entry
-    without one, times ``one``; the water entries and the zone entries are
-    each summed in order from 0.0.  Stepped through the period from a unit
-    state with ``one = 0.0`` that gives each state value's factors ``phi_k``,
-    from a zero state with ``one = 1.0`` the offset ``beta``.  A prediction
-    of the period is then ``phi_0 * x_0 + phi_1 * x_1 + ... + beta`` of the
-    plan's state ``x``, added left to right.  The maps are computed once per
-    period and sequence of controls its steps read, and each plan prefix's
-    predictions once.
+    before its first step that some step reads, as ``(plane, offset)``, the
+    zone's oldest first, then the water's.  At each step every entry is
+    ``coef * f0 * f1 * ...`` left to right, times its trailing prediction
+    factor or, for an entry without one, times ``one``; the water entries
+    and the zone entries are each summed in order from 0.0.  Stepped through
+    the period from a unit state with ``one = 0.0`` that gives each state
+    value's factors ``phi_k``, from a zero state with ``one = 1.0`` the
+    offset ``beta``.
 
-    Returns ``(leaves, w)``: ``leaves`` has shape ``(2, w + 1 + n_hor,
-    plans)`` and holds the zone and water predictions by position (0..w-1
-    the recorded past, w the decision sample, w+1.. the horizon); the plans
-    are in enumeration order, earliest period most significant.
+    Returns ``(state, past, signals, period_map)``: ``past`` holds the zone
+    and water values by window position up to the decision sample (its
+    water value the estimate), ``signals`` the window's channels as Python
+    floats, and ``period_map(first, controls)`` gives ``phi[k][plane][j]``,
+    the offset at ``k = len(state)``, of the period whose first step is
+    position ``first`` under the control sequences ``controls`` by channel.
     """
-    n, s = cfg.n_hor, cfg.samples_per_period
-    w = max(warmup(spec), 1)
-    win.check(spec, n)
+    s = cfg.samples_per_period
+    win.check(spec, cfg.n_hor)
     cols, t = win.columns, win.past
     rh = _rh_spec(spec)
     entries = layout(rh) + layout(spec)
@@ -225,19 +214,20 @@ def map_rollout(theta_r, theta_w, spec, win, cfg, choices) -> tuple[np.ndarray, 
     signals = {c: [float(v) for v in a] for c, a in cols.items()}
     past = (signals["T_r"][:t + 1],
             signals["yhat_w"][:t] + [oe_predict(theta_w, rh, history(win, spec), t)])
-    maps, periods = {}, {}
+
+    # each entry's trailing read: a prediction's (plane, lag), or None for ``one``
+    reads = [(_PLANES[c], lag) if c in _PLANES else None for c, lag in trailing]
+    statics = [entry if r is None else entry[:-1] for entry, r in zip(entries, reads)]
 
     def period_map(first, controls):
-        """Each state value's factors, then the offset, by plane and step,
-        for the period whose first step is position ``first``."""
         read = {**signals, **controls}
         # each entry's product up to its trailing prediction factor, by step
         prefixes = []
         for j in range(s):
             prefixes.append([])
-            for i, entry in enumerate(entries):
+            for i, entry in enumerate(statics):
                 term = coef[i]
-                for channel, lag in entry if entry[-1][0] not in _PLANES else entry[:-1]:
+                for channel, lag in entry:
                     term *= read[channel][first + j - lag]
                 prefixes[j].append(term)
         out = []
@@ -245,19 +235,49 @@ def map_rollout(theta_r, theta_w, spec, win, cfg, choices) -> tuple[np.ndarray, 
             pred = {v: float(b == k) for k, v in enumerate(state)}
             one = float(b == len(state))
             for j in range(s):
-                sums = [0.0, 0.0]
-                for i, (prefix, (channel, lag)) in enumerate(zip(prefixes[j], trailing)):
-                    sums[i >= n_water] += prefix * (pred[_PLANES[channel], j - lag]
-                                                    if channel in _PLANES else one)
-                pred[0, j], pred[1, j] = sums[1], sums[0]
+                terms = [prefix * (one if r is None else pred[r[0], j - r[1]])
+                         for prefix, r in zip(prefixes[j], reads)]
+                water = zone = 0.0
+                for term in terms[:n_water]:
+                    water += term
+                for term in terms[n_water:]:
+                    zone += term
+                pred[0, j], pred[1, j] = zone, water
             out.append([[pred[plane, j] for j in range(s)] for plane in (0, 1)])
         return out
 
+    return state, past, signals, period_map
+
+
+def _plan_controls(signals, t, plan, s):
+    """The recorded controls and then ``plan``'s, by channel and position."""
+    return {c: signals[c][:t] + [float(p[i]) for p in plan for _ in range(s)]
+            for i, c in enumerate(("Tw_in", "Vw"))}
+
+
+def map_rollout(theta_r, theta_w, spec, win, cfg, choices) -> tuple[np.ndarray, int]:
+    """Roll every plan of the tree ``choices`` out by period maps, one plan
+    at a time.
+
+    A prediction of a period is ``phi_0 * x_0 + phi_1 * x_1 + ... + beta``
+    of the plan's state ``x``, added left to right.  The maps are computed
+    once per period and sequence of controls its steps read, and each plan
+    prefix's predictions once.
+
+    Returns ``(leaves, w)``: ``leaves`` has shape ``(2, w + 1 + n_hor,
+    plans)`` and holds the zone and water predictions by position (0..w-1
+    the recorded past, w the decision sample, w+1.. the horizon); the plans
+    are in enumeration order, earliest period most significant.
+    """
+    n, s = cfg.n_hor, cfg.samples_per_period
+    w = max(warmup(spec), 1)
+    state, past, signals, period_map = _period_maps(theta_r, theta_w, spec, win, cfg)
+    t = win.past
+    maps, periods = {}, {}
     plans = list(itertools.product(*(list(zip(*options)) for options in choices)))
     leaves = np.empty((2, w + 1 + n, len(plans)))
     for col, plan in enumerate(plans):
-        controls = {c: signals[c][:t] + [float(p[i]) for p in plan for _ in range(s)]
-                    for i, c in enumerate(("Tw_in", "Vw"))}
+        controls = _plan_controls(signals, t, plan, s)
         traj = [list(past[0]), list(past[1])]
         for p in range(len(plan)):
             first = t + 1 + p * s
@@ -282,174 +302,89 @@ def map_rollout(theta_r, theta_w, spec, win, cfg, choices) -> tuple[np.ndarray, 
     return leaves, w
 
 
-def map_plan_costs(theta_r, theta_w, spec, win, cfg) -> np.ndarray:
-    """Total cost of every plan, in enumeration order, from ``map_rollout``."""
-    n, s = cfg.n_hor, cfg.samples_per_period
-    options = cfg.options()
-    choices = [tuple(np.array(c) for c in zip(*options))] * cfg.n_periods
-    leaves, w = map_rollout(theta_r, theta_w, spec, win, cfg, choices)
-    plans = np.array(list(itertools.product(options, repeat=cfg.n_periods)), dtype=float)
-    inlet_seq, flow_seq = (np.repeat(plans[:, :, c], s, axis=1) for c in (0, 1))
-    occ_path = np.asarray(win.columns["occ"][win.past:], dtype=float)
-    comfort, heating, pump = _costs(leaves[0, w:].T, leaves[1, w:w + n].T,
-                                    inlet_seq, flow_seq, occ_path, cfg)
-    return comfort + heating + pump
-
-
-# ---------------------------------------------------------------------------
-# one-stage tree kernel
-# ---------------------------------------------------------------------------
-
-# plan-dependent rollout buffers: inside the horizon the layouts' output
-# channels read the rollout's own predictions, and the controls follow the plan
-_PLAN_BUFFERS = {"yhat_r": 0, "T_r": 0, "yhat_w": 1, "T_w": 1, "Tw_in": 2, "Vw": 3}
-
-
-@dataclass(frozen=True, eq=False)
-class _Kernel:
-    """The water and zone predictors of one zone spec as a single compiled
-    table (water entries first), with the source of each value-table row:
-    a plan buffer, or a plan-independent signal shared by every plan (the
-    table's constant 1.0 row is the shared signal past the last channel)."""
-
-    lay: CompiledLayout
-    n_water: int
-    shared: tuple[str, ...]
-    plan_rows: np.ndarray
-    plan_buffer: np.ndarray
-    plan_lag: np.ndarray
-    shared_rows: np.ndarray
-    shared_channel: np.ndarray
-    shared_lag: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _kernel(spec: RegressorSpec) -> _Kernel:
-    rh = _rh_spec(spec)
-    lay = compile_layout(rh, spec)
-    shared = tuple(f"T_rj_{j}" for j in range(1, spec.n_neighbors + 1)) + \
-        ("Ta_in", "Va", "Qext")
-    plan, other = [], []
-    for row, (channel, lag) in enumerate(lay.columns):
-        if channel in _PLAN_BUFFERS:
-            plan.append((row, _PLAN_BUFFERS[channel], lag))
+def _form(phi, state, occ, inlet, flow, cfg) -> list[list[float]]:
+    """The rows of one period's stacked cost form on ``x~ = [x - t_set; 1]``
+    from its maps ``phi``: the period-cost form Q, then the next period's
+    entry state minus ``t_set``.  ``occ`` is the occupancy at its steps."""
+    s, t_set, k1 = cfg.samples_per_period, cfg.t_set, len(state) + 1
+    # each step's prediction minus t_set: the offset beta - t_set * (1 - gain)
+    rows = {}
+    for plane in (0, 1):
+        for j in range(s):
+            gain = 0.0
+            for k in range(k1 - 1):
+                gain += phi[k][plane][j]
+            rows[plane, j] = ([phi[k][plane][j] for k in range(k1 - 1)]
+                              + [phi[-1][plane][j] - t_set * (1.0 - gain)])
+    q = [[0.0] * k1 for _ in range(k1)]
+    for j in range(s):
+        weight, a = cfg.alpha / cfg.n_hor * occ[j], rows[0, j]
+        for i in range(k1):
+            for k in range(k1):
+                q[i][k] += a[i] * weight * a[k]
+    # the heating term reads the entry's last water value and the first
+    # s - 1 water predictions
+    water = state.index((1, -1))
+    gate = cfg.beta * cfg.t_sam * (float(flow > 0.0) if cfg.heating_cost_gated_by_flow
+                                   else 1.0)
+    for k in range(k1):
+        outlet = 0.0 + float(k == water)
+        for j in range(s - 1):
+            outlet += rows[1, j][k]
+        q[-1][k] += ((s * (inlet - t_set) if k == k1 - 1 else 0.0) - outlet) * gate
+    nxt = []
+    for plane, offset in state:
+        if offset + s >= 0:
+            nxt.append(rows[plane, offset + s])
         else:
-            other.append((row, shared.index(channel), lag))
-    other.append((len(lay.columns), len(shared), 0))
-    p = np.array(plan, dtype=np.intp).reshape(-1, 3).T
-    o = np.array(other, dtype=np.intp).T
-    p.flags.writeable = o.flags.writeable = False
-    return _Kernel(lay, len(layout(rh)), shared, p[0], p[1], p[2], o[0], o[1], o[2])
+            nxt.append([float(k == state.index((plane, offset + s))) for k in range(k1)])
+    return q + nxt
 
 
-def _rollout(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
-             win: DecisionWindow, cfg: MpcConfig, choices) -> tuple[np.ndarray, int]:
-    """Roll the water and zone predictors out over a tree of plan prefixes.
+def form_plan_costs(theta_r, theta_w, spec, win, cfg) -> np.ndarray:
+    """Total cost of every plan, in enumeration order, by the cost forms.
 
-    ``choices[p]`` holds period p's candidate (inlet, flow) values as two
-    arrays.  Every lag is at least one sample, so the horizon steps of
-    period p read controls of periods 0..p only: at each period boundary
-    every row is repeated once per option, and the period is rolled out
-    once per plan prefix.  Each row's arithmetic does not depend on how many
-    rows there are.  Returns ``(buffers, w)``: ``buffers`` has shape
-    ``(4, w + 1 + n_hor, plans)`` and holds the zone prediction, water
-    prediction, inlet and flow by position (0..w-1 the recorded past, w the
-    decision sample, w+1.. the horizon); the plans are in enumeration order,
-    earliest period most significant.
+    Each plan's cost starts from the decision sample's comfort term; each
+    period adds ``x~ . (Q x~)`` of its entry state ``x~``, whose products
+    are summed in order from 0.0, and hands ``x~``'s next-state rows to the
+    next period.  The forms are computed once per period and sequence of
+    controls its steps read, and each plan prefix's walk once.
     """
-    n = cfg.n_hor
-    s = cfg.samples_per_period
+    s, t_set, t = cfg.samples_per_period, cfg.t_set, win.past
     w = max(warmup(spec), 1)
-    win.check(spec, n)
-    hist = history(win, spec)
-    t = len(hist)
-    total = w + 1 + n
-    kern = _kernel(spec)
-
-    # plan-independent signals by position: recorded, then the decision
-    # sample and the forecast; the last row is the constant 1.0
-    shared = np.empty((len(kern.shared) + 1, total))
-    for i, c in enumerate(kern.shared):
-        shared[i, :w] = [hist.get(c, k) for k in range(t - w, t)]
-        shared[i, w:] = win.columns[c][t:]
-    shared[-1] = 1.0
-    # the shared rows of the value table at each horizon step
-    shared_at = shared[kern.shared_channel,
-                       np.arange(w + 1, total)[:, None] - kern.shared_lag]
-
-    buffers = np.zeros((4, total, 1))
-    for c in ("yhat_r", "yhat_w", "Tw_in", "Vw"):
-        buffers[_PLAN_BUFFERS[c], :w, 0] = [hist.get(c, k) for k in range(t - w, t)]
-    buffers[0, w] = win.columns["T_r"][t]
-    buffers[1, w] = oe_predict(theta_w, _rh_spec(spec), hist, t)
-
-    coef = np.concatenate((theta_w, theta_r))[:, None]
-    nw = kern.n_water
-    for p, (inlet, flow) in enumerate(choices):
-        if len(inlet) > 1:
-            buffers = np.repeat(buffers, len(inlet), axis=2)
-        rows = buffers.shape[2]
-        period = slice(w + p * s, w + (p + 1) * s)
-        buffers[2, period] = np.tile(inlet, rows // len(inlet))
-        buffers[3, period] = np.tile(flow, rows // len(inlet))
-        values = np.empty((len(kern.lay.columns) + 1, rows))
-        for idx in range(w + p * s + 1, w + (p + 1) * s + 1):
-            values[kern.plan_rows] = buffers[kern.plan_buffer, idx - kern.plan_lag]
-            values[kern.shared_rows] = shared_at[idx - w - 1, :, None]
-            terms = kern.lay.terms(values, coef)
-            buffers[1, idx] = sum_entries(terms[:nw])
-            buffers[0, idx] = sum_entries(terms[nw:])
-    if not np.all(np.isfinite(buffers[:2, w:])):
-        raise DivergenceError("plan rollout produced non-finite predictions")
-    return buffers, w
-
-
-def _costs(t_r: np.ndarray, t_w: np.ndarray, inlet: np.ndarray,
-           flow: np.ndarray, occ_path: np.ndarray, cfg: MpcConfig):
-    """Comfort, heating and pump cost of each row (one plan per row).
-
-    ``t_r`` and the occupancy ``occ_path`` cover horizon positions
-    0..n_hor, the others 0..n_hor-1.  The
-    comfort sum is averaged by n_hor; the heating term is
-    beta * t_sam * (inlet - predicted outlet), optionally multiplied by an
-    indicator that the flow is nonzero.  The terms of each optimization
-    period are added in order, and the periods' sums in turn, the comfort
-    starting from the decision sample's term and the heating from 0.0: the
-    association of ``thermbench.mpc``'s per-period sums.  The pump cost is
-    numpy's sum of a C-ordered row.
-    """
-    n, s = cfg.n_hor, cfg.samples_per_period
-    comfort_terms = occ_path * (t_r - cfg.t_set) ** 2
-    gate = (flow > 0.0).astype(float) if cfg.heating_cost_gated_by_flow else 1.0
-    heating_terms = (inlet - t_w) * gate
-    comfort, heating = comfort_terms[:, 0], np.zeros(len(t_w))
-    for start in range(0, n, s):
-        c, h = comfort_terms[:, 1 + start], heating_terms[:, start]
-        for k in range(start + 1, start + s):
-            c = c + comfort_terms[:, 1 + k]
-            h = h + heating_terms[:, k]
-        comfort = comfort + c
-        heating = heating + h
-    comfort = cfg.alpha * comfort / n
-    heating = cfg.beta * cfg.t_sam * heating
-    pump = cfg.gamma * cfg.t_sam * np.sum(np.ascontiguousarray(flow), axis=1)
-    return comfort, heating, pump
-
-
-def tree_plan_costs(theta_r, theta_w, spec, win, cfg) -> np.ndarray:
-    """Total cost of every plan, in enumeration order."""
-    n = cfg.n_hor
+    state, past, signals, period_map = _period_maps(theta_r, theta_w, spec, win, cfg)
+    k1 = len(state) + 1
+    z = past[0][t] - t_set
+    start = ([past[plane][t + 1 + offset] - t_set for plane, offset in state] + [1.0],
+             cfg.alpha / cfg.n_hor * signals["occ"][t] * z * z)
     options = cfg.options()
-    inlet = np.array([i for i, _ in options], dtype=float)
-    flow = np.array([f for _, f in options], dtype=float)
-    buffers, w = _rollout(theta_r, theta_w, spec, win, cfg,
-                          [(inlet, flow)] * cfg.n_periods)
-    # (plans, positions) views of the leaves
-    t_r, t_w, inlet_seq, flow_seq = (buffers[b, w:w + n + (b == 0)].T
-                                     for b in range(4))
-    occ_path = np.asarray(win.columns["occ"][win.past:], dtype=float)
-    comfort, heating, pump = _costs(t_r, t_w, inlet_seq, flow_seq, occ_path, cfg)
-    return comfort + heating + pump
+    plans = list(itertools.product(options, repeat=cfg.n_periods))
+    forms, walks = {}, {(): start}
+    out = []
+    for plan in plans:
+        controls = _plan_controls(signals, t, plan, s)
+        for p in range(len(plan)):
+            if plan[:p + 1] in walks:
+                continue
+            first = t + 1 + p * s
+            key = (p, *(tuple(a[first - w:first + s - 1]) for a in controls.values()))
+            if key not in forms:
+                forms[key] = _form(period_map(first, controls), state,
+                                   signals["occ"][first:first + s], *plan[p], cfg)
+            x, cost = walks[plan[:p]]
+            y = []
+            for row in forms[key]:
+                acc = 0.0
+                for k in range(k1):
+                    acc += row[k] * x[k]
+                y.append(acc)
+            quad = 0.0
+            for k in range(k1):
+                quad += x[k] * y[k]
+            walks[plan[:p + 1]] = (y[k1:] + [1.0], cost + quad)
+        out.append(walks[plan][1])
+    flows = np.repeat(np.array(plans, dtype=float)[:, :, 1], s, axis=1)
+    return np.array(out) + cfg.gamma * cfg.t_sam * np.sum(flows, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,7 @@ def test_missing_key_names_it(tmp_path, small_config, capsys):
     ("mpc", "plan_budget", "0"),
     ("model", "rmse_window", "0"),
     ("plant", "c_r", "0"),
+    ("disturbance.solar", "amplitudes", "0.0, 0.0, 0.0"),
 ])
 def test_bad_config_value_names_section_and_key(tmp_path, small_config, capsys,
                                                 section, key, value):

@@ -362,20 +362,17 @@ def test_tree_rollout_matches_scalar_oracle(structure, n_neighbors, n_periods,
     best = min(range(len(plans)), key=lambda i: (oracle[i], i))
     assert chosen == best or oracle[chosen] == pytest.approx(oracle[best], rel=1e-11)
 
-    # a one-plan rollout is a row of the tree, bit for bit
+    # a one-plan rollout and its cost agree with the forms' within rounding
     for i, periods in enumerate(plans):
         plan = ControlPlan(periods)
         traces = predict_horizon(theta, theta_w, spec, win, plan, cfg)
-        assert plan_cost(traces, plan, win, cfg).total == costs[i]
+        assert plan_cost(traces, plan, win, cfg).total == pytest.approx(costs[i], rel=1e-11)
 
 
 _OPTION_SETS = st.lists(st.sampled_from([40.0, 42.5, 45.0]), min_size=1,
                         max_size=3, unique=True)
 _FLOW_SETS = st.lists(st.sampled_from([0.0, 0.04, 0.0787]), min_size=1,
                       max_size=3, unique=True)
-#: per period, the options (indices modulo their number) of a mixed-radix tree
-_PICKS = st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=9),
-                  min_size=5, max_size=5)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -383,30 +380,24 @@ _PICKS = st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=9),
                                   Structure.NRM_LI, Structure.NRM_FI_ZONE]),
        n_neighbors=st.integers(1, 3), n_periods=st.integers(1, 3),
        samples=st.integers(1, 4), inlet_set=_OPTION_SETS, flow_set=_FLOW_SETS,
-       gated=st.booleans(), picks=_PICKS, seed=st.integers(0, 2**32 - 1))
+       gated=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @example(structure=Structure.NRM_MI, n_neighbors=1, n_periods=5, samples=12,
-         inlet_set=[40.0, 45.0], flow_set=[0.0, 0.0787], gated=False,
-         picks=[[0, 1, 2, 3], [1], [0, 2], [3], [0, 1, 2, 3]], seed=0)
+         inlet_set=[40.0, 45.0], flow_set=[0.0, 0.0787], gated=False, seed=0)
 @example(structure=Structure.LRM, n_neighbors=2, n_periods=3, samples=3,
-         inlet_set=[40.0, 45.0], flow_set=[0.0, 0.0787], gated=True,
-         picks=[[0, 1, 2, 3], [2], [0, 3], [0], [0]], seed=1)
+         inlet_set=[40.0, 45.0], flow_set=[0.0, 0.0787], gated=True, seed=1)
 @example(structure=Structure.NRM_MI, n_neighbors=3, n_periods=3, samples=2,
-         inlet_set=[40.0, 42.5, 45.0], flow_set=[0.0, 0.0787], gated=False,
-         picks=[[0, 5], [1, 2, 3], [4], [0], [0]], seed=2)
+         inlet_set=[40.0, 42.5, 45.0], flow_set=[0.0, 0.0787], gated=False, seed=2)
 @example(structure=Structure.NRM_LI, n_neighbors=2, n_periods=2, samples=4,
-         inlet_set=[42.5], flow_set=[0.0, 0.04, 0.0787], gated=True,
-         picks=[[0], [0, 1, 2], [0], [0], [0]], seed=3)
+         inlet_set=[42.5], flow_set=[0.0, 0.04, 0.0787], gated=True, seed=3)
 @example(structure=Structure.NRM_FI_ZONE, n_neighbors=1, n_periods=3, samples=1,
-         inlet_set=[40.0, 45.0], flow_set=[0.04], gated=False,
-         picks=[[1], [0, 1], [0], [0], [0]], seed=4)
-def test_kernel_matches_period_map_oracle_bit_for_bit(
-        structure, n_neighbors, n_periods, samples, inlet_set, flow_set, gated,
-        picks, seed):
+         inlet_set=[40.0, 45.0], flow_set=[0.04], gated=False, seed=4)
+def test_plan_costs_match_form_oracle_bit_for_bit(
+        structure, n_neighbors, n_periods, samples, inlet_set, flow_set, gated, seed):
     # 1-4 samples per period put the deepest control lag 1-3 periods back;
     # the first example is the default config (1024 plans), the third has
-    # fewer samples per period than lags (s=2, w=5), so a period's first w
-    # positions reach into the previous period's first w
-    from thermbench.mpc import _plan_costs, _rollout
+    # fewer samples per period than lags (s=2, w=5), so a period's next entry
+    # state holds entry values of its own as well as predictions
+    from thermbench.mpc import _plan_costs
     from thermbench.regressors import warmup
     spec = RegressorSpec(structure, n_neighbors)
     cfg = MpcConfig(t_opt=samples / 12.0, t_hor=n_periods * samples / 12.0,
@@ -417,34 +408,15 @@ def test_kernel_matches_period_map_oracle_bit_for_bit(
     win = _random_forecast(cfg, n_neighbors, rng,
                            _random_history(spec, rng, warmup(spec) + 3))
     costs = _plan_costs(theta, theta_w, spec, win, cfg)
-    assert np.array_equal(costs, mpc_oracle.map_plan_costs(theta, theta_w, spec, win, cfg))
-    # the one-stage tree kernel steps every prediction where the maps apply
-    # affine maps: the costs agree to rounding, and so do the decisions
-    tree = mpc_oracle.tree_plan_costs(theta, theta_w, spec, win, cfg)
-    assert costs == pytest.approx(tree, rel=1e-11)
-    assert np.argmin(costs) == np.argmin(tree)
-
-    # a mixed-radix tree: each period a different subset of the options
-    options = cfg.options()
-    choices = []
-    for p in range(cfg.n_periods):
-        pick = sorted({i % len(options) for i in picks[p]})
-        choices.append(tuple(np.array([options[i][c] for i in pick])
-                             for c in (0, 1)))
-    periods, w = _rollout(theta, theta_w, spec, win, cfg, choices)
-    leaves, w_maps = mpc_oracle.map_rollout(theta, theta_w, spec, win, cfg, choices)
-    assert w == w_maps and len(periods) == cfg.n_periods
-    # a leaf's digits d_q, the earliest period's the most significant; the
-    # leaf's prefix through period p is row sum_{q<=p} d_q * m_0 * ... *
-    # m_{q-1} of period p's buffer, whose position i is the leaf's p*s+1+i
-    sizes = [len(inlet) for inlet, _ in choices]
-    digits = np.unravel_index(np.arange(int(np.prod(sizes))), sizes)
-    weights = np.cumprod([1, *sizes[:-1]])
-    s = cfg.samples_per_period
-    for p, buf in enumerate(periods):
-        rows = sum(d * weight for d, weight in zip(digits[:p + 1], weights))
-        assert buf.shape == (2, w + s, int(np.prod(sizes[:p + 1])))
-        assert np.array_equal(buf[:, :, rows], leaves[:, p * s + 1:p * s + 1 + w + s]), p
+    assert np.array_equal(costs, mpc_oracle.form_plan_costs(theta, theta_w, spec, win, cfg))
+    # predict_horizon fills one plan's predictions from the maps, bit for bit
+    plans = list(itertools.product(cfg.options(), repeat=cfg.n_periods))
+    for periods in {plans[0], plans[len(plans) // 2], plans[-1]}:
+        zone, water = predict_horizon(theta, theta_w, spec, win, ControlPlan(periods), cfg)
+        leaves, w = mpc_oracle.map_rollout(theta, theta_w, spec, win, cfg,
+                                           [(np.array([i]), np.array([f])) for i, f in periods])
+        assert np.array_equal(zone, leaves[0, w:, 0])
+        assert np.array_equal(water, leaves[1, w:-1, 0])
 
 
 def test_rollouts_in_several_threads_match_a_serial_run():
@@ -477,7 +449,8 @@ def test_plan_template_cache_is_keyed_by_spec_and_config():
     # B has A's shapes but other option values, C another period length;
     # the two specs' kernels read controls at different lags.  Every
     # decision must read the template of its own spec and config, and a
-    # one-plan rollout (uncached template) after it must still be its row.
+    # one-plan rollout (uncached template) after it must still cost the same
+    # within rounding.
     from thermbench.mpc import _plan_costs
     from thermbench.regressors import warmup
     cfg_a = toy_cfg()
@@ -490,14 +463,15 @@ def test_plan_template_cache_is_keyed_by_spec_and_config():
         for cfg in (cfg_a, cfg_b, cfg_c, cfg_a):
             win = _random_forecast(cfg, spec.n_neighbors, rng, past)
             costs = _plan_costs(theta, theta_w, spec, win, cfg)
-            assert np.array_equal(costs, mpc_oracle.map_plan_costs(
+            assert np.array_equal(costs, mpc_oracle.form_plan_costs(
                 theta, theta_w, spec, win, cfg))
             solve(theta, theta_w, spec, win, cfg)
             plans = list(itertools.product(cfg.options(), repeat=cfg.n_periods))
             for i in (0, len(plans) // 2, len(plans) - 1):
                 plan = ControlPlan(plans[i])
                 traces = predict_horizon(theta, theta_w, spec, win, plan, cfg)
-                assert plan_cost(traces, plan, win, cfg).total == costs[i]
+                assert plan_cost(traces, plan, win, cfg).total == pytest.approx(
+                    costs[i], rel=1e-11)
 
 
 def test_pump_cost_table_matches_plan_cost_for_every_plan():
@@ -863,7 +837,9 @@ def test_closed_loop_matches_the_lagged_history_controller(
     # its water estimates from oe_predict and builds each decision window
     # from the history: the column-array controller must apply the same
     # controls to the same plant, bit for bit.  Both call mpc.solve, which
-    # records every decision's cost vector and plan.  From the default start
+    # records every decision's cost vector and plan: the column-array
+    # controller's from the episode's forms, the reference's from each
+    # window's own, so the two must agree bit for bit.  From the default start
     # every controller keeps one plan for the first 6 h, so there the costs
     # pin the windows; from the warm start the LRM controller, and ahead of
     # the absence the NRM_MI controller, switch plans, which pins the applied
@@ -879,9 +855,9 @@ def test_closed_loop_matches_the_lagged_history_controller(
                               initial=initial or cfg.sim.initial)
     costs, plans = [], []
 
-    def recorded(*args):
-        costs.append(mpc._plan_costs(*args))
-        plans.append(solve(*args))
+    def recorded(*args, **kwargs):
+        costs.append(mpc._plan_costs(*args, **kwargs))
+        plans.append(solve(*args, **kwargs))
         return plans[-1]
 
     monkeypatch.setattr(mpc, "solve", recorded)
@@ -896,6 +872,31 @@ def test_closed_loop_matches_the_lagged_history_controller(
         assert len({plan.periods[0] for plan in plans[:n_decisions]}) >= 2
     for name in ("inlet", "flow", "t_r_plant"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_episode_forms_match_each_windows_own_forms(cfg, probe_models, monkeypatch):
+    # one sample per period puts NRM_MI's deepest control lag two periods
+    # back, so each horizon's first two periods select the combinations of
+    # the applied options; the last forms built stop at the scenario's end.
+    # Every decision's costs from the episode's forms must be those of its
+    # window's own, bit for bit
+    from thermbench import mpc
+    theta, theta_w = probe_models
+    mcfg = MpcConfig(t_opt=1.0 / 12.0, t_hor=3.0 / 12.0)
+    sim = dataclasses.replace(cfg.sim, duration=3.0)
+    pairs = []
+
+    def recorded(*args, forms=None):
+        if forms is not None:
+            pairs.append((mpc._plan_costs(*args, forms=forms), mpc._plan_costs(*args)))
+        return solve(*args, forms=forms)
+
+    monkeypatch.setattr(mpc, "solve", recorded)
+    closed_loop_run(cfg.plant, sim, mcfg, SPEC, theta, theta_w)
+    # the bootstrap covers samples 0-2, which the decisions at 3 and 4 read
+    assert len(pairs) == sim.n_samples - 5
+    for chunked, own in pairs:
+        assert np.array_equal(chunked, own)
 
 
 def test_closed_loop_rejects_parameters_of_the_wrong_length(cfg):
