@@ -37,14 +37,16 @@ forms -> walk:
    ``alpha / n_hor * sum_j occ_j (z_j - t_set)^2`` plus ``beta * t_sam *
    sum_j (inlet - w_j)`` (times the flow gate when so configured), is the
    quadratic form ``x~ . (Q_c x~)``, the heating term and the inlet constant
-   folded into its last row, and the next period's entry state is 4 more
+   folded into its last row and the pump cost ``gamma * t_sam * s * flow``
+   into its constant entry, and the next period's entry state is 4 more
    rows of ``x~``: one stacked (5 + 4) x 5 form per combination.
 3. Walk.  The plan tree is walked period by period (4, 16, 64, 256 and 1024
    rows, the newest period's option the most significant digit, so the rows
    of one combination are a contiguous block): each row's state goes through
    its combination's form, its period cost is added to its prefix's, and its
-   next state passes to its children.  A fixed permutation puts the costs in
-   enumeration order for the first-minimum tie-break.
+   next state passes to its children.  The view of the costs with the period
+   axes reversed puts them in enumeration order for the first-minimum
+   tie-break.
 
 Every product is an elementwise multiply and every sum an in-order sum over
 a leading axis from 0.0 (``sum_entries``), never BLAS, so a column's bits do
@@ -66,10 +68,9 @@ squares.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,10 +207,11 @@ class DecisionWindow:
                                         f"samples, the rollout needs {w}")
         want = {**dict.fromkeys(_RECORDED, self.past),
                 **dict.fromkeys(exogenous, self.past + 1 + n_hor)}
-        short = [c for c, n in want.items() if len(self.columns[c]) != n]
+        short = [f"{c} has {len(self.columns[c])}, needs {n}"
+                 for c, n in want.items() if len(self.columns[c]) != n]
         if short:
-            raise ConfigError(f"forecast arrays must have length {n_hor}, recorded "
-                              f"ones {self.past}: channels {short} do not")
+            raise ConfigError(f"channel lengths do not fit a past of {self.past} and "
+                              f"a horizon of {n_hor}: {'; '.join(short)}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -379,16 +381,17 @@ class _Template:
     water: int
 
 
-def _control_template(spec: RegressorSpec, choices, s: int) -> _Template:
+def _control_template(spec: RegressorSpec, choices, s: int, skip: int = 0) -> _Template:
     """The template of the plan tree ``choices`` (period p's candidate inlet
-    and flow values as two arrays) at ``s`` samples per period."""
+    and flow values as two arrays) at ``s`` samples per period, without the
+    columns of its first ``skip`` periods."""
     kern = _kernel(spec)
     w = max(warmup(spec), 1)
     sizes = [len(inlet) for inlet, _ in choices]
     lo = np.maximum(np.arange(len(sizes)) - kern.depth(s), 0)
-    n_comb = tuple(math.prod(sizes[a:p + 1]) for p, a in enumerate(lo))
+    n_comb = tuple(math.prod(sizes[a:p + 1]) for p, a in enumerate(lo))[skip:]
     # column i is combination comb[i] of period period[i]
-    period = np.repeat(np.arange(len(sizes)), n_comb)
+    period = np.repeat(np.arange(skip, len(sizes)), n_comb)
     comb = np.arange(len(period)) - np.repeat(np.cumsum((0,) + n_comb[:-1]), n_comb)
     step = period * s + np.arange(s)[:, None]
     # step k (position w+1+k) reads the controls applied at position
@@ -416,7 +419,7 @@ def _control_template(spec: RegressorSpec, choices, s: int) -> _Template:
     nxt = [plane * s + i + s - w if i + s >= w else 2 * s + entry[plane, i + s]
            for plane, i in entry]
     return _Template(_readonly(table[kern.control_plane[:, None, None], q, digit(q)]),
-                     n_comb, _readonly(step),
+                     n_comb, _readonly(step - skip * s),
                      tuple(map(_readonly, (kern.control_rows[rec[0]], *rec[1:]))),
                      tuple(map(_readonly, (kern.control_plane[rec[0]], pos[rec]))),
                      _readonly(gather), _readonly(state),
@@ -473,7 +476,7 @@ def _forms(maps: np.ndarray, tpl: _Template, occ: np.ndarray,
     ``(K + 1, 2K + 1, columns)`` for K entry state values, ``forms[k, i, c]``
     the weight of ``x~_k`` in row i of column c's form on ``x~ = [x - t_set;
     1]``.  Rows 0..K are the period-cost form Q: ``x~ . (Q x~)`` is the
-    period's comfort and heating cost.  Rows K+1.. are the next period's
+    period's comfort, heating and pump cost.  Rows K+1.. are the next period's
     entry state minus ``t_set``.  ``occ`` is the occupancy at each column's
     steps, ``(s, columns)``.
     """
@@ -499,6 +502,8 @@ def _forms(maps: np.ndarray, tpl: _Template, occ: np.ndarray,
     inflow = np.zeros((k1, n))
     inflow[-1] = s * (inlet - t_set)
     q[-1] += (inflow - outlet) * gate
+    # pump: gamma * t_sam per sample of the period's flow, a constant
+    q[-1, -1] += cfg.gamma * cfg.t_sam * s * flow
     # the next entry state: this period's predictions, or entry values that
     # lags reach past the period
     units = np.broadcast_to(np.eye(k1, k1 - 1)[:, :, None], (k1, k1 - 1, n))
@@ -549,12 +554,6 @@ def _tail(theta_w: np.ndarray, spec: RegressorSpec, win: DecisionWindow) -> np.n
     tail[1, :w - 1] = cols["yhat_w"][lo + 1:]
     tail[1, w - 1] = water_estimate(theta_w, spec, cols, win.past)
     return tail
-
-
-def _pump_cost(flow: np.ndarray, cfg: MpcConfig) -> np.ndarray:
-    """Pump cost of each row of per-sample flows (it depends on the plan
-    alone)."""
-    return cfg.gamma * cfg.t_sam * np.sum(np.ascontiguousarray(flow), axis=1)
 
 
 def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
@@ -623,7 +622,7 @@ def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
     comfort = cfg.alpha * float(np.sum(occ * np.square(t_r_trace - cfg.t_set))) / n
     gate = flow_seq > 0.0 if cfg.heating_cost_gated_by_flow else 1.0
     heating = cfg.beta * cfg.t_sam * float(np.sum((inlet_seq - t_w_trace) * gate))
-    pump = float(_pump_cost(flow_seq[None, :], cfg)[0])
+    pump = cfg.gamma * cfg.t_sam * float(np.sum(flow_seq))
     return CostBreakdown(total=comfort + heating + pump, comfort=comfort,
                          heating=heating, pump=pump)
 
@@ -632,74 +631,31 @@ def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
 # exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _PlanTable:
-    """What ``solve`` needs of a config's plans that no forecast changes.
-
-    ``plans`` lists every admissible plan in tie-break order, with its pump
-    cost in ``pump``; ``inlet`` and ``flow`` hold one period's options in
-    the same order, for ``n_periods`` periods.  ``order`` holds the walk's
-    row of each plan: ``costs[order]`` puts costs by row into enumeration
-    order.
-    """
-
-    plans: tuple
-    pump: np.ndarray
-    inlet: np.ndarray
-    flow: np.ndarray
-    n_periods: int
-    order: np.ndarray
-
-    @property
-    def choices(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The plan tree: every period's candidate inlet and flow values."""
-        return [(self.inlet, self.flow)] * self.n_periods
-
-
-@functools.lru_cache(maxsize=8)
-def _plan_table(cfg: MpcConfig) -> _PlanTable:
-    """Built once per config."""
-    options = cfg.options()
-    m, n_periods = len(options), cfg.n_periods
-    n_plans = m ** n_periods
-    if n_plans > cfg.plan_budget:
-        raise ConfigError(f"enumeration of {n_plans} plans exceeds the budget "
-                          f"of {cfg.plan_budget}")
-    plans = tuple(itertools.product(options, repeat=n_periods))
-    pump = _pump_cost(np.repeat([[f for _, f in plan] for plan in plans],
-                                cfg.samples_per_period, axis=1), cfg)
-    inlet = np.array([i for i, _ in options], dtype=float)
-    flow = np.array([f for _, f in options], dtype=float)
-    # period p's option is the digit of weight m**p of the walk's rows: the
-    # reverse digit order of the enumeration
-    order = np.arange(n_plans).reshape((m,) * n_periods).T.ravel()
-    for a in (pump, inlet, flow, order):
-        a.flags.writeable = False
-    return _PlanTable(plans, pump, inlet, flow, n_periods, order)
+def _choices(cfg: MpcConfig, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A plan tree of ``n`` periods, each over every option in tie-break order."""
+    inlet, flow = np.array(cfg.options(), dtype=float).T
+    return [(inlet, flow)] * n
 
 
 @functools.lru_cache(maxsize=8)
 def _plan_template(spec: RegressorSpec, cfg: MpcConfig) -> _Template:
     """The control template of ``solve``'s plan tree, built once per spec
     and config."""
-    table = _plan_table(cfg)
-    return _control_template(spec, table.choices, cfg.samples_per_period)
+    n_plans = len(cfg.options()) ** cfg.n_periods
+    if n_plans > cfg.plan_budget:
+        raise ConfigError(f"enumeration of {n_plans} plans exceeds the budget "
+                          f"of {cfg.plan_budget}")
+    return _control_template(spec, _choices(cfg, cfg.n_periods), cfg.samples_per_period)
 
 
 @functools.lru_cache(maxsize=32)
 def _chunk_template(spec: RegressorSpec, cfg: MpcConfig, count: int) -> _Template:
-    """The template of ``count`` consecutive periods of a closed loop, each
-    over every combination of the options of the periods its control lags
-    reach: the last ``count`` periods of a plan tree ``depth`` periods
-    longer, whose steps read no recorded control."""
+    """The template of ``count`` consecutive periods of a closed loop: the
+    last ``count`` periods of a plan tree ``depth`` periods longer, whose
+    steps read no recorded control."""
     s = cfg.samples_per_period
     depth = _kernel(spec).depth(s)
-    tpl = _control_template(spec, _plan_table(cfg).choices[:1] * (depth + count), s)
-    first = sum(tpl.n_comb[:depth])
-    none = _readonly(np.empty(0, dtype=np.intp))
-    return replace(tpl, values=tpl.values[..., first:], n_comb=tpl.n_comb[depth:],
-                   step=_readonly(tpl.step[:, first:] - depth * s),
-                   rec=(none,) * 3, rec_from=(none,) * 2, own=tpl.own[:, first:])
+    return _control_template(spec, _choices(cfg, depth + count), s, skip=depth)
 
 
 def _decision_forms(theta_r, theta_w, spec, win, cfg) -> list[np.ndarray]:
@@ -769,7 +725,6 @@ def _plan_costs(theta_r, theta_w, spec, win, cfg, forms=None) -> np.ndarray:
     plan that reads it through the products and sums, so this catches every
     diverged rollout, and also costs that overflow."""
     win.check(spec, cfg.n_hor)
-    table = _plan_table(cfg)
     tpl = _plan_template(spec, cfg)
     periods = (forms() if forms is not None
                else _decision_forms(theta_r, theta_w, spec, win, cfg))
@@ -777,8 +732,11 @@ def _plan_costs(theta_r, theta_w, spec, win, cfg, forms=None) -> np.ndarray:
     x = _tail(theta_w, spec, win)[plane, pos] - cfg.t_set
     z = float(win.columns["T_r"][win.past]) - cfg.t_set
     cost = cfg.alpha / cfg.n_hor * float(win.columns["occ"][win.past]) * z * z
-    costs = _walk(periods, np.append(x, 1.0), cost, len(table.inlet))[table.order]
-    costs += table.pump
+    m = len(cfg.options())
+    # the walk's rows weigh period p's option by m**p: reversed axes give
+    # enumeration order, the earliest period most significant
+    costs = _walk(periods, np.append(x, 1.0), cost, m)
+    costs = costs.reshape((m,) * cfg.n_periods).T.ravel()
     if not np.all(np.isfinite(costs)):
         raise DivergenceError("plan costs are not finite: a rollout diverged "
                               "or a cost overflowed")
@@ -795,9 +753,10 @@ def solve(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
     once per period of the episode); without it they are built from ``win``
     by the same code.
     """
-    plans = _plan_table(cfg).plans
     costs = _plan_costs(theta_r, theta_w, spec, win, cfg, forms)
-    return ControlPlan(periods=plans[int(np.argmin(costs))])
+    options = cfg.options()
+    digits = np.unravel_index(int(np.argmin(costs)), (len(options),) * cfg.n_periods)
+    return ControlPlan(periods=tuple(options[int(d)] for d in digits))
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,8 @@ def _form(phi, state, occ, inlet, flow, cfg) -> list[list[float]]:
         for j in range(s - 1):
             outlet += rows[1, j][k]
         q[-1][k] += ((s * (inlet - t_set) if k == k1 - 1 else 0.0) - outlet) * gate
+    # the pump cost of the period's s samples, in the constant entry
+    q[-1][-1] += cfg.gamma * cfg.t_sam * s * flow
     nxt = []
     for plane, offset in state:
         if offset + s >= 0:
@@ -383,8 +385,7 @@ def form_plan_costs(theta_r, theta_w, spec, win, cfg) -> np.ndarray:
                 quad += x[k] * y[k]
             walks[plan[:p + 1]] = (y[k1:] + [1.0], cost + quad)
         out.append(walks[plan][1])
-    flows = np.repeat(np.array(plans, dtype=float)[:, :, 1], s, axis=1)
-    return np.array(out) + cfg.gamma * cfg.t_sam * np.sum(flows, axis=1)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import configparser
 import dataclasses
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from thermbench.cli import main
@@ -83,7 +83,11 @@ def ini_path(tmp_path_factory):
     return tmp_path_factory.mktemp("round_trip") / "config.ini"
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+# no shrink phase: shrinking a failing draw of these nested configs ran for
+# more than 5 minutes at about 670 MB; a failure is still found and reported
+# with the draw that failed
+@settings(max_examples=60, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.generate])
 @given(drawn=configs(), structure=st.sampled_from(Structure))
 @example(drawn=default_config(), structure=Structure.NRM_MI)
 @example(drawn=default_config(), structure=Structure.LRM)

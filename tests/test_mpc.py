@@ -420,8 +420,8 @@ def test_plan_costs_match_form_oracle_bit_for_bit(
 
 
 def test_rollouts_in_several_threads_match_a_serial_run():
-    # the threads share the module caches (kernel, plan table and template,
-    # water layout): threads on one spec and config must cost their windows
+    # the threads share the module caches (kernel, plan template, water
+    # layout): threads on one spec and config must cost their windows
     # as a serial run does, and none may see another's predictions as a
     # divergence
     from concurrent.futures import ThreadPoolExecutor
@@ -474,14 +474,39 @@ def test_plan_template_cache_is_keyed_by_spec_and_config():
                     costs[i], rel=1e-11)
 
 
-def test_pump_cost_table_matches_plan_cost_for_every_plan():
-    from thermbench.mpc import _plan_table
-    for cfg in (MpcConfig(), toy_cfg(flow_set=(0.0, 0.04, 0.0787))):
-        table = _plan_table(cfg)
+def test_plan_costs_without_comfort_and_heating_weights_are_pump_costs():
+    # with alpha = beta = 0 a plan's cost is the pump cost that each
+    # period's form holds in its constant entry: every entry of _plan_costs
+    # is the pump cost of the plan at its index of the enumeration order
+    from thermbench.mpc import _plan_costs
+    theta, theta_w = stable_toy_theta(SPEC), toy_theta_w()
+    for cfg in (MpcConfig(alpha=0.0, beta=0.0),
+                toy_cfg(alpha=0.0, beta=0.0, flow_set=(0.0, 0.04, 0.0787))):
         traces = (np.full(cfg.n_hor + 1, 21.0), np.full(cfg.n_hor, 35.0))
         win = toy_window(cfg)
-        for periods, pump in zip(table.plans, table.pump):
-            assert pump == plan_cost(traces, ControlPlan(periods), win, cfg).pump
+        costs = _plan_costs(theta, theta_w, SPEC, win, cfg)
+        plans = list(itertools.product(cfg.options(), repeat=cfg.n_periods))
+        assert len(costs) == len(plans)
+        for cost, periods in zip(costs, plans):
+            assert cost == pytest.approx(
+                plan_cost(traces, ControlPlan(periods), win, cfg).pump, rel=1e-12)
+    # pump costs do not depend on the order of the periods, comfort and
+    # heating costs do: with them back every plan costs what its own rollout
+    # does, which pins the enumeration order
+    cfg = toy_cfg(flow_set=(0.0, 0.04, 0.0787))
+    win = toy_window(cfg)
+    costs = _plan_costs(theta, theta_w, SPEC, win, cfg)
+    for cost, periods in zip(costs, itertools.product(cfg.options(), repeat=cfg.n_periods)):
+        plan = ControlPlan(periods)
+        traces = predict_horizon(theta, theta_w, SPEC, win, plan, cfg)
+        assert cost == pytest.approx(plan_cost(traces, plan, win, cfg).total, rel=1e-11)
+    # every zero-flow plan then costs 0, and the first minimum is the lowest
+    # inlet at zero flow in every period, whatever order inlet_set lists
+    for cfg in (MpcConfig(alpha=0.0, beta=0.0, inlet_set=(40.0, 45.0)),
+                MpcConfig(alpha=0.0, beta=0.0, inlet_set=(45.0, 40.0)),
+                toy_cfg(alpha=0.0, beta=0.0, inlet_set=(45.0, 42.5, 40.0))):
+        plan = solve(theta, theta_w, SPEC, toy_window(cfg), cfg)
+        assert plan.periods == ((40.0, 0.0),) * cfg.n_periods
 
 
 @pytest.mark.parametrize("forecast_neighbors,now_neighbors",
@@ -511,8 +536,10 @@ def test_forecast_with_the_wrong_neighbor_count_is_a_config_error(
             keep.append(np.arange(past + 1, past + 1 + cfg.n_hor))
         cols[c] = cols[c][np.concatenate(keep)]
     win = DecisionWindow(cols)
+    have = past + 1 if forecast_neighbors < 2 else past + cfg.n_hor
     match = (f"has {count} neighbor.*expects 2" if count != 2 else
-             r"forecast arrays must have length .*channels \['T_rj_2'\] do not")
+             f"a past of {past} and a horizon of {cfg.n_hor}: "
+             f"T_rj_2 has {have}, needs {past + 1 + cfg.n_hor}$")
     plan = ControlPlan(((40.0, 0.0), (45.0, 0.0787)))
     for call in (lambda: win.check(spec, cfg.n_hor),
                  lambda: solve(theta, theta_w, spec, win, cfg),
@@ -537,8 +564,14 @@ def test_window_check_names_each_fault():
             (SPEC, toy_forecast(cfg, warm_history(n=2)), HistoryUnderflowError,
              "records 2 samples, the rollout needs 3"),
             (spec_2, good, ConfigError, "has 1 neighbor.*expects 2"),
+            # a recorded control at the decision sample, which is not known yet
+            (SPEC, DecisionWindow({**good.columns, "Vw": np.append(good.columns["Vw"], 0.0)}),
+             ConfigError, "a past of 8 and a horizon of 24: Vw has 9, needs 8$"),
+            # a 36-sample forecast: 8 + 1 + 36 exogenous positions, not 8 + 1 + 24
             (SPEC, toy_forecast(toy_cfg(t_hor=3.0), warm_history()), ConfigError,
-             "must have length 24")]:
+             "a past of 8 and a horizon of 24: T_rj_1 has 45, needs 33; "
+             "Ta_in has 45, needs 33; Va has 45, needs 33; Qext has 45, "
+             "needs 33; occ has 45, needs 33$")]:
         for call in (lambda: win.check(spec, cfg.n_hor),
                      lambda: solve(theta if spec == SPEC else stable_toy_theta(spec),
                                    theta_w, spec, win, cfg),
