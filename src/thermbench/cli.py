@@ -90,6 +90,10 @@ def _dataset(args, cfg: ExperimentConfig) -> TimeSeriesDataset:
             raise ConfigError(f"dataset {args.dataset} is sampled every "
                               f"{ds.epsilon!r} h, the config's [sim] epsilon_hours "
                               f"is {epsilon!r} h")
+        if ds.n_neighbors != cfg.plant.n_neighbors:
+            raise ConfigError(f"dataset {args.dataset} has {ds.n_neighbors} neighbor(s), "
+                              f"the config's [plant] n_neighbors is "
+                              f"{cfg.plant.n_neighbors}")
         return ds
     return run_experiment(cfg.plant, cfg.sim)
 

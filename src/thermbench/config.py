@@ -8,7 +8,9 @@ is the self-contained reference scenario used across the test suite;
 The file's schema is one table, :data:`SCHEMA`, which both
 ``config_to_ini`` and ``load_config`` walk.  The loader rejects every
 section and key the table lacks, and each of its errors names the file and,
-where one is to blame, the ``[section] key``.
+where one is to blame, the ``[section] key``.  The model's neighbor count
+and the controller's sampling period are no keys of their own: the loader
+takes them from ``[plant] n_neighbors`` and ``[sim] epsilon_hours``.
 """
 
 from __future__ import annotations
@@ -55,12 +57,6 @@ class ExperimentConfig:
         if len(self.sim.initial.t_s) != n:
             raise ConfigError(f"[initial] t_s has {len(self.sim.initial.t_s)} values, "
                               f"[plant] n_neighbors is {n}")
-        if self.model.spec.n_neighbors != n:
-            raise ConfigError(f"[model] n_neighbors is {self.model.spec.n_neighbors}, "
-                              f"[plant] n_neighbors is {n}")
-        if abs(self.mpc.t_sam - self.sim.epsilon) > 1e-9:
-            raise ConfigError(f"[mpc] t_sam is {self.mpc.t_sam!r}, [sim] epsilon_hours "
-                              f"is {self.sim.epsilon!r}; they must be equal")
         if self.eval_seed < 0:
             raise ConfigError(f"[mpc] eval_seed must be non-negative, got {self.eval_seed}")
         if self.episode_hours < self.sim.epsilon:
@@ -163,7 +159,6 @@ SCHEMA = (
     ("occupancy", "jitter_h", "float", "sim.disturbance_spec.occupancy.jitter_h"),
     ("occupancy", "occupant_gain_w", "float", "sim.disturbance_spec.occupant_gain_w"),
     ("model", "structure", "structure", "model.spec.structure"),
-    ("model", "n_neighbors", "int", "model.spec.n_neighbors"),
     ("model", "passes", "int", "model.passes"),
     ("model", "forgetting", "float", "model.rls.forgetting"),
     ("model", "reg_init", "float", "model.rls.reg_init"),
@@ -171,7 +166,6 @@ SCHEMA = (
     ("mpc", "alpha", "float", "mpc.alpha"),
     ("mpc", "beta", "float", "mpc.beta"),
     ("mpc", "gamma", "float", "mpc.gamma"),
-    ("mpc", "t_sam", "float", "mpc.t_sam"),
     ("mpc", "t_opt", "float", "mpc.t_opt"),
     ("mpc", "t_hor", "float", "mpc.t_hor"),
     ("mpc", "inlet_set", "floats", "mpc.inlet_set"),
@@ -260,7 +254,8 @@ def _parse(sections: dict[str, dict[str, str]], path, section: str, key: str, ki
 
 def _suggest(name: str, names) -> str:
     import difflib  # on the error path only
-    close = difflib.get_close_matches(name, names, n=1)
+    # above difflib's default cutoff of 0.6, which offers 't_set' for 't_sam'
+    close = difflib.get_close_matches(name, names, n=1, cutoff=0.7)
     return f"; did you mean {close[0]!r}?" if close else ""
 
 
@@ -304,12 +299,14 @@ def load_config(path) -> ExperimentConfig:
         try:
             return cls(**values[obj], **parts)
         except ThermbenchError as e:
-            # a message that names one of the section's fields blames its key
+            # a message that names one of the section's fields blames its key;
+            # t_sam is no key, the controller samples every [sim] epsilon_hours
+            message = re.sub(r"\bt_sam\b", "[sim] epsilon_hours", str(e))
             section, fields = keys[obj]
             named = [key for attr, key in fields.items()
-                     if re.search(rf"\b{attr}\b", str(e))]
+                     if re.search(rf"\b{attr}\b", message)]
             where = f"[{section}] {named[0]}" if len(named) == 1 else f"[{section}]"
-            raise ConfigError(f"{path}: {where}: {e}") from None
+            raise ConfigError(f"{path}: {where}: {message}") from None
 
     neighbors = range(1, n + 1)
     ds = "sim.disturbance_spec"
@@ -327,10 +324,10 @@ def load_config(path) -> ExperimentConfig:
                 initial=build(PlantState, "sim.initial"),
                 hysteresis=build(HysteresisSettings, "sim.hysteresis"),
                 heating_curve=build(HeatingCurveParams, "sim.heating_curve"))
-    model = build(ModelConfig, "model", spec=build(RegressorSpec, "model.spec"),
-                  rls=build(RlsConfig, "model.rls"))
+    model = build(ModelConfig, "model", rls=build(RlsConfig, "model.rls"),
+                  spec=build(RegressorSpec, "model.spec", n_neighbors=n))
     cfg = build(ExperimentConfig, "", plant=plant, sim=sim, model=model,
-                mpc=build(MpcConfig, "mpc"))
+                mpc=build(MpcConfig, "mpc", t_sam=sim.epsilon))
     try:
         cfg.validate()
     except ConfigError as e:

@@ -78,20 +78,12 @@ def spectrum(signal, threshold: float = DEFAULT_THRESHOLD) -> SpectrumReport:
             lines.append(SpectralLine(freq=0.0, power=float(power[0])))
         pos_peak = power[1:].max() if len(power) > 1 else 0.0
         if pos_peak > threshold * peak:
-            mask = power > threshold * pos_peak
-            i = 1
-            while i < len(mask):
-                if mask[i]:
-                    j = i
-                    while j + 1 < len(mask) and mask[j + 1]:
-                        j += 1
-                    run = slice(i, j + 1)
-                    top = i + int(np.argmax(power[run]))
-                    lines.append(SpectralLine(freq=float(freq[top]),
-                                              power=float(power[top])))
-                    i = j + 1
-                else:
-                    i += 1
+            hot = np.flatnonzero(power[1:] > threshold * pos_peak) + 1
+            runs = np.split(hot, np.flatnonzero(np.diff(hot) > 1) + 1) if hot.size else []
+            # each run of adjacent bins is one line, at its first maximum
+            for run in runs:
+                top = run[np.argmax(power[run])]
+                lines.append(SpectralLine(freq=float(freq[top]), power=float(power[top])))
     return SpectrumReport(freq=freq, power=power, lines=lines,
                           dc_present=dc_present, threshold=threshold)
 

@@ -28,7 +28,9 @@ vector screens it for non-finite values, and only when the dot is not finite
 are the elements checked one by one.  ``Rls.step`` screens after every
 update; training screens once per block of ``_BLOCK`` samples and replays a
 block that diverged through ``Rls.step``, from a snapshot taken before it,
-so both report the same sample and step.
+so both report the same sample and step.  ``train`` and ``predict_series``
+run under ``np.errstate(all="ignore")``, so a diverging pass shows as the
+screen's error or as non-finite predictions, never as numpy's warnings.
 """
 
 from __future__ import annotations
@@ -264,10 +266,10 @@ def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
     holds the mirrored measurement before ``table.start``.
 
     Training runs the RLS kernel in blocks of ``_BLOCK`` samples and screens
-    the state once per block.  A block whose screen fires, or that raises,
-    is replayed from a snapshot of the state through ``Rls.step``, which
-    stops at the first diverged step, so the error names the sample and the
-    RLS step that a screen after every step would.
+    the state once per block.  A block whose screen fires is replayed from
+    a snapshot of the state through ``Rls.step``, which stops at the first
+    diverged step, so the error names the sample and the RLS step that a
+    screen after every step would.
     """
     if rls is not None:
         theta = rls.theta
@@ -302,13 +304,10 @@ def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
     for lo in range(start, len(dataset), _BLOCK):
         hi = min(lo + _BLOCK, len(dataset))
         np.copyto(snapshot, rls._buf)
-        try:
-            run(lo, hi, rls._kernel)
-            if not rls._diverged():
-                rls.k += hi - lo
-                continue
-        except (ArithmeticError, Warning):
-            pass  # numpy set to raise: the replay raises it again, at the same step
+        run(lo, hi, rls._kernel)
+        if not rls._diverged():
+            rls.k += hi - lo
+            continue
         np.copyto(rls._buf, snapshot)
         k0 = rls.k
         try:
@@ -334,33 +333,35 @@ def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,
     """
     check_training(passes, window)
     _history_channels(spec, dataset)
-    table = _table(spec, dataset, theta_w)
-    dim = regressor_length(spec)
-    if passes == 0:
-        return TrainReport(spec=spec, theta=np.zeros(dim), errors=np.empty(0),
-                           rolling_rmse=np.empty(0), window=window, pass_rmse=[],
-                           theta_w=theta_w)
+    # a diverging pass is reported by its own screen, not by numpy's warnings
+    with np.errstate(all="ignore"):
+        table = _table(spec, dataset, theta_w)
+        dim = regressor_length(spec)
+        if passes == 0:
+            return TrainReport(spec=spec, theta=np.zeros(dim), errors=np.empty(0),
+                               rolling_rmse=np.empty(0), window=window, pass_rmse=[],
+                               theta_w=theta_w)
 
-    wu = table.start
-    if len(dataset) <= wu:
-        raise ConfigError(
-            f"{spec.structure.value} (n_neighbors={spec.n_neighbors}) has a "
-            f"{wu}-sample warm-up; a dataset of {len(dataset)} samples leaves "
-            "nothing to train on")
-    y = dataset.columns[target_column(spec)][wu:]
-    rls = Rls(dim, rls_cfg)
-    errors = []
-    pass_rmse = []
-    for p in range(1, passes + 1):
-        yhat = _oe_pass(spec, dataset, table, rls=rls, pass_no=p)
-        pass_errors = y - yhat[wu:]
-        errors.append(pass_errors)
-        pass_rmse.append(float(np.sqrt(np.mean(np.square(pass_errors)))))
+        wu = table.start
+        if len(dataset) <= wu:
+            raise ConfigError(
+                f"{spec.structure.value} (n_neighbors={spec.n_neighbors}) has a "
+                f"{wu}-sample warm-up; a dataset of {len(dataset)} samples leaves "
+                "nothing to train on")
+        y = dataset.columns[target_column(spec)][wu:]
+        rls = Rls(dim, rls_cfg)
+        errors = []
+        pass_rmse = []
+        for p in range(1, passes + 1):
+            yhat = _oe_pass(spec, dataset, table, rls=rls, pass_no=p)
+            pass_errors = y - yhat[wu:]
+            errors.append(pass_errors)
+            pass_rmse.append(float(np.sqrt(np.mean(np.square(pass_errors)))))
 
-    errors = np.concatenate(errors)
-    return TrainReport(spec=spec, theta=rls.theta.copy(), errors=errors,
-                       rolling_rmse=rolling_rmse(errors, window), window=window,
-                       pass_rmse=pass_rmse, theta_w=theta_w)
+        errors = np.concatenate(errors)
+        return TrainReport(spec=spec, theta=rls.theta.copy(), errors=errors,
+                           rolling_rmse=rolling_rmse(errors, window), window=window,
+                           pass_rmse=pass_rmse, theta_w=theta_w)
 
 
 def predict_series(theta: np.ndarray, spec: RegressorSpec,
@@ -369,9 +370,10 @@ def predict_series(theta: np.ndarray, spec: RegressorSpec,
     """One-step OE predictions over a dataset with a fixed parameter vector;
     NaN during warm-up."""
     _history_channels(spec, dataset)
-    table = _table(spec, dataset, theta_w)
     out = np.full(len(dataset), np.nan)
-    out[table.start:] = _oe_pass(spec, dataset, table, theta)[table.start:]
+    with np.errstate(all="ignore"):
+        table = _table(spec, dataset, theta_w)
+        out[table.start:] = _oe_pass(spec, dataset, table, theta)[table.start:]
     return out
 
 

@@ -566,8 +566,6 @@ def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
     the period maps ``solve`` builds its forms from.
     """
     n = cfg.n_hor
-    if n == 0:
-        return np.empty(0), np.empty(0)
     if len(plan.periods) != cfg.n_periods:
         raise ConfigError(f"plan has {len(plan.periods)} periods, "
                           f"config expects {cfg.n_periods}")
@@ -575,20 +573,21 @@ def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
     s, w = cfg.samples_per_period, max(warmup(spec), 1)
     tpl = _control_template(spec, [(option[:1], option[1:]) for option in
                                    np.array(plan.periods, dtype=float)], s)
-    maps = _maps(theta_r, theta_w, spec, tpl, *_window_signals(spec, win))
-    plane, pos = np.divmod(tpl.state, w + s + 1)
-    # positions 0..w-1 up to the decision sample, then the steps
-    traj = np.empty((2, w + n))
-    traj[:, :w] = _tail(theta_w, spec, win)
-    tmp = np.empty((2, s))
-    for p in range(cfg.n_periods):
-        x = traj[plane, p * s + pos]
-        m = maps[..., p]
-        out = traj[:, w + p * s:w + (p + 1) * s]
-        np.multiply(m[:, :, 0], x[0], out=out)
-        for k in range(1, len(x)):
-            out += np.multiply(m[:, :, k], x[k], out=tmp)
-        out += m[:, :, -1]
+    with np.errstate(all="ignore"):  # the finite check below reports divergence
+        maps = _maps(theta_r, theta_w, spec, tpl, *_window_signals(spec, win))
+        plane, pos = np.divmod(tpl.state, w + s + 1)
+        # positions 0..w-1 up to the decision sample, then the steps
+        traj = np.empty((2, w + n))
+        traj[:, :w] = _tail(theta_w, spec, win)
+        tmp = np.empty((2, s))
+        for p in range(cfg.n_periods):
+            x = traj[plane, p * s + pos]
+            m = maps[..., p]
+            out = traj[:, w + p * s:w + (p + 1) * s]
+            np.multiply(m[:, :, 0], x[0], out=out)
+            for k in range(1, len(x)):
+                out += np.multiply(m[:, :, k], x[k], out=tmp)
+            out += m[:, :, -1]
     zone, water = traj[0, w - 1:], traj[1, w - 1:-1]
     if not (np.all(np.isfinite(zone)) and np.all(np.isfinite(water))):
         raise DivergenceError("plan rollout produced non-finite predictions")
@@ -615,8 +614,6 @@ def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
     """
     t_r_trace, t_w_trace = traces
     n = cfg.n_hor
-    if n == 0 or len(t_r_trace) == 0:
-        return CostBreakdown(0.0, 0.0, 0.0, 0.0)
     inlet_seq, flow_seq = plan.expand(cfg)
     occ = win.columns["occ"][win.past:win.past + n + 1]
     comfort = cfg.alpha * float(np.sum(occ * np.square(t_r_trace - cfg.t_set))) / n
@@ -726,16 +723,18 @@ def _plan_costs(theta_r, theta_w, spec, win, cfg, forms=None) -> np.ndarray:
     diverged rollout, and also costs that overflow."""
     win.check(spec, cfg.n_hor)
     tpl = _plan_template(spec, cfg)
-    periods = (forms() if forms is not None
-               else _decision_forms(theta_r, theta_w, spec, win, cfg))
-    plane, pos = np.divmod(tpl.state, max(warmup(spec), 1) + cfg.samples_per_period + 1)
-    x = _tail(theta_w, spec, win)[plane, pos] - cfg.t_set
-    z = float(win.columns["T_r"][win.past]) - cfg.t_set
-    cost = cfg.alpha / cfg.n_hor * float(win.columns["occ"][win.past]) * z * z
-    m = len(cfg.options())
-    # the walk's rows weigh period p's option by m**p: reversed axes give
-    # enumeration order, the earliest period most significant
-    costs = _walk(periods, np.append(x, 1.0), cost, m)
+    with np.errstate(all="ignore"):  # the finite check below reports divergence
+        periods = (forms() if forms is not None
+                   else _decision_forms(theta_r, theta_w, spec, win, cfg))
+        plane, pos = np.divmod(tpl.state,
+                               max(warmup(spec), 1) + cfg.samples_per_period + 1)
+        x = _tail(theta_w, spec, win)[plane, pos] - cfg.t_set
+        z = float(win.columns["T_r"][win.past]) - cfg.t_set
+        cost = cfg.alpha / cfg.n_hor * float(win.columns["occ"][win.past]) * z * z
+        m = len(cfg.options())
+        # the walk's rows weigh period p's option by m**p: reversed axes give
+        # enumeration order, the earliest period most significant
+        costs = _walk(periods, np.append(x, 1.0), cost, m)
     costs = costs.reshape((m,) * cfg.n_periods).T.ravel()
     if not np.all(np.isfinite(costs)):
         raise DivergenceError("plan costs are not finite: a rollout diverged "
@@ -892,10 +891,13 @@ def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
         tw_in[k], vw[k] = inlet_k, flow_k
         return inlet_k, flow_k
 
-    t_r_plant, t_w_plant, inlet_log, flow_log = simulate(params, sim_cfg, scen, n,
-                                                         control)
-    comfort, heating, pump = realized_costs(t_r_plant, t_w_plant, scen.occ[:n],
-                                            inlet_log, flow_log, cfg)
+    # a diverging decision or plant step is reported by its own finite check,
+    # not by numpy's warnings
+    with np.errstate(all="ignore"):
+        t_r_plant, t_w_plant, inlet_log, flow_log = simulate(params, sim_cfg, scen, n,
+                                                             control)
+        comfort, heating, pump = realized_costs(t_r_plant, t_w_plant, scen.occ[:n],
+                                                inlet_log, flow_log, cfg)
     return EpisodeReport(t_hours=scen.t_hours[:n], t_r_plant=t_r_plant,
                          t_w_plant=t_w_plant, inlet=inlet_log, flow=flow_log,
                          occ=scen.occ[:n].copy(), run_avg_comfort=comfort,

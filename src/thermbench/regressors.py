@@ -222,8 +222,7 @@ class LaggedHistory:
     Pushing a row appends the measured values; prediction channels
     (``yhat_r`` mirroring ``T_r``, ``yhat_w`` mirroring ``T_w``) are
     initialized with the mirrored measurement and overwritten by
-    ``record_prediction`` once a predictor has produced the sample.  The
-    virtual channel ``one`` is the constant 1.
+    ``record_prediction`` once a predictor has produced the sample.
     """
 
     _MIRRORS = PREDICTION_MIRRORS
@@ -247,12 +246,6 @@ class LaggedHistory:
     def channels(self) -> list[str]:
         return list(self._data)
 
-    def copy(self) -> "LaggedHistory":
-        dup = LaggedHistory(())
-        dup._data = {c: list(buf) for c, buf in self._data.items()}
-        dup._unmirrored = self._unmirrored
-        return dup
-
     def push(self, row: dict[str, float]) -> None:
         for c, buf in self._data.items():
             if c in self._unmirrored:
@@ -266,8 +259,6 @@ class LaggedHistory:
         self._data[channel][k] = float(value)
 
     def get(self, channel: str, k: int) -> float:
-        if channel == "one":
-            return 1.0
         buf = self._data.get(channel)
         if buf is None:
             raise ConfigError(f"history does not track channel {channel!r}")

@@ -12,7 +12,7 @@ import thermbench
 from thermbench import excitation
 from thermbench.cli import main
 from thermbench.config import config_to_ini, default_config, load_config
-from thermbench.simulator import column_names
+from thermbench.simulator import TimeSeriesDataset, column_names
 
 
 def test_print_defaults_round_trips(tmp_path, capsys):
@@ -81,6 +81,7 @@ def test_missing_key_names_it(tmp_path, small_config, capsys):
     ("model", "rmse_window", "0"),
     ("plant", "c_r", "0"),
     ("disturbance.solar", "amplitudes", "0.0, 0.0, 0.0"),
+    ("sim", "epsilon_hours", "0.07"),  # [mpc] t_opt, 1 h, is no whole number of samples
 ])
 def test_bad_config_value_names_section_and_key(tmp_path, small_config, capsys,
                                                 section, key, value):
@@ -407,6 +408,25 @@ def test_mpc_run_rejects_rh_structure(tmp_path, small_config, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("section,key,value,argv", [
+    ("model", "forgetting", "0.01", ["identify", "--spec", "LRM"]),
+    ("mpc", "alpha", "1e+308", ["mpc-run", "--spec", "LRM"]),
+], ids=["diverging-rls", "overflowing-plan-costs"])
+def test_numerical_failure_exits_3_with_one_line(tmp_path, small_config, capsys,
+                                                 section, key, value, argv):
+    # the stage's own non-finite screen reports the failure; numpy's warnings,
+    # which this suite turns into errors, stay silent
+    cp = configparser.ConfigParser()
+    cp.read(small_config)
+    cp[section][key] = value
+    config = tmp_path / "diverging.ini"
+    with open(config, "w") as fh:
+        cp.write(fh)
+    assert main([*argv, "--config", str(config), "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1, err
+
+
 def test_compare_summary_matches_emitted_files(tmp_path, small_config):
     out = tmp_path / "out"
     assert main(["compare", "--config", str(small_config), "--out-dir", str(out),
@@ -475,22 +495,42 @@ def test_compare_with_zero_passes_runs_the_untrained_models(tmp_path, small_conf
     assert not np.any(np.loadtxt(out / "theta_w.txt"))
 
 
+def _each_dataset_command_exits_2(config, path, out, capsys, *parts):
+    # every command that reads a --dataset file checks it against the config
+    for argv in (["identify", "--spec", "LRM"], ["excite-check"],
+                 ["mpc-run", "--spec", "NRM_MI"], ["compare"]):
+        assert main([*argv, "--config", str(config), "--out-dir", str(out),
+                     "--dataset", str(path)]) == 2, argv
+        err = capsys.readouterr().err
+        assert str(path) in err and all(part in err for part in parts), (argv, err)
+
+
 def test_dataset_at_another_sampling_period_exits_2(tmp_path, small_config, capsys):
     # a 0.1 h dataset under a 1/12 h config used to train and run the
     # controller at 1/12 h
     cp = configparser.ConfigParser()
     cp.read(small_config)
-    cp["sim"]["epsilon_hours"] = cp["mpc"]["t_sam"] = "0.1"
+    cp["sim"]["epsilon_hours"] = "0.1"
     config = tmp_path / "tenth.ini"
     with open(config, "w") as fh:
         cp.write(fh)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == 0
-    path = out / "dataset.csv"
     capsys.readouterr()
-    for argv in (["identify", "--spec", "LRM"], ["excite-check"],
-                 ["mpc-run", "--spec", "NRM_MI"], ["compare"]):
-        assert main([*argv, "--config", str(small_config), "--out-dir", str(out),
-                     "--dataset", str(path)]) == 2, argv
-        err = capsys.readouterr().err
-        assert str(path) in err and "0.1 h" in err and repr(1.0 / 12.0) in err, argv
+    _each_dataset_command_exits_2(small_config, out / "dataset.csv", out, capsys,
+                                  "0.1 h", repr(1.0 / 12.0))
+
+
+def test_dataset_with_another_neighbor_count_exits_2(tmp_path, small_config, capsys):
+    # a 2-neighbor dataset under a 1-neighbor config used to train on the
+    # first neighbor alone and ignore T_rj_2
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(small_config), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    ds = TimeSeriesDataset.from_csv(out / "dataset.csv")
+    path = tmp_path / "two.csv"
+    TimeSeriesDataset(epsilon=ds.epsilon, n_neighbors=2,
+                      columns={**ds.columns, "T_rj_2": ds.columns["T_rj_1"] - 1.0}
+                      ).to_csv(path)
+    _each_dataset_command_exits_2(small_config, path, out, capsys,
+                                  "has 2 neighbor(s)", "[plant] n_neighbors is 1")

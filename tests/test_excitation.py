@@ -85,6 +85,31 @@ def test_leakage_merged_to_single_line():
     assert len(non_dc) == 1
 
 
+def test_lines_match_a_bin_by_bin_merge():
+    # several off-bin sines over noise: runs of adjacent bins of every length
+    rng = np.random.default_rng(3)
+    for threshold in (1e-4, 1e-2, 0.3) * 8:
+        n = int(rng.integers(8, 400))
+        x = 0.01 * rng.normal(size=n) + sum(
+            sine(n, rng.uniform(1.0, n / 2 - 1), rng.uniform(0, 6), rng.uniform(0.1, 2))
+            for _ in range(int(rng.integers(1, 5))))
+        rep = spectrum(x, threshold)
+        # each run of bins above threshold * the strongest positive-frequency
+        # bin is one line, at the run's first maximum
+        power, cut = rep.power, threshold * rep.power[1:].max()
+        want, k = [], 1
+        while k < len(power):
+            run = []
+            while k < len(power) and power[k] > cut:
+                run.append(k)
+                k += 1
+            if run:
+                want.append(max(run, key=power.__getitem__))
+            k += 1
+        got = [round(line.freq * n) for line in rep.lines if line.freq > 0]
+        assert got == want, (n, threshold)
+
+
 def test_informativity_default_scenario_passes(cfg, default_dataset):
     report = informativity_check(default_dataset, cfg.model.spec)
     assert report.required_order == 6

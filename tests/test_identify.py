@@ -382,7 +382,6 @@ def test_two_neighbor_end_to_end(cfg):
     assert np.isfinite(rep.final_rmse)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergence_names_spec_pass_and_sample():
     # an infinite cell in an in-memory dataset (no CSV boundary check): the
     # first regressor reading it is at sample 151, Qext's shallowest lag is 1
