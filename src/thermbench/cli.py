@@ -4,16 +4,20 @@ compare, print-defaults.
 Every command is a deterministic function of the config file, input files and
 seed; outputs are CSV files under --out-dir.  Exit codes: 0 ok, 2 config
 error, 3 numerical error.
+
+A command checks its inputs and computes every result before it returns them
+as a mapping from file name to writer, plus its stdout lines; only then does
+``main`` create --out-dir, write and print.  An exit 2 or 3 from the command
+therefore leaves --out-dir as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import excitation, identify, mpc
 from .config import ExperimentConfig, config_to_ini, default_config, load_config
@@ -70,7 +74,7 @@ def _load(args) -> ExperimentConfig:
 
 
 def _specs(args, cfg: ExperimentConfig) -> list[RegressorSpec]:
-    if not getattr(args, "spec", None):
+    if not args.spec:
         return [cfg.model.spec]
     out = []
     for name in args.spec:
@@ -82,7 +86,7 @@ def _specs(args, cfg: ExperimentConfig) -> list[RegressorSpec]:
 
 
 def _dataset(args, cfg: ExperimentConfig) -> TimeSeriesDataset:
-    if getattr(args, "dataset", None):
+    if args.dataset:
         ds = TimeSeriesDataset.from_csv(args.dataset)
         # the same tolerance as the dataset's own time-grid check
         epsilon = cfg.sim.epsilon
@@ -98,127 +102,109 @@ def _dataset(args, cfg: ExperimentConfig) -> TimeSeriesDataset:
     return run_experiment(cfg.plant, cfg.sim)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     cfg = _load(args)
-    out = _out_dir(args)
-    if getattr(args, "probe", False):
+    if args.probe:
         ds = run_probe_experiment(cfg.plant, cfg.sim, inlet_set=cfg.mpc.inlet_set,
                                   flow_set=cfg.mpc.flow_set, period_h=cfg.mpc.t_opt)
-        path = out / "dataset_probe.csv"
+        name = "dataset_probe.csv"
     else:
         ds = run_experiment(cfg.plant, cfg.sim)
-        path = out / "dataset.csv"
-    ds.to_csv(path)
-    print(f"wrote {path} ({len(ds)} samples, {ds.n_neighbors} neighbor(s))")
-    return EXIT_OK
+        name = "dataset.csv"
+    return {name: ds.to_csv}, [f"wrote {Path(args.out_dir) / name} ({len(ds)} samples, "
+                               f"{ds.n_neighbors} neighbor(s))"]
 
 
-def _train_all(cfg: ExperimentConfig, ds: TimeSeriesDataset,
-               specs: list[RegressorSpec], out: Path):
-    """Train the RH predictor once, then each requested zone structure."""
-    rh_spec = RegressorSpec(Structure.NRM_FI_RH, cfg.model.spec.n_neighbors)
-    rh_report = identify.train(ds, rh_spec, cfg.model.passes, cfg.model.rls,
-                               window=cfg.model.rmse_window)
-    identify.theta_to_file(rh_report.theta, out / "theta_w.txt")
-    reports = {}
-    for spec in specs:
-        if spec.structure is Structure.NRM_FI_RH:
-            reports[spec] = rh_report
-            continue
-        rep = identify.train(ds, spec, cfg.model.passes, cfg.model.rls,
-                             theta_w=rh_report.theta, window=cfg.model.rmse_window)
-        reports[spec] = rep
+def _train_all(cfg: ExperimentConfig, ds: TimeSeriesDataset, specs: list[RegressorSpec]):
+    """Train the RH predictor once, then each requested zone structure; the
+    reports and the files that hold them."""
+    model = cfg.model
+    rh = identify.train(ds, RegressorSpec(Structure.NRM_FI_RH, model.spec.n_neighbors),
+                        model.passes, model.rls, window=model.rmse_window)
+    reports = {spec: rh if spec.structure is Structure.NRM_FI_RH else
+               identify.train(ds, spec, model.passes, model.rls, theta_w=rh.theta,
+                              window=model.rmse_window) for spec in specs}
+    outputs = {"theta_w.txt": functools.partial(identify.theta_to_file, rh.theta)}
     for spec, rep in reports.items():
         tag = spec.structure.value
-        rep.to_csv(out / f"train_report_{tag}.csv")
-        identify.theta_to_file(rep.theta, out / f"theta_{tag}.txt")
-    return rh_report, reports
+        outputs[f"train_report_{tag}.csv"] = rep.to_csv
+        outputs[f"theta_{tag}.txt"] = functools.partial(identify.theta_to_file, rep.theta)
+    return reports, outputs
 
 
-def cmd_identify(args) -> int:
+def cmd_identify(args):
     cfg = _load(args)
-    out = _out_dir(args)
-    ds = _dataset(args, cfg)
-    _, reports = _train_all(cfg, ds, _specs(args, cfg), out)
-    for spec, rep in reports.items():
-        print(f"{spec.structure.value}: final rolling RMSE "
-              f"{rep.final_rmse:.6g} over window {rep.window}")
-    return EXIT_OK
+    specs = _specs(args, cfg)
+    reports, outputs = _train_all(cfg, _dataset(args, cfg), specs)
+    return outputs, [f"{spec.structure.value}: final rolling RMSE "
+                     f"{rep.final_rmse:.6g} over window {rep.window}"
+                     for spec, rep in reports.items()]
 
 
-def cmd_excite_check(args) -> int:
+def cmd_excite_check(args):
     cfg = _load(args)
-    out = _out_dir(args)
     ds = _dataset(args, cfg)
     report = excitation.informativity_check(ds, cfg.model.spec)
-    for col, rep in report.spectra.items():
-        rep.to_csv(out / f"spectrum_{col}.csv", epsilon_hours=ds.epsilon)
-    print(report.summary())
-    return EXIT_OK
+    return ({f"spectrum_{col}.csv": functools.partial(rep.to_csv, epsilon_hours=ds.epsilon)
+             for col, rep in report.spectra.items()}, [report.summary()])
 
 
-def _episode(cfg: ExperimentConfig, spec: RegressorSpec, theta, theta_w):
-    sim = dataclasses.replace(cfg.sim, seed=cfg.eval_seed,
-                              duration=cfg.episode_hours)
-    return mpc.closed_loop_run(cfg.plant, sim, cfg.mpc, spec, theta, theta_w)
-
-
-def cmd_mpc_run(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args)
-    specs = _specs(args, cfg)
-    for spec in specs:
-        if spec.structure is Structure.NRM_FI_RH:
-            raise ConfigError("the RH structure predicts the water temperature "
-                              "and cannot serve as the zone model in the MPC")
-    ds = _dataset(args, cfg)
-    _, reports = _train_all(cfg, ds, specs, out)
+def _episodes(args, cfg: ExperimentConfig, specs: list[RegressorSpec]):
+    """Train every structure, then run each zone model's closed-loop episode;
+    the reports, each episode's final running-average costs and the files."""
+    reports, outputs = _train_all(cfg, _dataset(args, cfg), specs)
+    sim = dataclasses.replace(cfg.sim, seed=cfg.eval_seed, duration=cfg.episode_hours)
+    costs = {}
     for spec, rep in reports.items():
-        episode = _episode(cfg, spec, rep.theta, rep.theta_w)
-        tag = spec.structure.value
-        episode.to_csv(out / f"episode_{tag}.csv")
-        print(f"{tag}: comfort {episode.final_comfort:.6g}  "
-              f"heating {episode.final_heating:.6g}  pump {episode.final_pump:.6g}")
-    return EXIT_OK
+        if spec.structure is not Structure.NRM_FI_RH:
+            ep = mpc.closed_loop_run(cfg.plant, sim, cfg.mpc, spec, rep.theta, rep.theta_w)
+            outputs[f"episode_{spec.structure.value}.csv"] = ep.to_csv
+            costs[spec] = (ep.final_comfort, ep.final_heating, ep.final_pump)
+    return reports, costs, outputs
 
 
-def cmd_compare(args) -> int:
+def cmd_mpc_run(args):
     cfg = _load(args)
-    out = _out_dir(args)
     specs = _specs(args, cfg)
-    ds = _dataset(args, cfg)
-    _, reports = _train_all(cfg, ds, specs, out)
-    rows = []
-    for spec, rep in reports.items():
-        tag = spec.structure.value
-        if spec.structure is Structure.NRM_FI_RH:
-            rows.append((tag, rep.final_rmse, float("nan"), float("nan"),
-                         float("nan")))
-            continue
-        episode = _episode(cfg, spec, rep.theta, rep.theta_w)
-        episode.to_csv(out / f"episode_{tag}.csv")
-        rows.append((tag, rep.final_rmse, episode.final_comfort,
-                     episode.final_heating, episode.final_pump))
-    with open(out / "summary.csv", "w", encoding="utf-8") as fh:
-        fh.write("spec,final_rmse,final_comfort,final_heating,final_pump\n")
-        for tag, rmse, comfort, heating, pump in rows:
-            fh.write(f"{tag},{rmse:.9g},{comfort:.9g},{heating:.9g},{pump:.9g}\n")
-        print(f"wrote {out / 'summary.csv'}")
-    for tag, rmse, comfort, heating, pump in rows:
-        print(f"{tag}: rmse {rmse:.6g}  comfort {comfort:.6g}  "
-              f"heating {heating:.6g}  pump {pump:.6g}")
-    return EXIT_OK
+    if any(spec.structure is Structure.NRM_FI_RH for spec in specs):
+        raise ConfigError("the RH structure predicts the water temperature "
+                          "and cannot serve as the zone model in the MPC")
+    _, costs, outputs = _episodes(args, cfg, specs)
+    return outputs, [f"{spec.structure.value}: comfort {comfort:.6g}  "
+                     f"heating {heating:.6g}  pump {pump:.6g}"
+                     for spec, (comfort, heating, pump) in costs.items()]
 
 
-def cmd_print_defaults(_args) -> int:
-    sys.stdout.write(config_to_ini(default_config()))
-    return EXIT_OK
+def cmd_compare(args):
+    cfg = _load(args)
+    reports, costs, outputs = _episodes(args, cfg, _specs(args, cfg))
+    rows = [(spec.structure.value, rep.final_rmse, *costs.get(spec, (float("nan"),) * 3))
+            for spec, rep in reports.items()]
+    summary = "spec,final_rmse,final_comfort,final_heating,final_pump\n" + "".join(
+        f"{tag},{rmse:.9g},{comfort:.9g},{heating:.9g},{pump:.9g}\n"
+        for tag, rmse, comfort, heating, pump in rows)
+    outputs["summary.csv"] = lambda path: path.write_text(summary, encoding="utf-8")
+    return outputs, [f"wrote {Path(args.out_dir) / 'summary.csv'}",
+                     *(f"{tag}: rmse {rmse:.6g}  comfort {comfort:.6g}  "
+                       f"heating {heating:.6g}  pump {pump:.6g}"
+                       for tag, rmse, comfort, heating, pump in rows)]
+
+
+def cmd_print_defaults(_args):
+    return {}, config_to_ini(default_config()).splitlines()
+
+
+def _write(out_dir, outputs) -> None:
+    """Create ``out_dir`` and write every output into it; a path that cannot
+    be written is a config error."""
+    path = Path(out_dir)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        for name, write in outputs.items():
+            path = Path(out_dir) / name
+            write(path)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from None
 
 
 _COMMANDS = {
@@ -234,7 +220,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        outputs, lines = _COMMANDS[args.command](args)
+        if outputs:
+            _write(args.out_dir, outputs)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -244,6 +232,9 @@ def main(argv=None) -> int:
     except ThermbenchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    for line in lines:
+        print(line)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -57,6 +57,13 @@ class ExperimentConfig:
         if len(self.sim.initial.t_s) != n:
             raise ConfigError(f"[initial] t_s has {len(self.sim.initial.t_s)} values, "
                               f"[plant] n_neighbors is {n}")
+        # load_config derives these two from [plant] and [sim]
+        if self.model.spec.n_neighbors != n:
+            raise ConfigError(f"the model has {self.model.spec.n_neighbors} neighbor(s), "
+                              f"[plant] n_neighbors is {n}")
+        if self.mpc.t_sam != self.sim.epsilon:
+            raise ConfigError(f"the controller samples every {self.mpc.t_sam!r} h, "
+                              f"[sim] epsilon_hours is {self.sim.epsilon!r} h")
         if self.eval_seed < 0:
             raise ConfigError(f"[mpc] eval_seed must be non-negative, got {self.eval_seed}")
         if self.episode_hours < self.sim.epsilon:
@@ -232,7 +239,8 @@ def _get(cfg: ExperimentConfig, field: str):
 
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
-    """The config as the text ``configparser`` writes for it."""
+    """The config, once it validates, as the text ``configparser`` writes."""
+    cfg.validate()
     return "".join(
         f"[{section}]\n" + "".join(f"{key} = {_KINDS[kind][1](_get(cfg, field))}\n"
                                    for key, kind, field in rows) + "\n"

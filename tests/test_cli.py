@@ -1,5 +1,6 @@
 import configparser
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -362,15 +363,64 @@ def test_excite_check_computes_each_spectrum_once(tmp_path, small_config,
         f"spectrum_{c}.csv" for c in excitation.excitation_columns(1))
 
 
-def test_python_m_thermbench_prints_defaults(tmp_path):
-    env = {**os.environ,
+def _console(cwd, *argv):
+    """Run ``python -m thermbench`` in a fresh process; numpy's RuntimeWarnings
+    are errors there, so one that escapes shows as a traceback."""
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
            "PYTHONPATH": str(Path(thermbench.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-m", "thermbench", "print-defaults"],
-                          cwd=tmp_path, env=env, capture_output=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "thermbench", *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=60)
+
+
+def test_python_m_thermbench_prints_defaults(tmp_path):
+    done = _console(tmp_path, "print-defaults")
     assert done.returncode == 0, done.stderr
     # the committed file pins the template's bytes
     assert done.stdout == (Path(__file__).parent / "data" / "defaults.ini").read_bytes()
     assert done.stdout.decode() == config_to_ini(default_config())
+
+
+def test_unknown_key_through_the_console_script_exits_2(tmp_path):
+    text = config_to_ini(default_config())
+    assert text.count("[rh]\n") == 1
+    (tmp_path / "bad_key.ini").write_text(text.replace("[rh]\n", "[rh]\nbogus = 1\n"))
+    done = _console(tmp_path, "simulate", "--config", "bad_key.ini",
+                    "--out-dir", "bad_key_out")
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert "bad_key.ini: [rh] bogus: unknown key" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "bad_key_out").exists()
+
+
+def test_numerical_error_through_the_console_script_exits_3(tmp_path):
+    text, n = re.subn(r"(?m)^forgetting = .*$", "forgetting = 0.01",
+                      config_to_ini(default_config()))
+    assert n == 1
+    (tmp_path / "diverging.ini").write_text(text)
+    done = _console(tmp_path, "identify", "--spec", "LRM", "--config", "diverging.ini",
+                    "--out-dir", "diverging_out")
+    err = done.stderr.decode()
+    assert done.returncode == 3, err
+    assert "numerical error:" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "diverging_out").exists()
+
+
+@pytest.mark.parametrize("out_dir,named,reason", [
+    ("taken", "taken", "File exists"),
+    ("taken/sub", "taken/sub", "Not a directory"),
+    ("out", "out/dataset.csv", "Is a directory"),
+])
+def test_out_dir_that_cannot_be_written_exits_2(tmp_path, small_config, capsys,
+                                                out_dir, named, reason):
+    (tmp_path / "taken").write_text("a file\n")
+    (tmp_path / "out" / "dataset.csv").mkdir(parents=True)
+    assert main(["simulate", "--config", str(small_config),
+                 "--out-dir", str(tmp_path / out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: cannot write {tmp_path / named}: {reason}\n"
+    assert captured.out == ""
 
 
 def test_excite_check_reports(tmp_path, small_config, capsys):
@@ -408,23 +458,35 @@ def test_mpc_run_rejects_rh_structure(tmp_path, small_config, capsys):
     assert code == 2
 
 
+def _files(directory):
+    """Every file under ``directory`` and its bytes."""
+    return {p.relative_to(directory): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
 @pytest.mark.parametrize("section,key,value,argv", [
     ("model", "forgetting", "0.01", ["identify", "--spec", "LRM"]),
     ("mpc", "alpha", "1e+308", ["mpc-run", "--spec", "LRM"]),
-], ids=["diverging-rls", "overflowing-plan-costs"])
+    ("mpc", "alpha", "1e+308", ["compare", "--spec", "LRM"]),
+], ids=["diverging-rls", "overflowing-plan-costs", "compare-after-training"])
 def test_numerical_failure_exits_3_with_one_line(tmp_path, small_config, capsys,
                                                  section, key, value, argv):
     # the stage's own non-finite screen reports the failure; numpy's warnings,
-    # which this suite turns into errors, stay silent
+    # which this suite turns into errors, stay silent.  The command writes
+    # nothing, not even the parameters it trained before the failure.
     cp = configparser.ConfigParser()
     cp.read(small_config)
     cp[section][key] = value
     config = tmp_path / "diverging.ini"
     with open(config, "w") as fh:
         cp.write(fh)
-    assert main([*argv, "--config", str(config), "--out-dir", str(tmp_path)]) == 3
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.csv").write_text("sentinel\n")
+    assert main([*argv, "--config", str(config), "--out-dir", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and err.count("\n") == 1, err
+    assert _files(out) == {Path("summary.csv"): b"sentinel\n"}
 
 
 def test_compare_summary_matches_emitted_files(tmp_path, small_config):
@@ -496,13 +558,19 @@ def test_compare_with_zero_passes_runs_the_untrained_models(tmp_path, small_conf
 
 
 def _each_dataset_command_exits_2(config, path, out, capsys, *parts):
-    # every command that reads a --dataset file checks it against the config
+    # every command that reads a --dataset file checks it against the config,
+    # and before it writes: a pre-filled --out-dir keeps its bytes and a
+    # missing one is not created
+    before = _files(out)
     for argv in (["identify", "--spec", "LRM"], ["excite-check"],
                  ["mpc-run", "--spec", "NRM_MI"], ["compare"]):
-        assert main([*argv, "--config", str(config), "--out-dir", str(out),
-                     "--dataset", str(path)]) == 2, argv
-        err = capsys.readouterr().err
-        assert str(path) in err and all(part in err for part in parts), (argv, err)
+        for out_dir in (out, out / "missing"):
+            assert main([*argv, "--config", str(config), "--out-dir", str(out_dir),
+                         "--dataset", str(path)]) == 2, argv
+            err = capsys.readouterr().err
+            assert str(path) in err and all(part in err for part in parts), (argv, err)
+        assert not (out / "missing").exists(), argv
+        assert _files(out) == before, argv
 
 
 def test_dataset_at_another_sampling_period_exits_2(tmp_path, small_config, capsys):

@@ -1,11 +1,13 @@
 import configparser
 import dataclasses
+import math
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from thermbench.cli import main
+from thermbench.errors import ConfigError
 from thermbench.config import (SCHEMA, ExperimentConfig, ModelConfig, config_to_ini,
                                default_config, load_config)
 from thermbench.identify import RlsConfig
@@ -99,6 +101,24 @@ def test_config_round_trips_through_ini(ini_path, drawn, structure):
         drawn.model, spec=RegressorSpec(structure, drawn.plant.n_neighbors)))
     ini_path.write_text(config_to_ini(cfg))
     assert load_config(ini_path) == cfg
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda cfg: {"model": dataclasses.replace(
+        cfg.model, spec=RegressorSpec(Structure.NRM_MI, 2))},
+     "the model has 2 neighbor(s), [plant] n_neighbors is 1"),
+    # exactly: the loader takes [sim] epsilon_hours itself, not a value close to it
+    (lambda cfg: {"mpc": dataclasses.replace(
+        cfg.mpc, t_sam=math.nextafter(cfg.sim.epsilon, 1.0))},
+     "the controller samples every 0.08333333333333334 h, "
+     "[sim] epsilon_hours is 0.08333333333333333 h"),
+], ids=["model-neighbors", "mpc-t_sam"])
+def test_config_to_ini_refuses_what_load_config_would_derive_otherwise(change, message):
+    cfg = default_config()
+    cfg = dataclasses.replace(cfg, **change(cfg))
+    with pytest.raises(ConfigError) as caught:
+        config_to_ini(cfg)
+    assert str(caught.value) == message
 
 
 def test_every_key_set_to_a_bad_value_exits_cleanly(tmp_path, small_config, capsys):
