@@ -74,10 +74,11 @@ def _load(args) -> ExperimentConfig:
 
 
 def _specs(args, cfg: ExperimentConfig) -> list[RegressorSpec]:
+    """The requested structures, each once, in the order first named."""
     if not args.spec:
         return [cfg.model.spec]
     out = []
-    for name in args.spec:
+    for name in dict.fromkeys(args.spec):
         try:
             out.append(RegressorSpec(Structure(name), cfg.model.spec.n_neighbors))
         except ValueError:

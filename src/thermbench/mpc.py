@@ -80,7 +80,7 @@ from .identify import oe_predict  # noqa: F401  (perfbench's self-test patches m
 from .regressors import (CompiledLayout, RegressorSpec, compile_layout, layout,
                          regressor_length, sum_entries, warmup)
 from .simulator import (SimConfig, ZoneParams, check_control_set, check_positive,
-                        heating_curve, hysteresis_control, simulate,
+                        float_rows, heating_curve, hysteresis_control, simulate,
                         synthesize_scenario, write_rows)
 from .simulator import step  # noqa: F401  (perfbench's self-test patches mpc.step)
 
@@ -864,14 +864,17 @@ def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
     episode = _EpisodeForms(theta_r, theta_w, spec, cfg, columns)
     decided: dict[int, int] = {}  # the option each decision applied, by period
 
+    signals = float_rows(n, noise, scen.occ, scen.neighbors[0])
+
     def control(k, t_r_true):
         nonlocal current
-        t_r[k] = t_r_true + noise[k]
+        noise_k, occ_k, t_out_k = next(signals)
+        t_r[k] = t_r_true + noise_k
         if k < warm or (current is None and k % s != 0):
             # bootstrap: hysteresis with the heating-curve inlet
-            flow_k = hysteresis_control(t_r[k], t_r[max(k - 1, 0)], scen.occ[k] > 0,
+            flow_k = hysteresis_control(t_r[k], t_r[max(k - 1, 0)], occ_k > 0,
                                         sim_cfg.hysteresis)
-            inlet_k = heating_curve(sim_cfg.hysteresis.t_set, scen.neighbors[0][k],
+            inlet_k = heating_curve(sim_cfg.hysteresis.t_set, t_out_k,
                                     sim_cfg.heating_curve)
         else:
             if k % s == 0 or current is None:

@@ -6,11 +6,12 @@ One plant loop, :func:`simulate`, integrates a pre-sampled :class:`Scenario`
 on flat floats and asks a ``control(k, t_r_true)`` callable for each sample's
 water-loop input: the hysteresis run, the probe run and
 ``mpc.closed_loop_run`` are its three controllers.  Its inputs are checked
-once, before the loop.  There is one RK4: ``_stepper`` compiles it per plant
-over the cached heat balance ``ZoneParams.balance``, holds the state as
-``(t_r, t_s, t_w)`` and takes the flow conductances once per step; both
-:func:`simulate` and the typed, checked single-step entry point :func:`step`
-run it.
+once, before the loop, and its signals are read as Python floats one block
+of rows at a time (:func:`float_rows`), as are the controllers' own.  There
+is one RK4, ``thermal_core.rk4_step``: the straight-line step generated per
+neighbor count, on the state ``(t_r, t_s, t_w)`` with the flow conductances
+taken once per step; both :func:`simulate` and the typed, checked
+single-step entry point :func:`step` run it.
 
 Dataset I/O: :func:`write_rows` formats blocks of rows with one ``%`` on a
 repeated ``%.9g`` row template (the text of ``f"{v:.9g}"``), and
@@ -30,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, ShapeError
+from .errors import ConfigError, ShapeError
 from .thermal_core import (ControlInput, Disturbance, PlantState, ZoneParams,
-                           air_conductance, water_conductance)
+                           rk4_step)
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -369,48 +370,6 @@ def write_rows(fh, columns) -> None:
 # plant integration
 # ---------------------------------------------------------------------------
 
-def _stepper(params: ZoneParams, h: float):
-    """The classical RK4 step of ``h`` seconds compiled for one plant:
-    ``advance(t_r, t_s, t_w, vdot_w, vdot_a, t_w_in, t_a_in, t_neighbors,
-    q_ext) -> (t_r, t_s, t_w)`` over :attr:`ZoneParams.balance`, the inputs
-    held constant over the step.  The conductances are taken once per step,
-    and the stage arithmetic associates as in ``x + 0.5 * h * k`` and
-    ``x + h / 6.0 * (k1 + 2 k2 + 2 k3 + k4)``.  A non-finite result raises
-    :class:`DivergenceError` naming the first diverged state."""
-    balance, rh, hvac = params.balance, params.rh, params.hvac
-    half, sixth = 0.5 * h, h / 6.0
-    isfinite = math.isfinite
-
-    def shifted(t_s, c, k_s):
-        out = []
-        for a, b in zip(t_s, k_s):
-            out.append(a + c * b)
-        return out
-
-    def advance(t_r, t_s, t_w, vdot_w, vdot_a, t_w_in, t_a_in, t_neighbors, q_ext):
-        g_w = water_conductance(rh, vdot_w)
-        g_a = air_conductance(hvac, vdot_a)
-        r1, s1, w1 = balance(t_r, t_s, t_w, g_w, g_a, t_w_in, t_a_in, t_neighbors, q_ext)
-        r2, s2, w2 = balance(t_r + half * r1, shifted(t_s, half, s1), t_w + half * w1,
-                             g_w, g_a, t_w_in, t_a_in, t_neighbors, q_ext)
-        r3, s3, w3 = balance(t_r + half * r2, shifted(t_s, half, s2), t_w + half * w2,
-                             g_w, g_a, t_w_in, t_a_in, t_neighbors, q_ext)
-        r4, s4, w4 = balance(t_r + h * r3, shifted(t_s, h, s3), t_w + h * w3,
-                             g_w, g_a, t_w_in, t_a_in, t_neighbors, q_ext)
-        t_r = t_r + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-        t_s_next = []
-        for a, b1, b2, b3, b4 in zip(t_s, s1, s2, s3, s4):
-            t_s_next.append(a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
-        t_w = t_w + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
-        if not (isfinite(t_r) and all(map(isfinite, t_s_next)) and isfinite(t_w)):
-            states = [("T_r", t_r), *((f"T_s[{i}]", v) for i, v in enumerate(t_s_next)),
-                      ("T_w", t_w)]
-            name, v = next((name, v) for name, v in states if not isfinite(v))
-            raise DivergenceError(f"integration diverged: state {name} is {v!r}")
-        return t_r, t_s_next, t_w
-    return advance
-
-
 def step(params: ZoneParams, x: PlantState, u: ControlInput, d: Disturbance,
          epsilon: float) -> PlantState:
     """One classical RK4 step of length ``epsilon`` hours with u, d held
@@ -421,7 +380,7 @@ def step(params: ZoneParams, x: PlantState, u: ControlInput, d: Disturbance,
     n = params.n_neighbors
     if len(x.t_s) != n or len(d.t_neighbors) != n:
         raise ShapeError("state/disturbance dimensions disagree with neighbor count")
-    t_r, t_s, t_w = _stepper(params, epsilon * SECONDS_PER_HOUR)(
+    t_r, t_s, t_w = rk4_step(params, epsilon * SECONDS_PER_HOUR)(
         x.t_r, x.t_s, x.t_w, u.vdot_w, u.vdot_a, d.t_w_in, d.t_a_in,
         d.t_neighbors, d.q_ext)
     return PlantState(t_r=t_r, t_s=t_s, t_w=t_w)
@@ -494,9 +453,12 @@ def check_control_set(inlet_set, flow_set) -> None:
                           "flows must be non-negative")
 
 
-def _check_scenario(params: ZoneParams, initial: PlantState, scen: Scenario) -> None:
+def _check_scenario(params: ZoneParams, initial: PlantState, scen: Scenario,
+                    n: int) -> None:
     """The plant loop's checks, made once before it starts.  A bad signal is
     named by its dataset column and its first bad sample."""
+    if len(scen.t_hours) < n:
+        raise ShapeError(f"scenario has {len(scen.t_hours)} samples, the run needs {n}")
     nn = params.n_neighbors
     if len(scen.neighbors) != nn:
         raise ConfigError(f"disturbance spec has {len(scen.neighbors)} neighbor "
@@ -513,27 +475,36 @@ def _check_scenario(params: ZoneParams, initial: PlantState, scen: Scenario) -> 
                               f"sample {k}: signals must be finite, flows non-negative")
 
 
+def float_rows(n: int, *columns: np.ndarray):
+    """The first ``n`` rows of ``columns`` as tuples of Python floats,
+    converted one :data:`CSV_BLOCK_ROWS` block at a time."""
+    for lo in range(0, n, CSV_BLOCK_ROWS):
+        hi = min(n, lo + CSV_BLOCK_ROWS)
+        yield from zip(*(c[lo:hi].tolist() for c in columns))
+
+
 def simulate(params: ZoneParams, sim_cfg: SimConfig, scenario: Scenario, n: int,
              control) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrate ``n`` samples of ``scenario`` from ``sim_cfg.initial``.
 
-    ``control(k, t_r_true)`` gets the true zone temperature at the start of
-    sample k and returns the ``(inlet, flow)`` held over it (a finite inlet,
-    a finite non-negative flow).  Returns the true ``T_r`` and ``T_w`` at the
-    start of every sample and the applied inlet and flow.
+    ``control(k, t_r_true)``, called once per sample in sample order, gets
+    the true zone temperature at the start of sample k and returns the
+    ``(inlet, flow)`` held over it (a finite inlet, a finite non-negative
+    flow).  Returns the true ``T_r`` and ``T_w`` at the start of every sample
+    and the applied inlet and flow.
     """
-    _check_scenario(params, sim_cfg.initial, scenario)
-    advance = _stepper(params, sim_cfg.epsilon * SECONDS_PER_HOUR)
-    signals = np.column_stack([scenario.va, scenario.ta_in, scenario.q_ext,
-                               *scenario.neighbors])
+    _check_scenario(params, sim_cfg.initial, scenario, n)
+    advance = rk4_step(params, sim_cfg.epsilon * SECONDS_PER_HOUR)
+    signals = float_rows(n, scenario.va, scenario.ta_in, scenario.q_ext,
+                         *scenario.neighbors)
     t_r_log, t_w_log, inlet, flow = (np.empty(n) for _ in range(4))
     initial = sim_cfg.initial
     t_r, t_s, t_w = float(initial.t_r), [float(v) for v in initial.t_s], float(initial.t_w)
-    for k in range(n):
+    for k, (va, ta_in, q_ext, *t_neighbors) in enumerate(signals):
         t_r_log[k], t_w_log[k] = t_r, t_w
-        inlet[k], flow[k] = control(k, t_r)
-        va, ta_in, q_ext, *t_neighbors = signals[k].tolist()
-        t_r, t_s, t_w = advance(t_r, t_s, t_w, float(flow[k]), va, float(inlet[k]),
+        inlet_k, flow_k = control(k, t_r)
+        inlet[k], flow[k] = inlet_k, flow_k
+        t_r, t_s, t_w = advance(t_r, t_s, t_w, float(flow_k), va, float(inlet_k),
                                 ta_in, t_neighbors, q_ext)
     return t_r_log, t_w_log, inlet, flow
 
@@ -567,13 +538,14 @@ def run_experiment(params: ZoneParams, cfg: SimConfig) -> TimeSeriesDataset:
     scen = synthesize_scenario(cfg.disturbance_spec, cfg.epsilon, n, rng)
     noise = _noise(rng, cfg.noise_std, n)
     t_r_prev = cfg.initial.t_r
+    occ_t_out = float_rows(n, scen.occ, scen.neighbors[0])
 
     def control(k, t_r):
         nonlocal t_r_prev
-        flow = hysteresis_control(t_r, t_r_prev, scen.occ[k] > 0, cfg.hysteresis)
+        occ, t_out = next(occ_t_out)
+        flow = hysteresis_control(t_r, t_r_prev, occ > 0, cfg.hysteresis)
         t_r_prev = t_r
-        return heating_curve(cfg.hysteresis.t_set, scen.neighbors[0][k],
-                             cfg.heating_curve), flow
+        return heating_curve(cfg.hysteresis.t_set, t_out, cfg.heating_curve), flow
 
     return _dataset(cfg, scen, noise, simulate(params, cfg, scen, n, control))
 

@@ -12,29 +12,30 @@ conductance is ``c_w * vdot_w``; the air flow is volumetric in m^3/s, so the
 air-side conductance is ``rho_a * c_a * vdot_a``.  Both conductances are
 exactly zero at zero flow.
 
-There is one heat balance.  ``ZoneParams.balance`` is its compiled form: a
-closure, cached per plant, over the plant's flat constants (separator
-resistances and capacitances, convection resistance, water and zone
-capacitances) that maps the state ``(t_r, t_s, t_w)``, the two flow
-conductances and the disturbances to ``(dt_r, dt_s, dt_w)``.  The RK4 stepper
-in ``simulator`` integrates it, and ``rate`` is the same balance on the flat
-state list and the raw flows.  The other per-plant constants (neighbor order,
-ordered separators, water capacitance) are cached properties of the frozen
-parameter records too, computed on first use.  The checked records
+There is one heat balance, written once as the stage template of a code
+generator that writes straight-line source per neighbor count and compiles
+it once.  ``rk4_step`` is the RK4 step, four stages in one function;
+``ZoneParams.balance`` is the one-stage form, from the state ``(t_r, t_s,
+t_w)``, the two flow conductances and the disturbances to ``(dt_r, dt_s,
+dt_w)``; ``rate`` is the balance on the flat state list and the raw flows.
+A plant's constants and the step length are names of the generated
+function's namespace, never text of its source, so plants with the same
+neighbor count share one code object.  The other per-plant constants
+(neighbor order, ordered separators, water capacitance) are cached
+properties of the frozen parameter records.  The checked records
 ``PlantState``, ``ControlInput`` and ``Disturbance`` serve the typed
 ``simulator.step``.
-``coefficients`` (the bilinear form) is an independent reference that the
-tests assemble into dense matrices and pin ``rate`` to.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ParameterError
+from .errors import DivergenceError, ParameterError
 
 
 def _require_positive(**values: float) -> None:
@@ -122,30 +123,86 @@ class ZoneParams:
 
     @cached_property
     def balance(self):
-        """The zone, separator and water heat balances compiled over this
-        plant's constants: ``balance(t_r, t_s, t_w, g_w, g_a, t_w_in, t_a_in,
-        t_neighbors, q_ext) -> (dt_r, dt_s, dt_w)``, with ``t_s``, ``dt_s``
-        and ``t_neighbors`` ordered by neighbor id, ``g_w``/``g_a`` the
-        conductances of :func:`water_conductance`/:func:`air_conductance` and
-        the derivatives in K/s."""
-        seps = [(s.r_plus, s.r_minus, s.c_s) for s in self.ordered_separators]
-        r_c, c_w, c_r = self.rh.r_c, self.rh.c_w, self.c_r
+        """The zone, separator and water heat balances of this plant, the
+        generated code's one-stage form: ``balance(t_r, t_s, t_w, g_w, g_a,
+        t_w_in, t_a_in, t_neighbors, q_ext) -> (dt_r, dt_s, dt_w)``, with
+        ``t_s``, ``dt_s`` and ``t_neighbors`` ordered by neighbor id, ``g_w``
+        and ``g_a`` the conductances of :func:`water_conductance` and
+        :func:`air_conductance` and the derivatives in K/s."""
+        return _generated(self, False)
 
-        def balance(t_r, t_s, t_w, g_w, g_a, t_w_in, t_a_in, t_neighbors, q_ext):
-            # Separator balances: heat in from the neighbor side, out to the
-            # zone side.
-            q_s_plus, dt_s = [], []
-            for ts, tj, (r_plus, r_minus, c_s) in zip(t_s, t_neighbors, seps):
-                q_plus = (ts - t_r) / r_plus
-                q_s_plus.append(q_plus)
-                dt_s.append(((tj - ts) / r_minus - q_plus) / c_s)
-            # Radiator water node: inlet advection against convection to the zone.
-            q_w = (t_w - t_r) / r_c
-            dt_w = (g_w * (t_w_in - t_w) - q_w) / c_w
-            # Zone balance: separators, radiator, air loop, external sources.
-            dt_r = (sum(q_s_plus) + q_w + g_a * (t_a_in - t_r) + q_ext) / c_r
-            return dt_r, dt_s, dt_w
-        return balance
+
+def _stage(i: int, x: str, n: int) -> list[str]:
+    """The heat balance, written once: the lines that set stage ``i``'s
+    derivatives ``k{i}_r``, ``k{i}_s{j}``, ``k{i}_w`` of the state ``{x}_r``,
+    ``{x}_s{j}``, ``{x}_w``.  The separator sum starts from ``0.0``, as
+    ``sum()`` does from ``0``, so that a zero sum is never ``-0.0``."""
+    q_sum = "".join(f" + q{j}" for j in range(n))
+    return [
+        # Separator balances: heat in from the neighbor side, out to the zone side.
+        *(line for j in range(n) for line in (
+            f"q{j} = ({x}_s{j} - {x}_r) / r_plus{j}",
+            f"k{i}_s{j} = ((t_n{j} - {x}_s{j}) / r_minus{j} - q{j}) / c_s{j}")),
+        # Radiator water node: inlet advection against convection to the zone.
+        f"q_w = ({x}_w - {x}_r) / r_c",
+        f"k{i}_w = (g_w * (t_w_in - {x}_w) - q_w) / c_w",
+        # Zone balance: separators, radiator, air loop, external sources.
+        f"k{i}_r = (0.0{q_sum} + q_w + g_a * (t_a_in - {x}_r) + q_ext) / c_r"]
+
+
+def _source(n: int, rk4: bool) -> str:
+    """Straight-line source, for ``n`` neighbors, of ``balance`` (one stage on
+    the conductances) or ``rk4`` (the RK4 step on the flows), associating as
+    ``x + 0.5 * h * k`` and ``x + h / 6.0 * (k1 + 2 k2 + 2 k3 + k4)`` do."""
+    xs = ["r", *(f"s{j}" for j in range(n)), "w"]
+    t_s, k_s = (", ".join(f"{p}_{x}" for x in xs[1:-1]) for p in ("t", "k1"))
+    body = [f"{t_s}, = t_s", ", ".join(f"t_n{j}" for j in range(n)) + ", = t_neighbors"]
+    if not rk4:
+        body += [*_stage(1, "t", n), f"return k1_r, [{k_s}], k1_w"]
+    else:
+        body += ["g_w = g_w_per_flow * vdot_w", "g_a = g_a_per_flow * vdot_a",
+                 *_stage(1, "t", n)]
+        for i, c in ((1, "half"), (2, "half"), (3, "h")):
+            body += [f"x_{x} = t_{x} + {c} * k{i}_{x}" for x in xs] + _stage(i + 1, "x", n)
+        body += [f"t_{x} = t_{x} + sixth * (k1_{x} + 2.0 * k2_{x} + 2.0 * k3_{x} + k4_{x})"
+                 for x in xs]
+        body += [f"if not ({' and '.join(f'isfinite(t_{x})' for x in xs)}):",
+                 f"    diverged(t_r, [{t_s}], t_w)", f"return t_r, [{t_s}], t_w"]
+    head = "rk4(t_r, t_s, t_w, vdot_w, vdot_a" if rk4 else "balance(t_r, t_s, t_w, g_w, g_a"
+    return (f"def {head}, t_w_in, t_a_in, t_neighbors, q_ext):\n"
+            + "".join(f"    {line}\n" for line in body))
+
+
+@functools.lru_cache(maxsize=None)
+def _code(n: int, rk4: bool):
+    return compile(_source(n, rk4), f"<thermal_core {n} neighbors>", "exec")
+
+
+def _generated(params: ZoneParams, rk4: bool, **names):
+    """The generated function for ``params``: the plant's constants and
+    ``names`` are names of its namespace, never text of its source."""
+    ns = {"r_c": params.rh.r_c, "c_w": params.rh.c_w, "c_r": params.c_r,
+          # both conductances are linear in the flow
+          "g_w_per_flow": water_conductance(params.rh, 1.0),
+          "g_a_per_flow": air_conductance(params.hvac, 1.0),
+          "isfinite": math.isfinite, "diverged": _diverged, **names}
+    for j, s in enumerate(params.ordered_separators):
+        ns.update({f"r_plus{j}": s.r_plus, f"r_minus{j}": s.r_minus, f"c_s{j}": s.c_s})
+    exec(_code(params.n_neighbors, rk4), ns)
+    return ns["rk4" if rk4 else "balance"]
+
+
+def rk4_step(params: ZoneParams, h: float):
+    """The classical RK4 step of ``h`` seconds, four stages of the balance in
+    one function: ``rk4(t_r, t_s, t_w, vdot_w, vdot_a, t_w_in, t_a_in,
+    t_neighbors, q_ext) -> (t_r, t_s, t_w)``, the inputs held over the step."""
+    return _generated(params, True, h=h, half=0.5 * h, sixth=h / 6.0)
+
+
+def _diverged(t_r, t_s, t_w):
+    states = [("T_r", t_r), *((f"T_s[{i}]", v) for i, v in enumerate(t_s)), ("T_w", t_w)]
+    name, v = next((name, v) for name, v in states if not math.isfinite(v))
+    raise DivergenceError(f"integration diverged: state {name} is {v!r}")
 
 
 @dataclass
@@ -195,27 +252,6 @@ class Disturbance:
             _require_finite(**{f"t_neighbors[{i}]": v})
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Rate coefficients (1/s, except q_ext gain in K/(J)) of the generalized
-    bilinear form of the zone dynamics, for one (params, input) pair.
-
-    Per-neighbor entries are ordered by neighbor id.
-    """
-
-    a_r: float                      # zone self-term, includes the air-flow part
-    a_rs_plus: tuple[float, ...]    # zone <- separator core
-    a_ra: float                     # zone <- air inlet (flow dependent)
-    a_rw: float                     # zone <- water node
-    a_s_plus: tuple[float, ...]     # separator core <- zone
-    a_s_minus: tuple[float, ...]    # separator core <- neighbor
-    a_s: tuple[float, ...]          # separator self-term (= -a_s_plus - a_s_minus)
-    a_w: float                      # water node <- zone
-    a_ww: float                     # water node <- inlet (flow dependent)
-    a_wc: float                     # water self-term (= -a_w - a_ww)
-    a_ext: float                    # zone <- external heat, K/(J)
-
-
 def water_conductance(rh: RhParams, vdot_w: float) -> float:
     """1/R_w in W/K for a water mass flow in kg/s; exactly 0 at zero flow."""
     return rh.c_w_medium * vdot_w
@@ -224,36 +260,6 @@ def water_conductance(rh: RhParams, vdot_w: float) -> float:
 def air_conductance(hvac: HvacParams, vdot_a: float) -> float:
     """1/R_a in W/K for an air volume flow in m^3/s; exactly 0 at zero flow."""
     return hvac.rho_a * hvac.c_a * vdot_a
-
-
-def coefficients(params: ZoneParams, u: ControlInput) -> CoefficientSet:
-    """Evaluate every rate coefficient of the generalized zone dynamics."""
-    c_r = params.c_r
-    c_w = params.rh.c_w
-    r_c = params.rh.r_c
-    seps = [params.separators[j] for j in params.neighbor_ids]
-
-    g_w = water_conductance(params.rh, u.vdot_w)
-    g_a = air_conductance(params.hvac, u.vdot_a)
-
-    a_rs_plus = tuple(1.0 / (c_r * s.r_plus) for s in seps)
-    a_s_plus = tuple(1.0 / (s.c_s * s.r_plus) for s in seps)
-    a_s_minus = tuple(1.0 / (s.c_s * s.r_minus) for s in seps)
-    a_s = tuple(-p - m for p, m in zip(a_s_plus, a_s_minus))
-
-    a_rw = 1.0 / (c_r * r_c)
-    a_ra = g_a / c_r
-    a_r = -sum(a_rs_plus) - a_rw - a_ra
-
-    a_w = 1.0 / (c_w * r_c)
-    a_ww = g_w / c_w
-    a_wc = -a_w - a_ww
-
-    return CoefficientSet(
-        a_r=a_r, a_rs_plus=a_rs_plus, a_ra=a_ra, a_rw=a_rw,
-        a_s_plus=a_s_plus, a_s_minus=a_s_minus, a_s=a_s,
-        a_w=a_w, a_ww=a_ww, a_wc=a_wc, a_ext=1.0 / c_r,
-    )
 
 
 def rate(params: ZoneParams, x: Sequence[float], vdot_w: float, vdot_a: float,

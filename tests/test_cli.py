@@ -4,13 +4,14 @@ import re
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import thermbench
-from thermbench import excitation
+from thermbench import excitation, identify
 from thermbench.cli import main
 from thermbench.config import config_to_ini, default_config, load_config
 from thermbench.simulator import TimeSeriesDataset, column_names
@@ -189,6 +190,26 @@ def test_identify_accepts_dataset_file(tmp_path, small_config):
     assert np.loadtxt(out / "theta_LRM.txt").shape == (21,)
 
 
+def test_repeated_spec_is_trained_once(tmp_path, small_config, capsys, monkeypatch):
+    # a structure named twice is trained once and writes what naming it once
+    # writes, stdout included
+    train, calls = identify.train, []
+
+    def counted(ds, spec, *args, **kwargs):
+        calls.append(spec.structure.value)
+        return train(ds, spec, *args, **kwargs)
+
+    monkeypatch.setattr(identify, "train", counted)
+    runs = {}
+    for name, specs in (("once", ["--spec", "LRM"]), ("twice", ["--spec", "LRM"] * 2)):
+        calls.clear()
+        assert main(["identify", "--config", str(small_config),
+                     "--out-dir", str(tmp_path / name), *specs]) == 0
+        runs[name] = (list(calls), capsys.readouterr().out, _files(tmp_path / name))
+    assert runs["twice"][0] == ["NRM_FI_RH", "LRM"]
+    assert runs["twice"] == runs["once"]
+
+
 def test_missing_dataset_file_exits_2(tmp_path, small_config, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["excite-check", "--config", str(small_config),
@@ -363,11 +384,12 @@ def test_excite_check_computes_each_spectrum_once(tmp_path, small_config,
         f"spectrum_{c}.csv" for c in excitation.excitation_columns(1))
 
 
-def _console(cwd, *argv):
-    """Run ``python -m thermbench`` in a fresh process; numpy's RuntimeWarnings
-    are errors there, so one that escapes shows as a traceback."""
+def _console(cwd, *argv, **env):
+    """Run ``python -m thermbench`` in a fresh process, with ``env`` added to
+    its environment; numpy's RuntimeWarnings are errors there, so one that
+    escapes shows as a traceback."""
     env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
-           "PYTHONPATH": str(Path(thermbench.__file__).resolve().parents[1])}
+           "PYTHONPATH": str(Path(thermbench.__file__).resolve().parents[1]), **env}
     return subprocess.run([sys.executable, "-m", "thermbench", *argv], cwd=cwd, env=env,
                           capture_output=True, timeout=60)
 
@@ -405,6 +427,33 @@ def test_numerical_error_through_the_console_script_exits_3(tmp_path):
     assert "numerical error:" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not (tmp_path / "diverging_out").exists()
+
+
+def test_reruns_under_two_hash_seeds_are_byte_identical(tmp_path):
+    # the default run, and the probe run with all five structures (it reaches
+    # the NRM_LI and NRM_FI_ZONE controllers too), write the same bytes in
+    # processes whose string hashing differs
+    done = _console(tmp_path, "print-defaults")
+    assert done.returncode == 0, done.stderr
+    (tmp_path / "cfg.ini").write_bytes(done.stdout)
+
+    def rerun(seed):
+        probe = f"rerun_probe_{seed}"
+        for argv in (
+                ["compare", "--config", "cfg.ini", "--spec", "LRM", "--spec", "NRM_MI",
+                 "--out-dir", f"rerun_{seed}"],
+                ["simulate", "--probe", "--config", "cfg.ini", "--out-dir", probe],
+                ["compare", "--config", "cfg.ini", "--dataset", f"{probe}/dataset_probe.csv",
+                 "--spec", "LRM", "--spec", "NRM_MI", "--spec", "NRM_LI",
+                 "--spec", "NRM_FI_ZONE", "--spec", "NRM_FI_RH", "--out-dir", probe]):
+            done = _console(tmp_path, *argv, PYTHONHASHSEED=str(seed))
+            assert done.returncode == 0, done.stderr
+
+    with ThreadPoolExecutor(2) as pool:
+        list(pool.map(rerun, (0, 1)))
+    for name in ("rerun_{}", "rerun_probe_{}"):
+        files = _files(tmp_path / name.format(0))
+        assert files and files == _files(tmp_path / name.format(1)), name
 
 
 @pytest.mark.parametrize("out_dir,named,reason", [

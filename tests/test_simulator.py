@@ -20,7 +20,7 @@ from thermbench.simulator import (DisturbanceSpec, HeatingCurveParams,
                                   run_experiment, run_probe_experiment, step,
                                   synthesize_scenario)
 from thermbench.thermal_core import (ControlInput, Disturbance, PlantState,
-                                     SeparatorParams, ZoneParams)
+                                     SeparatorParams, ZoneParams, rk4_step)
 
 from conftest import random_point, random_zone_params
 
@@ -116,7 +116,7 @@ def bits(values):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(n_neighbors=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+@given(n_neighbors=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        h=st.sampled_from([1.0, 2.9, 7.0, 60.0, 300.0, 3600.0]),
        water_on=st.booleans(), air_on=st.booleans())
 @example(n_neighbors=1, seed=0, h=300.0, water_on=True, air_on=True)
@@ -125,16 +125,17 @@ def bits(values):
 @example(n_neighbors=2, seed=3, h=2.9, water_on=False, air_on=True)
 @example(n_neighbors=3, seed=4, h=7.0, water_on=True, air_on=True)
 @example(n_neighbors=3, seed=5, h=1.0, water_on=False, air_on=False)
+@example(n_neighbors=4, seed=6, h=300.0, water_on=True, air_on=True)
 def test_stepper_matches_reference_rk4_bit_for_bit(n_neighbors, seed, h, water_on,
                                                     air_on):
-    # the compiled stepper against the earlier RK4 over thermal_core.rate,
-    # over a few consecutive steps with zero and positive flows
+    # the generated stepper against the reference RK4 over the field-by-field
+    # balance, over a few consecutive steps with zero and positive flows
     rng = np.random.default_rng(seed)
     params = random_zone_params(rng, n_neighbors=n_neighbors)
     x, u, d = random_point(rng, n_neighbors=n_neighbors)
     inputs = (u.vdot_w if water_on else 0.0, u.vdot_a if air_on else 0.0,
               d.t_w_in, d.t_a_in, [float(v) for v in d.t_neighbors], d.q_ext)
-    advance = simulator._stepper(params, h)
+    advance = rk4_step(params, h)
     t_r, t_s, t_w = x.t_r, [float(v) for v in x.t_s], x.t_w
     ref = [t_r, *t_s, t_w]
     for _ in range(4):
@@ -150,6 +151,38 @@ def test_divergent_step_raises_named_error():
     x, u, d = random_point(rng)
     with pytest.raises(DivergenceError):
         step(params, x, u, d, 1e80)  # overflow in the stage polynomial
+
+
+def _two_neighbor_plant(cfg, c_s=8e6):
+    return ZoneParams(
+        c_r=cfg.plant.c_r,
+        separators={1: cfg.plant.separators[1],
+                    2: SeparatorParams(r_plus=0.006, r_minus=0.009, c_s=c_s)},
+        rh=cfg.plant.rh, hvac=cfg.plant.hvac)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_divergence_names_the_first_diverged_separator(cfg):
+    # a nearly massless second separator overflows in the last stage, while
+    # the zone, the first separator and the water stay finite
+    plant = _two_neighbor_plant(cfg, c_s=1e-100)
+    x = PlantState(t_r=20.0, t_s=[14.0, 18.0], t_w=20.0)
+    u, d = ControlInput(0.0, 0.0), Disturbance(40.0, 20.0, (5.0, 19.0), 0.0)
+    message = r"integration diverged: state T_s\[1\] is -inf"
+    with pytest.raises(DivergenceError, match=message):
+        step(plant, x, u, d, 1e-6)
+    with pytest.raises(DivergenceError, match=message):
+        plant_oracle.rk4(plant, x.as_list(), (0.0, 0.0, 40.0, 20.0, [5.0, 19.0], 0.0),
+                         1e-6 * simulator.SECONDS_PER_HOUR)
+
+
+def test_generated_code_is_compiled_once_per_neighbor_count():
+    rng = np.random.default_rng(8)
+    one, other, two = (random_zone_params(rng, n_neighbors=n) for n in (1, 1, 2))
+    assert rk4_step(one, 60.0).__code__ is rk4_step(other, 300.0).__code__
+    assert rk4_step(one, 60.0).__code__ is not rk4_step(two, 60.0).__code__
+    assert one.balance.__code__ is other.balance.__code__
+    assert one.balance.__code__ is not two.balance.__code__
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +438,10 @@ def test_plant_loop_checks_its_inputs_before_the_first_step(cfg):
             run(two, sim)
         with pytest.raises(ShapeError):
             run(two, dataclasses.replace(sim, disturbance_spec=two_sd))
+    # a scenario shorter than the run
+    scen = synthesize_scenario(sd, sim.epsilon, sim.n_samples - 1, np.random.default_rng(0))
+    with pytest.raises(ShapeError, match=f"scenario has {sim.n_samples - 1} samples"):
+        simulator.simulate(cfg.plant, sim, scen, sim.n_samples, lambda k, t_r: (40.0, 0.0))
 
 
 def test_control_sets_rejected_at_construction(cfg):
@@ -423,27 +460,23 @@ def test_control_sets_rejected_at_construction(cfg):
 
 
 def _restep(plant, sim, inlet, flow, va, ta_in, neighbors, q_ext):
-    """True T_r/T_w from the public typed ``step`` over logged inputs."""
-    x = sim.initial
+    """True T_r/T_w from the reference RK4 over logged inputs."""
+    x = sim.initial.as_list()
+    h = sim.epsilon * simulator.SECONDS_PER_HOUR
     t_r, t_w = np.empty(len(inlet)), np.empty(len(inlet))
     for k in range(len(inlet)):
-        t_r[k], t_w[k] = x.t_r, x.t_w
-        u = ControlInput(vdot_w=float(flow[k]), vdot_a=float(va[k]))
-        d = Disturbance(t_w_in=float(inlet[k]), t_a_in=float(ta_in[k]),
-                        t_neighbors=tuple(float(nb[k]) for nb in neighbors),
-                        q_ext=float(q_ext[k]))
-        x = step(plant, x, u, d, sim.epsilon)
+        t_r[k], t_w[k] = x[0], x[-1]
+        inputs = (float(flow[k]), float(va[k]), float(inlet[k]), float(ta_in[k]),
+                  [float(nb[k]) for nb in neighbors], float(q_ext[k]))
+        x = plant_oracle.rk4(plant, x, inputs, h)
     return t_r, t_w
 
 
-def test_plant_loop_two_neighbors_matches_public_step(cfg):
+def test_plant_loop_two_neighbors_matches_reference_rk4(cfg):
     # the hysteresis, probe and MPC runs all go through the one plant loop;
-    # each must agree bit for bit with the checked single-step entry point
-    plant = ZoneParams(
-        c_r=cfg.plant.c_r,
-        separators={1: cfg.plant.separators[1],
-                    2: SeparatorParams(r_plus=0.006, r_minus=0.009, c_s=8e6)},
-        rh=cfg.plant.rh, hvac=cfg.plant.hvac)
+    # each must agree bit for bit with the reference RK4 over the field-by-
+    # field balance, which shares no code with the generated stepper
+    plant = _two_neighbor_plant(cfg)
     sd = dataclasses.replace(cfg.sim.disturbance_spec, neighbor_recipes=(
         cfg.sim.disturbance_spec.neighbor_recipes[0],
         SinusoidRecipe(19.0, (1.0, 0.5, 0.3), (24.0, 11.0, 4.2), (0.3, 1.4, 2.6))))

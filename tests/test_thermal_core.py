@@ -7,11 +7,10 @@ from thermbench.errors import ParameterError, ShapeError
 from thermbench.simulator import step
 from thermbench.thermal_core import (ControlInput, Disturbance, PlantState,
                                      RhParams, SeparatorParams, ZoneParams,
-                                     air_conductance, coefficients, rate,
-                                     water_conductance)
+                                     air_conductance, rate, water_conductance)
 
 from conftest import random_point, random_zone_params
-from plant_oracle import field_rate
+from plant_oracle import coefficients, field_rate
 
 
 def rate_of(params, x, u, d):
