@@ -10,19 +10,19 @@ Every regressor entry is a static product of measured, lagged columns times
 at most one trailing prediction factor (see :mod:`thermbench.regressors`).
 The static products for the whole dataset are evaluated once per ``train``
 call, by the spec's ``compile_layout`` with an exact 1.0 in place of each
-factor of the spec's own prediction; the static products of the entries that
-take that factor are kept beside the table.  Each step multiplies those
-products by the lagged predictions, writes them into its own row of the
-table and takes one dot product: the same arithmetic as ``build_regressor``
-over a ``LaggedHistory``, which stays as the readable per-sample reference
-(``oe_predict``).  The FI zone structure also reads the water-loop
-prediction ``yhat_w``.  That series does not depend on the zone estimate, so
-it is computed once per call, by ``_oe_pass`` over the RH structure with its
-fixed ``theta_w``, and its static table reads it like a measured column.
+factor of the spec's own prediction, into a read-only table.  Each step
+gathers every entry's other factor (a lagged prediction or an exact 1.0) in
+one ``take``, multiplies the sample's row by them and takes one dot product:
+the same arithmetic as ``build_regressor`` over a ``LaggedHistory``, which
+stays as the readable per-sample reference (``oe_predict``).  The FI zone
+structure also reads the water-loop prediction ``yhat_w``.  That series does
+not depend on the zone estimate, so it is computed once per call, by
+``_oe_pass`` over the RH structure with its fixed ``theta_w``, and its
+static table reads it like a measured column.
 
 Recursive least squares is one class, ``Rls``.  Its update is one kernel,
-compiled once per estimate over one contiguous buffer of the estimate and
-the covariance, the work vectors and the scratch matrix; it reuses the
+compiled once per estimate: one rank-1 update of the contiguous buffer
+[theta; P], then the covariance's re-symmetrization; it reuses the
 prediction the pass has already taken.  A dot of the buffer with a ones
 vector screens it for non-finite values, and only when the dot is not finite
 are the elements checked one by one.  ``Rls.step`` screens after every
@@ -64,15 +64,24 @@ class RlsConfig:
             raise ConfigError("reg_init must be positive")
 
 
-def _rls_kernel(theta: np.ndarray, p: np.ndarray, lam: float):
-    """The RLS update of ``theta`` and ``p`` in place, compiled once per
-    estimate: ``kernel(phi, y, yhat)``, where ``yhat`` is ``phi @ theta``
-    taken before the update.  A closure over the work vectors, the scratch
-    matrix and its transpose, ``lam`` and the ufuncs, each called with a
-    positional ``out``.  No check: the caller screens the state."""
-    dim = len(theta)
-    p_phi, gain, m = np.empty(dim), np.empty(dim), np.empty((dim, dim))
-    gain_col, m_t = gain[:, np.newaxis], m.T
+def _rls_kernel(w: np.ndarray, lam: float):
+    """The RLS update of W = [theta; P], a (dim + 1) x dim matrix, in place,
+    compiled once per estimate: ``kernel(phi, y, yhat)``, where ``yhat`` is
+    ``phi @ theta`` taken before the update.  With the gain
+    g = P phi / (lam + phi . P phi), the rank-1 update
+    W -= [yhat - y; P phi] g^T gives theta and X, then
+    P = (X / lam + (X / lam)^T) / 2: bit for bit theta + g (y - yhat) and
+    P - g (P phi)^T, as yhat - y is exactly -(y - yhat) and X is that P's
+    transpose while P is exactly symmetric (it starts diagonal, and every
+    step ends in X + X^T).  A closure over work vectors, views and ufuncs,
+    each called with a positional ``out``; the caller screens the state."""
+    dim, p = w.shape[1], w[1:]
+    # P phi = a[1:] is an operand of dot, aligned to 16 bytes like a fresh
+    # array: some BLAS kernels' dot sums in an order set by the alignment
+    a = np.empty(dim + 2)
+    a = a[1 - a.ctypes.data % 16 // 8:][:dim + 1]
+    gain, m = np.empty(dim), np.empty((dim + 1, dim))
+    a_col, p_phi, x, x_t = a[:, np.newaxis], a[1:], m[1:], m[1:].T
     # 0-d arrays skip the conversion a Python float takes in every call
     lam_0d, half = np.array(lam), np.array(0.5)
     dot, add, subtract, multiply, divide = (np.dot, np.add, np.subtract,
@@ -81,12 +90,11 @@ def _rls_kernel(theta: np.ndarray, p: np.ndarray, lam: float):
     def kernel(phi, y, yhat):
         dot(p, phi, p_phi)
         divide(p_phi, lam + dot(phi, p_phi), gain)
-        multiply(gain_col, p_phi, m)  # outer product
-        multiply(gain, y - yhat, gain)
-        add(theta, gain, theta)
-        subtract(p, m, m)
-        divide(m, lam_0d, m)
-        add(m, m_t, p)  # re-symmetrized
+        a[0] = yhat - y
+        multiply(a_col, gain, m)  # outer product
+        subtract(w, m, w)
+        divide(p, lam_0d, x)
+        add(x, x_t, p)  # re-symmetrized
         multiply(p, half, p)
 
     return kernel
@@ -109,12 +117,12 @@ class Rls:
         cfg = cfg or RlsConfig()
         self._buf = np.zeros(dim * (dim + 1))
         self._ones = np.ones(len(self._buf))
-        self.theta = self._buf[:dim]
-        self.p = self._buf[dim:].reshape(dim, dim)
+        w = self._buf.reshape(dim + 1, dim)
+        self.theta, self.p = w[0], w[1:]
         np.fill_diagonal(self.p, cfg.reg_init)
         self.lam = cfg.forgetting
         self.k = 0
-        self._kernel = _rls_kernel(self.theta, self.p, self.lam)
+        self._kernel = _rls_kernel(w, self.lam)
 
     def _diverged(self) -> bool:
         # vdot, unlike dot and matmul, raises no numpy warning when the sum
@@ -195,18 +203,15 @@ def _rh_spec(spec: RegressorSpec) -> RegressorSpec:
 @dataclass(frozen=True, eq=False)
 class _StaticTable:
     """Static regressor products of one spec for samples ``start..n-1``, one
-    C-ordered row per sample, and the entries that still take their trailing
-    factor from the spec's own prediction channel: ``idx`` holds their
-    indices, ``lags`` the lags of that factor and ``static`` their static
-    products, one row per sample.  The pass writes the fed products into the
-    sample's row, so those entries of ``rows`` hold whatever the last pass
-    wrote."""
+    read-only C-ordered row per sample, and where each entry takes its last
+    factor: entry i of row j takes position ``j + offsets[i]`` of the pass's
+    prediction series followed by ``n - start`` ones.  So an entry whose
+    trailing factor is the spec's own prediction at lag l has the offset
+    ``start - l``, and every other entry, which takes an exact 1.0, n."""
 
     start: int
     rows: np.ndarray
-    static: np.ndarray
-    idx: np.ndarray
-    lags: np.ndarray
+    offsets: np.ndarray
 
 
 _TABLE_CHUNK = 512  # samples per value table while a static table is built
@@ -228,11 +233,10 @@ def _static_table(spec: RegressorSpec, dataset: TimeSeriesDataset,
             if channel != own:
                 values[row] = dataset.columns[channel][start - lag + lo:start - lag + hi]
         rows[lo:hi] = lay.terms(values).T
-    feed = [(i, entry[-1][1]) for i, entry in enumerate(lay.entries)
-            if entry[-1][0] == own]
-    idx, lags = np.array(feed, dtype=np.intp).T
-    return _StaticTable(start=start, rows=rows, static=rows[:, idx], idx=idx,
-                        lags=lags)
+    rows.flags.writeable = False
+    offsets = np.array([start - entry[-1][1] if entry[-1][0] == own
+                        else len(dataset) for entry in lay.entries], dtype=np.intp)
+    return _StaticTable(start=start, rows=rows, offsets=offsets)
 
 
 def _table(spec: RegressorSpec, dataset: TimeSeriesDataset,
@@ -276,33 +280,29 @@ def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
     if table.rows.shape[1:] != np.shape(theta):
         raise ConfigError(f"phi has shape {table.rows.shape[1:]}, theta "
                           f"{np.shape(theta)}")
-    yhat_buf = np.array(dataset.columns[PREDICTION_MIRRORS[prediction_channel(spec)]],
-                        dtype=float)
-    rows, static, idx, start = table.rows, table.static, table.idx, table.start
-    # the prediction at lag l of sample k is element deep - l of
-    # yhat_buf[k - deep:k]: one slice and one take per sample
-    deep = int(table.lags.max())
-    back = deep - table.lags
-    fed = np.empty(len(idx))
+    # the prediction series, then the exact 1.0s the static entries take
+    rows, offsets, start, n = table.rows, table.offsets, table.start, len(dataset)
+    ext = np.ones(n + len(rows))
+    ext[:n] = dataset.columns[PREDICTION_MIRRORS[prediction_channel(spec)]]
+    lagged, phi = np.empty(len(offsets)), np.empty(len(offsets))
     y = dataset.columns[target_column(spec)].tolist()
     multiply, dot = np.multiply, np.dot
 
     def run(lo, hi, step):
         for k in range(lo, hi):
             j = k - start
-            phi = rows[j]
-            multiply(static[j], yhat_buf[k - deep:k].take(back), fed)
-            phi[idx] = fed
-            yhat = yhat_buf[k] = dot(phi, theta)
+            ext[j:].take(offsets, out=lagged, mode="clip")  # all in range
+            multiply(rows[j], lagged, phi)
+            yhat = ext[k] = dot(phi, theta)
             if step is not None:
                 step(phi, y[k], yhat)
 
     if rls is None:
-        run(start, len(dataset), None)
-        return yhat_buf
+        run(start, n, None)
+        return ext[:n]
     snapshot = np.empty_like(rls._buf)
-    for lo in range(start, len(dataset), _BLOCK):
-        hi = min(lo + _BLOCK, len(dataset))
+    for lo in range(start, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
         np.copyto(snapshot, rls._buf)
         run(lo, hi, rls._kernel)
         if not rls._diverged():
@@ -317,7 +317,7 @@ def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
                 f"training {spec.structure.value} (n_neighbors="
                 f"{spec.n_neighbors}) diverged in pass {pass_no} at dataset "
                 f"sample {lo + rls.k - k0}: {exc}") from exc
-    return yhat_buf
+    return ext[:n]
 
 
 def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,

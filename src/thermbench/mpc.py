@@ -128,6 +128,11 @@ class MpcConfig:
     def n_hor(self) -> int:
         return self.n_periods * self.samples_per_period
 
+    @property
+    def n_options(self) -> int:
+        """The number of per-period choices, ``len(options())``."""
+        return len(self.inlet_set) * len(self.flow_set)
+
     def options(self) -> list[tuple[float, float]]:
         """Per-period (inlet, flow) choices in tie-break order."""
         return [(i, f) for i in sorted(self.inlet_set) for f in sorted(self.flow_set)]
@@ -638,7 +643,7 @@ def _choices(cfg: MpcConfig, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 def _plan_template(spec: RegressorSpec, cfg: MpcConfig) -> _Template:
     """The control template of ``solve``'s plan tree, built once per spec
     and config."""
-    n_plans = len(cfg.options()) ** cfg.n_periods
+    n_plans = cfg.n_options ** cfg.n_periods
     if n_plans > cfg.plan_budget:
         raise ConfigError(f"enumeration of {n_plans} plans exceeds the budget "
                           f"of {cfg.plan_budget}")
@@ -683,7 +688,7 @@ class _EpisodeForms:
         """The forms of the plan tree of the decision that starts ``period``
         after the options ``applied`` (indices into ``cfg.options()``) in
         the ``depth`` periods before it, oldest first."""
-        cfg, m, d = self.cfg, len(self.cfg.options()), len(applied)
+        cfg, m, d = self.cfg, self.cfg.n_options, len(applied)
         for q in range(period, period + cfg.n_periods):
             if q not in self.by_period:
                 self._build(q)
@@ -731,7 +736,7 @@ def _plan_costs(theta_r, theta_w, spec, win, cfg, forms=None) -> np.ndarray:
         x = _tail(theta_w, spec, win)[plane, pos] - cfg.t_set
         z = float(win.columns["T_r"][win.past]) - cfg.t_set
         cost = cfg.alpha / cfg.n_hor * float(win.columns["occ"][win.past]) * z * z
-        m = len(cfg.options())
+        m = cfg.n_options
         # the walk's rows weigh period p's option by m**p: reversed axes give
         # enumeration order, the earliest period most significant
         costs = _walk(periods, np.append(x, 1.0), cost, m)
@@ -753,9 +758,10 @@ def solve(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
     by the same code.
     """
     costs = _plan_costs(theta_r, theta_w, spec, win, cfg, forms)
-    options = cfg.options()
-    digits = np.unravel_index(int(np.argmin(costs)), (len(options),) * cfg.n_periods)
-    return ControlPlan(periods=tuple(options[int(d)] for d in digits))
+    options, n = cfg.options(), cfg.n_periods
+    # the cheapest plan's digits, the earliest period most significant
+    i, m = int(np.argmin(costs)), len(options)
+    return ControlPlan(periods=tuple(options[i // m ** (n - 1 - p) % m] for p in range(n)))
 
 
 # ---------------------------------------------------------------------------
