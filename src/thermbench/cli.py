@@ -8,7 +8,8 @@ error, 3 numerical error.
 A command checks its inputs and computes every result before it returns them
 as a mapping from file name to writer, plus its stdout lines; only then does
 ``main`` create --out-dir, write and print.  An exit 2 or 3 from the command
-therefore leaves --out-dir as it was.
+therefore leaves --out-dir as it was.  So does a write that fails: the files
+are renamed into place only once every one of them is written.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import excitation, identify, mpc
@@ -196,14 +199,20 @@ def cmd_print_defaults(_args):
 
 
 def _write(out_dir, outputs) -> None:
-    """Create ``out_dir`` and write every output into it; a path that cannot
-    be written is a config error."""
+    """Create ``out_dir`` and write every output into a temporary directory
+    in it, then rename them into place once every write has succeeded; a
+    path that cannot be written is a config error and leaves no temporary."""
     path = Path(out_dir)
     try:
         path.mkdir(parents=True, exist_ok=True)
-        for name, write in outputs.items():
-            path = Path(out_dir) / name
-            write(path)
+        with tempfile.TemporaryDirectory(dir=out_dir, prefix=".thermbench-",
+                                         ignore_cleanup_errors=True) as staging:
+            for name, write in outputs.items():
+                path = Path(out_dir) / name
+                write(Path(staging) / name)
+            for name in outputs:
+                path = Path(out_dir) / name
+                os.replace(Path(staging) / name, path)
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e.strerror}") from None
 

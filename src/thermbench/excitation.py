@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .regressors import RegressorSpec
-from .simulator import TimeSeriesDataset, write_rows
+from .simulator import TimeSeriesDataset, write_csv
 
 DEFAULT_THRESHOLD = 1.0e-4  # fraction of peak power that counts as a line
 
@@ -41,9 +41,8 @@ class SpectrumReport:
     def to_csv(self, path, epsilon_hours: float) -> None:
         """Frequency grid in cycles/sample and in 1/hours, for a sampling
         period of ``epsilon_hours``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("freq_cycles_per_sample,freq_per_hour,power\n")
-            write_rows(fh, [self.freq, self.freq / epsilon_hours, self.power])
+        write_csv(path, ["freq_cycles_per_sample", "freq_per_hour", "power"],
+                  [self.freq, self.freq / epsilon_hours, self.power])
 
 
 def spectrum(signal, threshold: float = DEFAULT_THRESHOLD) -> SpectrumReport:

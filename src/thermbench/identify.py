@@ -45,7 +45,7 @@ from .regressors import (PREDICTION_MIRRORS, LaggedHistory, RegressorSpec,
                          Structure, build_regressor, compile_layout,
                          measured_columns, prediction_channel,
                          regressor_length, target_column, warmup)
-from .simulator import TimeSeriesDataset, write_rows
+from .simulator import TimeSeriesDataset, write_csv
 
 DEFAULT_RMSE_WINDOW = 2016  # samples; 7 days at 5-minute sampling
 
@@ -158,10 +158,8 @@ class TrainReport:
         return float(self.rolling_rmse[-1]) if len(self.rolling_rmse) else float("nan")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("k,e,rolling_rmse\n")
-            write_rows(fh, [np.arange(len(self.errors)), self.errors,
-                            self.rolling_rmse])
+        write_csv(path, ["k", "e", "rolling_rmse"],
+                  [np.arange(len(self.errors)), self.errors, self.rolling_rmse])
 
 
 def check_training(passes: int, window: int) -> None:

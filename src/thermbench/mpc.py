@@ -81,7 +81,7 @@ from .regressors import (CompiledLayout, RegressorSpec, compile_layout, layout,
                          regressor_length, sum_entries, warmup)
 from .simulator import (SimConfig, ZoneParams, check_control_set, check_positive,
                         float_rows, heating_curve, hysteresis_control, simulate,
-                        synthesize_scenario, write_rows)
+                        synthesize_scenario, write_csv)
 from .simulator import step  # noqa: F401  (perfbench's self-test patches mpc.step)
 
 
@@ -800,12 +800,10 @@ class EpisodeReport:
         return self.final_heating + self.final_pump
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t_hours,T_r_plant,plan_inlet,plan_flow,"
-                     "run_avg_comfort,run_avg_heating,run_avg_pump\n")
-            write_rows(fh, [self.t_hours, self.t_r_plant, self.inlet, self.flow,
-                            self.run_avg_comfort, self.run_avg_heating,
-                            self.run_avg_pump])
+        write_csv(path, ["t_hours", "T_r_plant", "plan_inlet", "plan_flow",
+                         "run_avg_comfort", "run_avg_heating", "run_avg_pump"],
+                  [self.t_hours, self.t_r_plant, self.inlet, self.flow,
+                   self.run_avg_comfort, self.run_avg_heating, self.run_avg_pump])
 
 
 def realized_costs(t_r_true, t_w_true, occ, inlet, flow,
@@ -859,9 +857,7 @@ def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
              else np.zeros(n))
 
     t_r, yhat_w, tw_in, vw = (np.empty(n) for _ in range(4))
-    columns = {"T_r": t_r, "yhat_w": yhat_w, "Tw_in": tw_in, "Vw": vw,
-               **{f"T_rj_{j}": nb for j, nb in enumerate(scen.neighbors, start=1)},
-               "Ta_in": scen.ta_in, "Va": scen.va, "Qext": scen.q_ext, "occ": scen.occ}
+    columns = {"T_r": t_r, "yhat_w": yhat_w, "Tw_in": tw_in, "Vw": vw, **scen.columns}
     warm = max(warmup(spec), 1)
     current = None  # (inlet, flow) applied during the current period
     s = cfg.samples_per_period
@@ -883,7 +879,7 @@ def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
             inlet_k = heating_curve(sim_cfg.hysteresis.t_set, t_out_k,
                                     sim_cfg.heating_curve)
         else:
-            if k % s == 0 or current is None:
+            if k % s == 0:
                 win = DecisionWindow.at(columns, k, warm, n_hor)
                 period = k // s
                 # the episode's forms serve a decision once decisions applied

@@ -13,8 +13,9 @@ neighbor count, on the state ``(t_r, t_s, t_w)`` with the flow conductances
 taken once per step; both :func:`simulate` and the typed, checked
 single-step entry point :func:`step` run it.
 
-Dataset I/O: :func:`write_rows` formats blocks of rows with one ``%`` on a
-repeated ``%.9g`` row template (the text of ``f"{v:.9g}"``), and
+CSV I/O: :func:`write_csv` is the one writer of datasets, spectra, training
+reports and episodes: a header line, then blocks of rows formatted with one
+``%`` on a repeated ``%.9g`` row template (the text of ``f"{v:.9g}"``).
 :meth:`TimeSeriesDataset.from_csv` parses the body with numpy's C parser,
 falling back to a line-by-line scan only to name the first bad cell.
 
@@ -240,18 +241,10 @@ class TimeSeriesDataset:
     def t_hours(self) -> np.ndarray:
         return self.columns["t_hours"]
 
-    def view(self, structure) -> dict[str, np.ndarray]:
-        """Measured columns available under an information structure; the
-        arrays are the stored ones, not copies."""
-        from .regressors import measured_columns
-        return {c: self.columns[c] for c in measured_columns(structure, self.n_neighbors)}
-
     def to_csv(self, path) -> None:
         names = column_names(self.n_neighbors)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(names) + "\n")
-            write_rows(fh, [self.columns[c] if c != "k" else np.arange(len(self))
-                            for c in names])
+        write_csv(path, names, [self.columns[c] if c != "k" else np.arange(len(self))
+                                for c in names])
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeriesDataset":
@@ -345,25 +338,27 @@ def _table_error(path, header: list[str]) -> str:
     return f"dataset {path} is not a numeric table"
 
 
-#: rows formatted per ``%`` by :func:`write_rows`
+#: rows formatted per ``%`` by :func:`write_csv`
 CSV_BLOCK_ROWS = 256
 
 
-def write_rows(fh, columns) -> None:
-    """Write equal-length numeric columns as CSV rows of ``%.9g`` values
-    (the text of ``f"{v:.9g}"`` for every float, ``-0``, ``nan`` and ``inf``
-    included; integers are written as floats).  Each block of
-    :data:`CSV_BLOCK_ROWS` rows is formatted by one ``%`` on a repeated row
-    template, so that no whole-table string is ever built."""
+def write_csv(path, header, columns) -> None:
+    """Write ``path``: the ``header`` names, then the equal-length numeric
+    ``columns`` as rows of ``%.9g`` values (the text of ``f"{v:.9g}"`` for
+    every float, ``-0``, ``nan`` and ``inf`` included; integers as floats),
+    one ``%`` on a repeated row template per :data:`CSV_BLOCK_ROWS` rows, so
+    that no whole-table string is ever built."""
     row = ",".join(["%.9g"] * len(columns)) + "\n"
     n = len(columns[0])
     template = row * CSV_BLOCK_ROWS
-    for lo in range(0, n, CSV_BLOCK_ROWS):
-        block = np.stack([c[lo:lo + CSV_BLOCK_ROWS] for c in columns], axis=1,
-                         dtype=float)
-        if len(block) < CSV_BLOCK_ROWS:
-            template = row * len(block)
-        fh.write(template % tuple(block.ravel().tolist()))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            block = np.stack([c[lo:lo + CSV_BLOCK_ROWS] for c in columns], axis=1,
+                             dtype=float)
+            if len(block) < CSV_BLOCK_ROWS:
+                template = row * len(block)
+            fh.write(template % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +420,12 @@ class Scenario:
     def q_ext(self) -> np.ndarray:
         return self.q_solar + self.occupant_gain_w * self.occ
 
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """The exogenous signals by dataset column name."""
+        return {**{f"T_rj_{j}": nb for j, nb in enumerate(self.neighbors, start=1)},
+                "Ta_in": self.ta_in, "Va": self.va, "Qext": self.q_ext, "occ": self.occ}
+
 
 def synthesize_scenario(spec: DisturbanceSpec, epsilon: float, n_samples: int,
                         rng: np.random.Generator) -> Scenario:
@@ -465,9 +466,7 @@ def _check_scenario(params: ZoneParams, initial: PlantState, scen: Scenario,
                           f"recipes, plant has {nn} neighbors")
     if len(initial.t_s) != nn:
         raise ShapeError("initial state dimension disagrees with neighbor count")
-    signals = {**{f"T_rj_{j}": nb for j, nb in enumerate(scen.neighbors, start=1)},
-               "Ta_in": scen.ta_in, "Va": scen.va, "Qext": scen.q_ext}
-    for name, values in signals.items():
+    for name, values in scen.columns.items():
         bad = ~np.isfinite(values) | (values < 0.0 if name == "Va" else False)
         if bad.any():
             k = int(np.argmax(bad))
@@ -519,9 +518,7 @@ def _dataset(cfg: SimConfig, scen: Scenario, noise: np.ndarray, run: tuple,
     """Log a plant run: noisy measured columns, true states in the metadata."""
     t_r, t_w, inlet, flow = run
     columns = {"t_hours": scen.t_hours, "T_r": t_r + noise[:, 0],
-               "T_w": t_w + noise[:, 1], "Tw_in": inlet, "Ta_in": scen.ta_in,
-               "Vw": flow, "Va": scen.va, "Qext": scen.q_ext, "occ": scen.occ,
-               **{f"T_rj_{j}": nb for j, nb in enumerate(scen.neighbors, start=1)}}
+               "T_w": t_w + noise[:, 1], "Tw_in": inlet, "Vw": flow, **scen.columns}
     meta = {"seed": cfg.seed, "noise_std": cfg.noise_std, **meta,
             "t_r_true": t_r, "t_w_true": t_w}
     return TimeSeriesDataset(epsilon=cfg.epsilon, n_neighbors=len(scen.neighbors),

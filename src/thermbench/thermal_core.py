@@ -13,25 +13,20 @@ air-side conductance is ``rho_a * c_a * vdot_a``.  Both conductances are
 exactly zero at zero flow.
 
 There is one heat balance, written once as the stage template of a code
-generator that writes straight-line source per neighbor count and compiles
-it once.  ``rk4_step`` is the RK4 step, four stages in one function;
-``ZoneParams.balance`` is the one-stage form, from the state ``(t_r, t_s,
-t_w)``, the two flow conductances and the disturbances to ``(dt_r, dt_s,
-dt_w)``; ``rate`` is the balance on the flat state list and the raw flows.
-A plant's constants and the step length are names of the generated
-function's namespace, never text of its source, so plants with the same
-neighbor count share one code object.  The other per-plant constants
-(neighbor order, ordered separators, water capacitance) are cached
-properties of the frozen parameter records.  The checked records
-``PlantState``, ``ControlInput`` and ``Disturbance`` serve the typed
-``simulator.step``.
+generator that writes the straight-line RK4 step, four stages in one
+function, per neighbor count and compiles it once: ``rk4_step``.  A plant's
+constants and the step length are names of the generated function's
+namespace, never text of its source, so plants with the same neighbor count
+share one code object.  The other per-plant constants (neighbor order,
+ordered separators, water capacitance) are cached properties of the frozen
+parameter records.  The checked records ``PlantState``, ``ControlInput`` and
+``Disturbance`` serve the typed ``simulator.step``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -121,16 +116,6 @@ class ZoneParams:
     def n_neighbors(self) -> int:
         return len(self.separators)
 
-    @cached_property
-    def balance(self):
-        """The zone, separator and water heat balances of this plant, the
-        generated code's one-stage form: ``balance(t_r, t_s, t_w, g_w, g_a,
-        t_w_in, t_a_in, t_neighbors, q_ext) -> (dt_r, dt_s, dt_w)``, with
-        ``t_s``, ``dt_s`` and ``t_neighbors`` ordered by neighbor id, ``g_w``
-        and ``g_a`` the conductances of :func:`water_conductance` and
-        :func:`air_conductance` and the derivatives in K/s."""
-        return _generated(self, False)
-
 
 def _stage(i: int, x: str, n: int) -> list[str]:
     """The heat balance, written once: the lines that set stage ``i``'s
@@ -150,53 +135,44 @@ def _stage(i: int, x: str, n: int) -> list[str]:
         f"k{i}_r = (0.0{q_sum} + q_w + g_a * (t_a_in - {x}_r) + q_ext) / c_r"]
 
 
-def _source(n: int, rk4: bool) -> str:
-    """Straight-line source, for ``n`` neighbors, of ``balance`` (one stage on
-    the conductances) or ``rk4`` (the RK4 step on the flows), associating as
-    ``x + 0.5 * h * k`` and ``x + h / 6.0 * (k1 + 2 k2 + 2 k3 + k4)`` do."""
+def _source(n: int) -> str:
+    """Straight-line source of the RK4 step on the flows for ``n`` neighbors,
+    associating as ``x + 0.5 * h * k`` and ``x + h / 6.0 * (k1 + 2 k2 + 2 k3 +
+    k4)`` do."""
     xs = ["r", *(f"s{j}" for j in range(n)), "w"]
-    t_s, k_s = (", ".join(f"{p}_{x}" for x in xs[1:-1]) for p in ("t", "k1"))
-    body = [f"{t_s}, = t_s", ", ".join(f"t_n{j}" for j in range(n)) + ", = t_neighbors"]
-    if not rk4:
-        body += [*_stage(1, "t", n), f"return k1_r, [{k_s}], k1_w"]
-    else:
-        body += ["g_w = g_w_per_flow * vdot_w", "g_a = g_a_per_flow * vdot_a",
-                 *_stage(1, "t", n)]
-        for i, c in ((1, "half"), (2, "half"), (3, "h")):
-            body += [f"x_{x} = t_{x} + {c} * k{i}_{x}" for x in xs] + _stage(i + 1, "x", n)
-        body += [f"t_{x} = t_{x} + sixth * (k1_{x} + 2.0 * k2_{x} + 2.0 * k3_{x} + k4_{x})"
-                 for x in xs]
-        body += [f"if not ({' and '.join(f'isfinite(t_{x})' for x in xs)}):",
-                 f"    diverged(t_r, [{t_s}], t_w)", f"return t_r, [{t_s}], t_w"]
-    head = "rk4(t_r, t_s, t_w, vdot_w, vdot_a" if rk4 else "balance(t_r, t_s, t_w, g_w, g_a"
-    return (f"def {head}, t_w_in, t_a_in, t_neighbors, q_ext):\n"
+    t_s = ", ".join(f"t_{x}" for x in xs[1:-1])
+    body = [f"{t_s}, = t_s", ", ".join(f"t_n{j}" for j in range(n)) + ", = t_neighbors",
+            "g_w = g_w_per_flow * vdot_w", "g_a = g_a_per_flow * vdot_a",
+            *_stage(1, "t", n)]
+    for i, c in ((1, "half"), (2, "half"), (3, "h")):
+        body += [f"x_{x} = t_{x} + {c} * k{i}_{x}" for x in xs] + _stage(i + 1, "x", n)
+    body += [f"t_{x} = t_{x} + sixth * (k1_{x} + 2.0 * k2_{x} + 2.0 * k3_{x} + k4_{x})"
+             for x in xs]
+    body += [f"if not ({' and '.join(f'isfinite(t_{x})' for x in xs)}):",
+             f"    diverged(t_r, [{t_s}], t_w)", f"return t_r, [{t_s}], t_w"]
+    return ("def rk4(t_r, t_s, t_w, vdot_w, vdot_a, t_w_in, t_a_in, t_neighbors, q_ext):\n"
             + "".join(f"    {line}\n" for line in body))
 
 
 @functools.lru_cache(maxsize=None)
-def _code(n: int, rk4: bool):
-    return compile(_source(n, rk4), f"<thermal_core {n} neighbors>", "exec")
-
-
-def _generated(params: ZoneParams, rk4: bool, **names):
-    """The generated function for ``params``: the plant's constants and
-    ``names`` are names of its namespace, never text of its source."""
-    ns = {"r_c": params.rh.r_c, "c_w": params.rh.c_w, "c_r": params.c_r,
-          # both conductances are linear in the flow
-          "g_w_per_flow": water_conductance(params.rh, 1.0),
-          "g_a_per_flow": air_conductance(params.hvac, 1.0),
-          "isfinite": math.isfinite, "diverged": _diverged, **names}
-    for j, s in enumerate(params.ordered_separators):
-        ns.update({f"r_plus{j}": s.r_plus, f"r_minus{j}": s.r_minus, f"c_s{j}": s.c_s})
-    exec(_code(params.n_neighbors, rk4), ns)
-    return ns["rk4" if rk4 else "balance"]
+def _code(n: int):
+    return compile(_source(n), f"<thermal_core {n} neighbors>", "exec")
 
 
 def rk4_step(params: ZoneParams, h: float):
     """The classical RK4 step of ``h`` seconds, four stages of the balance in
     one function: ``rk4(t_r, t_s, t_w, vdot_w, vdot_a, t_w_in, t_a_in,
     t_neighbors, q_ext) -> (t_r, t_s, t_w)``, the inputs held over the step."""
-    return _generated(params, True, h=h, half=0.5 * h, sixth=h / 6.0)
+    ns = {"r_c": params.rh.r_c, "c_w": params.rh.c_w, "c_r": params.c_r,
+          # both conductances are linear in the flow
+          "g_w_per_flow": water_conductance(params.rh, 1.0),
+          "g_a_per_flow": air_conductance(params.hvac, 1.0),
+          "isfinite": math.isfinite, "diverged": _diverged,
+          "h": h, "half": 0.5 * h, "sixth": h / 6.0}
+    for j, s in enumerate(params.ordered_separators):
+        ns.update({f"r_plus{j}": s.r_plus, f"r_minus{j}": s.r_minus, f"c_s{j}": s.c_s})
+    exec(_code(params.n_neighbors), ns)
+    return ns["rk4"]
 
 
 def _diverged(t_r, t_s, t_w):
@@ -260,20 +236,3 @@ def water_conductance(rh: RhParams, vdot_w: float) -> float:
 def air_conductance(hvac: HvacParams, vdot_a: float) -> float:
     """1/R_a in W/K for an air volume flow in m^3/s; exactly 0 at zero flow."""
     return hvac.rho_a * hvac.c_a * vdot_a
-
-
-def rate(params: ZoneParams, x: Sequence[float], vdot_w: float, vdot_a: float,
-         t_w_in: float, t_a_in: float, t_neighbors: Sequence[float],
-         q_ext: float) -> list[float]:
-    """Componentwise heat balances of the zone, separators and water node.
-
-    ``x`` is the flat state ``[T_r, T_s_1..T_s_n, T_w]`` and the result its
-    derivative in K/s; the inputs are the fields of ``ControlInput`` and
-    ``Disturbance``, unchecked.  Linear in (x, disturbance) for fixed flows.
-    This is :attr:`ZoneParams.balance` on the flat state and the raw flows.
-    """
-    n = params.n_neighbors
-    dt_r, dt_s, dt_w = params.balance(
-        x[0], x[1:1 + n], x[1 + n], water_conductance(params.rh, vdot_w),
-        air_conductance(params.hvac, vdot_a), t_w_in, t_a_in, t_neighbors, q_ext)
-    return [dt_r, *dt_s, dt_w]

@@ -1,19 +1,19 @@
 """Reference plant arithmetic, kept as test oracles.
 
-``field_rate`` is the earlier body of ``thermal_core.rate``: the zone,
+``field_rate`` is the reference for the generated RK4 stage: the zone,
 separator and water heat balances written against the parameter records,
-field by field, on the flat state ``[T_r, T_s_1..T_s_n, T_w]``.  The
-generated ``ZoneParams.balance`` (through ``thermal_core.rate``) must
-reproduce it bit for bit.
+field by field, on the flat state ``[T_r, T_s_1..T_s_n, T_w]``.  The physics
+tests (equilibrium, superposition, the dense-matrix oracle) run on it.
 
 ``rk4`` is the earlier RK4 step of the plant: four ``field_rate`` stages over
 flat state lists, with the conductances taken in every stage.  It runs none
 of the generated code, and the generated stepper ``thermal_core.rk4_step``
-must reproduce it bit for bit.
+must reproduce it bit for bit, so each generated stage is ``field_rate`` to
+the bit.
 
 ``coefficients`` evaluates the rate coefficients of the generalized bilinear
 form, an independent reference that the tests assemble into dense matrices
-and pin ``thermal_core.rate`` to.
+and pin ``field_rate`` to.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import configparser
+import errno
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import thermbench
-from thermbench import excitation, identify
+from thermbench import excitation, identify, mpc
 from thermbench.cli import main
 from thermbench.config import config_to_ini, default_config, load_config
 from thermbench.simulator import TimeSeriesDataset, column_names
@@ -470,6 +471,32 @@ def test_out_dir_that_cannot_be_written_exits_2(tmp_path, small_config, capsys,
     captured = capsys.readouterr()
     assert captured.err == f"config error: cannot write {tmp_path / named}: {reason}\n"
     assert captured.out == ""
+
+
+def test_failed_write_leaves_out_dir_as_it_was(tmp_path, small_config, capsys,
+                                               monkeypatch):
+    # a full disk while the episode is written: no output of the run lands,
+    # no temporary is left behind, and an earlier run's files keep their bytes
+    out = tmp_path / "out"
+    argv = ["compare", "--config", str(small_config), "--out-dir", str(out),
+            "--spec", "LRM", "--spec", "NRM_MI"]
+    assert main(argv[:-4]) == 0
+    capsys.readouterr()
+    before = _files(out)
+    paths = sorted(out.rglob("*"))
+    assert (out / "summary.csv") in paths
+
+    def full(self, path):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(mpc.EpisodeReport, "to_csv", full)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: cannot write {out / 'episode_LRM.csv'}: "
+                            f"{os.strerror(errno.ENOSPC)}\n")
+    assert captured.out == ""
+    assert sorted(out.rglob("*")) == paths
+    assert _files(out) == before
 
 
 def test_excite_check_reports(tmp_path, small_config, capsys):
