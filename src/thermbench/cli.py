@@ -8,14 +8,16 @@ error, 3 numerical error.
 A command checks its inputs and computes every result before it returns them
 as a mapping from file name to writer, plus its stdout lines; only then does
 ``main`` create --out-dir, write and print.  An exit 2 or 3 from the command
-therefore leaves --out-dir as it was.  So does a write that fails: the files
-are renamed into place only once every one of them is written.
+therefore leaves --out-dir as it was.  So does a failed write or a target
+that is a directory: every target is checked and every file written before
+the first rename.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import os
 import sys
@@ -25,7 +27,7 @@ from pathlib import Path
 from . import excitation, identify, mpc
 from .config import ExperimentConfig, config_to_ini, default_config, load_config
 from .errors import ConfigError, DivergenceError, NumericalError, ThermbenchError
-from .regressors import RegressorSpec, Structure
+from .regressors import RegressorSpec, Structure, water_spec
 from .simulator import TimeSeriesDataset, run_experiment, run_probe_experiment
 
 EXIT_OK = 0
@@ -123,8 +125,8 @@ def _train_all(cfg: ExperimentConfig, ds: TimeSeriesDataset, specs: list[Regress
     """Train the RH predictor once, then each requested zone structure; the
     reports and the files that hold them."""
     model = cfg.model
-    rh = identify.train(ds, RegressorSpec(Structure.NRM_FI_RH, model.spec.n_neighbors),
-                        model.passes, model.rls, window=model.rmse_window)
+    rh = identify.train(ds, water_spec(model.spec), model.passes, model.rls,
+                        window=model.rmse_window)
     reports = {spec: rh if spec.structure is Structure.NRM_FI_RH else
                identify.train(ds, spec, model.passes, model.rls, theta_w=rh.theta,
                               window=model.rmse_window) for spec in specs}
@@ -201,10 +203,14 @@ def cmd_print_defaults(_args):
 def _write(out_dir, outputs) -> None:
     """Create ``out_dir`` and write every output into a temporary directory
     in it, then rename them into place once every write has succeeded; a
-    path that cannot be written is a config error and leaves no temporary."""
+    path that cannot be written, a target directory included, is a config
+    error and leaves no temporary."""
     path = Path(out_dir)
     try:
         path.mkdir(parents=True, exist_ok=True)
+        for path in (Path(out_dir) / name for name in outputs):
+            if path.is_dir() and not path.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         with tempfile.TemporaryDirectory(dir=out_dir, prefix=".thermbench-",
                                          ignore_cleanup_errors=True) as staging:
             for name, write in outputs.items():

@@ -17,8 +17,8 @@ the same arithmetic as ``build_regressor`` over a ``LaggedHistory``, which
 stays as the readable per-sample reference (``oe_predict``).  The FI zone
 structure also reads the water-loop prediction ``yhat_w``.  That series does
 not depend on the zone estimate, so it is computed once per call, by
-``_oe_pass`` over the RH structure with its fixed ``theta_w``, and its
-static table reads it like a measured column.
+``_oe_pass`` over ``regressors.water_spec(spec)`` with its fixed
+``theta_w``, and its static table reads it like a measured column.
 
 Recursive least squares is one class, ``Rls``.  Its update is one kernel,
 compiled once per estimate: one rank-1 update of the contiguous buffer
@@ -44,7 +44,7 @@ from .errors import ConfigError, NumericalError
 from .regressors import (PREDICTION_MIRRORS, LaggedHistory, RegressorSpec,
                          Structure, build_regressor, compile_layout,
                          measured_columns, prediction_channel,
-                         regressor_length, target_column, warmup)
+                         regressor_length, warmup, water_spec)
 from .simulator import TimeSeriesDataset, write_csv
 
 DEFAULT_RMSE_WINDOW = 2016  # samples; 7 days at 5-minute sampling
@@ -181,21 +181,11 @@ def rolling_rmse(errors: np.ndarray, window: int) -> np.ndarray:
     return np.sqrt((sq[idx] - sq[lo]) / (idx - lo))
 
 
-def _history_channels(spec: RegressorSpec, dataset: TimeSeriesDataset) -> list[str]:
-    cols = measured_columns(spec.structure, spec.n_neighbors)
-    dataset.require(cols, spec.structure.value)
-    return cols
-
-
 def oe_predict(theta: np.ndarray, spec: RegressorSpec, hist: LaggedHistory,
                k: int) -> float:
     """One-step prediction phi(k)^T theta with output feedback from the
     stored prediction channel."""
     return float(build_regressor(spec, hist, k) @ theta)
-
-
-def _rh_spec(spec: RegressorSpec) -> RegressorSpec:
-    return RegressorSpec(Structure.NRM_FI_RH, spec.n_neighbors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,16 +229,18 @@ def _static_table(spec: RegressorSpec, dataset: TimeSeriesDataset,
 
 def _table(spec: RegressorSpec, dataset: TimeSeriesDataset,
            theta_w: np.ndarray | None) -> _StaticTable:
-    """The static table of ``spec`` from its warm-up on.  The FI zone
-    structure reads ``yhat_w`` from the RH predictor ``theta_w``, which it
-    requires: its output-error series from the same warm-up on, the measured
-    ``T_w`` before."""
+    """The static table of ``spec`` from its warm-up on; the dataset must
+    hold the spec's measured columns.  The FI zone structure reads ``yhat_w``
+    from the RH predictor ``theta_w``, which it requires: its output-error
+    series from the same warm-up on, the measured ``T_w`` before."""
+    dataset.require(measured_columns(spec.structure, spec.n_neighbors),
+                    spec.structure.value)
     wu = warmup(spec)
     if spec.structure is Structure.NRM_FI_ZONE:
         if theta_w is None:
             raise ConfigError("the FI zone structure needs theta_w, the RH "
                               "predictor's parameters")
-        rh = _rh_spec(spec)
+        rh = water_spec(spec)
         yhat_w = _oe_pass(rh, dataset, _static_table(rh, dataset, wu), theta_w)
         dataset = replace(dataset, columns={**dataset.columns, "yhat_w": yhat_w})
     return _static_table(spec, dataset, wu)
@@ -283,7 +275,7 @@ def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
     ext = np.ones(n + len(rows))
     ext[:n] = dataset.columns[PREDICTION_MIRRORS[prediction_channel(spec)]]
     lagged, phi = np.empty(len(offsets)), np.empty(len(offsets))
-    y = dataset.columns[target_column(spec)].tolist()
+    y = ext[:n].tolist()  # the measured output, before the pass predicts it
     multiply, dot = np.multiply, np.dot
 
     def run(lo, hi, step):
@@ -330,7 +322,6 @@ def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,
     parameters ``theta_w`` it requires.
     """
     check_training(passes, window)
-    _history_channels(spec, dataset)
     # a diverging pass is reported by its own screen, not by numpy's warnings
     with np.errstate(all="ignore"):
         table = _table(spec, dataset, theta_w)
@@ -346,7 +337,7 @@ def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,
                 f"{spec.structure.value} (n_neighbors={spec.n_neighbors}) has a "
                 f"{wu}-sample warm-up; a dataset of {len(dataset)} samples leaves "
                 "nothing to train on")
-        y = dataset.columns[target_column(spec)][wu:]
+        y = dataset.columns[PREDICTION_MIRRORS[prediction_channel(spec)]][wu:]
         rls = Rls(dim, rls_cfg)
         errors = []
         pass_rmse = []
@@ -367,7 +358,6 @@ def predict_series(theta: np.ndarray, spec: RegressorSpec,
                    theta_w: np.ndarray | None = None) -> np.ndarray:
     """One-step OE predictions over a dataset with a fixed parameter vector;
     NaN during warm-up."""
-    _history_channels(spec, dataset)
     out = np.full(len(dataset), np.nan)
     with np.errstate(all="ignore"):
         table = _table(spec, dataset, theta_w)

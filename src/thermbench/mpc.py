@@ -15,8 +15,9 @@ decision sample and the exact exogenous forecast, an array per channel (in
 the closed loop, views of its logs and of the scenario).  ``water_estimate``
 is the one water estimate, logged per sample and computed per decision.
 
-Every regressor lag is at least one sample, so the steps of period p depend
-on the choices of periods 0..p only, and every kernel entry is ``coef * f0 *
+Every lag is at least one sample and an output factor comes last in its
+entry (``compile_layout`` checks both), so the steps of period p depend on
+the choices of periods 0..p only, and every kernel entry is ``coef * f0 *
 f1 * ... * pred``: the trailing prediction factor reads a zone or water
 prediction, the factors before it only controls and plan-independent
 signals.  So a period's predictions are ``Phi_c . x + beta_c`` of its entry
@@ -53,7 +54,7 @@ a leading axis from 0.0 (``sum_entries``), never BLAS, so a column's bits do
 not depend on how many columns are built together.  The forms depend on
 theta, the exact forecast and the option combination, not on the state, so
 ``closed_loop_run`` builds them once per period of the episode, ``_CHUNK``
-periods at a time inside the decision that first needs them; a decision
+periods at a time before the decision that first needs them; a decision
 whose horizon reads controls that no earlier decision applied (the first
 after the hysteresis bootstrap) builds its own from its window, by the same
 code, with the same bits.
@@ -75,10 +76,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, HistoryUnderflowError
-from .identify import _rh_spec
 from .identify import oe_predict  # noqa: F401  (perfbench's self-test patches mpc.oe_predict)
 from .regressors import (CompiledLayout, RegressorSpec, compile_layout, layout,
-                         regressor_length, sum_entries, warmup)
+                         regressor_length, sum_entries, warmup, water_spec)
 from .simulator import (SimConfig, ZoneParams, check_control_set, check_positive,
                         float_rows, heating_curve, hysteresis_control, simulate,
                         synthesize_scenario, write_csv)
@@ -206,7 +206,7 @@ class DecisionWindow:
         missing = [c for c in ("T_r", *_RECORDED, *exogenous) if c not in self.columns]
         if missing:
             raise ConfigError(f"the decision window lacks channels {missing}")
-        w = max(warmup(spec), 1)
+        w = warmup(spec)
         if self.past < w:
             raise HistoryUnderflowError(f"the decision window records {self.past} "
                                         f"samples, the rollout needs {w}")
@@ -225,10 +225,10 @@ def _water_layout(spec: RegressorSpec) -> tuple[tuple, tuple, int]:
     factors, the factor indices of each entry in the layout's factor order
     (the spare positions reading the exact 1.0 after the factors), and its
     deepest lag."""
-    lay = compile_layout(_rh_spec(spec))
+    lay = compile_layout(water_spec(spec))
     entries = tuple(tuple(int(i) for i in lay.factors[:, e])
                     for e in range(len(lay.entries)))
-    return lay.columns, entries, max(lag for _, lag in lay.columns)
+    return lay.columns, entries, warmup(water_spec(spec))
 
 
 def water_estimate(theta_w: np.ndarray, spec: RegressorSpec,
@@ -327,7 +327,7 @@ def _index(triples) -> tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _kernel(spec: RegressorSpec) -> _Kernel:
-    rh = _rh_spec(spec)
+    rh = water_spec(spec)
     lay = compile_layout(rh, spec)
     shared = tuple(f"T_rj_{j}" for j in range(1, spec.n_neighbors + 1)) + \
         ("Ta_in", "Va", "Qext")
@@ -341,9 +341,6 @@ def _kernel(spec: RegressorSpec) -> _Kernel:
             other.append((row, shared.index(channel), lag))
     trailing = []
     for entry in lay.entries:
-        if any(channel in _PREDICTIONS for channel, _ in entry[:-1]):
-            raise ConfigError(f"kernel entry {entry} has a prediction factor "
-                              f"before its last position")
         channel, lag = entry[-1]
         trailing.append((_PREDICTIONS[channel], lag, 1) if channel in _PREDICTIONS
                         else (0, 0, 0))
@@ -391,7 +388,7 @@ def _control_template(spec: RegressorSpec, choices, s: int, skip: int = 0) -> _T
     and flow values as two arrays) at ``s`` samples per period, without the
     columns of its first ``skip`` periods."""
     kern = _kernel(spec)
-    w = max(warmup(spec), 1)
+    w = warmup(spec)
     sizes = [len(inlet) for inlet, _ in choices]
     lo = np.maximum(np.arange(len(sizes)) - kern.depth(s), 0)
     n_comb = tuple(math.prod(sizes[a:p + 1]) for p, a in enumerate(lo))[skip:]
@@ -441,7 +438,7 @@ def _maps(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
     sample before the first step.  Every array is allocated here, per call.
     """
     kern = _kernel(spec)
-    w = max(warmup(spec), 1)
+    w = warmup(spec)
     s = tpl.step.shape[0]
     coef = np.concatenate((theta_w, theta_r))
     # the shared value-table rows at each step of the run
@@ -544,7 +541,7 @@ def _window_signals(spec: RegressorSpec,
                     win: DecisionWindow) -> tuple[np.ndarray, np.ndarray]:
     """The plan-independent signals and the recorded controls of ``win``
     from the ``w`` positions before its decision sample on."""
-    lo = win.past - max(warmup(spec), 1)
+    lo = win.past - warmup(spec)
     return tuple(np.array([win.columns[c][lo:] for c in channels], dtype=float)
                  for channels in (_kernel(spec).shared, _CONTROLS))
 
@@ -552,7 +549,7 @@ def _window_signals(spec: RegressorSpec,
 def _tail(theta_w: np.ndarray, spec: RegressorSpec, win: DecisionWindow) -> np.ndarray:
     """The zone and water values of the ``w`` positions up to the decision
     sample: the measured zone temperatures and the water estimates."""
-    w = max(warmup(spec), 1)
+    w = warmup(spec)
     cols, lo = win.columns, win.past - w
     tail = np.empty((2, w))
     tail[0] = cols["T_r"][lo + 1:]
@@ -575,7 +572,7 @@ def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
         raise ConfigError(f"plan has {len(plan.periods)} periods, "
                           f"config expects {cfg.n_periods}")
     win.check(spec, n)
-    s, w = cfg.samples_per_period, max(warmup(spec), 1)
+    s, w = cfg.samples_per_period, warmup(spec)
     tpl = _control_template(spec, [(option[:1], option[1:]) for option in
                                    np.array(plan.periods, dtype=float)], s)
     with np.errstate(all="ignore"):  # the finite check below reports divergence
@@ -707,7 +704,7 @@ class _EpisodeForms:
 
     def _build(self, first: int) -> None:
         cfg, spec = self.cfg, self.spec
-        s, w = cfg.samples_per_period, max(warmup(spec), 1)
+        s, w = cfg.samples_per_period, warmup(spec)
         occ = self.columns["occ"]
         # the periods from ``first`` on whose last comfort term the scenario holds
         count = min(_CHUNK, (len(occ) - 1) // s - first)
@@ -729,17 +726,16 @@ def _plan_costs(theta_r, theta_w, spec, win, cfg, forms=None) -> np.ndarray:
     win.check(spec, cfg.n_hor)
     tpl = _plan_template(spec, cfg)
     with np.errstate(all="ignore"):  # the finite check below reports divergence
-        periods = (forms() if forms is not None
-                   else _decision_forms(theta_r, theta_w, spec, win, cfg))
-        plane, pos = np.divmod(tpl.state,
-                               max(warmup(spec), 1) + cfg.samples_per_period + 1)
+        if forms is None:
+            forms = _decision_forms(theta_r, theta_w, spec, win, cfg)
+        plane, pos = np.divmod(tpl.state, warmup(spec) + cfg.samples_per_period + 1)
         x = _tail(theta_w, spec, win)[plane, pos] - cfg.t_set
         z = float(win.columns["T_r"][win.past]) - cfg.t_set
         cost = cfg.alpha / cfg.n_hor * float(win.columns["occ"][win.past]) * z * z
         m = cfg.n_options
         # the walk's rows weigh period p's option by m**p: reversed axes give
         # enumeration order, the earliest period most significant
-        costs = _walk(periods, np.append(x, 1.0), cost, m)
+        costs = _walk(forms, np.append(x, 1.0), cost, m)
     costs = costs.reshape((m,) * cfg.n_periods).T.ravel()
     if not np.all(np.isfinite(costs)):
         raise DivergenceError("plan costs are not finite: a rollout diverged "
@@ -752,10 +748,10 @@ def solve(theta_r: np.ndarray, theta_w: np.ndarray, spec: RegressorSpec,
     """Exhaustively enumerate all admissible plans and return the cheapest
     (first minimum in tie-break order).
 
-    ``forms``, when given, is a callable that returns each period's forms of
-    the decision's plan tree (``closed_loop_run`` passes the ones it builds
-    once per period of the episode); without it they are built from ``win``
-    by the same code.
+    ``forms``, when given, is the list of each period's forms of the
+    decision's plan tree (``closed_loop_run`` passes the ones it builds once
+    per period of the episode, before the decision); without it they are
+    built from ``win`` by the same code.
     """
     costs = _plan_costs(theta_r, theta_w, spec, win, cfg, forms)
     options, n = cfg.options(), cfg.n_periods
@@ -841,7 +837,7 @@ def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
     if abs(sim_cfg.epsilon - cfg.t_sam) > 1e-9:
         raise ConfigError("simulator sampling period and t_sam must agree")
     for name, layout_spec, theta in (("theta_r", spec, theta_r),
-                                     ("theta_w", _rh_spec(spec), theta_w)):
+                                     ("theta_w", water_spec(spec), theta_w)):
         want = (regressor_length(layout_spec),)
         if np.shape(theta) != want:
             raise ConfigError(
@@ -858,7 +854,7 @@ def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
 
     t_r, yhat_w, tw_in, vw = (np.empty(n) for _ in range(4))
     columns = {"T_r": t_r, "yhat_w": yhat_w, "Tw_in": tw_in, "Vw": vw, **scen.columns}
-    warm = max(warmup(spec), 1)
+    warm = warmup(spec)
     current = None  # (inlet, flow) applied during the current period
     s = cfg.samples_per_period
     options = cfg.options()
@@ -885,8 +881,7 @@ def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
                 # the episode's forms serve a decision once decisions applied
                 # every control its horizon reads
                 applied = tuple(decided.get(q) for q in range(period - depth, period))
-                forms = (None if None in applied
-                         else functools.partial(episode.horizon, period, applied))
+                forms = None if None in applied else episode.horizon(period, applied)
                 current = solve(theta_r, theta_w, spec, win, cfg, forms=forms).periods[0]
                 decided[period] = options.index(current)
             inlet_k, flow_k = current

@@ -11,12 +11,14 @@ over a row axis of plans, and training in :mod:`thermbench.identify`
 evaluates it over a whole dataset at once.
 
 Output-error discipline: past outputs enter the regressor through the
-``yhat_*`` prediction channels, never through the measured output.  A
-prediction factor is always the last factor of its entry, so every entry is
-a *static* product of measured, lagged channels times at most one trailing
-prediction factor; ``compile_layout`` checks this.  Below the deepest lag the
-prediction channels fall back to the measured values (warm-up), and training
-discards those samples from the loss.
+``yhat_*`` prediction channels, never through the measured output
+(``PREDICTION_MIRRORS`` of the ``prediction_channel``).  ``compile_layout``
+checks the two invariants the rollout relies on: every lag is at least 1, and
+an output factor (a prediction, or the ``T_r``/``T_w`` it mirrors) is always
+the last factor of its entry, so every entry is a *static* product of
+measured, lagged channels times at most one trailing output factor.  Below
+the deepest lag the prediction channels fall back to the measured values
+(warm-up), and training discards those samples from the loss.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ Entry = tuple[tuple[str, int], ...]
 
 #: prediction channels and the measured channel each one mirrors in warm-up
 PREDICTION_MIRRORS = {"yhat_r": "T_r", "yhat_w": "T_w"}
+_OUTPUTS = frozenset((*PREDICTION_MIRRORS, *PREDICTION_MIRRORS.values()))
 
 
 class Structure(str, Enum):
@@ -68,8 +71,10 @@ def measured_columns(structure: Structure, n_neighbors: int) -> list[str]:
     raise ConfigError(f"unknown structure {structure!r}")
 
 
-def target_column(spec: RegressorSpec) -> str:
-    return "T_w" if spec.structure is Structure.NRM_FI_RH else "T_r"
+def water_spec(spec: RegressorSpec) -> RegressorSpec:
+    """The water-loop predictor that feeds ``yhat_w`` to ``spec``'s zone
+    model and controller."""
+    return RegressorSpec(Structure.NRM_FI_RH, spec.n_neighbors)
 
 
 def prediction_channel(spec: RegressorSpec) -> str:
@@ -197,14 +202,16 @@ def compile_layout(*specs: RegressorSpec) -> CompiledLayout:
     """Compiled form of ``layout(spec)``, built once per spec; given several
     specs, one table holding their entries back to back.
 
-    A prediction factor must be the last factor of its entry: the static
-    part of an entry is then the product of the factors before it.
+    Every lag must be at least 1 and an output factor last in its entry:
+    the static part of an entry is then the product of the factors before it.
     """
     entries = tuple(entry for spec in specs for entry in layout(spec))
     for entry in entries:
-        if any(channel in PREDICTION_MIRRORS for channel, _ in entry[:-1]):
+        if any(lag < 1 for _, lag in entry):
+            raise ConfigError(f"layout entry {entry} has a lag below 1")
+        if any(channel in _OUTPUTS for channel, _ in entry[:-1]):
             raise ConfigError(f"layout entry {entry} has a prediction factor "
-                              f"before its last position")
+                              f"or its mirror before its last position")
     columns = tuple(dict.fromkeys(factor for entry in entries for factor in entry))
     row = {c: i for i, c in enumerate(columns)}
     width = max(len(entry) for entry in entries)

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from thermbench.errors import ConfigError, NumericalError
-from thermbench.identify import (RlsConfig, TrainReport, _history_channels,
-                                 oe_predict, rolling_rmse, DEFAULT_RMSE_WINDOW)
-from thermbench.regressors import (LaggedHistory, RegressorSpec, Structure,
-                                   build_regressor, prediction_channel,
-                                   regressor_length, target_column, warmup)
+from thermbench.identify import (RlsConfig, TrainReport, oe_predict,
+                                 rolling_rmse, DEFAULT_RMSE_WINDOW)
+from thermbench.regressors import (PREDICTION_MIRRORS, LaggedHistory,
+                                   RegressorSpec, Structure, build_regressor,
+                                   measured_columns, prediction_channel,
+                                   regressor_length, warmup)
 from thermbench.simulator import TimeSeriesDataset
 
 
@@ -80,7 +81,8 @@ def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,
     """
     if passes < 0:
         raise ConfigError("passes must be non-negative")
-    cols = _history_channels(spec, dataset)
+    cols = measured_columns(spec.structure, spec.n_neighbors)
+    dataset.require(cols, spec.structure.value)
     rh_spec = _rh_feed(spec, theta_w)
     dim = regressor_length(spec)
     state = rls_init(dim, rls_cfg)
@@ -89,7 +91,7 @@ def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,
                            rolling_rmse=np.empty(0), window=window, pass_rmse=[],
                            theta_w=theta_w)
 
-    y = dataset.columns[target_column(spec)]
+    y = dataset.columns[PREDICTION_MIRRORS[prediction_channel(spec)]]
     pred_chan = prediction_channel(spec)
     wu = warmup(spec)
     n = len(dataset)
@@ -129,7 +131,8 @@ def predict_series(theta: np.ndarray, spec: RegressorSpec,
                    theta_w: np.ndarray | None = None) -> np.ndarray:
     """One-step OE predictions over a dataset with a fixed parameter vector;
     NaN during warm-up."""
-    cols = _history_channels(spec, dataset)
+    cols = measured_columns(spec.structure, spec.n_neighbors)
+    dataset.require(cols, spec.structure.value)
     rh_spec = _rh_feed(spec, theta_w)
     pred_chan = prediction_channel(spec)
     wu = warmup(spec)

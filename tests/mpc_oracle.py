@@ -33,9 +33,9 @@ from thermbench import mpc
 from thermbench.errors import DivergenceError
 from thermbench.identify import oe_predict
 from thermbench.mpc import (ControlPlan, CostBreakdown, DecisionWindow,
-                            EpisodeReport, MpcConfig, _rh_spec, realized_costs)
+                            EpisodeReport, MpcConfig, realized_costs)
 from thermbench.regressors import (LaggedHistory, RegressorSpec, layout,
-                                   measured_columns, warmup)
+                                   measured_columns, warmup, water_spec)
 from thermbench.simulator import (heating_curve, hysteresis_control, simulate,
                                   synthesize_scenario)
 
@@ -90,7 +90,7 @@ def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
     if n == 0:
         return np.empty(0), np.empty(0)
     win.check(spec, n)
-    rh = _rh_spec(spec)
+    rh = water_spec(spec)
     inlet_seq, flow_seq = plan.expand(cfg)
     work = history(win, spec)
     t = len(work)
@@ -204,7 +204,7 @@ def _period_maps(theta_r, theta_w, spec, win, cfg):
     s = cfg.samples_per_period
     win.check(spec, cfg.n_hor)
     cols, t = win.columns, win.past
-    rh = _rh_spec(spec)
+    rh = water_spec(spec)
     entries = layout(rh) + layout(spec)
     n_water = len(layout(rh))
     coef = [float(c) for c in (*theta_w, *theta_r)]
@@ -425,7 +425,7 @@ def closed_loop_run(params, sim_cfg, cfg: MpcConfig, spec: RegressorSpec,
     q_ext = scen.q_ext
     exogenous = {**{f"T_rj_{j}": nb for j, nb in enumerate(scen.neighbors, start=1)},
                  "Ta_in": scen.ta_in, "Va": scen.va, "Qext": q_ext, "occ": scen.occ}
-    rh = _rh_spec(spec)
+    rh = water_spec(spec)
 
     hist = LaggedHistory(runtime_channels(spec), extra_predictions=("yhat_w",))
     warm = max(warmup(spec), 1)

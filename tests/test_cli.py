@@ -499,6 +499,20 @@ def test_failed_write_leaves_out_dir_as_it_was(tmp_path, small_config, capsys,
     assert _files(out) == before
 
 
+def test_target_that_is_a_directory_renames_nothing(tmp_path, small_config, capsys):
+    # summary.csv is renamed last: its target is checked before any rename,
+    # so the files named before it do not land either
+    out = tmp_path / "out"
+    (out / "summary.csv").mkdir(parents=True)
+    assert main(["compare", "--config", str(small_config), "--spec", "NRM_MI",
+                 "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: cannot write {out / 'summary.csv'}: "
+                            f"{os.strerror(errno.EISDIR)}\n")
+    assert captured.out == ""
+    assert sorted(out.rglob("*")) == [out / "summary.csv"]
+
+
 def test_excite_check_reports(tmp_path, small_config, capsys):
     out = tmp_path / "out"
     assert main(["excite-check", "--config", str(small_config),

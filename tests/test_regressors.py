@@ -405,3 +405,23 @@ def test_compile_layout_rejects_a_prediction_factor_before_the_last(monkeypatch)
                                       (("yhat_r", 1), ("Va", 1))))
     with pytest.raises(ConfigError, match="prediction factor"):
         compile_layout.__wrapped__(RegressorSpec(Structure.LRM, 1))
+
+
+@pytest.mark.parametrize("entry,message", [
+    ((("Va", 0), ("yhat_r", 1)), "lag below 1"),
+    ((("T_r", 1), ("Vw", 1)), "prediction factor or its mirror"),
+])
+def test_compile_layout_checks_the_rollout_invariants(monkeypatch, entry, message):
+    # the rollout reads T_r/T_w as predictions and every lag from the past
+    import thermbench.regressors as regressors
+    monkeypatch.setattr(regressors, "layout", lambda spec: ((("Va", 1),), entry))
+    with pytest.raises(ConfigError, match=message):
+        compile_layout.__wrapped__(RegressorSpec(Structure.LRM, 1))
+
+
+@pytest.mark.parametrize("structure", ALL_STRUCTURES)
+def test_every_layout_compiles_with_a_warmup_of_at_least_one(structure):
+    for n in range(1, 5):
+        spec = RegressorSpec(structure, n)
+        compile_layout(spec)
+        assert warmup(spec) >= 1
