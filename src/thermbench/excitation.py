@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericalError, ShapeError
 from .regressors import RegressorSpec
 from .simulator import TimeSeriesDataset, write_csv
 
@@ -139,11 +139,17 @@ def informativity_check(dataset: TimeSeriesDataset,
     """Check that every input/disturbance column is persistently exciting of
     order 2*(n_neighbors + 2), or one less when its spectrum has a DC line.
     The report keeps each column's spectrum; a missing column is a
-    ConfigError."""
+    ConfigError, and a column whose power overflows a float a
+    NumericalError."""
     required = 2 * (spec.n_neighbors + 2)
     columns = excitation_columns(dataset.n_neighbors)
     dataset.require(columns, "the excitation check")
-    spectra = {col: spectrum(dataset.columns[col]) for col in columns}
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectra = {col: spectrum(dataset.columns[col]) for col in columns}
+    for col, rep in spectra.items():
+        if not np.isfinite(rep.power).all():
+            raise NumericalError(f"the excitation check: the power spectrum of "
+                                 f"{col} overflows a float")
     entries = [ColumnExcitation(column=col, order=pe_order(rep), required=required,
                                 dc_present=rep.dc_present)
                for col, rep in spectra.items()]

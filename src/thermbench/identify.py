@@ -23,19 +23,17 @@ not depend on the zone estimate, so it is computed once per call, by
 Recursive least squares is one class, ``Rls``.  Its update is one kernel,
 compiled once per estimate: one rank-1 update of the contiguous buffer
 [theta; P], then the covariance's re-symmetrization; it reuses the
-prediction the pass has already taken.  A dot of the buffer with a ones
-vector screens it for non-finite values, and only when the dot is not finite
-are the elements checked one by one.  ``Rls.step`` screens after every
-update; training screens once per block of ``_BLOCK`` samples and replays a
-block that diverged through ``Rls.step``, from a snapshot taken before it,
-so both report the same sample and step.  ``train`` and ``predict_series``
-run under ``np.errstate(all="ignore")``, so a diverging pass shows as the
-screen's error or as non-finite predictions, never as numpy's warnings.
+prediction the pass has already taken.  ``Rls.step`` screens the buffer for
+non-finite values after every update; training screens it once per pass and
+replays a pass that diverged through ``Rls.step``, from a snapshot taken
+before it, so both report the same sample and step.  ``train`` and
+``predict_series`` run under ``np.errstate(all="ignore")``, so a diverging
+pass shows as the screen's error or as non-finite predictions, never as
+numpy's warnings.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,19 +102,15 @@ class Rls:
     """An exponentially weighted RLS estimate, updated in place: the one RLS
     of the package.  It starts from theta = 0 and P = ``reg_init`` * I.
 
-    ``theta`` and ``p`` are views of one contiguous buffer, so one dot with a
-    ones vector screens both for non-finite values: the dot is non-finite
-    whenever an element is.  A finite state can overflow the sum, so the
-    elements are checked one by one before the state is reported as
-    diverged.  A non-finite element stays non-finite under every later
-    update, so a screen after a run of updates fires exactly when one of
-    them diverged.
+    ``theta`` and ``p`` are views of one contiguous buffer, screened as one
+    for non-finite values.  A non-finite element stays non-finite under
+    every later update, so a screen after a run of updates fires exactly
+    when one of them diverged.
     """
 
     def __init__(self, dim: int, cfg: RlsConfig | None = None):
         cfg = cfg or RlsConfig()
         self._buf = np.zeros(dim * (dim + 1))
-        self._ones = np.ones(len(self._buf))
         w = self._buf.reshape(dim + 1, dim)
         self.theta, self.p = w[0], w[1:]
         np.fill_diagonal(self.p, cfg.reg_init)
@@ -125,10 +119,7 @@ class Rls:
         self._kernel = _rls_kernel(w, self.lam)
 
     def _diverged(self) -> bool:
-        # vdot, unlike dot and matmul, raises no numpy warning when the sum
-        # of a finite state overflows
-        return (not math.isfinite(np.vdot(self._buf, self._ones))
-                and not np.isfinite(self._buf).all())
+        return not np.isfinite(self._buf).all()
 
     def step(self, phi: np.ndarray, y: float, yhat: float) -> None:
         """Update with regressor ``phi`` and measurement ``y``; ``yhat`` must
@@ -246,9 +237,6 @@ def _table(spec: RegressorSpec, dataset: TimeSeriesDataset,
     return _static_table(spec, dataset, wu)
 
 
-_BLOCK = 64  # training samples per non-finite screen of the RLS state
-
-
 def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
              table: _StaticTable, theta: np.ndarray | None = None,
              rls: Rls | None = None, pass_no: int = 1) -> np.ndarray:
@@ -259,11 +247,11 @@ def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
     predicts.  Returns the prediction series of all ``n`` samples, which
     holds the mirrored measurement before ``table.start``.
 
-    Training runs the RLS kernel in blocks of ``_BLOCK`` samples and screens
-    the state once per block.  A block whose screen fires is replayed from
-    a snapshot of the state through ``Rls.step``, which stops at the first
-    diverged step, so the error names the sample and the RLS step that a
-    screen after every step would.
+    Training runs the RLS kernel over the whole pass and screens the state
+    once, at its end.  A pass whose screen fires is replayed from a snapshot
+    of the state through ``Rls.step``, which stops at the first diverged
+    step, so the error names the sample and the RLS step that a screen
+    after every step would.
     """
     if rls is not None:
         theta = rls.theta
@@ -278,8 +266,8 @@ def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
     y = ext[:n].tolist()  # the measured output, before the pass predicts it
     multiply, dot = np.multiply, np.dot
 
-    def run(lo, hi, step):
-        for k in range(lo, hi):
+    def run(step):
+        for k in range(start, n):
             j = k - start
             ext[j:].take(offsets, out=lagged, mode="clip")  # all in range
             multiply(rows[j], lagged, phi)
@@ -288,26 +276,22 @@ def _oe_pass(spec: RegressorSpec, dataset: TimeSeriesDataset,
                 step(phi, y[k], yhat)
 
     if rls is None:
-        run(start, n, None)
+        run(None)
         return ext[:n]
-    snapshot = np.empty_like(rls._buf)
-    for lo in range(start, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        np.copyto(snapshot, rls._buf)
-        run(lo, hi, rls._kernel)
-        if not rls._diverged():
-            rls.k += hi - lo
-            continue
-        np.copyto(rls._buf, snapshot)
-        k0 = rls.k
-        try:
-            run(lo, hi, rls.step)
-        except NumericalError as exc:
-            raise NumericalError(
-                f"training {spec.structure.value} (n_neighbors="
-                f"{spec.n_neighbors}) diverged in pass {pass_no} at dataset "
-                f"sample {lo + rls.k - k0}: {exc}") from exc
-    return ext[:n]
+    snapshot, k0 = rls._buf.copy(), rls.k
+    run(rls._kernel)
+    if not rls._diverged():
+        rls.k += n - start
+        return ext[:n]
+    np.copyto(rls._buf, snapshot)
+    try:
+        run(rls.step)
+    except NumericalError as exc:
+        raise NumericalError(
+            f"training {spec.structure.value} (n_neighbors="
+            f"{spec.n_neighbors}) diverged in pass {pass_no} at dataset "
+            f"sample {start + rls.k - k0}: {exc}") from exc
+    raise AssertionError("the replay of a diverged pass did not diverge")
 
 
 def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,

@@ -398,9 +398,13 @@ def hysteresis_control(t_r_now: float, t_r_prev: float, occupied: bool,
 
 
 def heating_curve(t_set: float, t_out: float, p: HeatingCurveParams) -> float:
-    """Inlet water temperature as a function of the outdoor temperature."""
+    """Inlet water temperature as a function of the outdoor temperature; inf
+    where the curve overflows a float, which the plant loop reports."""
     if t_set > t_out:
-        return p.rho0 + p.rho1 * (t_set - t_out) ** p.zeta
+        try:
+            return p.rho0 + p.rho1 * (t_set - t_out) ** p.zeta
+        except OverflowError:
+            return math.inf
     return p.rho0
 
 

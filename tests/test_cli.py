@@ -1,5 +1,7 @@
 import configparser
+import contextlib
 import errno
+import io
 import os
 import re
 import subprocess
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import thermbench
 from thermbench import excitation, identify, mpc
@@ -558,12 +562,20 @@ def _files(directory):
     ("model", "forgetting", "0.01", ["identify", "--spec", "LRM"]),
     ("mpc", "alpha", "1e+308", ["mpc-run", "--spec", "LRM"]),
     ("mpc", "alpha", "1e+308", ["compare", "--spec", "LRM"]),
-], ids=["diverging-rls", "overflowing-plan-costs", "compare-after-training"])
+    ("heating_curve", "zeta", "300", ["simulate"]),
+    ("heating_curve", "zeta", "300", ["excite-check"]),
+    ("heating_curve", "zeta", "300", ["compare", "--spec", "LRM"]),
+], ids=["diverging-rls", "overflowing-plan-costs", "compare-after-training",
+        "steep-heating-curve", "steep-heating-curve-excite-check",
+        "steep-heating-curve-compare"])
 def test_numerical_failure_exits_3_with_one_line(tmp_path, small_config, capsys,
                                                  section, key, value, argv):
     # the stage's own non-finite screen reports the failure; numpy's warnings,
     # which this suite turns into errors, stay silent.  The command writes
-    # nothing, not even the parameters it trained before the failure.
+    # nothing, not even the parameters it trained before the failure.  A zeta
+    # of 300 loads, as it is positive and finite, but the heating curve's
+    # (t_set - t_out) ** zeta, about 16 ** 300, overflows a float: the plant
+    # loop reports it instead of a raw OverflowError.
     cp = configparser.ConfigParser()
     cp.read(small_config)
     cp[section][key] = value
@@ -692,3 +704,68 @@ def test_dataset_with_another_neighbor_count_exits_2(tmp_path, small_config, cap
                       ).to_csv(path)
     _each_dataset_command_exits_2(small_config, path, out, capsys,
                                   "has 2 neighbor(s)", "[plant] n_neighbors is 1")
+
+
+def _short_defaults():
+    """The default config on a short horizon, as a parser."""
+    cp = configparser.ConfigParser()
+    cp.read_string(config_to_ini(default_config()))
+    cp["sim"]["duration_hours"] = "12"
+    cp["model"]["passes"] = "2"
+    cp["mpc"]["episode_hours"] = "3"
+    return cp
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# the scalar keys a draw edits: every one but the counts and lengths that set
+# how much a run allocates and computes, which stay at the short horizon
+_FIXED = {"n_neighbors", "epsilon_hours", "duration_hours", "seed", "passes",
+          "rmse_window", "t_opt", "t_hor", "plan_budget", "eval_seed",
+          "episode_hours"}
+_SCALARS = [(section, key) for section, keys in _short_defaults().items()
+            for key, value in keys.items() if key not in _FIXED and _is_float(value)]
+# a key's default scaled by 10 ** x, or set to 0, its negation or a literal
+_EDIT = st.tuples(st.sampled_from(_SCALARS),
+                  st.one_of(st.floats(-4.0, 4.0),
+                            st.sampled_from(["0", "-v", "1e-300", "1e300"])))
+
+
+def _edited(value, edit):
+    if isinstance(edit, float):
+        return repr(float(value) * 10.0 ** edit)
+    return {"0": "0.0", "-v": repr(-float(value))}.get(edit, edit)
+
+
+# every command on configs near the defaults ends in exit 0, 2 or 3; a
+# steep heating curve (zeta = 300) used to escape as a raw OverflowError, and
+# the periodogram of an air inlet at 1e300 as numpy's overflow warning
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(edits=[(("heating_curve", "zeta"), "300")])
+@example(edits=[(("disturbance.air_inlet", "offset"), "1e300")])
+@given(edits=st.lists(_EDIT, min_size=1, max_size=3))
+def test_every_command_on_a_near_default_config_exits_0_2_or_3(tmp_path_factory,
+                                                                 edits):
+    cp = _short_defaults()
+    for (section, key), edit in edits:
+        cp[section][key] = _edited(cp[section][key], edit)
+    base = tmp_path_factory.mktemp("near-default")
+    config = base / "config.ini"
+    with open(config, "w") as fh:
+        cp.write(fh)
+    for i, argv in enumerate((["simulate"], ["simulate", "--probe"], ["excite-check"],
+                              ["identify"], ["compare"])):
+        out, stdout, stderr = base / f"out{i}", io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--config", str(config), "--out-dir", str(out)])
+        assert code in (0, 2, 3), argv
+        if code:
+            err = stderr.getvalue()
+            assert err.count("\n") == 1 and not stdout.getvalue(), (argv, err)
+            assert not out.exists(), argv

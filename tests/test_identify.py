@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 import identify_oracle as oracle
 from thermbench.errors import ConfigError, NumericalError
-from thermbench.identify import (_BLOCK, Rls, RlsConfig, predict_series,
-                                 rolling_rmse, theta_from_file, theta_to_file,
-                                 train)
+from thermbench.identify import (Rls, RlsConfig, predict_series, rolling_rmse,
+                                 theta_from_file, theta_to_file, train)
 from thermbench.regressors import (LaggedHistory, RegressorSpec, Structure,
                                    build_regressor, layout, measured_columns,
                                    regressor_length, warmup)
@@ -20,6 +19,9 @@ from conftest import random_point
 # ---------------------------------------------------------------------------
 
 MI = RegressorSpec(Structure.NRM_MI, 1)
+# the trained samples of the longer training tests: two runs of BLOCK and a
+# few more, so a case can sit at either end of a run or past the last one
+BLOCK = 64
 
 
 def multisine(n, offset, comps):
@@ -243,16 +245,16 @@ def test_rls_covariance_is_exactly_symmetric_after_every_step(dim, forgetting, s
 
 
 def test_finite_state_whose_sum_overflows_is_not_a_divergence():
-    # 4 x 5e307 on the diagonal of P overflows the sum that screens a step
-    # for non-finite values; every element, and P + P^T, stays finite
+    # 4 x 5e307 on the diagonal of P would overflow a sum of the state; every
+    # element, and P + P^T, stays finite, so no screen may report it
     cfg = RlsConfig(forgetting=1.0, reg_init=5e307)
     rls = Rls(4, cfg)
     p = rls.p.copy()
     rls.step(np.zeros(4), 0.0, 0.0)
     assert np.array_equal(rls.p, p)
-    # training screens once per block of samples: more than two blocks
+    # and neither may training's screen, at the end of each of two passes
     spec = RegressorSpec(Structure.NRM_FI_RH, 1)
-    n = warmup(spec) + 2 * _BLOCK + 5
+    n = warmup(spec) + 2 * BLOCK + 5
     zeros = {c: np.zeros(n) for c in measured_columns(spec.structure, 1)}
     ds = TimeSeriesDataset(epsilon=1.0 / 12.0, n_neighbors=1, columns=zeros)
     rep = train(ds, spec, passes=2, rls_cfg=cfg, window=8)
@@ -424,17 +426,19 @@ def test_divergence_names_spec_pass_and_sample():
     assert "NRM_MI" in msg and "pass 1" in msg and "sample 151" in msg
 
 
-# training screens the RLS state once per block of samples and replays a
-# block that diverged one step at a time: an infinite Qext cell first reaches
-# the regressor of the next sample, at the first and the last sample of a
-# block and inside the final partial block
+# training screens the RLS state once per pass and replays a pass that
+# diverged one step at a time: an infinite Qext cell first reaches the
+# regressor of the next sample, at the first and the last trained sample of
+# the pass and at samples inside it
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("sample", [
-    pytest.param(warmup(MI) + _BLOCK, id="first-of-block"),
-    pytest.param(warmup(MI) + 2 * _BLOCK - 1, id="last-of-block"),
-    pytest.param(warmup(MI) + 2 * _BLOCK + 3, id="partial-block")])
+    pytest.param(warmup(MI), id="first-trained-sample"),
+    pytest.param(warmup(MI) + BLOCK, id="first-of-block"),
+    pytest.param(warmup(MI) + 2 * BLOCK - 1, id="last-of-block"),
+    pytest.param(warmup(MI) + 2 * BLOCK + 3, id="partial-block"),
+    pytest.param(warmup(MI) + 2 * BLOCK + 4, id="last-of-pass-1")])
 def test_divergence_in_a_block_names_its_sample_and_rls_step(sample):
-    ds = generate_self_consistent(MI, stable_theta(MI), warmup(MI) + 2 * _BLOCK + 5)
+    ds = generate_self_consistent(MI, stable_theta(MI), warmup(MI) + 2 * BLOCK + 5)
     cols = {c: v.copy() for c, v in ds.columns.items()}
     cols["Qext"][sample - 1] = np.inf
     bad = TimeSeriesDataset(epsilon=ds.epsilon, n_neighbors=1, columns=cols)
@@ -451,25 +455,38 @@ def test_divergence_in_a_block_names_its_sample_and_rls_step(sample):
 def test_divergence_in_pass_2_names_its_sample_and_rls_step():
     # an infinite cell diverges in the first pass already; on zero data every
     # step only divides P by the forgetting factor 0.5, so an initial
-    # covariance of 2**e overflows at a step that e chooses: here in the
-    # second block of the second pass
+    # covariance of 2**e overflows at a step that e chooses: here inside the
+    # second pass
     spec = RegressorSpec(Structure.NRM_FI_RH, 1)
     wu = warmup(spec)
-    n = wu + 2 * _BLOCK + 5
-    steps, exponent = n - wu, 1022 - (n - wu) - _BLOCK - 9
+    n = wu + 2 * BLOCK + 5
+    steps, exponent = n - wu, 1022 - (n - wu) - BLOCK - 9
     cfg = RlsConfig(forgetting=0.5, reg_init=2.0 ** exponent)
     ref = Rls(4, cfg)
     with pytest.raises(NumericalError) as step:
         while True:
             ref.step(np.zeros(4), 0.0, 0.0)
-    assert ref.k == steps + _BLOCK + 9
+    assert ref.k == steps + BLOCK + 9
     zeros = {c: np.zeros(n) for c in measured_columns(spec.structure, 1)}
     ds = TimeSeriesDataset(epsilon=1.0 / 12.0, n_neighbors=1, columns=zeros)
     with pytest.raises(NumericalError) as exc:
         train(ds, spec, passes=3, rls_cfg=cfg)
     assert str(exc.value) == (
         f"training NRM_FI_RH (n_neighbors=1) diverged in pass 2 at dataset "
-        f"sample {wu + _BLOCK + 9}: {step.value}")
+        f"sample {wu + BLOCK + 9}: {step.value}")
+
+
+def test_a_replay_that_does_not_diverge_is_an_error(monkeypatch):
+    # the end-of-pass screen fired, yet the replay through Rls.step finished:
+    # that is a defect of the screen or the replay, never a trained estimate
+    spec = RegressorSpec(Structure.NRM_FI_RH, 1)
+    n = warmup(spec) + 5
+    zeros = {c: np.zeros(n) for c in measured_columns(spec.structure, 1)}
+    ds = TimeSeriesDataset(epsilon=1.0 / 12.0, n_neighbors=1, columns=zeros)
+    monkeypatch.setattr(Rls, "_diverged", lambda self: True)
+    monkeypatch.setattr(Rls, "step", lambda self, phi, y, yhat: self._kernel(phi, y, yhat))
+    with pytest.raises(AssertionError, match="replay of a diverged pass"):
+        train(ds, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +556,10 @@ def test_oe_pass_matches_oracle_bit_for_bit(structure, n_neighbors, passes, n,
 @pytest.mark.parametrize("structure", [Structure.LRM, Structure.NRM_MI,
                                        Structure.NRM_FI_ZONE, Structure.NRM_LI])
 def test_oe_pass_matches_oracle_bit_for_bit_across_blocks(structure):
-    # two full screening blocks and a partial one in each of two passes; the
-    # property test above stays within one block
+    # passes of 2 * BLOCK + 5 trained samples each; the property test above
+    # stays within 30 samples
     spec = RegressorSpec(structure, 1)
-    n = warmup(spec) + 2 * _BLOCK + 5
+    n = warmup(spec) + 2 * BLOCK + 5
     ds = _random_dataset(np.random.default_rng(5), 1, n)
     theta_w = None
     if structure is Structure.NRM_FI_ZONE:
@@ -550,7 +567,7 @@ def test_oe_pass_matches_oracle_bit_for_bit_across_blocks(structure):
                         window=8).theta
     got = train(ds, spec, 2, theta_w=theta_w, window=8)
     ref = oracle.train(ds, spec, 2, theta_w=theta_w, window=8)
-    assert len(got.errors) == 2 * (2 * _BLOCK + 5)
+    assert len(got.errors) == 2 * (2 * BLOCK + 5)
     assert np.array_equal(got.theta, ref.theta)
     assert np.array_equal(got.errors, ref.errors)
     assert np.array_equal(got.rolling_rmse, ref.rolling_rmse)
