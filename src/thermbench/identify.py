@@ -354,8 +354,3 @@ def theta_to_file(theta: np.ndarray, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for v in theta:
             fh.write(f"{v:.17g}\n")
-
-
-def theta_from_file(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return np.asarray([float(line) for line in fh if line.strip()])

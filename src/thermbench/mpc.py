@@ -80,8 +80,8 @@ from .identify import oe_predict  # noqa: F401  (perfbench's self-test patches m
 from .regressors import (CompiledLayout, RegressorSpec, compile_layout, layout,
                          regressor_length, sum_entries, warmup, water_spec)
 from .simulator import (SimConfig, ZoneParams, check_control_set, check_positive,
-                        float_rows, heating_curve, hysteresis_control, simulate,
-                        synthesize_scenario, write_csv)
+                        column_names, float_rows, heating_curve, hysteresis_control,
+                        simulate, synthesize_scenario, write_csv)
 from .simulator import step  # noqa: F401  (perfbench's self-test patches mpc.step)
 
 
@@ -165,11 +165,12 @@ class DecisionWindow:
 
     Positions ``0..past-1`` are the recorded past, ``past`` is the decision
     sample and ``past+1..past+n_hor`` the forecast, which is assumed exact.
-    The exogenous channels ``T_rj_j``, ``Ta_in``, ``Va``, ``Qext`` and ``occ``
-    cover every position, the measured zone temperature ``T_r`` positions
-    ``0..past``, and the water estimate ``yhat_w`` and the applied controls
-    ``Tw_in`` and ``Vw`` positions ``0..past-1``.  The arrays may be views of
-    longer logs; nothing here copies them.
+    The exogenous channels (``occ`` and the plan-independent signals that
+    the spec's layouts read: ``T_rj_j``, ``Va``, ``Qext`` and, but for
+    NRM_LI, ``Ta_in``) cover every position, the measured zone temperature
+    ``T_r`` positions ``0..past``, and the water estimate ``yhat_w`` and the
+    applied controls ``Tw_in`` and ``Vw`` positions ``0..past-1``.  The
+    arrays may be views of longer logs; nothing here copies them.
 
     Every lag is at least one sample, so the rollout's last step reads the
     forecast at ``past+n_hor-1``: at ``past+n_hor`` only ``occ`` is read, for
@@ -327,10 +328,14 @@ def _index(triples) -> tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _kernel(spec: RegressorSpec) -> _Kernel:
+    """The kernel of ``spec``'s controller.  Its ``shared`` signals, which a
+    decision window must cover, are the compiled layout's channels that are
+    neither controls nor predictions, in dataset column order: an NRM_LI
+    kernel reads no ``Ta_in``."""
     rh = water_spec(spec)
     lay = compile_layout(rh, spec)
-    shared = tuple(f"T_rj_{j}" for j in range(1, spec.n_neighbors + 1)) + \
-        ("Ta_in", "Va", "Qext")
+    read = {channel for channel, _ in lay.columns}.difference(_CONTROLS, _PREDICTIONS)
+    shared = tuple(c for c in column_names(spec.n_neighbors) if c in read)
     control, other, ones = [], [], [len(lay.columns)]
     for row, (channel, lag) in enumerate(lay.columns):
         if channel in _CONTROLS:

@@ -30,6 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, HistoryUnderflowError
+from .simulator import column_names
 
 # one regressor component: product over (channel, lag) factors
 Entry = tuple[tuple[str, int], ...]
@@ -58,17 +59,15 @@ class RegressorSpec:
 
 
 def measured_columns(structure: Structure, n_neighbors: int) -> list[str]:
-    """Columns available to a structure (the zone temperature is always
-    measured; it is the identification target)."""
-    neigh = [f"T_rj_{j}" for j in range(1, n_neighbors + 1)]
-    base = ["T_r", *neigh, "Vw", "Va", "Qext"]
-    if structure in (Structure.NRM_FI_RH, Structure.NRM_FI_ZONE):
-        return ["T_r", "T_w", *neigh, "Vw", "Va", "Tw_in", "Ta_in", "Qext"]
-    if structure in (Structure.NRM_MI, Structure.LRM):
-        return base[:1] + neigh + ["Vw", "Va", "Tw_in", "Ta_in", "Qext"]
-    if structure is Structure.NRM_LI:
-        return base
-    raise ConfigError(f"unknown structure {structure!r}")
+    """Dataset columns a structure reads, in dataset order: the channels of
+    its layout, each prediction read as the measurement it mirrors, and for
+    the FI zone structure those of its water predictor too.  The zone
+    temperature, the identification target, is always among them."""
+    spec = RegressorSpec(structure, n_neighbors)
+    specs = (water_spec(spec), spec) if structure is Structure.NRM_FI_ZONE else (spec,)
+    read = {PREDICTION_MIRRORS.get(channel, channel)
+            for s in specs for entry in layout(s) for channel, _ in entry}
+    return [c for c in column_names(n_neighbors) if c in read]
 
 
 def water_spec(spec: RegressorSpec) -> RegressorSpec:

@@ -237,10 +237,6 @@ class TimeSeriesDataset:
     def __len__(self) -> int:
         return len(self.columns["T_r"])
 
-    @property
-    def t_hours(self) -> np.ndarray:
-        return self.columns["t_hours"]
-
     def to_csv(self, path) -> None:
         names = column_names(self.n_neighbors)
         write_csv(path, names, [self.columns[c] if c != "k" else np.arange(len(self))

@@ -190,9 +190,6 @@ class PlantState:
     t_s: list[float]
     t_w: float
 
-    def as_list(self) -> list[float]:
-        return [self.t_r, *self.t_s, self.t_w]
-
     def __post_init__(self):
         _require_finite(t_r=self.t_r, t_w=self.t_w)
         for i, v in enumerate(self.t_s):

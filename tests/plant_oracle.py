@@ -11,6 +11,9 @@ of the generated code, and the generated stepper ``thermal_core.rk4_step``
 must reproduce it bit for bit, so each generated stage is ``field_rate`` to
 the bit.
 
+``euler`` is one forward-Euler step on ``field_rate``: the discretization
+that the regressor layouts are derived for.
+
 ``coefficients`` evaluates the rate coefficients of the generalized bilinear
 form, an independent reference that the tests assemble into dense matrices
 and pin ``field_rate`` to.
@@ -73,6 +76,12 @@ def rk4(params: ZoneParams, x: list[float], inputs: tuple, h: float) -> list[flo
         name = "T_r" if i == 0 else ("T_w" if i == n + 1 else f"T_s[{i - 1}]")
         raise DivergenceError(f"integration diverged: state {name} is {v!r}")
     return out
+
+
+def euler(params: ZoneParams, x: list[float], inputs: tuple, h: float) -> list[float]:
+    """One forward-Euler step of ``h`` seconds on the flat state ``x``, with
+    ``inputs`` as for :func:`rk4`."""
+    return [a + h * b for a, b in zip(x, field_rate(params, x, *inputs))]
 
 
 @dataclass(frozen=True)

@@ -236,7 +236,7 @@ def test_criterion_7_closed_loop_comparison():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_regulation_band(default_dataset):
-    t = default_dataset.t_hours
+    t = default_dataset.columns["t_hours"]
     occ = default_dataset.columns["occ"]
     t_r = default_dataset.metadata["t_r_true"]
     mask = (t >= 12.0) & (occ > 0)

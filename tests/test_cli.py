@@ -356,7 +356,7 @@ def test_simulated_dataset_round_trips_on_the_full_grid(tmp_path, probe):
                  *(["--probe"] if probe else [])]) == 0
     name = "dataset_probe.csv" if probe else "dataset.csv"
     ds = TimeSeriesDataset.from_csv(out / name)
-    assert ds.t_hours[-1] > 300.0
+    assert ds.columns["t_hours"][-1] > 300.0
     assert ds.epsilon == pytest.approx(default_config().sim.epsilon, rel=1e-6)
 
 

@@ -121,7 +121,7 @@ def test_informativity_default_scenario_passes(cfg, default_dataset):
 def test_informativity_constant_dataset_fails(default_dataset):
     n = len(default_dataset)
     cols = {c: np.full(n, 1.0) for c in default_dataset.columns}
-    cols["t_hours"] = default_dataset.t_hours
+    cols["t_hours"] = default_dataset.columns["t_hours"]
     ds = TimeSeriesDataset(epsilon=default_dataset.epsilon, n_neighbors=1,
                            columns=cols)
     report = informativity_check(ds, RegressorSpec(Structure.NRM_MI, 1))

@@ -568,6 +568,24 @@ def test_window_check_names_each_fault():
                 call()
 
 
+def test_li_window_needs_no_inlet_air_temperature():
+    # NRM_LI's layouts read no Ta_in: a window without it is complete, and
+    # every decision quantity has the bits of the same window with it
+    from thermbench.mpc import _plan_costs
+    spec = RegressorSpec(Structure.NRM_LI, 1)
+    cfg = toy_cfg()
+    theta, theta_w = stable_toy_theta(spec), toy_theta_w()
+    win = toy_window(cfg)
+    bare = DecisionWindow({c: a for c, a in win.columns.items() if c != "Ta_in"})
+    plan = ControlPlan(((40.0, 0.0), (45.0, 0.0787)))
+    assert np.array_equal(_plan_costs(theta, theta_w, spec, bare, cfg),
+                          _plan_costs(theta, theta_w, spec, win, cfg))
+    assert solve(theta, theta_w, spec, bare, cfg) == solve(theta, theta_w, spec, win, cfg)
+    for got, want in zip(predict_horizon(theta, theta_w, spec, bare, plan, cfg),
+                         predict_horizon(theta, theta_w, spec, win, plan, cfg)):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("fault", ["inf-Qext", "nan-T_r", "overflowing-theta"])
 def test_diverging_rollout_is_a_divergence_error(fault):
     # the forecast's last position is read only as the comfort term's

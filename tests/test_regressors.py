@@ -3,16 +3,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import plant_oracle
+from thermbench.config import default_config
 from thermbench.errors import ConfigError, HistoryUnderflowError
-from thermbench.regressors import (DelayPolynomialOp, LaggedHistory,
-                                   RegressorSpec, Structure, apply_op,
-                                   build_regressor, compile_layout, compose,
-                                   identity_op, layout,
-                                   measured_columns, property2_correction,
-                                   q_separator, q_varying, regressor_length,
-                                   sum_entries, verify_property_1,
-                                   verify_property_2, verify_property_3,
-                                   warmup)
+from thermbench.regressors import (PREDICTION_MIRRORS, DelayPolynomialOp,
+                                   LaggedHistory, RegressorSpec, Structure,
+                                   apply_op, build_regressor, compile_layout,
+                                   compose, identity_op, layout,
+                                   measured_columns, prediction_channel,
+                                   property2_correction, q_separator,
+                                   q_varying, regressor_length, sum_entries,
+                                   verify_property_1, verify_property_2,
+                                   verify_property_3, warmup)
+from thermbench.simulator import SECONDS_PER_HOUR
 
 ALL_STRUCTURES = list(Structure)
 
@@ -425,3 +428,62 @@ def test_every_layout_compiles_with_a_warmup_of_at_least_one(structure):
         spec = RegressorSpec(structure, n)
         compile_layout(spec)
         assert warmup(spec) >= 1
+
+
+# ---------------------------------------------------------------------------
+# the layouts against the plant's heat balances
+# ---------------------------------------------------------------------------
+
+def _plant_run(step, epsilon, flows, n=600, seed=0):
+    """``n`` samples of the default one-neighbor plant stepped by ``step``
+    (``plant_oracle.euler`` or ``rk4``), by dataset column: the water flow
+    drawn per sample from ``flows``, the other inputs uniformly."""
+    plant = default_config().plant
+    rng = np.random.default_rng(seed)
+    cols = {"Vw": rng.choice(flows, n), "Va": rng.uniform(0.0, 0.06, n),
+            "Tw_in": rng.uniform(30.0, 50.0, n), "Ta_in": rng.uniform(15.0, 22.0, n),
+            "T_rj_1": rng.uniform(-5.0, 15.0, n), "Qext": rng.uniform(0.0, 300.0, n)}
+    x, h = [20.0, 12.0, 30.0], epsilon * SECONDS_PER_HOUR
+    cols["T_r"], cols["T_w"] = np.empty(n), np.empty(n)
+    for k in range(n):
+        cols["T_r"][k], cols["T_w"][k] = x[0], x[-1]
+        x = step(plant, x, (cols["Vw"][k], cols["Va"][k], cols["Tw_in"][k],
+                            cols["Ta_in"][k], [cols["T_rj_1"][k]], cols["Qext"][k]), h)
+    return cols
+
+
+def _fit_residual(structure, cols):
+    """RMS residual in K of the equation-error least-squares fit of the
+    one-neighbor layout of ``structure`` to ``cols``, the measured outputs
+    in place of the predictions."""
+    spec = RegressorSpec(structure, 1)
+    w, n = warmup(spec), len(cols["T_r"])
+    phi = np.array([np.prod([cols[PREDICTION_MIRRORS.get(c, c)][w - lag:n - lag]
+                             for c, lag in entry], axis=0)
+                    for entry in layout(spec)]).T
+    phi /= np.linalg.norm(phi, axis=0)  # unit columns, for the conditioning
+    y = cols[PREDICTION_MIRRORS[prediction_channel(spec)]][w:]
+    coef = np.linalg.lstsq(phi, y, rcond=None)[0]
+    return float(np.sqrt(np.mean(np.square(phi @ coef - y))))
+
+
+def test_layouts_against_the_discretized_heat_balances():
+    # both FI layouts are the forward-Euler heat balances with the separator
+    # states eliminated; MI is exact only at constant flow (Property 2's
+    # correction term is nonzero where the flow changes); LRM and LI are
+    # approximations
+    flows = (0.0, 0.03, 0.0787)
+    euler = _plant_run(plant_oracle.euler, 1.0 / 12.0, flows)
+    for structure in (Structure.NRM_FI_ZONE, Structure.NRM_FI_RH):
+        assert _fit_residual(structure, euler) < 1e-10, structure
+    for structure in (Structure.LRM, Structure.NRM_LI):
+        assert _fit_residual(structure, euler) > 1e-4, structure
+    constant = _plant_run(plant_oracle.euler, 1.0 / 12.0, flows[-1:])
+    assert _fit_residual(Structure.NRM_MI, constant) < 1e-10
+    # the plant steps by RK4, which no layout reproduces: the residuals of
+    # MI and FI fall second order in the sampling period
+    coarse, fine = (_plant_run(plant_oracle.rk4, epsilon, flows)
+                    for epsilon in (1.0 / 12.0, 1.0 / 24.0))
+    for structure in (Structure.NRM_MI, Structure.NRM_FI_ZONE):
+        ratio = _fit_residual(structure, coarse) / _fit_residual(structure, fine)
+        assert 3.0 <= ratio <= 5.0, (structure, ratio)

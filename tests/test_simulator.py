@@ -48,7 +48,7 @@ def test_step_equilibrium_fixed_point():
     d = Disturbance(t_w_in=t, t_a_in=t, t_neighbors=(t,), q_ext=0.0)
     u = ControlInput(0.05, 0.03)
     out = step(params, x, u, d, 1.0 / 12.0)
-    for a, b in zip(out.as_list(), x.as_list()):
+    for a, b in zip([out.t_r, *out.t_s, out.t_w], [x.t_r, *x.t_s, x.t_w]):
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -63,7 +63,8 @@ def test_single_step_vs_substeps_fourth_order():
         fine = x0
         for _ in range(10):
             fine = step(params, fine, u, d, eps / 10)
-        return max(abs(a - b) for a, b in zip(coarse.as_list(), fine.as_list()))
+        return max(abs(a - b) for a, b in zip([coarse.t_r, *coarse.t_s, coarse.t_w],
+                                              [fine.t_r, *fine.t_s, fine.t_w]))
 
     eps = 1.0 / 12.0
     d1, d2 = defect(eps), defect(eps / 2)
@@ -88,7 +89,7 @@ def test_trajectory_convergence_order_four():
         for k in range(n_coarse):
             for _ in range(refine):
                 x = step(params, x, us[k], ds[k], h)
-        return np.array(x.as_list())
+        return np.array([x.t_r, *x.t_s, x.t_w])
 
     ref = integrate(8)
     e1 = np.max(np.abs(integrate(1) - ref))
@@ -172,7 +173,8 @@ def test_divergence_names_the_first_diverged_separator(cfg):
     with pytest.raises(DivergenceError, match=message):
         step(plant, x, u, d, 1e-6)
     with pytest.raises(DivergenceError, match=message):
-        plant_oracle.rk4(plant, x.as_list(), (0.0, 0.0, 40.0, 20.0, [5.0, 19.0], 0.0),
+        plant_oracle.rk4(plant, [x.t_r, *x.t_s, x.t_w],
+                         (0.0, 0.0, 40.0, 20.0, [5.0, 19.0], 0.0),
                          1e-6 * simulator.SECONDS_PER_HOUR)
 
 
@@ -304,7 +306,7 @@ def test_measured_columns_are_dataset_columns(default_dataset):
 
 
 def test_regulation_band_default_scenario(cfg, default_dataset):
-    t = default_dataset.t_hours
+    t = default_dataset.columns["t_hours"]
     occ = default_dataset.columns["occ"]
     t_r = default_dataset.metadata["t_r_true"]
     mask = (t >= 12.0) & (occ > 0)
@@ -398,7 +400,7 @@ def test_csv_reader_matches_python_float_parse(tmp_path, cfg):
         values = rng.normal(size=width) * 10.0 ** rng.integers(-30, 30, size=width)
         # the times continue the sampling grid, in spellings that keep it:
         # the reader refuses a grid whose steps differ
-        values[1] = ds.t_hours[-1] + (1 + i) * ds.epsilon
+        values[1] = ds.columns["t_hours"][-1] + (1 + i) * ds.epsilon
         formats = rng.choice(["%r", "%.17g", "%.3e", " %.9g ", "%+.0f"], size=width)
         formats[1] = rng.choice(["%r", "%.17g", " %.9g "])
         lines.append(",".join(fmt % v for fmt, v in zip(formats, values.tolist())))
@@ -459,7 +461,7 @@ def test_control_sets_rejected_at_construction(cfg):
 
 def _restep(plant, sim, inlet, flow, va, ta_in, neighbors, q_ext):
     """True T_r/T_w from the reference RK4 over logged inputs."""
-    x = sim.initial.as_list()
+    x = [sim.initial.t_r, *sim.initial.t_s, sim.initial.t_w]
     h = sim.epsilon * simulator.SECONDS_PER_HOUR
     t_r, t_w = np.empty(len(inlet)), np.empty(len(inlet))
     for k in range(len(inlet)):

@@ -50,7 +50,6 @@ def _functions():
 _ANALYSIS = "analysis API"
 _ALGEBRA = "delay algebra: the paper's Properties 1-3, checked by criterion 1"
 _PINNED = "pinned by perfbench/selftest.py; remove with ROADMAP item 2"
-_HELPER = "test-only helper; move with ROADMAP item 2"
 
 
 def _error_path(test):
@@ -90,9 +89,6 @@ UNCALLED = {
         "regressors.build_regressor", "identify.oe_predict", "simulator.step",
         "thermal_core.ControlInput.__post_init__",
         "thermal_core.Disturbance.__post_init__"], _PINNED),
-    **dict.fromkeys([
-        "identify.theta_from_file", "thermal_core.PlantState.as_list",
-        "simulator.TimeSeriesDataset.t_hours"], _HELPER),
 }
 
 

@@ -16,8 +16,8 @@ from plant_oracle import coefficients, field_rate
 def rate_of(params, x, u, d):
     """``field_rate``, the balance that the generated RK4 stage reproduces
     bit for bit, on the typed records' fields."""
-    return field_rate(params, x.as_list(), u.vdot_w, u.vdot_a, d.t_w_in, d.t_a_in,
-                d.t_neighbors, d.q_ext)
+    return field_rate(params, [x.t_r, *x.t_s, x.t_w], u.vdot_w, u.vdot_a, d.t_w_in,
+                      d.t_a_in, d.t_neighbors, d.q_ext)
 
 
 def test_zero_flow_conductances_vanish(cfg):
@@ -130,7 +130,7 @@ def test_derivative_matches_dense_matrix_oracle():
             params = random_zone_params(rng, n_neighbors=n)
             x, u, d = random_point(rng, n_neighbors=n)
             A, E = _dense_matrices(params, u)
-            xv = np.array(x.as_list())
+            xv = np.array([x.t_r, *x.t_s, x.t_w])
             dv = np.array([d.t_w_in, d.t_a_in, *d.t_neighbors, d.q_ext])
             expected = A @ xv + E @ dv
             got = np.array(rate_of(params, x, u, d))
