@@ -29,7 +29,9 @@ replays a pass that diverged through ``Rls.step``, from a snapshot taken
 before it, so both report the same sample and step.  ``train`` and
 ``predict_series`` run under ``np.errstate(all="ignore")``, so a diverging
 pass shows as the screen's error or as non-finite predictions, never as
-numpy's warnings.
+numpy's warnings.  Training also requires a finite RMSE of every pass: the
+errors on finite but absurd data (a set point of 1e300) can overflow their
+squares without the estimate diverging.
 """
 
 from __future__ import annotations
@@ -330,6 +332,10 @@ def train(dataset: TimeSeriesDataset, spec: RegressorSpec, passes: int = 1,
             pass_errors = y - yhat[wu:]
             errors.append(pass_errors)
             pass_rmse.append(float(np.sqrt(np.mean(np.square(pass_errors)))))
+            if not np.isfinite(pass_rmse[-1]):
+                raise NumericalError(
+                    f"training {spec.structure.value} (n_neighbors={spec.n_neighbors}) "
+                    f"in pass {p}: the pass RMSE is {pass_rmse[-1]!r}")
 
         errors = np.concatenate(errors)
         return TrainReport(spec=spec, theta=rls.theta.copy(), errors=errors,

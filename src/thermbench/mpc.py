@@ -59,11 +59,12 @@ whose horizon reads controls that no earlier decision applied (the first
 after the hysteresis bootstrap) builds its own from its window, by the same
 code, with the same bits.
 
+``stage_costs`` is the one per-sample cost: the forms expand it, ``plan_cost``
+sums it over a rollout and ``realized_costs`` averages it over plant truth.
 ``predict_horizon`` fills one plan's predictions from the maps by the
-multiply-adds ``Phi_c[0] * x_0 + Phi_c[1] * x_1 + ... + beta_c``, and
-``plan_cost`` sums its cost terms: ``solve``'s costs equal ``predict_horizon``
-+ ``plan_cost`` within rounding, not bit for bit, since the forms expand the
-squares.
+multiply-adds ``Phi_c[0] * x_0 + ... + beta_c``: ``solve``'s costs equal
+``predict_horizon`` + ``plan_cost`` within rounding, not bit for bit, since
+the forms expand the squares.
 """
 
 from __future__ import annotations
@@ -136,6 +137,18 @@ class MpcConfig:
     def options(self) -> list[tuple[float, float]]:
         """Per-period (inlet, flow) choices in tie-break order."""
         return [(i, f) for i in sorted(self.inlet_set) for f in sorted(self.flow_set)]
+
+
+def stage_costs(cfg: MpcConfig, t_r, t_w, occ, inlet, flow):
+    """The per-sample (comfort, heating, pump) costs, elementwise, of zone
+    temperatures ``t_r`` at occupancies ``occ`` and of water outlets ``t_w``
+    at ``inlet`` and ``flow``; with the config's flow gate, heating is
+    charged only where the flow is nonzero.  The terms may differ in length."""
+    flow = np.asarray(flow)
+    gate = (flow > 0.0) if cfg.heating_cost_gated_by_flow else 1.0
+    return (cfg.alpha * np.asarray(occ) * (np.asarray(t_r) - cfg.t_set) ** 2,
+            cfg.beta * cfg.t_sam * (np.asarray(inlet) - np.asarray(t_w)) * gate,
+            cfg.gamma * cfg.t_sam * flow)
 
 
 @dataclass(frozen=True)
@@ -267,7 +280,9 @@ def water_estimate(theta_w: np.ndarray, spec: RegressorSpec,
 #: Under the default config that is stage 1's prefixes: 30 entries x 12
 #: steps x 80 columns (5 periods of 16 combinations) for NRM_MI, 28.8k
 #: values, against 24.5k for one decision's maps and 25.6k for the last
-#: product of its walk
+#: product of its walk.  ``_control_template``'s int64 digit radix wraps at
+#: 4^32 for 4 options per period, so a chunk plus its depth stays within 32
+#: periods: 31 kept the default closed loop's bytes, 32 and 48 changed them
 _CHUNK = 5
 
 # inside the horizon the layouts' output channels read the rollout's own
@@ -498,17 +513,17 @@ def _forms(maps: np.ndarray, tpl: _Template, occ: np.ndarray,
     weighted = zone * (cfg.alpha / cfg.n_hor * occ)[:, None]
     q = sum_entries((weighted[:, :, None] * zone[:, None]).reshape(s, -1))
     q = q.reshape(k1, k1, n)
-    # heating: beta * t_sam * sum of (inlet - outlet) at the entry's last
-    # water value and the first s - 1 steps, folded into Q's last row
+    # heating: beta * t_sam (times the flow gate) per kelvin of the sum of
+    # (inlet - outlet) at the entry's last water value and first s - 1 steps
     water = np.zeros((s, k1, n))
     water[0, tpl.water] = 1.0
     water[1:] = rows[:, 1, :s - 1].transpose(1, 0, 2)
     outlet = sum_entries(water.reshape(s, -1)).reshape(k1, n)
     inlet, flow = tpl.own
-    gate = cfg.beta * cfg.t_sam * ((flow > 0.0) if cfg.heating_cost_gated_by_flow else 1.0)
+    per_kelvin = stage_costs(cfg, t_r=t_set, t_w=0.0, occ=0.0, inlet=1.0, flow=flow)[1]
     inflow = np.zeros((k1, n))
     inflow[-1] = s * (inlet - t_set)
-    q[-1] += (inflow - outlet) * gate
+    q[-1] += (inflow - outlet) * per_kelvin
     # pump: gamma * t_sam per sample of the period's flow, a constant
     q[-1, -1] += cfg.gamma * cfg.t_sam * s * flow
     # the next entry state: this period's predictions, or entry values that
@@ -612,21 +627,13 @@ class CostBreakdown:
 def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
               win: DecisionWindow, cfg: MpcConfig) -> CostBreakdown:
     """Comfort, heating and pump cost of one rolled-out plan, by the cost
-    function ``solve`` ranks plans with.
-
-    The comfort sum runs over horizon positions 0..n_hor and is averaged by
-    n_hor; heating and pump sum positions 0..n_hor-1.  The heating term is
-    beta * t_sam * (inlet - predicted outlet), optionally multiplied by an
-    indicator that the flow is nonzero.
-    """
-    t_r_trace, t_w_trace = traces
-    n = cfg.n_hor
-    inlet_seq, flow_seq = plan.expand(cfg)
-    occ = win.columns["occ"][win.past:win.past + n + 1]
-    comfort = cfg.alpha * float(np.sum(occ * np.square(t_r_trace - cfg.t_set))) / n
-    gate = flow_seq > 0.0 if cfg.heating_cost_gated_by_flow else 1.0
-    heating = cfg.beta * cfg.t_sam * float(np.sum((inlet_seq - t_w_trace) * gate))
-    pump = cfg.gamma * cfg.t_sam * float(np.sum(flow_seq))
+    function ``solve`` ranks plans with: the sums of its ``stage_costs``,
+    comfort over horizon positions 0..n_hor averaged by n_hor, heating and
+    pump over positions 0..n_hor-1."""
+    occ = win.columns["occ"][win.past:win.past + cfg.n_hor + 1]
+    comfort, heating, pump = (float(np.sum(term)) for term in
+                              stage_costs(cfg, *traces, occ, *plan.expand(cfg)))
+    comfort /= cfg.n_hor
     return CostBreakdown(total=comfort + heating + pump, comfort=comfort,
                          heating=heating, pump=pump)
 
@@ -809,16 +816,11 @@ class EpisodeReport:
 
 def realized_costs(t_r_true, t_w_true, occ, inlet, flow,
                    cfg: MpcConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Running averages of the per-sample realized comfort/heating/pump costs
-    (plant truth, not predictions)."""
-    t_r = np.asarray(t_r_true)
-    steps = np.arange(1, len(t_r) + 1)
-    comfort = cfg.alpha * np.asarray(occ) * (t_r - cfg.t_set) ** 2
-    gate = (np.asarray(flow) > 0).astype(float) if cfg.heating_cost_gated_by_flow else 1.0
-    heating = cfg.beta * cfg.t_sam * (np.asarray(inlet) - np.asarray(t_w_true)) * gate
-    pump = cfg.gamma * cfg.t_sam * np.asarray(flow)
-    return (np.cumsum(comfort) / steps, np.cumsum(heating) / steps,
-            np.cumsum(pump) / steps)
+    """Running averages of the realized comfort, heating and pump
+    ``stage_costs`` (plant truth, not predictions)."""
+    steps = np.arange(1, len(t_r_true) + 1)
+    return tuple(np.cumsum(term) / steps
+                 for term in stage_costs(cfg, t_r_true, t_w_true, occ, inlet, flow))
 
 
 def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
@@ -901,9 +903,6 @@ def closed_loop_run(params: ZoneParams, sim_cfg: SimConfig, cfg: MpcConfig,
     with np.errstate(all="ignore"):
         t_r_plant, t_w_plant, inlet_log, flow_log = simulate(params, sim_cfg, scen, n,
                                                              control)
-        comfort, heating, pump = realized_costs(t_r_plant, t_w_plant, scen.occ[:n],
-                                                inlet_log, flow_log, cfg)
-    return EpisodeReport(t_hours=scen.t_hours[:n], t_r_plant=t_r_plant,
-                         t_w_plant=t_w_plant, inlet=inlet_log, flow=flow_log,
-                         occ=scen.occ[:n].copy(), run_avg_comfort=comfort,
-                         run_avg_heating=heating, run_avg_pump=pump)
+        costs = realized_costs(t_r_plant, t_w_plant, scen.occ[:n], inlet_log, flow_log, cfg)
+    return EpisodeReport(scen.t_hours[:n], t_r_plant, t_w_plant, inlet_log, flow_log,
+                         scen.occ[:n].copy(), *costs)

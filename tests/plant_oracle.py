@@ -12,7 +12,8 @@ must reproduce it bit for bit, so each generated stage is ``field_rate`` to
 the bit.
 
 ``euler`` is one forward-Euler step on ``field_rate``: the discretization
-that the regressor layouts are derived for.
+that the regressor layouts are derived for.  ``fit_layout`` fits a layout to
+a plant run by least squares.
 
 ``coefficients`` evaluates the rate coefficients of the generalized bilinear
 form, an independent reference that the tests assemble into dense matrices
@@ -25,7 +26,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from thermbench.errors import DivergenceError
+from thermbench.regressors import (PREDICTION_MIRRORS, RegressorSpec, layout,
+                                   prediction_channel, warmup)
 from thermbench.thermal_core import (ControlInput, ZoneParams, air_conductance,
                                      water_conductance)
 
@@ -82,6 +87,20 @@ def euler(params: ZoneParams, x: list[float], inputs: tuple, h: float) -> list[f
     """One forward-Euler step of ``h`` seconds on the flat state ``x``, with
     ``inputs`` as for :func:`rk4`."""
     return [a + h * b for a, b in zip(x, field_rate(params, x, *inputs))]
+
+
+def fit_layout(spec: RegressorSpec, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The equation-error least-squares fit of ``spec``'s layout to a plant
+    run ``cols`` (arrays by dataset column), each prediction read as the
+    measurement it mirrors: the parameters, and the regressor rows and the
+    outputs they were fitted to."""
+    w, n = warmup(spec), len(cols["T_r"])
+    phi = np.array([np.prod([cols[PREDICTION_MIRRORS.get(c, c)][w - lag:n - lag]
+                             for c, lag in entry], axis=0)
+                    for entry in layout(spec)]).T
+    scale = np.linalg.norm(phi, axis=0)  # unit columns, for the conditioning
+    y = cols[PREDICTION_MIRRORS[prediction_channel(spec)]][w:]
+    return np.linalg.lstsq(phi / scale, y, rcond=None)[0] / scale, phi, y
 
 
 @dataclass(frozen=True)

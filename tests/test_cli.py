@@ -565,9 +565,10 @@ def _files(directory):
     ("heating_curve", "zeta", "300", ["simulate"]),
     ("heating_curve", "zeta", "300", ["excite-check"]),
     ("heating_curve", "zeta", "300", ["compare", "--spec", "LRM"]),
+    ("hysteresis", "t_set", "1e300", ["identify", "--spec", "LRM"]),
 ], ids=["diverging-rls", "overflowing-plan-costs", "compare-after-training",
         "steep-heating-curve", "steep-heating-curve-excite-check",
-        "steep-heating-curve-compare"])
+        "steep-heating-curve-compare", "absurd-set-point"])
 def test_numerical_failure_exits_3_with_one_line(tmp_path, small_config, capsys,
                                                  section, key, value, argv):
     # the stage's own non-finite screen reports the failure; numpy's warnings,
@@ -575,7 +576,8 @@ def test_numerical_failure_exits_3_with_one_line(tmp_path, small_config, capsys,
     # nothing, not even the parameters it trained before the failure.  A zeta
     # of 300 loads, as it is positive and finite, but the heating curve's
     # (t_set - t_out) ** zeta, about 16 ** 300, overflows a float: the plant
-    # loop reports it instead of a raw OverflowError.
+    # loop reports it instead of a raw OverflowError.  A set point of 1e300
+    # simulates, but training's errors overflow: the pass RMSE is not finite.
     cp = configparser.ConfigParser()
     cp.read(small_config)
     cp[section][key] = value
@@ -744,11 +746,13 @@ def _edited(value, edit):
 
 
 # every command on configs near the defaults ends in exit 0, 2 or 3; a
-# steep heating curve (zeta = 300) used to escape as a raw OverflowError, and
-# the periodogram of an air inlet at 1e300 as numpy's overflow warning
+# steep heating curve (zeta = 300) used to escape as a raw OverflowError, the
+# periodogram of an air inlet at 1e300 as numpy's overflow warning, and a set
+# point of 1e300 trained to an all-zero estimate with exit 0
 @settings(max_examples=40, deadline=None, derandomize=True)
 @example(edits=[(("heating_curve", "zeta"), "300")])
 @example(edits=[(("disturbance.air_inlet", "offset"), "1e300")])
+@example(edits=[(("hysteresis", "t_set"), "1e300")])
 @given(edits=st.lists(_EDIT, min_size=1, max_size=3))
 def test_every_command_on_a_near_default_config_exits_0_2_or_3(tmp_path_factory,
                                                                  edits):

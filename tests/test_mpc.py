@@ -11,13 +11,16 @@ from thermbench.errors import ConfigError, DivergenceError, HistoryUnderflowErro
 from thermbench.identify import oe_predict, train
 from thermbench.mpc import (ControlPlan, DecisionWindow, MpcConfig,
                             closed_loop_run, plan_cost, predict_horizon,
-                            realized_costs, solve, water_estimate)
-from thermbench.regressors import LaggedHistory, RegressorSpec, Structure
-from thermbench.simulator import (OccupancySchedule, step,
+                            realized_costs, solve, stage_costs, water_estimate)
+from thermbench.regressors import (LaggedHistory, RegressorSpec, Structure,
+                                   warmup, water_spec)
+from thermbench.simulator import (SECONDS_PER_HOUR, OccupancySchedule, step,
                                   run_probe_experiment)
-from thermbench.thermal_core import ControlInput, Disturbance, PlantState
+from thermbench.thermal_core import (ControlInput, Disturbance, PlantState,
+                                     SeparatorParams)
 
 import mpc_oracle
+import plant_oracle
 from mpc_oracle import scalar_costs
 
 SPEC = RegressorSpec(Structure.NRM_MI, 1)
@@ -185,6 +188,28 @@ def test_gating_flag_zeroes_heating_without_flow():
     tw = np.full(cfg.n_hor, 25.0)
     c = plan_cost((tr, tw), plan, toy_window(cfg), cfg)
     assert c.heating == 0.0 and c.pump == 0.0
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+def test_stage_costs_equal_a_scalar_loop_bit_for_bit(gated):
+    # the one per-sample cost, against its definition in Python floats, over
+    # zero and nonzero flows, occupied and unoccupied samples, and outlets
+    # on both sides of the inlet
+    cfg = MpcConfig(heating_cost_gated_by_flow=gated)
+    rng = np.random.default_rng(11)
+    n = 200
+    t_r, t_w = 21.0 + rng.normal(size=n), 42.0 + 5.0 * rng.normal(size=n)
+    occ = rng.integers(2, size=n).astype(float)
+    inlet, flow = rng.choice(cfg.inlet_set, n), rng.choice(cfg.flow_set, n)
+    assert {0.0, 1.0} <= set(occ) and 0.0 in flow and np.any(flow > 0.0)
+    got = stage_costs(cfg, t_r, t_w, occ, inlet, flow)
+    for k in range(n):
+        d = float(t_r[k]) - cfg.t_set
+        gate = (1.0 if float(flow[k]) > 0.0 else 0.0) if gated else 1.0
+        want = (cfg.alpha * float(occ[k]) * (d * d),  # numpy's ** 2 multiplies
+                cfg.beta * cfg.t_sam * (float(inlet[k]) - float(t_w[k])) * gate,
+                cfg.gamma * cfg.t_sam * float(flow[k]))
+        assert [float(term[k]).hex() for term in got] == [v.hex() for v in want], k
 
 
 # ---------------------------------------------------------------------------
@@ -814,6 +839,22 @@ def test_closed_loop_runs_and_logs(cfg, probe_models):
     assert np.allclose(h + p, ep.run_avg_heating + ep.run_avg_pump)
 
 
+def test_realized_costs_are_running_means_of_the_stage_costs(cfg, probe_models):
+    theta, theta_w = probe_models
+    sim = dataclasses.replace(cfg.sim, duration=24.0)
+    ep = closed_loop_run(cfg.plant, sim, MpcConfig(), SPEC, theta, theta_w)
+    steps = np.arange(1, sim.n_samples + 1)
+    logs = (ep.t_r_plant, ep.t_w_plant, ep.occ, ep.inlet, ep.flow)
+    assert 0.0 in ep.flow and 0.0 in ep.occ
+    for mcfg in (MpcConfig(), MpcConfig(heating_cost_gated_by_flow=True)):
+        want = [np.cumsum(term) / steps for term in stage_costs(mcfg, *logs)]
+        for got, term in zip(realized_costs(*logs, mcfg), want):
+            assert np.array_equal(got, term)
+    for got, term in zip((ep.run_avg_comfort, ep.run_avg_heating, ep.run_avg_pump),
+                         realized_costs(*logs, MpcConfig())):
+        assert np.array_equal(got, term)
+
+
 def test_closed_loop_deterministic(cfg, probe_models):
     theta, theta_w = probe_models
     sim = dataclasses.replace(cfg.sim, duration=12.0)
@@ -942,3 +983,90 @@ def test_closed_loop_rejects_parameters_of_the_wrong_length(cfg):
                         ((theta[:-1], theta_w), r"theta_r of shape \(25,\).*\(26,\)")]:
         with pytest.raises(ConfigError, match=r"NRM_MI controller.*" + match):
             closed_loop_run(cfg.plant, sim, MpcConfig(), SPEC, *args)
+
+
+# ---------------------------------------------------------------------------
+# the controller against the physics
+# ---------------------------------------------------------------------------
+
+def _plant_inputs(cols, k, inlet, flow, n_neighbors):
+    """The inputs of ``plant_oracle.euler`` at dataset sample ``k`` of
+    ``cols`` under the controls ``inlet`` and ``flow``."""
+    return (flow, cols["Va"][k], inlet, cols["Ta_in"][k],
+            [cols[f"T_rj_{j}"][k] for j in range(1, n_neighbors + 1)], cols["Qext"][k])
+
+
+def _euler_history(plant, cfg, n, rng):
+    """``n`` samples of ``plant`` stepped by ``plant_oracle.euler``, by
+    dataset column, and its states before each step: the controls an option
+    of ``cfg`` drawn per hour, occupied and unoccupied in turn for 6 hours,
+    the other inputs drawn per sample."""
+    m, s = plant.n_neighbors, cfg.samples_per_period
+    hours = -(-n // s)
+    options = np.array(cfg.options())[rng.integers(cfg.n_options, size=hours)]
+    cols = dict(zip(("Tw_in", "Vw"), np.repeat(options, s, axis=0)[:n].T))
+    cols.update(Va=rng.uniform(0.0, 0.06, n), Ta_in=rng.uniform(15.0, 22.0, n),
+                Qext=rng.uniform(0.0, 300.0, n),
+                occ=(np.arange(n) // (6 * s) % 2 == 0).astype(float))
+    cols.update((f"T_rj_{j}", rng.uniform(-5.0, 15.0, n)) for j in range(1, m + 1))
+    states, x = np.empty((n, m + 2)), [20.0, *[12.0] * m, 30.0]
+    for k in range(n):
+        states[k] = x
+        x = plant_oracle.euler(plant, x, _plant_inputs(cols, k, cols["Tw_in"][k],
+                                                       cols["Vw"][k], m),
+                               cfg.t_sam * SECONDS_PER_HOUR)
+    cols["T_r"], cols["T_w"] = states[:, 0].copy(), states[:, -1].copy()
+    return cols, states
+
+
+@pytest.mark.parametrize("n_neighbors", [1, 2])
+def test_plan_costs_against_the_euler_plant(cfg, n_neighbors):
+    # both FI layouts are exact regressions of a forward-Euler plant, so the
+    # controller fitted to one must cost every plan as the plant's own
+    # rollout from its true state does.  The oracles share the controller's
+    # conventions; this checks them against the physics, so a control read a
+    # sample early or late, or a cost term the forms expand wrongly, fails
+    from thermbench.mpc import _plan_costs
+    # a second separator as fast as the first leaves the fit ill-conditioned
+    plant = cfg.plant if n_neighbors == 1 else dataclasses.replace(
+        cfg.plant, separators={1: cfg.plant.separators[1],
+                               2: SeparatorParams(r_plus=0.006, r_minus=0.009, c_s=5e5)})
+    mcfg = MpcConfig()
+    n, h = mcfg.n_hor, mcfg.t_sam * SECONDS_PER_HOUR
+    cols, states = _euler_history(plant, mcfg, 800, np.random.default_rng(n_neighbors))
+    spec = RegressorSpec(Structure.NRM_FI_ZONE, n_neighbors)
+    theta_r, theta_w = (plant_oracle.fit_layout(s, cols)[0] for s in (spec, water_spec(spec)))
+    cols["yhat_w"] = cols.pop("T_w")  # the fit is exact: estimates are the truth
+    plans = [ControlPlan(p) for p in
+             itertools.product(mcfg.options(), repeat=mcfg.n_periods)]
+    inlet, flow = np.repeat(np.array([p.periods for p in plans]),
+                            mcfg.samples_per_period, axis=1).transpose(2, 0, 1)
+    # horizons that are occupied throughout, occupied in part, and unoccupied,
+    # where the heating and pump costs alone rank the plans.  Each decision
+    # is an hour's first or second sample, after a change of option, so a
+    # window that read its controls a sample early or late would differ
+    for k in (433, 697, 504):
+        assert len({(cols["Tw_in"][j], cols["Vw"][j]) for j in (k - 2, k - 1, k)}) == 2
+        win = DecisionWindow.at(cols, k, warmup(spec), n)
+        # every plan's Euler rollout from the plant's true state at sample k
+        x, zone, water = list(states[k]), np.empty((len(plans), n + 1)), np.empty((len(plans), n))
+        for j in range(n):
+            zone[:, j], water[:, j] = x[0], x[-1]
+            x = plant_oracle.euler(plant, x, _plant_inputs(cols, k + j, inlet[:, j],
+                                                           flow[:, j], n_neighbors), h)
+        zone[:, n] = x[0]
+        for gated in (False, True):
+            gcfg = dataclasses.replace(mcfg, heating_cost_gated_by_flow=gated)
+            truth = np.array([plan_cost((zone[i], water[i]), plan, win, gcfg).total
+                              for i, plan in enumerate(plans)])
+            costs = _plan_costs(theta_r, theta_w, spec, win, gcfg)
+            assert np.all(np.abs(costs - truth) <= 1e-9 * np.abs(truth)), (k, gated)
+            best, runner_up = np.sort(truth)[:2]
+            if runner_up - best > 1e-9 * abs(best):
+                assert np.argmin(costs) == np.argmin(truth), (k, gated)
+        # one plan's predicted traces are the plant's, within the fit's
+        # rounding carried over 60 steps
+        i = int(np.argmin(truth))
+        got = predict_horizon(theta_r, theta_w, spec, win, plans[i], mcfg)
+        assert np.max(np.abs(got[0] - zone[i])) <= 1e-8
+        assert np.max(np.abs(got[1] - water[i])) <= 1e-8

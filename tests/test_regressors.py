@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 import plant_oracle
 from thermbench.config import default_config
 from thermbench.errors import ConfigError, HistoryUnderflowError
-from thermbench.regressors import (PREDICTION_MIRRORS, DelayPolynomialOp,
-                                   LaggedHistory, RegressorSpec, Structure,
-                                   apply_op, build_regressor, compile_layout,
-                                   compose, identity_op, layout,
-                                   measured_columns, prediction_channel,
+from thermbench.regressors import (DelayPolynomialOp, LaggedHistory,
+                                   RegressorSpec, Structure, apply_op,
+                                   build_regressor, compile_layout, compose,
+                                   identity_op, layout, measured_columns,
                                    property2_correction, q_separator,
                                    q_varying, regressor_length, sum_entries,
                                    verify_property_1, verify_property_2,
@@ -456,15 +455,8 @@ def _fit_residual(structure, cols):
     """RMS residual in K of the equation-error least-squares fit of the
     one-neighbor layout of ``structure`` to ``cols``, the measured outputs
     in place of the predictions."""
-    spec = RegressorSpec(structure, 1)
-    w, n = warmup(spec), len(cols["T_r"])
-    phi = np.array([np.prod([cols[PREDICTION_MIRRORS.get(c, c)][w - lag:n - lag]
-                             for c, lag in entry], axis=0)
-                    for entry in layout(spec)]).T
-    phi /= np.linalg.norm(phi, axis=0)  # unit columns, for the conditioning
-    y = cols[PREDICTION_MIRRORS[prediction_channel(spec)]][w:]
-    coef = np.linalg.lstsq(phi, y, rcond=None)[0]
-    return float(np.sqrt(np.mean(np.square(phi @ coef - y))))
+    theta, phi, y = plant_oracle.fit_layout(RegressorSpec(structure, 1), cols)
+    return float(np.sqrt(np.mean(np.square(phi @ theta - y))))
 
 
 def test_layouts_against_the_discretized_heat_balances():
