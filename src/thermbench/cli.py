@@ -121,27 +121,45 @@ def cmd_simulate(args):
                                f"{ds.n_neighbors} neighbor(s))"]
 
 
-def _train_all(cfg: ExperimentConfig, ds: TimeSeriesDataset, specs: list[RegressorSpec]):
-    """Train the RH predictor once, then each requested zone structure; the
-    reports and the files that hold them."""
+def train_all(cfg: ExperimentConfig, dataset: TimeSeriesDataset, specs: list[RegressorSpec]):
+    """Train the RH predictor once, then each structure of ``specs`` with its
+    parameters: ``(rh, {spec: report})``, where an RH spec's report is ``rh``."""
     model = cfg.model
-    rh = identify.train(ds, water_spec(model.spec), model.passes, model.rls,
+    rh = identify.train(dataset, water_spec(model.spec), model.passes, model.rls,
                         window=model.rmse_window)
-    reports = {spec: rh if spec.structure is Structure.NRM_FI_RH else
-               identify.train(ds, spec, model.passes, model.rls, theta_w=rh.theta,
-                              window=model.rmse_window) for spec in specs}
+    return rh, {spec: rh if spec.structure is Structure.NRM_FI_RH else
+                identify.train(dataset, spec, model.passes, model.rls, theta_w=rh.theta,
+                               window=model.rmse_window) for spec in specs}
+
+
+def evaluate(cfg: ExperimentConfig, reports) -> dict[RegressorSpec, mpc.EpisodeReport]:
+    """Each zone model's closed-loop episode on the config's evaluation week."""
+    return {spec: mpc.closed_loop_run(cfg.plant, cfg.evaluation_sim, cfg.mpc, spec,
+                                      rep.theta, rep.theta_w)
+            for spec, rep in reports.items() if spec.structure is not Structure.NRM_FI_RH}
+
+
+def _experiment(args, cfg: ExperimentConfig, specs: list[RegressorSpec], closed_loop=True):
+    """Train every structure and, with ``closed_loop``, evaluate each zone
+    model; the reports, each episode's final running-average costs and the
+    files that hold them."""
+    rh, reports = train_all(cfg, _dataset(args, cfg), specs)
+    episodes = evaluate(cfg, reports) if closed_loop else {}
     outputs = {"theta_w.txt": functools.partial(identify.theta_to_file, rh.theta)}
     for spec, rep in reports.items():
         tag = spec.structure.value
         outputs[f"train_report_{tag}.csv"] = rep.to_csv
         outputs[f"theta_{tag}.txt"] = functools.partial(identify.theta_to_file, rep.theta)
-    return reports, outputs
+    costs = {}
+    for spec, ep in episodes.items():
+        outputs[f"episode_{spec.structure.value}.csv"] = ep.to_csv
+        costs[spec] = (ep.final_comfort, ep.final_heating, ep.final_pump)
+    return reports, costs, outputs
 
 
 def cmd_identify(args):
     cfg = _load(args)
-    specs = _specs(args, cfg)
-    reports, outputs = _train_all(cfg, _dataset(args, cfg), specs)
+    reports, _, outputs = _experiment(args, cfg, _specs(args, cfg), closed_loop=False)
     return outputs, [f"{spec.structure.value}: final rolling RMSE "
                      f"{rep.final_rmse:.6g} over window {rep.window}"
                      for spec, rep in reports.items()]
@@ -155,27 +173,13 @@ def cmd_excite_check(args):
              for col, rep in report.spectra.items()}, [report.summary()])
 
 
-def _episodes(args, cfg: ExperimentConfig, specs: list[RegressorSpec]):
-    """Train every structure, then run each zone model's closed-loop episode;
-    the reports, each episode's final running-average costs and the files."""
-    reports, outputs = _train_all(cfg, _dataset(args, cfg), specs)
-    sim = dataclasses.replace(cfg.sim, seed=cfg.eval_seed, duration=cfg.episode_hours)
-    costs = {}
-    for spec, rep in reports.items():
-        if spec.structure is not Structure.NRM_FI_RH:
-            ep = mpc.closed_loop_run(cfg.plant, sim, cfg.mpc, spec, rep.theta, rep.theta_w)
-            outputs[f"episode_{spec.structure.value}.csv"] = ep.to_csv
-            costs[spec] = (ep.final_comfort, ep.final_heating, ep.final_pump)
-    return reports, costs, outputs
-
-
 def cmd_mpc_run(args):
     cfg = _load(args)
     specs = _specs(args, cfg)
     if any(spec.structure is Structure.NRM_FI_RH for spec in specs):
         raise ConfigError("the RH structure predicts the water temperature "
                           "and cannot serve as the zone model in the MPC")
-    _, costs, outputs = _episodes(args, cfg, specs)
+    _, costs, outputs = _experiment(args, cfg, specs)
     return outputs, [f"{spec.structure.value}: comfort {comfort:.6g}  "
                      f"heating {heating:.6g}  pump {pump:.6g}"
                      for spec, (comfort, heating, pump) in costs.items()]
@@ -183,7 +187,7 @@ def cmd_mpc_run(args):
 
 def cmd_compare(args):
     cfg = _load(args)
-    reports, costs, outputs = _episodes(args, cfg, _specs(args, cfg))
+    reports, costs, outputs = _experiment(args, cfg, _specs(args, cfg))
     rows = [(spec.structure.value, rep.final_rmse, *costs.get(spec, (float("nan"),) * 3))
             for spec, rep in reports.items()]
     summary = "spec,final_rmse,final_comfort,final_heating,final_pump\n" + "".join(

@@ -19,7 +19,7 @@ import configparser
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError, ThermbenchError
 from .identify import DEFAULT_RMSE_WINDOW, RlsConfig, check_training
@@ -50,6 +50,11 @@ class ExperimentConfig:
     mpc: MpcConfig
     eval_seed: int = 777     # scenario seed for closed-loop evaluation
     episode_hours: float = 168.0
+
+    @property
+    def evaluation_sim(self) -> SimConfig:
+        """The closed-loop evaluation: the scenario at eval_seed for episode_hours."""
+        return replace(self.sim, seed=self.eval_seed, duration=self.episode_hours)
 
     def validate(self) -> None:
         """The checks across sections; each message names both keys."""

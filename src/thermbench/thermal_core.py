@@ -32,6 +32,10 @@ from functools import cached_property
 
 from .errors import DivergenceError, ParameterError
 
+#: The open range, in degC, of every plant state an RK4 step may return:
+#: above absolute zero and below 1,000 degC.  NaN and infinities lie outside.
+_T_RANGE = (-273.15, 1000.0)
+
 
 def _require_positive(**values: float) -> None:
     for name, v in values.items():
@@ -148,7 +152,8 @@ def _source(n: int) -> str:
         body += [f"x_{x} = t_{x} + {c} * k{i}_{x}" for x in xs] + _stage(i + 1, "x", n)
     body += [f"t_{x} = t_{x} + sixth * (k1_{x} + 2.0 * k2_{x} + 2.0 * k3_{x} + k4_{x})"
              for x in xs]
-    body += [f"if not ({' and '.join(f'isfinite(t_{x})' for x in xs)}):",
+    lo, hi = _T_RANGE
+    body += [f"if not ({' and '.join(f'{lo!r} < t_{x} < {hi!r}' for x in xs)}):",
              f"    diverged(t_r, [{t_s}], t_w)", f"return t_r, [{t_s}], t_w"]
     return ("def rk4(t_r, t_s, t_w, vdot_w, vdot_a, t_w_in, t_a_in, t_neighbors, q_ext):\n"
             + "".join(f"    {line}\n" for line in body))
@@ -167,7 +172,7 @@ def rk4_step(params: ZoneParams, h: float):
           # both conductances are linear in the flow
           "g_w_per_flow": water_conductance(params.rh, 1.0),
           "g_a_per_flow": air_conductance(params.hvac, 1.0),
-          "isfinite": math.isfinite, "diverged": _diverged,
+          "diverged": _diverged,
           "h": h, "half": 0.5 * h, "sixth": h / 6.0}
     for j, s in enumerate(params.ordered_separators):
         ns.update({f"r_plus{j}": s.r_plus, f"r_minus{j}": s.r_minus, f"c_s{j}": s.c_s})
@@ -177,8 +182,12 @@ def rk4_step(params: ZoneParams, h: float):
 
 def _diverged(t_r, t_s, t_w):
     states = [("T_r", t_r), *((f"T_s[{i}]", v) for i, v in enumerate(t_s)), ("T_w", t_w)]
-    name, v = next((name, v) for name, v in states if not math.isfinite(v))
-    raise DivergenceError(f"integration diverged: state {name} is {v!r}")
+    lo, hi = _T_RANGE
+    # a non-finite state before a finite one it dragged out of range
+    name, v = min(((name, v) for name, v in states if not lo < v < hi),
+                  key=lambda state: math.isfinite(state[1]))
+    raise DivergenceError(f"integration diverged: state {name} is {v!r}, "
+                          f"outside ({lo!r}, {hi!r}) degC")
 
 
 @dataclass

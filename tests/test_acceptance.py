@@ -11,14 +11,14 @@ import time
 import numpy as np
 import pytest
 
+from thermbench.cli import evaluate, train_all
 from thermbench.config import default_config
 from thermbench.excitation import informativity_check, pe_order, spectrum
 from thermbench.identify import RlsConfig, train
-from thermbench.mpc import (MpcConfig, closed_loop_run, predict_horizon,
-                            realized_costs, solve)
+from thermbench.mpc import realized_costs, solve
 from thermbench.regressors import (RegressorSpec, Structure, q_separator,
-                                   q_varying, verify_property_1,
-                                   verify_property_2, verify_property_3)
+                                   verify_property_1, verify_property_2,
+                                   verify_property_3)
 from thermbench.simulator import (OccupancySchedule, run_experiment,
                                   run_probe_experiment, step)
 
@@ -29,7 +29,6 @@ from test_mpc import stable_toy_theta, toy_cfg, toy_theta_w, toy_window
 
 SPEC_MI = RegressorSpec(Structure.NRM_MI, 1)
 SPEC_LRM = RegressorSpec(Structure.LRM, 1)
-SPEC_RH = RegressorSpec(Structure.NRM_FI_RH, 1)
 
 
 def report(n, text):
@@ -124,10 +123,8 @@ def test_criterion_4_nrm_beats_lrm_identification():
     assert cfg.sim.noise_std == 0.05
     assert len(np.unique(ds.columns["Vw"])) > 1      # hysteresis-driven flow
     assert len(np.unique(ds.columns["Tw_in"])) > 10  # heating-curve inlet
-    rmse = {}
-    for spec in (SPEC_LRM, SPEC_MI):
-        rmse[spec.structure] = train(ds, spec, passes=5,
-                                     rls_cfg=RlsConfig()).final_rmse
+    _, reports = train_all(cfg, ds, [SPEC_LRM, SPEC_MI])  # 5 passes, default RLS
+    rmse = {spec.structure: rep.final_rmse for spec, rep in reports.items()}
     ratio = rmse[Structure.NRM_MI] / rmse[Structure.LRM]
     elapsed = time.perf_counter() - t0
     assert ratio < 1.0  # hard requirement; 0.9 is the reported target
@@ -187,7 +184,7 @@ def test_criterion_6_toy_enumeration_optimality():
 def test_criterion_7_closed_loop_comparison():
     t0 = time.perf_counter()
     cfg = default_config()
-    mpc_cfg = MpcConfig()
+    mpc_cfg = cfg.mpc
     assert mpc_cfg.n_hor == 60 and len(mpc_cfg.options()) ** mpc_cfg.n_periods == 1024
 
     # parameters identified once, from a randomized probe over the
@@ -197,25 +194,18 @@ def test_criterion_7_closed_loop_comparison():
                                  inlet_set=mpc_cfg.inlet_set,
                                  flow_set=mpc_cfg.flow_set,
                                  period_h=mpc_cfg.t_opt)
-    thetas = {s: train(probe, RegressorSpec(s, 1), passes=5,
-                       rls_cfg=RlsConfig()).theta
-              for s in (Structure.LRM, Structure.NRM_MI, Structure.NRM_FI_RH)}
+    _, reports = train_all(cfg, probe, [SPEC_MI, SPEC_LRM])
 
-    # evaluation week: same weather family, working-day absences, one seed
+    # evaluation week (seed 777, 168 h): same weather family, working-day absences
     away = OccupancySchedule(absent_windows=((8.0, 16.0), (22.5, 23.5)),
                              jitter_h=0.3)
     sd = dataclasses.replace(cfg.sim.disturbance_spec, occupancy=away)
-    eval_sim = dataclasses.replace(cfg.sim, disturbance_spec=sd, seed=777,
-                                   duration=168.0)
-    episodes = {}
-    for s in (Structure.NRM_MI, Structure.LRM):
-        episodes[s] = closed_loop_run(cfg.plant, eval_sim, mpc_cfg,
-                                      RegressorSpec(s, 1), thetas[s],
-                                      thetas[Structure.NRM_FI_RH])
-    nrm, lrm = episodes[Structure.NRM_MI], episodes[Structure.LRM]
+    cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, disturbance_spec=sd))
+    episodes = evaluate(cfg, reports)
+    nrm, lrm = episodes[SPEC_MI], episodes[SPEC_LRM]
 
     # hysteresis baseline on the identical scenario, costed from plant truth
-    baseline = run_experiment(cfg.plant, eval_sim)
+    baseline = run_experiment(cfg.plant, cfg.evaluation_sim)
     bl_comfort, _, _ = realized_costs(
         baseline.metadata["t_r_true"], baseline.metadata["t_w_true"],
         baseline.columns["occ"], baseline.columns["Tw_in"],

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 import thermbench
 from thermbench import excitation, identify, mpc
-from thermbench.cli import main
+from thermbench.cli import evaluate, main, train_all
 from thermbench.config import config_to_ini, default_config, load_config
-from thermbench.simulator import TimeSeriesDataset, column_names
+from thermbench.regressors import RegressorSpec, Structure
+from thermbench.simulator import TimeSeriesDataset, column_names, run_experiment
 
 
 def test_print_defaults_round_trips(tmp_path, capsys):
@@ -566,9 +567,12 @@ def _files(directory):
     ("heating_curve", "zeta", "300", ["excite-check"]),
     ("heating_curve", "zeta", "300", ["compare", "--spec", "LRM"]),
     ("hysteresis", "t_set", "1e300", ["identify", "--spec", "LRM"]),
+    ("hysteresis", "t_set", "1e300", ["simulate"]),
+    ("heating_curve", "rho1", "1e200", ["simulate"]),
 ], ids=["diverging-rls", "overflowing-plan-costs", "compare-after-training",
         "steep-heating-curve", "steep-heating-curve-excite-check",
-        "steep-heating-curve-compare", "absurd-set-point"])
+        "steep-heating-curve-compare", "absurd-set-point", "absurd-set-point-simulate",
+        "absurd-heating-curve-simulate"])
 def test_numerical_failure_exits_3_with_one_line(tmp_path, small_config, capsys,
                                                  section, key, value, argv):
     # the stage's own non-finite screen reports the failure; numpy's warnings,
@@ -576,8 +580,9 @@ def test_numerical_failure_exits_3_with_one_line(tmp_path, small_config, capsys,
     # nothing, not even the parameters it trained before the failure.  A zeta
     # of 300 loads, as it is positive and finite, but the heating curve's
     # (t_set - t_out) ** zeta, about 16 ** 300, overflows a float: the plant
-    # loop reports it instead of a raw OverflowError.  A set point of 1e300
-    # simulates, but training's errors overflow: the pass RMSE is not finite.
+    # loop reports it instead of a raw OverflowError.  A set point of 1e300 or
+    # a heating curve of slope 1e200 heats the finite plant far past 1,000
+    # degC: the plant loop refuses the first state outside its physical range.
     cp = configparser.ConfigParser()
     cp.read(small_config)
     cp[section][key] = value
@@ -612,6 +617,33 @@ def test_compare_summary_matches_emitted_files(tmp_path, small_config):
             episode["run_avg_comfort"][-1], rel=1e-6)
         assert float(row["final_pump"]) == pytest.approx(
             episode["run_avg_pump"][-1], rel=1e-6)
+
+
+def test_compare_files_are_the_protocols_results(tmp_path, small_config):
+    # compare writes what train_all and evaluate return on its dataset: each
+    # episode file is the episode's own CSV and each summary cell the %.9g
+    # text of the report's or the episode's final value
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(small_config), "--out-dir", str(out),
+                 "--spec", "LRM", "--spec", "NRM_MI"]) == 0
+    cfg = load_config(small_config)
+    specs = [RegressorSpec(Structure.LRM, 1), RegressorSpec(Structure.NRM_MI, 1)]
+    _, reports = train_all(cfg, run_experiment(cfg.plant, cfg.sim), specs)
+    episodes = evaluate(cfg, reports)
+    assert list(episodes) == specs
+    assert sorted(p.name for p in out.glob("episode_*.csv")) == [
+        "episode_LRM.csv", "episode_NRM_MI.csv"]
+    summary = [["spec", "final_rmse", "final_comfort", "final_heating", "final_pump"]]
+    for spec, ep in episodes.items():
+        tag = spec.structure.value
+        ep.to_csv(tmp_path / f"expected_{tag}.csv")
+        assert (out / f"episode_{tag}.csv").read_bytes() == \
+            (tmp_path / f"expected_{tag}.csv").read_bytes(), tag
+        summary.append([tag, *(f"{v:.9g}" for v in (reports[spec].final_rmse,
+                                                   ep.final_comfort, ep.final_heating,
+                                                   ep.final_pump))])
+    assert [line.split(",") for line in
+            (out / "summary.csv").read_text().splitlines()] == summary
 
 
 def test_probe_flag(tmp_path, small_config):

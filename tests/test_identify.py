@@ -429,6 +429,18 @@ def test_divergence_names_spec_pass_and_sample():
     assert "NRM_MI" in msg and "pass 1" in msg and "sample 151" in msg
 
 
+def test_overflowing_errors_name_spec_and_pass():
+    # zone temperatures of order 1e290, finite as a dataset file may hold
+    # them: the estimate stays finite, but the squared errors overflow
+    spec = RegressorSpec(Structure.LRM, 1)
+    ds = generate_self_consistent(spec, stable_theta(spec), 200)
+    bad = TimeSeriesDataset(epsilon=ds.epsilon, n_neighbors=1,
+                            columns={**ds.columns, "T_r": ds.columns["T_r"] * 1e290})
+    with pytest.raises(NumericalError, match=r"^training LRM \(n_neighbors=1\) in pass 1: "
+                                             r"the pass RMSE is inf$"):
+        train(bad, spec, passes=2)
+
+
 # training screens the RLS state once per pass and replays a pass that
 # diverged one step at a time: an infinite Qext cell first reaches the
 # regressor of the next sample, at the first and the last trained sample of
