@@ -75,12 +75,11 @@ def spectrum(signal, threshold: float = DEFAULT_THRESHOLD) -> SpectrumReport:
         if power[0] > threshold * peak:
             dc_present = True
             lines.append(SpectralLine(freq=0.0, power=float(power[0])))
-        pos_peak = power[1:].max() if len(power) > 1 else 0.0
+        pos_peak = power[1:].max()
         if pos_peak > threshold * peak:
             hot = np.flatnonzero(power[1:] > threshold * pos_peak) + 1
-            runs = np.split(hot, np.flatnonzero(np.diff(hot) > 1) + 1) if hot.size else []
             # each run of adjacent bins is one line, at its first maximum
-            for run in runs:
+            for run in np.split(hot, np.flatnonzero(np.diff(hot) > 1) + 1):
                 top = run[np.argmax(power[run])]
                 lines.append(SpectralLine(freq=float(freq[top]), power=float(power[top])))
     return SpectrumReport(freq=freq, power=power, lines=lines,

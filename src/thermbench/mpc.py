@@ -70,7 +70,6 @@ the forms expand the squares.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -280,9 +279,7 @@ def water_estimate(theta_w: np.ndarray, spec: RegressorSpec,
 #: Under the default config that is stage 1's prefixes: 30 entries x 12
 #: steps x 80 columns (5 periods of 16 combinations) for NRM_MI, 28.8k
 #: values, against 24.5k for one decision's maps and 25.6k for the last
-#: product of its walk.  ``_control_template``'s int64 digit radix wraps at
-#: 4^32 for 4 options per period, so a chunk plus its depth stays within 32
-#: periods: 31 kept the default closed loop's bytes, 32 and 48 changed them
+#: product of its walk.
 _CHUNK = 5
 
 # inside the horizon the layouts' output channels read the rollout's own
@@ -403,33 +400,30 @@ class _Template:
     water: int
 
 
-def _control_template(spec: RegressorSpec, choices, s: int, skip: int = 0) -> _Template:
-    """The template of the plan tree ``choices`` (period p's candidate inlet
-    and flow values as two arrays) at ``s`` samples per period, without the
-    columns of its first ``skip`` periods."""
+def _control_template(spec: RegressorSpec, table: np.ndarray, s: int,
+                      skip: int = 0) -> _Template:
+    """The template of the plan tree over ``table``, ``(2, periods, m)``:
+    each period's m candidate inlet and flow values, at ``s`` samples per
+    period, without the columns of its first ``skip`` periods."""
     kern = _kernel(spec)
     w = warmup(spec)
-    sizes = [len(inlet) for inlet, _ in choices]
-    lo = np.maximum(np.arange(len(sizes)) - kern.depth(s), 0)
-    n_comb = tuple(math.prod(sizes[a:p + 1]) for p, a in enumerate(lo))[skip:]
+    _, n, m = table.shape
+    lo = np.maximum(np.arange(n) - kern.depth(s), 0)
+    n_comb = tuple(m ** (p + 1 - a) for p, a in enumerate(lo.tolist()))[skip:]
     # column i is combination comb[i] of period period[i]
-    period = np.repeat(np.arange(skip, len(sizes)), n_comb)
+    period = np.repeat(np.arange(skip, n), n_comb)
     comb = np.arange(len(period)) - np.repeat(np.cumsum((0,) + n_comb[:-1]), n_comb)
     step = period * s + np.arange(s)[:, None]
     # step k (position w+1+k) reads the controls applied at position
     # w+1+k-lag: recorded ones before w, those of period (pos - w) // s after
     pos = w + 1 + step - kern.control_lag[:, None, None]
     q = np.maximum(pos - w, 0) // s
-    # period q's digit of a combination of periods lo..p weighs the option
-    # counts of periods lo..q-1
-    radix = np.cumprod([1] + sizes)
 
     def digit(q):
-        return comb // (radix[q] // radix[lo[period]]) % np.array(sizes)[q]
+        # period q's digit of a combination of periods lo..p; q - lo never
+        # exceeds the kernel depth
+        return comb // m ** (q - lo[period]) % m
 
-    table = np.zeros((2, len(sizes), max(sizes)))
-    for p, options in enumerate(choices):
-        table[:, p, :sizes[p]] = options
     rec = np.nonzero(pos < w)
     width = w + s + 1
     gather = np.where(kern.has_pred, kern.pred_plane * width - kern.pred_lag
@@ -593,8 +587,7 @@ def predict_horizon(theta_r: np.ndarray, theta_w: np.ndarray,
                           f"config expects {cfg.n_periods}")
     win.check(spec, n)
     s, w = cfg.samples_per_period, warmup(spec)
-    tpl = _control_template(spec, [(option[:1], option[1:]) for option in
-                                   np.array(plan.periods, dtype=float)], s)
+    tpl = _control_template(spec, np.array(plan.periods, dtype=float).T[:, :, None], s)
     with np.errstate(all="ignore"):  # the finite check below reports divergence
         maps = _maps(theta_r, theta_w, spec, tpl, *_window_signals(spec, win))
         plane, pos = np.divmod(tpl.state, w + s + 1)
@@ -642,10 +635,10 @@ def plan_cost(traces: tuple[np.ndarray, np.ndarray], plan: ControlPlan,
 # exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-def _choices(cfg: MpcConfig, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """A plan tree of ``n`` periods, each over every option in tie-break order."""
-    inlet, flow = np.array(cfg.options(), dtype=float).T
-    return [(inlet, flow)] * n
+def _choices(cfg: MpcConfig, n: int) -> np.ndarray:
+    """The table of a plan tree of ``n`` periods, each over every option in
+    tie-break order."""
+    return np.repeat(np.array(cfg.options(), dtype=float).T[:, None], n, axis=1)
 
 
 @functools.lru_cache(maxsize=8)

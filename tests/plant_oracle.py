@@ -9,7 +9,7 @@ tests (equilibrium, superposition, the dense-matrix oracle) run on it.
 flat state lists, with the conductances taken in every stage.  It runs none
 of the generated code, and the generated stepper ``thermal_core.rk4_step``
 must reproduce it bit for bit, so each generated stage is ``field_rate`` to
-the bit.
+the bit; both refuse a step that leaves ``T_RANGE``.
 
 ``euler`` is one forward-Euler step on ``field_rate``: the discretization
 that the regressor layouts are derived for.  ``fit_layout`` fits a layout to
@@ -33,6 +33,11 @@ from thermbench.regressors import (PREDICTION_MIRRORS, RegressorSpec, layout,
                                    prediction_channel, warmup)
 from thermbench.thermal_core import (ControlInput, ZoneParams, air_conductance,
                                      water_conductance)
+
+
+#: the open range of every physical plant state, degC: from absolute zero
+#: to a temperature no water-heated zone reaches
+T_RANGE = (-273.15, 1000.0)
 
 
 def field_rate(params: ZoneParams, x: Sequence[float], vdot_w: float,
@@ -75,11 +80,15 @@ def rk4(params: ZoneParams, x: list[float], inputs: tuple, h: float) -> list[flo
     out = [a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
 
-    if not all(map(math.isfinite, out)):
+    lo, hi = T_RANGE
+    bad = [(i, v) for i, v in enumerate(out) if not lo < v < hi]
+    if bad:
+        # a non-finite state is named before a finite one out of range
+        i, v = next(((i, v) for i, v in bad if not math.isfinite(v)), bad[0])
         n = params.n_neighbors
-        i, v = next((i, v) for i, v in enumerate(out) if not math.isfinite(v))
         name = "T_r" if i == 0 else ("T_w" if i == n + 1 else f"T_s[{i - 1}]")
-        raise DivergenceError(f"integration diverged: state {name} is {v!r}")
+        raise DivergenceError(f"integration diverged: state {name} is {v!r}, "
+                              f"outside ({lo!r}, {hi!r}) degC")
     return out
 
 

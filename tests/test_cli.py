@@ -89,6 +89,7 @@ def test_missing_key_names_it(tmp_path, small_config, capsys):
     ("model", "rmse_window", "0"),
     ("plant", "c_r", "0"),
     ("disturbance.solar", "amplitudes", "0.0, 0.0, 0.0"),
+    ("disturbance.solar", "periods_h", "24.0, 0.0, 8.0"),
     ("sim", "epsilon_hours", "0.07"),  # [mpc] t_opt, 1 h, is no whole number of samples
 ])
 def test_bad_config_value_names_section_and_key(tmp_path, small_config, capsys,
@@ -311,6 +312,30 @@ def test_dataset_missing_a_column_exits_2(tmp_path, small_config, capsys):
         assert main([*argv, *common, "--dataset", str(path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "['Vw']" in err
+    path = _without_column(tmp_path, small_config, "T_rj_1")
+    capsys.readouterr()
+    assert main(["identify", "--spec", "LRM", *common, "--dataset", str(path)]) == 2
+    assert capsys.readouterr().err == (f"config error: dataset {path} has no neighbor "
+                                       "temperature columns\n")
+
+
+def test_excite_check_on_an_overflowing_column_exits_3(tmp_path, small_config, capsys):
+    # a finite 1e200 loads, but its power spectrum overflows a float
+    col = column_names(1).index("Va")
+
+    def edit(row):
+        cells = row.split(",")
+        cells[col] = "1e200"
+        return ",".join(cells)
+
+    path = _damaged_dataset(tmp_path, small_config, 9, edit)
+    capsys.readouterr()
+    report = tmp_path / "report"
+    assert main(["excite-check", "--config", str(small_config), "--out-dir", str(report),
+                 "--dataset", str(path)]) == 3
+    assert capsys.readouterr().err == ("numerical error: the excitation check: the power "
+                                       "spectrum of Va overflows a float\n")
+    assert not report.exists()
 
 
 def test_non_increasing_dataset_time_exits_2(tmp_path, small_config, capsys):

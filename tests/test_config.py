@@ -175,7 +175,11 @@ def test_unknown_names_exit_2(tmp_path, small_config, capsys, section, key, valu
 @pytest.mark.parametrize("old,new,message", [
     ("[rh]\n", "[rh]\nc_w = 4186.0\n", "option 'c_w' in section 'rh' already exists"),
     ("t_set = 21.0\ndelta_t", "t_set = 21%\ndelta_t", "[hysteresis] t_set: '21%' is not"),
-], ids=["duplicate-key", "percent-sign"])
+    ("[plant]\nc_r = 2500000.0\nn_neighbors = 1\n\n", "", "[plant]: missing section"),
+    ("periods_h = 24.0, 12.0, 8.0\nphases = 4.45, 0.8, 1.9\n", "periods_h = 24.0, 12.0\nphases = 4.45\n",
+     "[disturbance.solar]: amplitudes, periods_h and phases must have equal length, "
+     "got [3, 2, 1]"),
+], ids=["duplicate-key", "percent-sign", "no-plant-section", "solar-lists-of-three-lengths"])
 def test_malformed_config_file_exits_2(tmp_path, small_config, capsys, old, new, message):
     broken = tmp_path / "broken.ini"
     text = small_config.read_text()
@@ -184,3 +188,10 @@ def test_malformed_config_file_exits_2(tmp_path, small_config, capsys, old, new,
     assert main(["simulate", "--config", str(broken), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert str(broken) in err and message in err and "Traceback" not in err
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing, out = tmp_path / "nope.ini", tmp_path / "out"
+    assert main(["simulate", "--config", str(missing), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: cannot read config file {missing}\n"
+    assert not out.exists()

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from thermbench.errors import ShapeError
-from thermbench.excitation import (excitation_columns, informativity_check,
-                                   pe_order, spectrum)
+from thermbench.excitation import (ColumnExcitation, SpectralLine, excitation_columns,
+                                   informativity_check, pe_order, spectrum)
 from thermbench.regressors import RegressorSpec, Structure
 from thermbench.simulator import TimeSeriesDataset
 
@@ -41,8 +41,37 @@ def test_all_zero_signal_no_lines():
 
 
 def test_short_signal_rejected():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="at least 8 samples for a spectrum, got 7"):
         spectrum(np.ones(7))
+    assert spectrum(np.ones(8)).lines == [SpectralLine(freq=0.0, power=8.0)]
+
+
+def test_dc_line_sits_at_frequency_zero():
+    x = 2.0 + sine(64, 5)
+    rep = spectrum(x)
+    assert rep.lines[0] == SpectralLine(freq=0.0, power=float(rep.power[0]))
+    assert [line.freq for line in rep.lines] == [0.0, 5 / 64]
+
+
+def test_a_dc_line_lowers_the_required_order_by_one():
+    required = 6
+    for order, dc, passed in ((required - 1, True, True), (required - 1, False, False),
+                              (required - 2, True, False), (required, False, True)):
+        entry = ColumnExcitation(column="Vw", order=order, required=required,
+                                 dc_present=dc)
+        assert entry.passed is passed, (order, dc)
+
+
+@pytest.mark.parametrize("offset", [1.0, 1e-4])
+def test_line_threshold_is_relative_to_the_peak(offset):
+    # with a DC line, and with an offset far below the threshold: the lines
+    # of a signal scaled by 1e3 or 1e-3 are its own
+    x = offset + sine(512, 9) + sine(512, 33, 0.0, 0.4)
+    want = spectrum(x)
+    for scale in (1e3, 1e-3):
+        rep = spectrum(scale * x)
+        assert rep.dc_present is want.dc_present is (offset == 1.0)
+        assert [line.freq for line in rep.lines] == [line.freq for line in want.lines]
 
 
 def test_pe_order_counting_rules():

@@ -113,6 +113,12 @@ def test_plan_expansion_zero_order_hold():
     assert len(inlet) == 24
     assert np.all(inlet[:12] == 40.0) and np.all(inlet[12:] == 45.0)
     assert np.all(flow[:12] == 0.0) and np.all(flow[12:] == 0.0787)
+    three = ControlPlan(plan.periods + ((40.0, 0.0),))
+    for call in (lambda: three.expand(cfg),
+                 lambda: predict_horizon(stable_toy_theta(SPEC), toy_theta_w(), SPEC,
+                                         toy_window(cfg), three, cfg)):
+        with pytest.raises(ConfigError, match="^plan has 3 periods, config expects 2$"):
+            call()
 
 
 def test_budget_cap():
@@ -973,6 +979,28 @@ def test_episode_forms_match_each_windows_own_forms(cfg, probe_models, monkeypat
     assert len(pairs) == sim.n_samples - 5
     for chunked, own in pairs:
         assert np.array_equal(chunked, own)
+
+
+def test_closed_loop_controls_do_not_depend_on_the_chunk_length(cfg, probe_models,
+                                                                monkeypatch):
+    # a 48-period chunk is a plan tree of 49 periods: its digit weights must
+    # not wrap, so that its columns decode as those of 5-period chunks do
+    from thermbench import mpc
+    theta, theta_w = probe_models
+    sim = dataclasses.replace(cfg.sim, duration=48.0)
+    want = closed_loop_run(cfg.plant, sim, MpcConfig(), SPEC, theta, theta_w)
+    monkeypatch.setattr(mpc, "_CHUNK", 48)
+    got = closed_loop_run(cfg.plant, sim, MpcConfig(), SPEC, theta, theta_w)
+    assert len(set(want.flow[12:])) == 2
+    for name in ("inlet", "flow"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_closed_loop_rejects_a_sampling_period_other_than_t_sam(cfg):
+    sim = dataclasses.replace(cfg.sim, duration=1.0, epsilon=1.0 / 6.0)
+    with pytest.raises(ConfigError, match="^simulator sampling period and t_sam must agree$"):
+        closed_loop_run(cfg.plant, sim, MpcConfig(), SPEC, stable_toy_theta(SPEC),
+                        toy_theta_w())
 
 
 def test_closed_loop_rejects_parameters_of_the_wrong_length(cfg):

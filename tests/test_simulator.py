@@ -178,6 +178,28 @@ def test_divergence_names_the_first_diverged_separator(cfg):
                          1e-6 * simulator.SECONDS_PER_HOUR)
 
 
+@pytest.mark.parametrize("state,name", [
+    ((1500.0, [14.0, 18.0], 20.0), "T_r"),
+    ((20.0, [14.0, -300.0], 20.0), r"T_s\[1\]"),
+    ((20.0, [14.0, 18.0], 1000.5), "T_w"),
+    ((20.0, [14.0, 18.0], -273.2), "T_w")])
+def test_both_steps_refuse_a_finite_state_out_of_range(cfg, state, name):
+    # the generated step and the reference step refuse the same finite
+    # states, with the same message
+    plant = _two_neighbor_plant(cfg)
+    t_r, t_s, t_w = state
+    x = PlantState(t_r=t_r, t_s=t_s, t_w=t_w)
+    u, d = ControlInput(0.0, 0.0), Disturbance(40.0, 20.0, (5.0, 19.0), 0.0)
+    message = (r"integration diverged: state " + name
+               + r" is -?\d+\.\d+, outside \(-273\.15, 1000\.0\) degC$")
+    with pytest.raises(DivergenceError, match=message) as generated:
+        step(plant, x, u, d, 1e-6)
+    with pytest.raises(DivergenceError) as reference:
+        plant_oracle.rk4(plant, [t_r, *t_s, t_w], (0.0, 0.0, 40.0, 20.0, [5.0, 19.0], 0.0),
+                         1e-6 * simulator.SECONDS_PER_HOUR)
+    assert str(reference.value) == str(generated.value)
+
+
 def test_generated_code_is_compiled_once_per_neighbor_count():
     rng = np.random.default_rng(8)
     one, other, two = (random_zone_params(rng, n_neighbors=n) for n in (1, 1, 2))
